@@ -8,6 +8,7 @@ Reals are printed with 17 significant digits so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -22,17 +23,20 @@ from .errors import DeepGpError, NumericError, ValidationError
 
 _SCHEMA_VERSION = 1
 
-_ALLOWED_KEYS = {
-    "rates": {"schema_version", "structure", "family", "n_list", "profile"},
-    "sample": {"schema_version", "family", "beta", "r", "n", "count",
-               "conditioned", "k_prime", "grid", "profile"},
-    "prior": {"schema_version", "space", "family", "n", "beta_grid", "draws",
-              "profile"},
-    "fit": {"schema_version", "space", "family", "n", "beta_grid", "truth",
-            "posterior", "profile"},
-    "diagnose": {"schema_version", "space", "family", "n", "beta_grid", "truth",
-                 "posterior", "profile", "n_list", "C"},
+# command -> (required, optional) top-level config fields
+_FIELDS = {
+    "rates": ({"structure", "family", "n_list"}, {"profile"}),
+    "sample": ({"family", "beta", "r", "n"},
+               {"count", "conditioned", "k_prime", "grid", "profile"}),
+    "prior": ({"space", "family", "n"}, {"beta_grid", "draws", "profile"}),
+    "fit": ({"space", "family", "n", "truth"}, {"beta_grid", "posterior", "profile"}),
+    "diagnose": ({"space", "family", "n", "truth", "n_list"},
+                 {"beta_grid", "posterior", "profile", "C"}),
 }
+
+
+def _field_names(cls, exclude=()):
+    return {f.name for f in dataclasses.fields(cls)} - set(exclude)
 
 
 def _fmt(x):
@@ -61,27 +65,41 @@ def _write_csv(out_dir, name, header, rows):
     _atomic_write(out_dir, name, "\n".join(lines) + "\n")
 
 
+def _fields(d, where, required=(), optional=()):
+    """Return the config object d once it has every required field and no unknown one."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{where} must be a JSON object")
+    missing = sorted(set(required) - set(d))
+    if missing:
+        raise ValidationError(f"missing {where} fields: {missing}")
+    unknown = sorted(set(d) - set(required) - set(optional))
+    if unknown:
+        raise ValidationError(f"unknown {where} fields: {unknown}")
+    return d
+
+
 def _load_config(path, command):
     with open(path) as fh:
         try:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"malformed JSON config: {exc}") from exc
-    if cfg.get("schema_version") != _SCHEMA_VERSION:
+    required, optional = _FIELDS[command]
+    _fields(cfg, f"{command} config", required | {"schema_version"}, optional)
+    if cfg["schema_version"] != _SCHEMA_VERSION:
         raise ValidationError(f"schema_version must be {_SCHEMA_VERSION}")
-    unknown = set(cfg) - _ALLOWED_KEYS[command]
-    if unknown:
-        raise ValidationError(f"unknown config fields for {command}: {sorted(unknown)}")
     return cfg
 
 
 def _profile(cfg):
-    kwargs = dict(cfg.get("profile", {}))
+    kwargs = _fields(cfg.get("profile", {}), "profile",
+                     optional=_field_names(rates.RateProfile, exclude=("family",)))
     return rates.RateProfile(family=cfg["family"], **kwargs)
 
 
 def _space(cfg):
-    s = cfg["space"]
+    s = _fields(cfg["space"], "space", ("input_dim", "max_q", "max_width"),
+                ("max_nodes", "beta_bounds"))
     return structure.StructureSpace(
         input_dim=int(s["input_dim"]), max_q=int(s["max_q"]),
         max_width=int(s["max_width"]), max_nodes=int(s.get("max_nodes", 16)),
@@ -89,7 +107,7 @@ def _space(cfg):
     )
 
 
-def _prior_spec(cfg, seed):
+def _prior_spec(cfg):
     return prior.StructurePriorSpec(
         space=_space(cfg), profile=_profile(cfg), n=int(cfg["n"]),
         beta_grid=tuple(cfg.get("beta_grid", (1.0,))),
@@ -114,7 +132,9 @@ def _manifest(out_dir, command, config_path, seed):
 # subcommands
 
 def _cmd_rates(cfg, seed, out_dir):
-    eta = structure.structure_from_dict(cfg["structure"])
+    eta = structure.structure_from_dict(_fields(
+        cfg["structure"], "structure",
+        ("q", "dims", "eff_dims", "active_sets", "betas", "beta_bounds")))
     profile = _profile(cfg)
     rows = []
     for n in cfg["n_list"]:
@@ -142,11 +162,11 @@ def _cmd_sample(cfg, seed, out_dir):
                 slack=1.0, mode="besov" if cfg["family"] == rates.WAVELET else "holder",
                 grid_m=int(cfg.get("grid", 33)),
             )
-            path, st = gp.sample_conditioned(spec, cond, key=(k,))
-            attempts, rate = st.attempts, st.empirical_rate
+            _, path, attempts = gp.sample_conditioned(
+                spec, cond, lambda a: gp.draw_state(spec, (k, a)))
         else:
             path = gp.sample_path(spec, key=(k, 1))
-            attempts, rate = 1, 1.0
+            attempts = 1
         pts = funcspace.grid_points(spec.r, 33)
         sup = float(np.max(np.abs(path(pts))))
         if isinstance(path, funcspace.WaveletPath):
@@ -157,7 +177,7 @@ def _cmd_sample(cfg, seed, out_dir):
             hnorm = funcspace.holder_norm_empirical(path, min(spec.beta, 2.0),
                                                     grid_m=33).value
         paths.append(funcspace.path_to_dict(path))
-        rows.append((k, attempts, rate, bnorm, hnorm, sup))
+        rows.append((k, attempts, 1.0 / attempts, bnorm, hnorm, sup))
     _atomic_write(out_dir, "paths.json", json.dumps(paths, sort_keys=True) + "\n")
     _write_csv(out_dir, "stats.csv",
                ("index", "attempts", "acceptance_rate", "besov_norm",
@@ -165,7 +185,7 @@ def _cmd_sample(cfg, seed, out_dir):
 
 
 def _cmd_prior(cfg, seed, out_dir):
-    spec = _prior_spec(cfg, seed)
+    spec = _prior_spec(cfg)
     weighted = prior.structure_prior_weights(spec)
     rows = []
     for idx, (eta, lw) in enumerate(weighted):
@@ -187,7 +207,7 @@ def _cmd_prior(cfg, seed, out_dir):
 
 
 def _truth(cfg, spec, seed):
-    t = cfg["truth"]
+    t = _fields(cfg["truth"], "truth", ("type",), ("seed",))
     if t["type"] == "zero":
         f = lambda X: np.zeros(len(X))
         weighted = prior.structure_prior_weights(spec)
@@ -199,13 +219,14 @@ def _truth(cfg, spec, seed):
 
 
 def _posterior_config(cfg, seed):
-    p = dict(cfg.get("posterior", {}))
+    p = dict(_fields(cfg.get("posterior", {}), "posterior",
+                     optional=_field_names(inference.PosteriorConfig)))
     p.setdefault("seed", seed)
     return inference.PosteriorConfig(**p)
 
 
 def _cmd_fit(cfg, seed, out_dir):
-    spec = _prior_spec(cfg, seed)
+    spec = _prior_spec(cfg)
     f_star, eta_star = _truth(cfg, spec, seed)
     data = inference.generate_data(f_star, n=int(cfg["n"]), seed=seed,
                                    input_dim=eta_star.graph.dims[0], eta_star=eta_star)
@@ -222,24 +243,14 @@ def _cmd_fit(cfg, seed, out_dir):
 
 
 def _cmd_diagnose(cfg, seed, out_dir):
-    from dataclasses import replace
-    spec = _prior_spec(cfg, seed)
+    spec = _prior_spec(cfg)
     f_star, eta_star = _truth(cfg, spec, seed)
-    config = _posterior_config(cfg, seed)
     C = float(cfg.get("C", 2.0))
-    n_list = [int(n) for n in cfg["n_list"]]
     mass_rows, contr_rows = [], []
-    for n in n_list:
-        spec_n = replace(spec, n=n)
-        data = inference.generate_data(f_star, n=n, seed=seed + n,
-                                       input_dim=eta_star.graph.dims[0],
-                                       eta_star=eta_star)
-        trace = inference.run_mcmc(data, spec_n, config)
-        mass = inference.model_mass(trace, spec_n, eta_star, C=C)
-        mass_rows.append((n, C, mass))
-        contr_rows.append((n, float(np.median(trace.post_burn(trace.l2_error))),
-                           rates.eps_structure(eta_star, spec.profile, n),
-                           rates.minimax_rate(eta_star, n).value))
+    for row, spec_n, (trace,) in inference.contraction_runs(
+            f_star, eta_star, spec, _posterior_config(cfg, seed), cfg["n_list"]):
+        contr_rows.append(row)
+        mass_rows.append((row[0], C, inference.model_mass(trace, spec_n, eta_star, C=C)))
     _write_csv(out_dir, "model_mass.csv", ("n", "C", "mass"), mass_rows)
     _write_csv(out_dir, "contraction.csv",
                ("n", "median_l2_error", "eps_n", "minimax_rate"), contr_rows)
@@ -264,8 +275,6 @@ def main(argv=None) -> int:
                                  "verify"])
     parser.add_argument("--config", default=None)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("DEEPGP_LAB_THREADS", "1")))
     parser.add_argument("--out", default=".")
     parser.add_argument("--suite", default="all")
     args = parser.parse_args(argv)
@@ -283,7 +292,7 @@ def main(argv=None) -> int:
         handler(cfg, args.seed, args.out)
         _manifest(args.out, args.command, args.config, args.seed)
         return 0
-    except (ValidationError, KeyError, FileNotFoundError) as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         print(json.dumps({"error": "validation", "detail": str(exc)}), file=sys.stderr)
         return 1
     except (NumericError, DeepGpError) as exc:

@@ -24,12 +24,11 @@ class NumericError(DeepGpError):
 class ConditioningError(NumericError):
     """Rejection sampling exhausted its attempt budget.
 
-    Carries the empirical acceptance rate observed before giving up.
+    Carries the (layer, output) node it gave up on, when known.
     """
 
-    def __init__(self, message, empirical_rate=0.0, node=None):
+    def __init__(self, message, node=None):
         super().__init__(message)
-        self.empirical_rate = empirical_rate
         self.node = node
 
 

@@ -17,9 +17,8 @@ class.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -52,7 +51,6 @@ class PathFunction:
     """Common interface: a deterministic map [-1,1]^r -> R, vectorized."""
 
     r: int
-    range_clip: bool
 
     def __call__(self, points):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -79,7 +77,7 @@ class WaveletPath(PathFunction):
 
     basis_id = "hat"
 
-    def __init__(self, r, levels, range_clip=False):
+    def __init__(self, r, levels):
         if r not in _EINSUM:
             raise ValidationError(f"wavelet paths support r in {sorted(_EINSUM)}, got {r}")
         self.r = int(r)
@@ -89,7 +87,6 @@ class WaveletPath(PathFunction):
             lv.append(arr)
         self.levels = tuple(lv)
         self.J = len(lv)
-        self.range_clip = bool(range_clip)
 
     def __call__(self, points):
         pts = _as_points(points, self.r)
@@ -97,15 +94,13 @@ class WaveletPath(PathFunction):
         for j, coeff in enumerate(self.levels, start=1):
             mats = [_axis_hats(j, pts[:, a]) for a in range(self.r)]
             total += np.einsum(_EINSUM[self.r], *mats, coeff)
-        if self.range_clip:
-            total = np.clip(total, -1.0, 1.0)
         return total
 
 
 class GridPath(PathFunction):
     """Grid-backed path with multilinear interpolation between nodes."""
 
-    def __init__(self, axes, values, range_clip=False):
+    def __init__(self, axes, values):
         axes = tuple(np.asarray(a, dtype=float) for a in axes)
         values = np.asarray(values, dtype=float)
         if values.shape != tuple(len(a) for a in axes):
@@ -113,17 +108,12 @@ class GridPath(PathFunction):
         self.r = len(axes)
         self.axes = axes
         self.values = values
-        self.range_clip = bool(range_clip)
         self._interp = RegularGridInterpolator(axes, values, method="linear",
                                                bounds_error=False, fill_value=None)
 
     def __call__(self, points):
         pts = _as_points(points, self.r)
-        pts = np.clip(pts, -1.0, 1.0)
-        out = self._interp(pts)
-        if self.range_clip:
-            out = np.clip(out, -1.0, 1.0)
-        return out
+        return self._interp(np.clip(pts, -1.0, 1.0))
 
 
 class LayerFunction:
@@ -131,7 +121,8 @@ class LayerFunction:
 
     Component j evaluates its path at the coordinates named by its (1-based)
     active set; if the path takes more variables than the active set provides,
-    the remaining slots are pinned to 0.
+    the remaining slots are pinned to 0.  Outputs are clipped to [-1, 1], so
+    every layer maps into the next layer's domain.
     """
 
     def __init__(self, components, in_dim):
@@ -152,11 +143,8 @@ class LayerFunction:
             if len(s) < path.r:
                 pad = np.zeros((sub.shape[0], path.r - len(s)))
                 sub = np.hstack([sub, pad])
-            vals = path(sub)
-            if path.range_clip:
-                vals = np.clip(vals, -1.0, 1.0)
-            cols.append(vals)
-        return np.column_stack(cols)
+            cols.append(path(sub))
+        return np.clip(np.column_stack(cols), -1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -427,14 +415,12 @@ def path_to_dict(path) -> dict:
             "type": "wavelet",
             "r": path.r,
             "basis": path.basis_id,
-            "range_clip": path.range_clip,
             "levels": [lv.ravel().tolist() for lv in path.levels],
         }
     if isinstance(path, GridPath):
         return {
             "type": "grid",
             "r": path.r,
-            "range_clip": path.range_clip,
             "axes": [a.tolist() for a in path.axes],
             "values": path.values.ravel().tolist(),
             "shape": list(path.values.shape),
@@ -444,8 +430,8 @@ def path_to_dict(path) -> dict:
 
 def path_from_dict(d: dict):
     if d["type"] == "wavelet":
-        return WaveletPath(r=d["r"], levels=d["levels"], range_clip=d["range_clip"])
+        return WaveletPath(r=d["r"], levels=d["levels"])
     if d["type"] == "grid":
         values = np.asarray(d["values"], dtype=float).reshape(d["shape"])
-        return GridPath(axes=d["axes"], values=values, range_clip=d["range_clip"])
+        return GridPath(axes=d["axes"], values=values)
     raise ValidationError(f"unknown path type {d['type']!r}")

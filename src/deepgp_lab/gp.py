@@ -21,14 +21,10 @@ from .rates import FBM, STATIONARY, WAVELET, wavelet_resolution
 
 __all__ = [
     "GpSpec",
-    "ConditionedSampleStats",
     "rng_for",
     "state_size",
     "path_from_state",
     "draw_state",
-    "sample_wavelet",
-    "sample_fbm",
-    "sample_stationary",
     "sample_path",
     "sample_conditioned",
     "acceptance_lower_bound",
@@ -60,13 +56,6 @@ class GpSpec:
                 raise ValidationError(f"grid capped at {_GRID_CAP[self.r]} for r={self.r}")
         if self.family == FBM and not (0 < self.beta < 1):
             raise ValidationError("fBM requires beta in (0, 1)")
-
-
-@dataclass(frozen=True)
-class ConditionedSampleStats:
-    attempts: int
-    accepted: bool
-    empirical_rate: float
 
 
 def rng_for(seed, key=()):
@@ -148,7 +137,7 @@ def state_size(spec: GpSpec) -> int:
     return len(pts)
 
 
-def path_from_state(spec: GpSpec, z, range_clip=False):
+def path_from_state(spec: GpSpec, z):
     """Deterministic state -> path map for the spec's family."""
     z = np.asarray(z, dtype=float)
     if len(z) != state_size(spec):
@@ -159,68 +148,47 @@ def path_from_state(spec: GpSpec, z, range_clip=False):
             count = 2 ** (j * spec.r)
             levels.append(scale * z[pos:pos + count])
             pos += count
-        return WaveletPath(r=spec.r, levels=levels, range_clip=range_clip)
+        return WaveletPath(r=spec.r, levels=levels)
     if spec.family == FBM:
         axes, pts, origin, rest, chol = _fbm_factor(spec.beta, spec.r, spec.grid)
         released = z[0]
         x = np.zeros(len(pts))
         x[rest] = chol @ z[1:]
         # x[origin] stays exactly 0: the covariance vanishes there pre-release
-        path = GridPath(axes=axes, values=(x + released).reshape([len(a) for a in axes]),
-                        range_clip=range_clip)
+        path = GridPath(axes=axes, values=(x + released).reshape([len(a) for a in axes]))
         path.pre_release = x.reshape([len(a) for a in axes])
         path.released_constant = float(released)
         return path
     axes, pts, chol = _stationary_factor(spec.beta, spec.r, spec.n, spec.grid)
     vals = (chol @ z).reshape([len(a) for a in axes])
-    return GridPath(axes=axes, values=vals, range_clip=range_clip)
+    return GridPath(axes=axes, values=vals)
 
 
 def draw_state(spec: GpSpec, key=()):
     return rng_for(spec.seed, key).standard_normal(state_size(spec))
 
 
-def sample_path(spec: GpSpec, key=(), range_clip=False):
-    return path_from_state(spec, draw_state(spec, key), range_clip=range_clip)
+def sample_path(spec: GpSpec, key=()):
+    return path_from_state(spec, draw_state(spec, key))
 
 
-def sample_wavelet(spec: GpSpec, key=()):
-    if spec.family != WAVELET:
-        raise ValidationError("spec.family must be the wavelet family")
-    return sample_path(spec, key)
-
-
-def sample_fbm(spec: GpSpec, key=()):
-    if spec.family != FBM:
-        raise ValidationError("spec.family must be the fBM family")
-    return sample_path(spec, key)
-
-
-def sample_stationary(spec: GpSpec, key=()):
-    if spec.family != STATIONARY:
-        raise ValidationError("spec.family must be the stationary family")
-    return sample_path(spec, key)
-
-
-def sample_conditioned(spec: GpSpec, cond: ConditioningSpec, max_attempts: int = 1000,
-                       key=()):
+def sample_conditioned(spec: GpSpec, cond: ConditioningSpec, draw, max_attempts: int = 1000):
     """Rejection-sample the family into the conditioning set.
 
-    Returns (path, stats).  The accepted draw's law is the unconditioned law
-    restricted to the set, exactly.
+    ``draw(a)`` returns the standard-normal state tried at attempt a = 1, 2, ...
+    Returns (state, path, attempts).  The accepted draw's law is the
+    unconditioned law restricted to the set, exactly.
     """
     if max_attempts < 1:
         raise ValidationError("max_attempts must be >= 1")
     for attempt in range(1, max_attempts + 1):
-        path = sample_path(spec, key=tuple(key) + (attempt,))
+        z = draw(attempt)
+        path = path_from_state(spec, z)
         ok, _ = in_conditioning_set(path, cond)
         if ok:
-            return path, ConditionedSampleStats(attempts=attempt, accepted=True,
-                                                empirical_rate=1.0 / attempt)
+            return z, path, attempt
     raise ConditioningError(
-        f"conditioning too tight: no acceptance in {max_attempts} attempts",
-        empirical_rate=0.0,
-    )
+        f"conditioning too tight: no acceptance in {max_attempts} attempts")
 
 
 def acceptance_lower_bound(k_prime: float, r: int) -> float:

@@ -9,16 +9,16 @@ the prior (so the acceptance ratio reduces to the likelihood ratio).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConditioningError, ValidationError
-from .funcspace import LayerFunction, WaveletPath, besov_norm, compose, grid_points
-from .gp import GpSpec, path_from_state, rng_for, state_size
+from .funcspace import (LayerFunction, besov_norm, compose, grid_points,
+                        in_conditioning_set)
+from .gp import GpSpec, path_from_state, rng_for, sample_conditioned, state_size
 from .prior import (StructurePriorSpec, conditioning_spec_for_layer,
                     structure_prior_weights, _weights_array)
-from .funcspace import in_conditioning_set
 from .rates import WAVELET, eps_structure, minimax_rate
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
     "kl_v2_hellinger",
     "run_mcmc",
     "model_mass",
+    "contraction_runs",
     "contraction_curve",
 ]
 
@@ -101,7 +102,6 @@ class PosteriorConfig:
     structure_move_prob: float = 0.1
     burn_in: float = 0.5
     seed: int = 0
-    chains: int = 1
     prior_only: bool = False
 
     def __post_init__(self):
@@ -111,8 +111,8 @@ class PosteriorConfig:
             raise ValidationError("structure_move_prob must be in [0,1]")
         if not (0 <= self.burn_in < 1):
             raise ValidationError("burn_in must be in [0,1)")
-        if self.iterations < 1 or self.chains < 1:
-            raise ValidationError("iterations and chains must be >= 1")
+        if self.iterations < 1:
+            raise ValidationError("iterations must be >= 1")
 
 
 @dataclass
@@ -140,15 +140,10 @@ class _NodeState:
 
 
 def _build_layers(eta, node_states):
-    layers = []
-    for i in range(eta.graph.q + 1):
-        comps = []
-        for j, s in enumerate(eta.graph.active_sets[i]):
-            p = node_states[(i, j)].path
-            p.range_clip = True
-            comps.append((p, s))
-        layers.append(LayerFunction(comps, in_dim=eta.graph.dims[i]))
-    return layers
+    return [LayerFunction([(node_states[(i, j)].path, s)
+                           for j, s in enumerate(eta.graph.active_sets[i])],
+                          in_dim=eta.graph.dims[i])
+            for i in range(eta.graph.q + 1)]
 
 
 def _fresh_state(eta, spec, rng, max_attempts):
@@ -160,15 +155,12 @@ def _fresh_state(eta, spec, rng, max_attempts):
                        r=int(eta.graph.eff_dims[i]), n=spec.n, seed=0, grid=spec.gp_grid)
         size = state_size(gspec)
         for j in range(len(eta.graph.active_sets[i])):
-            for _ in range(max_attempts):
-                z = rng.standard_normal(size)
-                path = path_from_state(gspec, z)
-                ok, _ = in_conditioning_set(path, cond)
-                if ok:
-                    states[(i, j)] = _NodeState(z, path, gspec, cond)
-                    break
-            else:
+            try:
+                z, path, _ = sample_conditioned(
+                    gspec, cond, lambda _: rng.standard_normal(size), max_attempts)
+            except ConditioningError:
                 return None
+            states[(i, j)] = _NodeState(z, path, gspec, cond)
     return states
 
 
@@ -279,9 +271,6 @@ def model_mass(trace: PosteriorTrace, spec: StructurePriorSpec, eta_star,
     with |d|_1 <= log(2 log n).  The cap is asymptotic and excludes everything
     at desk scale, hence disabled by default.
     """
-    if not cap_enabled:
-        print("model_mass: |d|_1 <= log(2 log n) cap disabled "
-              "(asymptotic condition, < 2 for desk-scale n)")
     eps_star = eps_structure(eta_star, spec.profile, spec.n)
     cap = math.log(2.0 * math.log(spec.n))
     good = []
@@ -294,21 +283,32 @@ def model_mass(trace: PosteriorTrace, spec: StructurePriorSpec, eta_star,
     return float(np.mean([good[k] for k in idx]))
 
 
+def contraction_runs(f_star, eta_star, spec: StructurePriorSpec,
+                     config: PosteriorConfig, n_list, seeds=(0,)):
+    """Yield (row, spec_n, traces) per n, one posterior run per seed.
+
+    row is (n, median over seeds of the post-burn median L2 error, eps_n(eta*),
+    r_n(eta*)).  Seed s draws its data with seed config.seed + s + 1000 n and
+    runs its chain with seed config.seed + s.
+    """
+    if list(n_list) != sorted(n_list):
+        raise ValidationError("n_list must be increasing")
+    for n in map(int, n_list):
+        spec_n = replace(spec, n=n)
+        traces = []
+        for s in seeds:
+            seed = config.seed + int(s)
+            data = generate_data(f_star, n=n, seed=seed + 1000 * n,
+                                 input_dim=eta_star.graph.dims[0], eta_star=eta_star)
+            traces.append(run_mcmc(data, spec_n, replace(config, seed=seed)))
+        err = float(np.median([np.median(t.post_burn(t.l2_error)) for t in traces]))
+        row = (n, err, eps_structure(eta_star, spec.profile, n),
+               minimax_rate(eta_star, n).value)
+        yield row, spec_n, traces
+
+
 def contraction_curve(f_star, eta_star, spec: StructurePriorSpec,
                       config: PosteriorConfig, n_list, seeds=(0,)):
     """Rows (n, median posterior L2 error over seeds, eps_n(eta*), r_n(eta*))."""
-    if list(n_list) != sorted(n_list):
-        raise ValidationError("n_list must be increasing")
-    rows = []
-    for n in n_list:
-        spec_n = replace(spec, n=int(n))
-        med_errs = []
-        for s in seeds:
-            data = generate_data(f_star, n=int(n), seed=int(s) + 1000 * int(n),
-                                 input_dim=eta_star.graph.dims[0], eta_star=eta_star)
-            trace = run_mcmc(data, spec_n, replace(config, seed=config.seed + int(s)))
-            med_errs.append(float(np.median(trace.post_burn(trace.l2_error))))
-        rows.append((int(n), float(np.median(med_errs)),
-                     eps_structure(eta_star, spec.profile, int(n)),
-                     minimax_rate(eta_star, int(n)).value))
-    return rows
+    return [row for row, _, _ in contraction_runs(f_star, eta_star, spec, config,
+                                                  n_list, seeds)]

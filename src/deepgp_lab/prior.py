@@ -8,16 +8,16 @@ wired through the active sets and composed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ConditioningError, ValidationError
 from .funcspace import ConditioningSpec, LayerFunction, compose
-from .gp import ConditionedSampleStats, GpSpec, rng_for, sample_conditioned
-from .rates import (FBM, STATIONARY, WAVELET, LogWeight, RateProfile,
-                    alpha_exponents, eps_alpha, psi_n, wavelet_resolution)
+from .gp import GpSpec, draw_state, rng_for, sample_conditioned
+from .rates import (FBM, WAVELET, LogWeight, RateProfile, alpha_exponents, eps_alpha,
+                    psi_n, wavelet_resolution)
 from .structure import CompositionStructure, StructureSpace, enumerate_structures
 
 __all__ = [
@@ -54,6 +54,20 @@ class StructurePriorSpec:
             raise ValidationError("n must be >= 3")
         if not (0 < self.q_decay < 1) or not (0 < self.width_decay < 1):
             raise ValidationError("decay parameters must lie in (0, 1)")
+        family = self.profile.family
+        if family == FBM and not all(0 < b < 1 for b in self.beta_grid):
+            raise ValidationError(
+                f"beta_grid {list(self.beta_grid)}: the fbm family needs every beta in (0, 1)")
+        if family != WAVELET:
+            # grid families draw paths of effective dimension r <= 2 only
+            widths = {"input_dim": self.space.input_dim}
+            if self.space.max_q > 0:
+                widths["max_width"] = self.space.max_width
+            for name, width in widths.items():
+                if width > 2:
+                    raise ValidationError(
+                        f"space.{name} = {width}: the {family} family supports "
+                        f"effective dimension at most 2")
 
 
 def _log_geometric_truncated(k, decay, lo, hi):
@@ -160,7 +174,7 @@ def conditioning_spec_for_layer(eta: CompositionStructure, layer: int,
 class DgpDraw:
     structure: CompositionStructure
     layers: tuple  # LayerFunction per layer
-    stats: dict  # (layer, output) -> ConditionedSampleStats
+    stats: dict  # (layer, output) -> rejection attempts of the accepted draw
 
     def __call__(self, points):
         return compose(self.layers, points)
@@ -182,19 +196,15 @@ def sample_dgp(eta: CompositionStructure, spec: StructurePriorSpec, seed,
                          n=spec.n, seed=int(seed), grid=spec.gp_grid)
         components = []
         for j, s in enumerate(g.active_sets[i]):
+            key = tuple(key_prefix) + (_KEY_PATHS, i, j)
             try:
-                path, st = sample_conditioned(
-                    gp_spec, cond, max_attempts=spec.max_attempts,
-                    key=tuple(key_prefix) + (_KEY_PATHS, i, j),
-                )
+                _, path, stats[(i, j)] = sample_conditioned(
+                    gp_spec, cond, lambda a: draw_state(gp_spec, key + (a,)),
+                    max_attempts=spec.max_attempts)
             except ConditioningError as exc:
-                raise ConditioningError(
-                    f"node (layer {i}, output {j + 1}): {exc}",
-                    empirical_rate=exc.empirical_rate, node=(i, j),
-                ) from exc
-            path.range_clip = True
+                raise ConditioningError(f"node (layer {i}, output {j + 1}): {exc}",
+                                        node=(i, j)) from exc
             components.append((path, s))
-            stats[(i, j)] = st
         layers.append(LayerFunction(components, in_dim=g.dims[i]))
     return DgpDraw(structure=eta, layers=tuple(layers), stats=stats)
 

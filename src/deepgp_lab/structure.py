@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import SpaceTooLargeError, ValidationError
 

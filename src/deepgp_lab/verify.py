@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from . import funcspace, gp, rates, structure
+from .errors import ValidationError
 from .rates import RateProfile
 
 __all__ = ["run_suite", "SUITES"]
@@ -93,7 +94,7 @@ def check_besov_acceptance(draws=2000, seed=5):
     thr = 3.0 * math.sqrt(2.0 * math.log(2.0))
     hits = 0
     for k in range(draws):
-        p = gp.sample_wavelet(spec, key=(k,))
+        p = gp.sample_path(spec, key=(k,))
         if funcspace.besov_norm(p, 1.0) <= thr:
             hits += 1
     rate = hits / draws
@@ -104,7 +105,7 @@ def check_besov_acceptance(draws=2000, seed=5):
 
 def check_fbm_origin(seed=3):
     spec = gp.GpSpec(family=rates.FBM, beta=0.5, r=1, n=100, seed=seed, grid=33)
-    p = gp.sample_fbm(spec)
+    p = gp.sample_path(spec)
     v = float(p.pre_release[len(p.axes[0]) // 2])
     return "fbm-pinned-at-origin", v == 0.0, f"pre-release value at 0 is {v}"
 
@@ -129,12 +130,10 @@ def check_composition_bound(trials=100, seed=17):
         # is only promised for layers inside the ball)
         spec = gp.GpSpec(family=rates.WAVELET, beta=1.0, r=1, n=256,
                          seed=int(rng.integers(2**32)))
-        p = gp.sample_wavelet(spec)
+        p = gp.sample_path(spec)
         norm = funcspace.holder_norm_empirical(p, 1.0, grid_m=129).value
         scale = min(1.0, 0.95 * K / max(norm, 1e-12))
-        p = funcspace.WaveletPath(r=1, levels=[scale * lv for lv in p.levels],
-                                  range_clip=True)
-        return p
+        return funcspace.WaveletPath(r=1, levels=[scale * lv for lv in p.levels])
 
     for k in range(trials):
         h0, h0t = rand_layer(), rand_layer()
@@ -161,5 +160,5 @@ SUITES["all"] = SUITES["rates"] + SUITES["gp"] + SUITES["funcspace"]
 
 def run_suite(name):
     if name not in SUITES:
-        raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+        raise ValidationError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     return [check() for check in SUITES[name]]

@@ -30,7 +30,7 @@ def test_criterion_01_besov_acceptance_bound():
     thr = 3.0 * math.sqrt(2.0 * math.log(2.0))
     draws = 10**4
     hits = sum(
-        funcspace.besov_norm(gp.sample_wavelet(spec, key=(k,)), 1.0) <= thr
+        funcspace.besov_norm(gp.sample_path(spec, key=(k,)), 1.0) <= thr
         for k in range(draws)
     )
     freq = hits / draws

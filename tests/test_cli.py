@@ -1,9 +1,13 @@
+import ast
 import json
 import os
+import pathlib
 
 import pytest
 
-from deepgp_lab import cli, structure
+import deepgp_lab
+from deepgp_lab import cli, structure, verify
+from deepgp_lab.errors import ValidationError
 
 
 def write_config(tmp_path, name, payload):
@@ -12,28 +16,35 @@ def write_config(tmp_path, name, payload):
     return str(p)
 
 
-def rates_config(tmp_path):
+def payload(command, **kw):
+    """A small valid config for each command; kw overrides top-level fields."""
     g = structure.make_graph(0, (1, 1), [[(1,)]])
     eta = structure.CompositionStructure(graph=g, betas=(1.0,), bounds=(0.5, 1.0))
-    return write_config(tmp_path, "rates.json", {
-        "schema_version": 1,
-        "structure": structure.structure_to_dict(eta),
-        "family": "wavelet",
-        "n_list": [100, 1000, 10000],
-    })
+    space = {"input_dim": 1, "max_q": 1, "max_width": 1, "beta_bounds": [0.5, 1.0]}
+    fit = {"space": space, "family": "wavelet", "n": 100, "beta_grid": [1.0],
+           "truth": {"type": "zero"},
+           "posterior": {"iterations": 60, "pcn_step": 0.8,
+                         "structure_move_prob": 0.1, "burn_in": 0.5}}
+    base = {
+        "rates": {"structure": structure.structure_to_dict(eta), "family": "wavelet",
+                  "n_list": [100, 1000, 10000]},
+        "sample": {"family": "wavelet", "beta": 1.0, "r": 1, "n": 256, "count": 3},
+        "prior": {"space": space, "family": "wavelet", "n": 200,
+                  "beta_grid": [0.5, 1.0], "draws": 2},
+        "fit": fit,
+        "diagnose": dict(fit, n_list=[100, 200]),
+    }[command]
+    return {"schema_version": 1, **base, **kw}
 
 
-def sample_config(tmp_path, **kw):
-    payload = {"schema_version": 1, "family": "wavelet", "beta": 1.0, "r": 1,
-               "n": 256, "count": 3}
-    payload.update(kw)
-    return write_config(tmp_path, "sample.json", payload)
+def config(tmp_path, command, **kw):
+    return write_config(tmp_path, f"{command}.json", payload(command, **kw))
 
 
 class TestExitCodes:
     def test_rates_success(self, tmp_path, capsys):
         out = str(tmp_path / "out")
-        assert cli.main(["rates", "--config", rates_config(tmp_path),
+        assert cli.main(["rates", "--config", config(tmp_path, "rates"),
                          "--out", out]) == 0
         assert os.path.exists(os.path.join(out, "rates.csv"))
         assert os.path.exists(os.path.join(out, "manifest.json"))
@@ -52,14 +63,14 @@ class TestExitCodes:
         assert cli.main(["rates", "--config", str(p)]) == 1
 
     def test_unknown_field_rejected(self, tmp_path, capsys):
-        cfg = sample_config(tmp_path, bogus_field=1)
+        cfg = config(tmp_path, "sample", bogus_field=1)
         assert cli.main(["sample", "--config", cfg,
                          "--out", str(tmp_path / "o")]) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert "bogus_field" in err["detail"]
 
     def test_wrong_schema_version(self, tmp_path, capsys):
-        cfg = sample_config(tmp_path, schema_version=99)
+        cfg = config(tmp_path, "sample", schema_version=99)
         assert cli.main(["sample", "--config", cfg,
                          "--out", str(tmp_path / "o")]) == 1
 
@@ -71,11 +82,54 @@ class TestExitCodes:
         assert cli.main(["sample", "--config", cfg,
                          "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command, edit, named", [
+        pytest.param("fit", lambda c: c["posterior"].update(iters=5), "iters",
+                     id="posterior-unknown"),
+        pytest.param("fit", lambda c: c["posterior"].update(chains=4), "chains",
+                     id="posterior-chains"),
+        pytest.param("fit", lambda c: c.update(profile={"radius": 1.0}), "radius",
+                     id="profile-unknown"),
+        pytest.param("prior", lambda c: c["space"].update(depth=2), "depth",
+                     id="space-unknown"),
+        pytest.param("prior", lambda c: c.pop("n"), "missing prior config fields: ['n']",
+                     id="top-missing"),
+        pytest.param("prior", lambda c: c["space"].pop("max_q"),
+                     "missing space fields: ['max_q']", id="space-missing"),
+        pytest.param("fit", lambda c: c["truth"].pop("type"),
+                     "missing truth fields: ['type']", id="truth-missing"),
+        pytest.param("rates", lambda c: c["structure"].pop("betas"),
+                     "missing structure fields: ['betas']", id="structure-missing"),
+        pytest.param("fit", lambda c: c.update(family="fbm"), "beta_grid",
+                     id="fbm-default-beta-grid"),
+        pytest.param("fit", lambda c: c.update(family="stationary", beta_grid=[0.5],
+                                               space=dict(c["space"], max_width=3)),
+                     "space.max_width", id="grid-family-width"),
+    ])
+    def test_config_mistake_is_a_validation_error(self, tmp_path, capsys, command,
+                                                  edit, named):
+        cfg = payload(command)
+        edit(cfg)
+        path = write_config(tmp_path, "cfg.json", cfg)
+        assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "validation"
+        assert named in err["detail"]
+
+    def test_unknown_suite(self, tmp_path, capsys):
+        with pytest.raises(ValidationError, match="nope"):
+            verify.run_suite("nope")
+        assert cli.main(["verify", "--suite", "nope", "--out", str(tmp_path)]) == 1
+        assert "nope" in json.loads(capsys.readouterr().err.strip())["detail"]
+
+    def test_threads_option_removed(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["rates", "--threads", "2"])
+
 
 class TestSampleCommand:
     def test_outputs(self, tmp_path):
         out = str(tmp_path / "out")
-        assert cli.main(["sample", "--config", sample_config(tmp_path),
+        assert cli.main(["sample", "--config", config(tmp_path, "sample"),
                          "--seed", "3", "--out", out]) == 0
         stats = (tmp_path / "out" / "stats.csv").read_text().splitlines()
         assert stats[0] == "index,attempts,acceptance_rate,besov_norm,holder_norm,sup_norm"
@@ -84,7 +138,7 @@ class TestSampleCommand:
         assert len(paths) == 3
 
     def test_seed_changes_output(self, tmp_path):
-        cfg = sample_config(tmp_path)
+        cfg = config(tmp_path, "sample")
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         cli.main(["sample", "--config", cfg, "--seed", "1", "--out", a])
         cli.main(["sample", "--config", cfg, "--seed", "2", "--out", b])
@@ -93,53 +147,51 @@ class TestSampleCommand:
 
 
 class TestDeterminism:
-    def test_rates_rerun_byte_identical(self, tmp_path):
-        cfg = rates_config(tmp_path)
-        a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        assert cli.main(["rates", "--config", cfg, "--out", a]) == 0
-        assert cli.main(["rates", "--config", cfg, "--out", b]) == 0
-        assert (tmp_path / "a" / "rates.csv").read_bytes() == \
-            (tmp_path / "b" / "rates.csv").read_bytes()
-
-    def test_sample_rerun_byte_identical(self, tmp_path):
-        cfg = sample_config(tmp_path)
-        a, b = str(tmp_path / "a"), str(tmp_path / "b")
-        assert cli.main(["sample", "--config", cfg, "--seed", "7", "--out", a]) == 0
-        assert cli.main(["sample", "--config", cfg, "--seed", "7", "--out", b]) == 0
-        for name in ("stats.csv", "paths.json"):
-            assert (tmp_path / "a" / name).read_bytes() == \
-                (tmp_path / "b" / name).read_bytes()
+    @pytest.mark.parametrize("command, outputs", [
+        pytest.param("rates", {"rates.csv"}, id="rates"),
+        pytest.param("sample", {"stats.csv", "paths.json"}, id="sample"),
+        pytest.param("prior", {"weights.csv", "draws.json"}, id="prior"),
+        pytest.param("fit", {"trace.csv", "summary.csv"}, id="fit"),
+        pytest.param("diagnose", {"model_mass.csv", "contraction.csv"}, id="diagnose"),
+    ])
+    def test_rerun_byte_identical(self, tmp_path, command, outputs):
+        cfg = config(tmp_path, command)
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert cli.main([command, "--config", cfg, "--seed", "7",
+                             "--out", str(out)]) == 0
+        assert set(os.listdir(a)) == outputs | {"manifest.json"}
+        for name in outputs:
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 class TestPriorAndFit:
-    def space_cfg(self):
-        return {"input_dim": 1, "max_q": 1, "max_width": 1,
-                "beta_bounds": [0.5, 1.0]}
-
     def test_prior_command(self, tmp_path):
-        cfg = write_config(tmp_path, "prior.json", {
-            "schema_version": 1, "space": self.space_cfg(), "family": "wavelet",
-            "n": 200, "beta_grid": [0.5, 1.0], "draws": 2})
         out = str(tmp_path / "out")
-        assert cli.main(["prior", "--config", cfg, "--out", out]) == 0
+        assert cli.main(["prior", "--config", config(tmp_path, "prior"),
+                         "--out", out]) == 0
         weights = (tmp_path / "out" / "weights.csv").read_text().splitlines()
         assert len(weights) == 7  # header + 6 structures
         draws = json.loads((tmp_path / "out" / "draws.json").read_text())
         assert len(draws) == 2
 
     def test_fit_command(self, tmp_path):
-        cfg = write_config(tmp_path, "fit.json", {
-            "schema_version": 1, "space": self.space_cfg(), "family": "wavelet",
-            "n": 100, "beta_grid": [1.0],
-            "truth": {"type": "zero"},
-            "posterior": {"iterations": 60, "pcn_step": 0.8,
-                          "structure_move_prob": 0.1, "burn_in": 0.5}})
         out = str(tmp_path / "out")
-        assert cli.main(["fit", "--config", cfg, "--seed", "1", "--out", out]) == 0
+        assert cli.main(["fit", "--config", config(tmp_path, "fit"), "--seed", "1",
+                         "--out", out]) == 0
         trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
         assert len(trace) == 61
         summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
         assert summary[0] == "n,pcn_acceptance,structure_acceptance,median_l2_error"
+
+    def test_diagnose_seed_changes_output(self, tmp_path):
+        cfg = config(tmp_path, "diagnose")
+        for seed in ("1", "2"):
+            assert cli.main(["diagnose", "--config", cfg, "--seed", seed,
+                             "--out", str(tmp_path / seed)]) == 0
+        rows = (tmp_path / "1" / "contraction.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["100", "200"]
+        assert rows != (tmp_path / "2" / "contraction.csv").read_text().splitlines()
 
 
 class TestVerifyCommand:
@@ -149,3 +201,14 @@ class TestVerifyCommand:
         stdout = capsys.readouterr().out
         assert "[PASS]" in stdout and "[FAIL]" not in stdout
         assert os.path.exists(os.path.join(out, "verify.csv"))
+
+
+def test_library_never_prints():
+    # only the CLI writes to the terminal
+    src = pathlib.Path(deepgp_lab.__file__).parent
+    printing = [f"{path.name}:{node.lineno}"
+                for path in sorted(src.glob("*.py")) if path.name != "cli.py"
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "print"]
+    assert printing == []

@@ -132,6 +132,15 @@ class TestCompose:
         out = funcspace.compose([h0, h1], np.array([[1.0]]))
         np.testing.assert_allclose(out, [0.25], atol=1e-4)
 
+    def test_layer_clips_overshoot(self):
+        # the path itself reaches +-1.5; the layer maps into [-1, 1]
+        xs = np.linspace(-1, 1, 33)
+        p = funcspace.GridPath(axes=(xs,), values=1.5 * xs)
+        layer = funcspace.LayerFunction([(p, (1,))], in_dim=1)
+        pts = np.array([[-1.0], [-0.5], [0.0], [0.5], [1.0]])
+        np.testing.assert_allclose(p(pts), [-1.5, -0.75, 0.0, 0.75, 1.5])
+        np.testing.assert_allclose(layer(pts)[:, 0], [-1.0, -0.75, 0.0, 0.75, 1.0])
+
     def test_constant_propagation(self):
         c = 0.37
         xs = np.linspace(-1, 1, 17)
@@ -149,8 +158,7 @@ class TestCompose:
         rng = np.random.default_rng(7)
         layers = [
             funcspace.LayerFunction(
-                [(funcspace.GridPath(axes=(xs,), values=rng.uniform(-1, 1, 65),
-                                     range_clip=True), (1,))], 1)
+                [(funcspace.GridPath(axes=(xs,), values=rng.uniform(-1, 1, 65)), (1,))], 1)
             for _ in range(3)
         ]
         pts = rng.uniform(-1, 1, size=(50, 1))
@@ -206,15 +214,15 @@ class TestCoveringOracle:
 
 class TestSerialization:
     def test_wavelet_round_trip(self):
-        p = gp.sample_wavelet(gp.GpSpec(family=rates.WAVELET, beta=1.0, r=1,
-                                        n=1024, seed=9))
+        p = gp.sample_path(gp.GpSpec(family=rates.WAVELET, beta=1.0, r=1,
+                                     n=1024, seed=9))
         q = funcspace.path_from_dict(funcspace.path_to_dict(p))
         pts = np.linspace(-1, 1, 101)[:, None]
         np.testing.assert_array_equal(p(pts), q(pts))
 
     def test_grid_round_trip(self):
-        p = gp.sample_fbm(gp.GpSpec(family=rates.FBM, beta=0.5, r=1, n=100,
-                                    seed=9, grid=33))
+        p = gp.sample_path(gp.GpSpec(family=rates.FBM, beta=0.5, r=1, n=100,
+                                     seed=9, grid=33))
         q = funcspace.path_from_dict(funcspace.path_to_dict(p))
         pts = np.linspace(-1, 1, 101)[:, None]
         np.testing.assert_allclose(p(pts), q(pts), rtol=1e-15, atol=1e-15)

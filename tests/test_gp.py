@@ -28,22 +28,22 @@ class TestRng:
 
 class TestWaveletFamily:
     def test_determinism(self):
-        p = gp.sample_wavelet(wspec(seed=5))
-        q = gp.sample_wavelet(wspec(seed=5))
+        p = gp.sample_path(wspec(seed=5))
+        q = gp.sample_path(wspec(seed=5))
         pts = np.linspace(-1, 1, 64)[:, None]
         np.testing.assert_array_equal(p(pts), q(pts))
 
     def test_truncation_level(self):
-        p = gp.sample_wavelet(wspec(n=1024, beta=1.0))
+        p = gp.sample_path(wspec(n=1024, beta=1.0))
         assert len(p.levels) == 3
-        p = gp.sample_wavelet(wspec(n=1024, beta=0.5))
+        p = gp.sample_path(wspec(n=1024, beta=0.5))
         assert len(p.levels) == 5
 
     def test_coefficient_variance(self):
         # lambda_{j,k} ~ N(0, 2^{-2j(b+r/2)}/(jr)); check level-2 empirically
         beta, j = 1.0, 2
         draws = np.array([
-            gp.sample_wavelet(wspec(seed=s, beta=beta)).levels[j - 1]
+            gp.sample_path(wspec(seed=s, beta=beta)).levels[j - 1]
             for s in range(2500)
         ]).ravel()
         target = 2.0 ** (-2 * j * (beta + 0.5)) / j
@@ -52,7 +52,7 @@ class TestWaveletFamily:
     def test_besov_acceptance_frequency(self):
         thr = 3.0 * math.sqrt(2 * math.log(2))
         hits = sum(
-            funcspace.besov_norm(gp.sample_wavelet(wspec(seed=s)), 1.0) <= thr
+            funcspace.besov_norm(gp.sample_path(wspec(seed=s)), 1.0) <= thr
             for s in range(2000)
         )
         lower = gp.acceptance_lower_bound(2.0, 1)  # 2/3
@@ -62,7 +62,7 @@ class TestWaveletFamily:
 
 class TestFbmFamily:
     def test_origin_released(self):
-        p = gp.sample_fbm(gp.GpSpec(rates.FBM, 0.5, 1, n=100, seed=3, grid=33))
+        p = gp.sample_path(gp.GpSpec(rates.FBM, 0.5, 1, n=100, seed=3, grid=33))
         mid = len(p.axes[0]) // 2
         assert p.pre_release[mid] == 0.0
         assert p.values[mid] == p.released_constant
@@ -76,7 +76,7 @@ class TestFbmFamily:
     def test_brownian_increment_variance(self):
         # beta = 1/2 on r=1 is Brownian motion: Var(X(u)-X(u')) = |u-u'|
         vals = np.array([
-            gp.sample_fbm(gp.GpSpec(rates.FBM, 0.5, 1, n=100, seed=s, grid=33)).values
+            gp.sample_path(gp.GpSpec(rates.FBM, 0.5, 1, n=100, seed=s, grid=33)).values
             for s in range(4000)
         ])
         xs = np.linspace(-1, 1, 33)
@@ -96,8 +96,8 @@ class TestStationaryFamily:
     def test_stationarity(self):
         # marginal variance constant over the grid
         vals = np.array([
-            gp.sample_stationary(gp.GpSpec(rates.STATIONARY, 1.0, 1, n=50,
-                                           seed=s, grid=33)).values
+            gp.sample_path(gp.GpSpec(rates.STATIONARY, 1.0, 1, n=50,
+                                     seed=s, grid=33)).values
             for s in range(3000)
         ])
         v = vals.var(axis=0)
@@ -108,7 +108,7 @@ class TestStationaryFamily:
         def mean_sq_incr(n):
             tot = 0.0
             for s in range(200):
-                vals = gp.sample_stationary(
+                vals = gp.sample_path(
                     gp.GpSpec(rates.STATIONARY, 1.0, 1, n=n, seed=s, grid=33)).values
                 tot += np.mean(np.diff(vals) ** 2)
             return tot / 200
@@ -141,15 +141,31 @@ class TestConditioned:
         return funcspace.ConditioningSpec(beta=1.0, r=1, K=1e6, slack=1e6,
                                           mode="besov", sup_bound=1e6, grid_m=17)
 
+    @staticmethod
+    def keyed(spec, key):
+        return lambda a: gp.draw_state(spec, key + (a,))
+
     def test_trivial_set_first_attempt(self):
-        path, st = gp.sample_conditioned(wspec(seed=2), self.loose(), key=(0,))
-        assert st.attempts == 1 and st.accepted
+        spec = wspec(seed=2)
+        z, path, attempts = gp.sample_conditioned(spec, self.loose(),
+                                                  self.keyed(spec, (0,)))
+        assert attempts == 1
+        np.testing.assert_array_equal(z, gp.draw_state(spec, (0, 1)))
+        pts = np.linspace(-1, 1, 17)[:, None]
+        np.testing.assert_array_equal(path(pts), gp.path_from_state(spec, z)(pts))
 
     def test_infeasible_raises(self):
         tight = funcspace.ConditioningSpec(beta=1.0, r=1, K=1e-9, slack=1e-12,
                                            mode="besov", sup_bound=1e-9, grid_m=17)
+        spec, tried = wspec(seed=2), []
+
+        def draw(a):
+            tried.append(a)
+            return gp.draw_state(spec, (0, a))
+
         with pytest.raises(ConditioningError):
-            gp.sample_conditioned(wspec(seed=2), tight, max_attempts=20, key=(0,))
+            gp.sample_conditioned(spec, tight, draw, max_attempts=20)
+        assert tried == list(range(1, 21))
 
     def test_restriction_law(self):
         # accepted draws follow the prior restricted to the set: compare the
@@ -159,13 +175,14 @@ class TestConditioned:
                                           mode="besov", sup_bound=1e6, grid_m=17)
         accepted = [
             funcspace.besov_norm(
-                gp.sample_conditioned(wspec(seed=s), cond, key=(1,))[0], 1.0)
+                gp.sample_conditioned(wspec(seed=s), cond,
+                                      self.keyed(wspec(seed=s), (1,)))[1], 1.0)
             for s in range(400)
         ]
         filtered = []
         s = 10_000
         while len(filtered) < 400:
-            v = funcspace.besov_norm(gp.sample_wavelet(wspec(seed=s)), 1.0)
+            v = funcspace.besov_norm(gp.sample_path(wspec(seed=s)), 1.0)
             if v <= thr:
                 filtered.append(v)
             s += 1

@@ -171,12 +171,42 @@ class TestConditioningSpecs:
         assert hi.slack < lo.slack
 
     def test_holder_mode_for_grid_family(self):
-        eta = fig2_structure()
         spec = make_spec(profile=rates.RateProfile(family=rates.FBM),
-                         space=structure.StructureSpace(input_dim=5, max_q=1,
-                                                        max_width=3))
-        eta = structure.CompositionStructure(graph=eta.graph, betas=(0.8, 0.8),
+                         space=structure.StructureSpace(input_dim=2, max_q=1,
+                                                        max_width=2),
+                         beta_grid=(0.8,))
+        g = structure.make_graph(1, (2, 2, 1), [[(1, 2), (2,)], [(1, 2)]])
+        eta = structure.CompositionStructure(graph=g, betas=(0.8, 0.8),
                                              bounds=(0.3, 0.9))
         cond = prior.conditioning_spec_for_layer(eta, 1, spec)
         assert cond.mode == "holder"
         assert cond.K == spec.profile.holder_radius
+
+
+class TestFamilyCapabilities:
+    @pytest.mark.parametrize("beta_grid", [(1.0,), (0.5, 1.0), (0.5, 1.5)])
+    def test_fbm_beta_grid_outside_unit_interval(self, beta_grid):
+        with pytest.raises(ValidationError, match="beta_grid"):
+            make_spec(profile=rates.RateProfile(family=rates.FBM), beta_grid=beta_grid)
+
+    @pytest.mark.parametrize("family", [rates.FBM, rates.STATIONARY])
+    @pytest.mark.parametrize("space,field", [
+        (dict(input_dim=3, max_q=0, max_width=1), "space.input_dim"),
+        (dict(input_dim=1, max_q=1, max_width=3), "space.max_width"),
+    ])
+    def test_grid_family_dimension_cap(self, family, space, field):
+        with pytest.raises(ValidationError, match=field):
+            make_spec(profile=rates.RateProfile(family=family), beta_grid=(0.5,),
+                      space=structure.StructureSpace(**space))
+
+    @pytest.mark.parametrize("family", [rates.FBM, rates.STATIONARY])
+    def test_grid_family_within_capabilities(self, family):
+        # max_width is unused without hidden layers, so it does not count
+        for space in (dict(input_dim=2, max_q=1, max_width=2),
+                      dict(input_dim=2, max_q=0, max_width=3)):
+            make_spec(profile=rates.RateProfile(family=family), beta_grid=(0.5, 0.9),
+                      space=structure.StructureSpace(**space))
+
+    def test_wavelet_is_not_capped(self):
+        make_spec(space=structure.StructureSpace(input_dim=5, max_q=1, max_width=3),
+                  beta_grid=(1.0, 2.0))
