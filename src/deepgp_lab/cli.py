@@ -26,8 +26,7 @@ _SCHEMA_VERSION = 1
 # command -> (required, optional) top-level config fields
 _FIELDS = {
     "rates": ({"structure", "family", "n_list"}, {"profile"}),
-    "sample": ({"family", "beta", "r", "n"},
-               {"count", "conditioned", "k_prime", "grid", "profile"}),
+    "sample": ({"family", "beta", "r", "n"}, {"count", "conditioned", "k_prime", "grid"}),
     "prior": ({"space", "family", "n"}, {"beta_grid", "draws", "profile"}),
     "fit": ({"space", "family", "n", "truth"}, {"beta_grid", "posterior", "profile"}),
     "diagnose": ({"space", "family", "n", "truth", "n_list"},
@@ -78,6 +77,14 @@ def _fields(d, where, required=(), optional=()):
     return d
 
 
+def _int(value, name):
+    """An integer config value; integral floats such as 1e5 count as integers."""
+    if isinstance(value, bool) or not (
+            isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _load_config(path, command):
     with open(path) as fh:
         try:
@@ -101,15 +108,15 @@ def _space(cfg):
     s = _fields(cfg["space"], "space", ("input_dim", "max_q", "max_width"),
                 ("max_nodes", "beta_bounds"))
     return structure.StructureSpace(
-        input_dim=int(s["input_dim"]), max_q=int(s["max_q"]),
-        max_width=int(s["max_width"]), max_nodes=int(s.get("max_nodes", 16)),
+        **{k: _int(s[k], f"space.{k}") for k in ("input_dim", "max_q", "max_width")},
+        max_nodes=_int(s.get("max_nodes", 16), "space.max_nodes"),
         beta_bounds=tuple(s.get("beta_bounds", (0.5, 1.0))),
     )
 
 
 def _prior_spec(cfg):
     return prior.StructurePriorSpec(
-        space=_space(cfg), profile=_profile(cfg), n=int(cfg["n"]),
+        space=_space(cfg), profile=_profile(cfg), n=_int(cfg["n"], "n"),
         beta_grid=tuple(cfg.get("beta_grid", (1.0,))),
     )
 
@@ -138,7 +145,7 @@ def _cmd_rates(cfg, seed, out_dir):
     profile = _profile(cfg)
     rows = []
     for n in cfg["n_list"]:
-        n = int(n)
+        n = _int(n, "n_list")
         rn = rates.minimax_rate(eta, n)
         eps = rates.eps_structure(eta, profile, n)
         lw = rates.psi_n(eta, profile, n).log_value
@@ -148,19 +155,17 @@ def _cmd_rates(cfg, seed, out_dir):
 
 
 def _cmd_sample(cfg, seed, out_dir):
-    spec = gp.GpSpec(family=cfg["family"], beta=float(cfg["beta"]), r=int(cfg["r"]),
-                     n=int(cfg["n"]), seed=seed, grid=int(cfg.get("grid", 33)))
-    count = int(cfg.get("count", 1))
+    spec = gp.GpSpec(family=cfg["family"], beta=float(cfg["beta"]), r=_int(cfg["r"], "r"),
+                     n=_int(cfg["n"], "n"), seed=seed, grid=_int(cfg.get("grid", 33), "grid"))
+    count = _int(cfg.get("count", 1), "count")
     conditioned = bool(cfg.get("conditioned", False))
     paths, rows = [], []
     for k in range(count):
         if conditioned:
-            kp = float(cfg.get("k_prime", 2.0))
             cond = funcspace.ConditioningSpec(
-                beta=spec.beta, r=spec.r,
-                K=(1.0 + kp) * np.sqrt(2.0 * np.log(2.0)),
+                beta=spec.beta, r=spec.r, K=gp.besov_radius(float(cfg.get("k_prime", 2.0))),
                 slack=1.0, mode="besov" if cfg["family"] == rates.WAVELET else "holder",
-                grid_m=int(cfg.get("grid", 33)),
+                grid_m=spec.grid,
             )
             _, path, attempts = gp.sample_conditioned(
                 spec, cond, lambda a: gp.draw_state(spec, (k, a)))
@@ -189,13 +194,12 @@ def _cmd_prior(cfg, seed, out_dir):
     weighted = prior.structure_prior_weights(spec)
     rows = []
     for idx, (eta, lw) in enumerate(weighted):
-        w = 0.0 if lw.is_zero else float(np.exp(lw.log_value))
         rows.append((idx, json.dumps(structure.structure_to_dict(eta), sort_keys=True)
-                     .replace(",", ";"), lw.log_value, w))
+                     .replace(",", ";"), lw.log_value, float(np.exp(lw.log_value))))
     _write_csv(out_dir, "weights.csv", ("index", "structure", "log_weight", "weight"),
                rows)
     draws = []
-    for k in range(int(cfg.get("draws", 0))):
+    for k in range(_int(cfg.get("draws", 0), "draws")):
         d = prior.sample_prior(spec, seed + k, weighted=weighted)
         draws.append({
             "structure": structure.structure_to_dict(d.structure),
@@ -213,7 +217,7 @@ def _truth(cfg, spec, seed):
         weighted = prior.structure_prior_weights(spec)
         return f, weighted[0][0]
     if t["type"] == "prior_draw":
-        d = prior.sample_prior(spec, int(t.get("seed", seed + 999)))
+        d = prior.sample_prior(spec, _int(t.get("seed", seed + 999), "truth.seed"))
         return d, d.structure
     raise ValidationError(f"unknown truth type {t['type']!r}")
 
@@ -222,13 +226,16 @@ def _posterior_config(cfg, seed):
     p = dict(_fields(cfg.get("posterior", {}), "posterior",
                      optional=_field_names(inference.PosteriorConfig)))
     p.setdefault("seed", seed)
+    for name in ("iterations", "seed"):
+        if name in p:
+            p[name] = _int(p[name], f"posterior.{name}")
     return inference.PosteriorConfig(**p)
 
 
 def _cmd_fit(cfg, seed, out_dir):
     spec = _prior_spec(cfg)
     f_star, eta_star = _truth(cfg, spec, seed)
-    data = inference.generate_data(f_star, n=int(cfg["n"]), seed=seed,
+    data = inference.generate_data(f_star, n=spec.n, seed=seed,
                                    input_dim=eta_star.graph.dims[0], eta_star=eta_star)
     trace = inference.run_mcmc(data, spec, _posterior_config(cfg, seed))
     rows = [(t, int(trace.structure_idx[t]), trace.log_lik[t], trace.l2_error[t],
@@ -248,7 +255,8 @@ def _cmd_diagnose(cfg, seed, out_dir):
     C = float(cfg.get("C", 2.0))
     mass_rows, contr_rows = [], []
     for row, spec_n, (trace,) in inference.contraction_runs(
-            f_star, eta_star, spec, _posterior_config(cfg, seed), cfg["n_list"]):
+            f_star, eta_star, spec, _posterior_config(cfg, seed),
+            [_int(n, "n_list") for n in cfg["n_list"]]):
         contr_rows.append(row)
         mass_rows.append((row[0], C, inference.model_mass(trace, spec_n, eta_star, C=C)))
     _write_csv(out_dir, "model_mass.csv", ("n", "C", "mass"), mass_rows)

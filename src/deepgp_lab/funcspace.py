@@ -27,7 +27,6 @@ from .errors import BudgetExceededError, ValidationError
 from .rates import alpha_exponents
 
 __all__ = [
-    "PathFunction",
     "WaveletPath",
     "GridPath",
     "LayerFunction",
@@ -47,15 +46,6 @@ __all__ = [
 _EINSUM = {1: "mi,i->m", 2: "mi,mj,ij->m", 3: "mi,mj,mk,ijk->m", 4: "mi,mj,mk,ml,ijkl->m"}
 
 
-class PathFunction:
-    """Common interface: a deterministic map [-1,1]^r -> R, vectorized."""
-
-    r: int
-
-    def __call__(self, points):  # pragma: no cover - abstract
-        raise NotImplementedError
-
-
 def _as_points(points, r):
     pts = np.asarray(points, dtype=float)
     if r == 1 and pts.ndim == 1:
@@ -72,7 +62,7 @@ def _axis_hats(j, x):
     return np.maximum(0.0, 1.0 - np.abs(x[:, None] - centers) / width)
 
 
-class WaveletPath(PathFunction):
+class WaveletPath:
     """Coefficient-backed path: sum_j sum_k lambda_{j,k} psi_{j,k}(u)."""
 
     basis_id = "hat"
@@ -86,7 +76,6 @@ class WaveletPath(PathFunction):
             arr = np.asarray(c, dtype=float).reshape((2**j,) * r)
             lv.append(arr)
         self.levels = tuple(lv)
-        self.J = len(lv)
 
     def __call__(self, points):
         pts = _as_points(points, self.r)
@@ -97,7 +86,7 @@ class WaveletPath(PathFunction):
         return total
 
 
-class GridPath(PathFunction):
+class GridPath:
     """Grid-backed path with multilinear interpolation between nodes."""
 
     def __init__(self, axes, values):
@@ -308,7 +297,7 @@ def _layer_grid_m(d):
     return {1: 201, 2: 33}.get(d, 9)
 
 
-def composition_gap_bound(h, h_tilde, betas, K, eta_slacks, measure_points=None):
+def composition_gap_bound(h, h_tilde, betas, K, eta_slacks):
     """Right-hand side of the composition perturbation bound, plus the measured gap.
 
     bound = K^q * sum_i (eta_i^{alpha_i} + sup_i^{alpha_i}) where sup_i is the
@@ -339,7 +328,7 @@ def composition_gap_bound(h, h_tilde, betas, K, eta_slacks, measure_points=None)
 # ---------------------------------------------------------------------------
 # Brute-force covering-number oracle
 
-def _discrete_holder_ok(values, h, beta, K, frac_pairs=None):
+def _discrete_holder_ok(values, h, beta, K):
     v = np.asarray(values)
     if beta == 1.0:
         slopes = np.diff(v) / h

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConditioningError, NumericError, ValidationError
 from .funcspace import ConditioningSpec, GridPath, WaveletPath, in_conditioning_set
-from .rates import FBM, STATIONARY, WAVELET, wavelet_resolution
+from .rates import FAMILIES, FBM, STATIONARY, WAVELET, wavelet_resolution
 
 __all__ = [
     "GpSpec",
@@ -28,6 +28,7 @@ __all__ = [
     "sample_path",
     "sample_conditioned",
     "acceptance_lower_bound",
+    "besov_radius",
     "fbm_covariance",
     "scaling_a",
 ]
@@ -45,6 +46,8 @@ class GpSpec:
     grid: int = 65
 
     def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ValidationError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if self.r < 1:
             raise ValidationError("r must be >= 1")
         if self.family in (FBM, STATIONARY):
@@ -189,6 +192,11 @@ def sample_conditioned(spec: GpSpec, cond: ConditioningSpec, draw, max_attempts:
             return z, path, attempt
     raise ConditioningError(
         f"conditioning too tight: no acceptance in {max_attempts} attempts")
+
+
+def besov_radius(k_prime: float) -> float:
+    """(1 + K') sqrt(2 log 2): the Besov-ball radius of the wavelet conditioning set."""
+    return (1.0 + k_prime) * math.sqrt(2.0 * math.log(2.0))
 
 
 def acceptance_lower_bound(k_prime: float, r: int) -> float:

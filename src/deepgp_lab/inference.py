@@ -14,10 +14,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConditioningError, ValidationError
-from .funcspace import (LayerFunction, besov_norm, compose, grid_points,
-                        in_conditioning_set)
-from .gp import GpSpec, path_from_state, rng_for, sample_conditioned, state_size
-from .prior import (StructurePriorSpec, conditioning_spec_for_layer,
+from .funcspace import besov_norm, compose, grid_points, in_conditioning_set
+from .gp import path_from_state, rng_for
+from .prior import (Node, StructurePriorSpec, build_layers, sample_nodes,
                     structure_prior_weights, _weights_array)
 from .rates import WAVELET, eps_structure, minimax_rate
 
@@ -132,36 +131,13 @@ class PosteriorTrace:
         return arr[self.burn:]
 
 
-class _NodeState:
-    __slots__ = ("z", "path", "spec", "cond")
-
-    def __init__(self, z, path, spec, cond):
-        self.z, self.path, self.spec, self.cond = z, path, spec, cond
-
-
-def _build_layers(eta, node_states):
-    return [LayerFunction([(node_states[(i, j)].path, s)
-                           for j, s in enumerate(eta.graph.active_sets[i])],
-                          in_dim=eta.graph.dims[i])
-            for i in range(eta.graph.q + 1)]
-
-
-def _fresh_state(eta, spec, rng, max_attempts):
+def _fresh_state(eta, spec, rng):
     """Rejection-sample all node states for a structure; None if budget exhausted."""
-    states = {}
-    for i in range(eta.graph.q + 1):
-        cond = conditioning_spec_for_layer(eta, i, spec)
-        gspec = GpSpec(family=spec.profile.family, beta=float(eta.betas[i]),
-                       r=int(eta.graph.eff_dims[i]), n=spec.n, seed=0, grid=spec.gp_grid)
-        size = state_size(gspec)
-        for j in range(len(eta.graph.active_sets[i])):
-            try:
-                z, path, _ = sample_conditioned(
-                    gspec, cond, lambda _: rng.standard_normal(size), max_attempts)
-            except ConditioningError:
-                return None
-            states[(i, j)] = _NodeState(z, path, gspec, cond)
-    return states
+    try:
+        nodes, _ = sample_nodes(eta, spec, lambda node, size, _: rng.standard_normal(size))
+    except ConditioningError:
+        return None
+    return nodes
 
 
 def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
@@ -189,13 +165,13 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
     for k in order:
         if probs[k] <= 0:
             continue
-        st = _fresh_state(structures[k], spec, rng, spec.max_attempts)
+        st = _fresh_state(structures[k], spec, rng)
         if st is not None:
             cur_idx, cur_states = int(k), st
             break
     if cur_idx is None:
         raise ConditioningError("no structure admits a feasible conditioned draw")
-    cur_layers = _build_layers(structures[cur_idx], cur_states)
+    cur_layers = build_layers(structures[cur_idx], cur_states)
     cur_ll, _ = loglik(cur_layers)
 
     it = config.iterations
@@ -213,9 +189,9 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
             str_tot += 1
             k = int(min(np.searchsorted(cum, rng.random(), side="right"),
                         len(probs) - 1))
-            prop_states = _fresh_state(structures[k], spec, rng, spec.max_attempts)
+            prop_states = _fresh_state(structures[k], spec, rng)
             if prop_states is not None:
-                prop_layers = _build_layers(structures[k], prop_states)
+                prop_layers = build_layers(structures[k], prop_states)
                 prop_ll, _ = loglik(prop_layers)
                 if math.log(rng.random() + 1e-300) < prop_ll - cur_ll:
                     cur_idx, cur_states = k, prop_states
@@ -227,14 +203,14 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
             ok_all = True
             for key, ns in cur_states.items():
                 z = rho * ns.z + math.sqrt(1 - rho * rho) * rng.standard_normal(len(ns.z))
-                path = path_from_state(ns.spec, z)
+                path = path_from_state(ns.gp_spec, z)
                 ok, _ = in_conditioning_set(path, ns.cond)
                 if not ok:
                     ok_all = False
                     break
-                prop_states[key] = _NodeState(z, path, ns.spec, ns.cond)
+                prop_states[key] = Node(z, path, ns.gp_spec, ns.cond)
             if ok_all:
-                prop_layers = _build_layers(structures[cur_idx], prop_states)
+                prop_layers = build_layers(structures[cur_idx], prop_states)
                 prop_ll, _ = loglik(prop_layers)
                 if math.log(rng.random() + 1e-300) < prop_ll - cur_ll:
                     cur_states, cur_layers, cur_ll = prop_states, prop_layers, prop_ll

@@ -7,24 +7,30 @@ wired through the active sets and composed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ConditioningError, ValidationError
 from .funcspace import ConditioningSpec, LayerFunction, compose
-from .gp import GpSpec, draw_state, rng_for, sample_conditioned
+from .gp import GpSpec, besov_radius, rng_for, sample_conditioned, state_size
 from .rates import (FBM, WAVELET, LogWeight, RateProfile, alpha_exponents, eps_alpha,
                     psi_n, wavelet_resolution)
-from .structure import CompositionStructure, StructureSpace, enumerate_structures
+from .structure import (PENALTY_HORIZON, CompositionStructure, StructureSpace,
+                        enumerate_structures)
 
 __all__ = [
     "StructurePriorSpec",
     "DgpDraw",
+    "Node",
     "structure_prior_weights",
     "sample_structure",
+    "sample_nodes",
+    "build_layers",
     "sample_dgp",
     "sample_prior",
     "conditioning_spec_for_layer",
@@ -34,7 +40,11 @@ __all__ = [
 _KEY_STRUCTURE = 0
 _KEY_PATHS = 1
 
-_BESOV_THRESHOLD = math.sqrt(2.0 * math.log(2.0))
+_DEPTH_DECAY = 0.5  # gamma(q): geometric on 0..max_q
+_WIDTH_DECAY = 0.5  # gamma(d_i | q): geometric on 1..max_width
+_K_PRIME = 2.0  # K' of the wavelet family's Besov conditioning radius
+_GRID = 33  # grid families: nodes per axis of the path and of the Hoelder check
+_MAX_ATTEMPTS = 1000  # rejection budget of one conditioned node
 
 
 @dataclass(frozen=True)
@@ -43,17 +53,10 @@ class StructurePriorSpec:
     profile: RateProfile
     n: int
     beta_grid: tuple = (1.0,)
-    q_decay: float = 0.5
-    width_decay: float = 0.5
-    cond_k_prime: float = 2.0
-    max_attempts: int = 1000
-    gp_grid: int = 33
 
     def __post_init__(self):
         if self.n < 3:
             raise ValidationError("n must be >= 3")
-        if not (0 < self.q_decay < 1) or not (0 < self.width_decay < 1):
-            raise ValidationError("decay parameters must lie in (0, 1)")
         family = self.profile.family
         if family == FBM and not all(0 < b < 1 for b in self.beta_grid):
             raise ValidationError(
@@ -70,6 +73,7 @@ class StructurePriorSpec:
                         f"effective dimension at most 2")
 
 
+@functools.lru_cache(maxsize=1024)
 def _log_geometric_truncated(k, decay, lo, hi):
     """log P(K = k) for a geometric(decay) renormalized to {lo..hi}."""
     support = np.arange(lo, hi + 1)
@@ -93,9 +97,9 @@ def gamma_log(eta: CompositionStructure, spec: StructurePriorSpec) -> float:
     """
     g = eta.graph
     sp = spec.space
-    logp = _log_geometric_truncated(g.q, spec.q_decay, 0, sp.max_q)
+    logp = _log_geometric_truncated(g.q, _DEPTH_DECAY, 0, sp.max_q)
     for i in range(1, g.q + 1):  # hidden widths d_1..d_q
-        logp += _log_geometric_truncated(g.dims[i], spec.width_decay, 1, sp.max_width)
+        logp += _log_geometric_truncated(g.dims[i], _WIDTH_DECAY, 1, sp.max_width)
     for i in range(g.q + 1):
         d_in, d_out = g.dims[i], g.dims[i + 1]
         t = g.eff_dims[i]
@@ -109,32 +113,25 @@ def structure_prior_weights(spec: StructurePriorSpec):
     """Normalized log-weights over the enumerated structure space.
 
     Each entry is (structure, LogWeight) with weight proportional to
-    gamma(eta) e^{-Psi_n(eta)}; -inf entries carry exact zero mass.
+    gamma(eta) e^{-Psi_n(eta)}; every enumerated structure has a finite weight.
     """
     structures = enumerate_structures(spec.space, spec.beta_grid)
     if not structures:
-        raise ValidationError("no admissible structure in the space")
+        raise ValidationError(
+            f"no admissible structure in the space with |d|_1 <= {PENALTY_HORIZON} "
+            "(larger structures carry no prior mass)")
     pens = np.array([psi_n(eta, spec.profile, spec.n).log_value for eta in structures])
     # Shift the penalties by their maximum before adding gamma: penalties can be
     # astronomically large, and gamma (order 1) would otherwise be absorbed by
     # floating-point rounding for near-tied structures.
-    finite_pens = pens[~np.isneginf(pens)]
-    shift = float(np.max(finite_pens)) if finite_pens.size else 0.0
-    logs = np.array([
-        (p - shift if not np.isneginf(p) else -math.inf) + gamma_log(eta, spec)
-        for eta, p in zip(structures, pens)
-    ])
-    if np.all(np.isneginf(logs)):
-        raise ValidationError("every structure has zero prior weight (all too large)")
-    norm = logsumexp(logs[~np.isneginf(logs)])
+    shift = float(np.max(pens))
+    logs = np.array([p - shift + gamma_log(eta, spec) for eta, p in zip(structures, pens)])
+    norm = logsumexp(logs)
     return [(eta, LogWeight(lw - norm)) for eta, lw in zip(structures, logs)]
 
 
 def _weights_array(weighted):
-    logs = np.array([w.log_value for _, w in weighted])
-    p = np.zeros_like(logs)
-    finite = ~np.isneginf(logs)
-    p[finite] = np.exp(logs[finite])
+    p = np.exp([w.log_value for _, w in weighted])
     p /= p.sum()
     return p
 
@@ -161,13 +158,55 @@ def conditioning_spec_for_layer(eta: CompositionStructure, layer: int,
         j = wavelet_resolution(spec.n, beta, t)
         grid_m = 2 ** (j + 1) + 1 if t == 1 else 2**j * 2 + 1
         return ConditioningSpec(
-            beta=beta, r=t, K=(1.0 + spec.cond_k_prime) * _BESOV_THRESHOLD,
+            beta=beta, r=t, K=besov_radius(_K_PRIME),
             slack=slack, mode="besov", grid_m=grid_m,
         )
     return ConditioningSpec(
         beta=beta, r=t, K=spec.profile.holder_radius, slack=slack,
-        mode="holder", grid_m=spec.gp_grid,
+        mode="holder", grid_m=_GRID,
     )
+
+
+class Node(NamedTuple):
+    """A conditioned node: its Gaussian state z, its path and the law it is drawn from."""
+
+    z: np.ndarray
+    path: object
+    gp_spec: GpSpec
+    cond: ConditioningSpec
+
+
+def sample_nodes(eta: CompositionStructure, spec: StructurePriorSpec, draw):
+    """Rejection-sample every (layer, output) node of eta into its layer's set.
+
+    Layer i's nodes are paths with smoothness beta_i on t_i variables, conditioned
+    on conditioning_spec_for_layer(eta, i, spec).  draw(node, size, a) returns the
+    state of length size that node (i, j) tries at attempt a.  Returns
+    ({node: Node}, {node: attempts}); an exhausted budget raises ConditioningError.
+    """
+    nodes, attempts = {}, {}
+    for i in range(eta.graph.q + 1):
+        cond = conditioning_spec_for_layer(eta, i, spec)
+        gp_spec = GpSpec(family=spec.profile.family, beta=float(eta.betas[i]),
+                         r=int(eta.graph.eff_dims[i]), n=spec.n, grid=_GRID)
+        size = state_size(gp_spec)
+        for j in range(len(eta.graph.active_sets[i])):
+            try:
+                z, path, attempts[(i, j)] = sample_conditioned(
+                    gp_spec, cond, lambda a: draw((i, j), size, a), _MAX_ATTEMPTS)
+            except ConditioningError as exc:
+                raise ConditioningError(f"node (layer {i}, output {j + 1}): {exc}",
+                                        node=(i, j)) from exc
+            nodes[(i, j)] = Node(z, path, gp_spec, cond)
+    return nodes, attempts
+
+
+def build_layers(eta: CompositionStructure, nodes) -> tuple:
+    """Layer i reads the path of node (i, j) on the active set S_ij, for each output j."""
+    g = eta.graph
+    return tuple(LayerFunction([(nodes[(i, j)].path, s) for j, s in enumerate(g.active_sets[i])],
+                               in_dim=g.dims[i])
+                 for i in range(g.q + 1))
 
 
 @dataclass(frozen=True)
@@ -184,29 +223,11 @@ class DgpDraw:
         return self.layers[0].in_dim
 
 
-def sample_dgp(eta: CompositionStructure, spec: StructurePriorSpec, seed,
-               key_prefix=()) -> DgpDraw:
+def sample_dgp(eta: CompositionStructure, spec: StructurePriorSpec, seed) -> DgpDraw:
     """One conditioned path per (layer, output) node, independent across nodes."""
-    g = eta.graph
-    layers, stats = [], {}
-    for i in range(g.q + 1):
-        t = int(g.eff_dims[i])
-        cond = conditioning_spec_for_layer(eta, i, spec)
-        gp_spec = GpSpec(family=spec.profile.family, beta=float(eta.betas[i]), r=t,
-                         n=spec.n, seed=int(seed), grid=spec.gp_grid)
-        components = []
-        for j, s in enumerate(g.active_sets[i]):
-            key = tuple(key_prefix) + (_KEY_PATHS, i, j)
-            try:
-                _, path, stats[(i, j)] = sample_conditioned(
-                    gp_spec, cond, lambda a: draw_state(gp_spec, key + (a,)),
-                    max_attempts=spec.max_attempts)
-            except ConditioningError as exc:
-                raise ConditioningError(f"node (layer {i}, output {j + 1}): {exc}",
-                                        node=(i, j)) from exc
-            components.append((path, s))
-        layers.append(LayerFunction(components, in_dim=g.dims[i]))
-    return DgpDraw(structure=eta, layers=tuple(layers), stats=stats)
+    nodes, attempts = sample_nodes(eta, spec, lambda node, size, a: rng_for(
+        seed, (_KEY_PATHS,) + node + (a,)).standard_normal(size))
+    return DgpDraw(structure=eta, layers=build_layers(eta, nodes), stats=attempts)
 
 
 def sample_prior(spec: StructurePriorSpec, seed, weighted=None) -> DgpDraw:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .structure import CompositionStructure
+from .structure import PENALTY_HORIZON, CompositionStructure
 
 __all__ = [
     "RateProfile",
@@ -36,16 +36,17 @@ __all__ = [
     "WAVELET",
     "FBM",
     "STATIONARY",
+    "FAMILIES",
 ]
 
 WAVELET = "wavelet"
 FBM = "fbm"
 STATIONARY = "stationary"
 
-_FAMILIES = (WAVELET, FBM, STATIONARY)
+FAMILIES = (WAVELET, FBM, STATIONARY)
 
-# Largest x with exp(x) finite in double precision.
-_EXP_MAX = 709.0
+_CTILDE_GRID = 256  # points of the beta grid behind eps_structure's constants
+_CTILDE_SAFETY = 1.05  # factor inflating those suprema
 
 
 @dataclass(frozen=True)
@@ -57,12 +58,6 @@ class LogWeight:
     @property
     def is_zero(self) -> bool:
         return self.log_value == -math.inf
-
-    def __add__(self, other):
-        o = other.log_value if isinstance(other, LogWeight) else float(other)
-        return LogWeight(self.log_value + o)
-
-    __radd__ = __add__
 
 
 @dataclass(frozen=True)
@@ -92,8 +87,8 @@ class RateProfile:
     fbm_rkhs: float = 1.0
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValidationError(f"unknown family {self.family!r}; expected one of {_FAMILIES}")
+        if self.family not in FAMILIES:
+            raise ValidationError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         for name in ("holder_radius", "besov_radius", "spectral_c", "spectral_d",
                      "fbm_small_ball", "fbm_rkhs"):
             if getattr(self, name) <= 0:
@@ -214,15 +209,14 @@ def eps_alpha(profile: RateProfile, alpha: float, beta: float, r: int, n: int) -
 
 
 @functools.lru_cache(maxsize=8192)
-def _ctilde(profile: RateProfile, bounds, ts, grid_size, safety):
-    grid = np.linspace(bounds[0], bounds[1], grid_size)
-    c1_tilde = safety * max(profile.c1(float(b), t) for t in ts for b in grid)
-    c2_tilde = safety * max(profile.c2(float(b), t) for t in ts for b in grid)
+def _ctilde(profile: RateProfile, bounds, ts):
+    grid = np.linspace(bounds[0], bounds[1], _CTILDE_GRID)
+    c1_tilde = _CTILDE_SAFETY * max(profile.c1(float(b), t) for t in ts for b in grid)
+    c2_tilde = _CTILDE_SAFETY * max(profile.c2(float(b), t) for t in ts for b in grid)
     return c1_tilde, c2_tilde
 
 
-def eps_structure(eta: CompositionStructure, profile: RateProfile, n: int,
-                  grid_size: int = 256, safety: float = 1.05) -> float:
+def eps_structure(eta: CompositionStructure, profile: RateProfile, n: int) -> float:
     """Structure-level rate C~1 (log n)^{C~2} r_n(eta).
 
     The constants are suprema of C_j(beta, t_i) over layers i and a dense beta
@@ -232,7 +226,7 @@ def eps_structure(eta: CompositionStructure, profile: RateProfile, n: int,
     if n < 3:
         raise ValidationError("n must be >= 3")
     ts = tuple(sorted(set(eta.graph.eff_dims[: eta.graph.q + 1])))
-    c1_tilde, c2_tilde = _ctilde(profile, tuple(eta.bounds), ts, grid_size, safety)
+    c1_tilde, c2_tilde = _ctilde(profile, tuple(eta.bounds), ts)
     rn = minimax_rate(eta, n).value
     val = c1_tilde * math.log(n) ** c2_tilde * rn
 
@@ -251,15 +245,14 @@ def eps_structure(eta: CompositionStructure, profile: RateProfile, n: int,
 def psi_n(eta: CompositionStructure, profile: RateProfile, n: int) -> LogWeight:
     """log of e^{-Psi_n(eta)} with Psi_n = n eps_n(eta)^2 + e^{e^{|d|_1}}.
 
-    The doubly-exponential term overflows double precision once |d|_1 >= 7;
-    such structures get exact zero weight (-inf log weight).
+    The doubly-exponential term overflows double precision once |d|_1 exceeds
+    PENALTY_HORIZON; such structures get exact zero weight (-inf log weight).
     """
     m = eta.graph.num_nodes
-    inner = math.exp(m) if m <= _EXP_MAX else math.inf
-    if inner > _EXP_MAX:
+    if m > PENALTY_HORIZON:
         return LogWeight(-math.inf)
     eps = eps_structure(eta, profile, n)
-    return LogWeight(-(n * eps * eps + math.exp(inner)))
+    return LogWeight(-(n * eps * eps + math.exp(math.exp(m))))
 
 
 def smallest_solution_m(profile: RateProfile, alpha: float, beta: float, r: int,

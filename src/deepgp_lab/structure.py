@@ -21,6 +21,7 @@ __all__ = [
     "StructureSpace",
     "ValidationReport",
     "ReductionResult",
+    "PENALTY_HORIZON",
     "make_graph",
     "validate_graph",
     "enumerate_structures",
@@ -34,6 +35,10 @@ __all__ = [
 ]
 
 ActiveSets = tuple  # per layer: tuple over outputs of sorted 1-based index tuples
+
+# Largest |d|_1 whose size penalty e^{e^{|d|_1}} is finite in double precision,
+# floor(ln 709); larger structures carry exactly zero prior mass.
+PENALTY_HORIZON = 6
 
 
 @dataclass(frozen=True)
@@ -54,9 +59,6 @@ class CompositionGraph:
     def num_nodes(self) -> int:
         # |d|_1 = 1 + sum_{i=0}^{q} d_i; the trailing d_{q+1} = 1 supplies the "1 +".
         return int(sum(self.dims))
-
-    def layer_sets(self, i: int):
-        return self.active_sets[i]
 
 
 @dataclass(frozen=True)
@@ -142,8 +144,6 @@ def validate_graph(g: CompositionGraph) -> ValidationReport:
         tmax = max(len(s) for s in sets_i) if sets_i else 0
         if i < len(g.eff_dims) and g.eff_dims[i] != tmax:
             v.append(f"t_{i} != max_j |S_{i}j| ({g.eff_dims[i]} vs {tmax})")
-    if g.num_nodes != sum(g.dims):
-        v.append("stored node count inconsistent")  # unreachable: derived property
     return ValidationReport(len(v) == 0, tuple(v))
 
 
@@ -164,7 +164,8 @@ def enumerate_structures(space: StructureSpace, beta_grid, count_limit: int = 20
     """All valid structures within the caps, in lexicographic (q, d, S, beta) order.
 
     beta_grid is the set of admissible smoothness values, applied to every layer
-    (cartesian product across layers).
+    (cartesian product across layers).  Only structures with positive prior
+    mass are listed: |d|_1 is capped at PENALTY_HORIZON as well as max_nodes.
     """
     lo, hi = space.beta_bounds
     grid = tuple(sorted(beta_grid))
@@ -179,7 +180,7 @@ def enumerate_structures(space: StructureSpace, beta_grid, count_limit: int = 20
         hidden_widths = itertools.product(range(1, space.max_width + 1), repeat=q)
         for widths in hidden_widths:
             dims = (space.input_dim,) + widths + (1,)
-            if sum(dims) > space.max_nodes:
+            if sum(dims) > min(space.max_nodes, PENALTY_HORIZON):
                 continue
             per_layer_choices = []
             for i in range(q + 1):

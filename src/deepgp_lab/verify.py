@@ -91,7 +91,7 @@ def check_floor(trials=200, seed=13):
 
 def check_besov_acceptance(draws=2000, seed=5):
     spec = gp.GpSpec(family=rates.WAVELET, beta=1.0, r=1, n=10**4, seed=seed)
-    thr = 3.0 * math.sqrt(2.0 * math.log(2.0))
+    thr = gp.besov_radius(2.0)
     hits = 0
     for k in range(draws):
         p = gp.sample_path(spec, key=(k,))

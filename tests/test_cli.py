@@ -104,6 +104,22 @@ class TestExitCodes:
         pytest.param("fit", lambda c: c.update(family="stationary", beta_grid=[0.5],
                                                space=dict(c["space"], max_width=3)),
                      "space.max_width", id="grid-family-width"),
+        pytest.param("sample", lambda c: c.update(family="foo"), "family",
+                     id="sample-unknown-family"),
+        pytest.param("sample", lambda c: c.update(profile={"holder_radius": 100.0}),
+                     "profile", id="sample-profile"),
+        pytest.param("prior", lambda c: c.update(n="abc"), "n must be an integer",
+                     id="n-not-numeric"),
+        pytest.param("prior", lambda c: c.update(n=3.7), "n must be an integer",
+                     id="n-not-integral"),
+        pytest.param("prior", lambda c: c.update(draws=2.5), "draws", id="draws-not-integral"),
+        pytest.param("prior", lambda c: c["space"].update(max_q=1.5), "space.max_q",
+                     id="space-not-integral"),
+        pytest.param("fit", lambda c: c["posterior"].update(iterations=2.5),
+                     "posterior.iterations", id="iterations-not-integral"),
+        pytest.param("sample", lambda c: c.update(count=True), "count", id="count-bool"),
+        pytest.param("rates", lambda c: c.update(n_list=[100, "1e3"]), "n_list",
+                     id="n-list-not-numeric"),
     ])
     def test_config_mistake_is_a_validation_error(self, tmp_path, capsys, command,
                                                   edit, named):
@@ -114,6 +130,16 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "validation"
         assert named in err["detail"]
+
+    def test_integral_float_is_an_integer(self, tmp_path):
+        # 2e2 and 2.0 in a config mean the same as 200 and 2
+        outs = []
+        for name, kw in (("int", {}), ("float", {"n": 2e2, "draws": 2.0})):
+            out = tmp_path / name
+            assert cli.main(["prior", "--config", config(tmp_path, "prior", **kw),
+                             "--out", str(out)]) == 0
+            outs.append([(out / f).read_bytes() for f in ("weights.csv", "draws.json")])
+        assert outs[0] == outs[1]
 
     def test_unknown_suite(self, tmp_path, capsys):
         with pytest.raises(ValidationError, match="nope"):

@@ -14,6 +14,12 @@ def wspec(**kw):
     return gp.GpSpec(**base)
 
 
+def test_unknown_family_rejected():
+    # without the check, state_size and path_from_state fall through to stationary
+    with pytest.raises(ValidationError, match="family 'foo'"):
+        wspec(family="foo")
+
+
 class TestRng:
     def test_deterministic(self):
         a = gp.rng_for(7, (1, 2)).standard_normal(5)

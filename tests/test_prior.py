@@ -54,14 +54,20 @@ class TestStructurePrior:
         np.testing.assert_allclose(diff, -spec.n * (e1**2 - e2**2), rtol=1e-9)
 
     def test_oversized_structures_carry_zero(self):
+        # the space reaches |d|_1 = 8, but only structures with mass are listed
         spec = make_spec(space=structure.StructureSpace(input_dim=1, max_q=2,
                                                         max_width=3),
                          beta_grid=(1.0,))
         weighted = prior.structure_prior_weights(spec)
-        assert any(eta.graph.num_nodes >= 8 for eta, _ in weighted)
-        for eta, w in weighted:
-            if eta.graph.num_nodes >= 8:
-                assert w.is_zero
+        sizes = {eta.graph.num_nodes for eta, _ in weighted}
+        assert max(sizes) == structure.PENALTY_HORIZON == 6
+        # a structure past the horizon, passed directly, still weighs exactly zero
+        g = structure.make_graph(2, (1, 3, 3, 1), [[(1,)] * 3, [(1, 2, 3)] * 3,
+                                                   [(1, 2, 3)]])
+        eta = structure.CompositionStructure(graph=g, betas=(1.0,) * 3,
+                                             bounds=(0.3, 1.0))
+        assert g.num_nodes == 8
+        assert rates.psi_n(eta, spec.profile, spec.n).is_zero
 
     def test_all_zero_raises(self):
         spec = make_spec(space=structure.StructureSpace(input_dim=8, max_q=0,

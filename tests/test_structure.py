@@ -69,6 +69,14 @@ class TestEnumeration:
         with pytest.raises(SpaceTooLargeError):
             structure.enumerate_structures(space, (0.5, 1.0), count_limit=10)
 
+    def test_horizon_keeps_deep_space_enumerable(self):
+        # structures past the penalty horizon are skipped, not counted: without
+        # the skip this space exceeds the default count limit
+        space = structure.StructureSpace(input_dim=2, max_q=3, max_width=3)
+        out = structure.enumerate_structures(space, (0.5, 0.75, 1.0))
+        assert len(out) == 3276
+        assert max(eta.graph.num_nodes for eta in out) == structure.PENALTY_HORIZON
+
     def test_deterministic_order(self):
         space = structure.StructureSpace(input_dim=2, max_q=1, max_width=2)
         a = structure.enumerate_structures(space, (0.5, 1.0))
