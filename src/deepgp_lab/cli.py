@@ -23,6 +23,9 @@ from .errors import DeepGpError, NumericError, ValidationError
 
 _SCHEMA_VERSION = 1
 
+# most points `sample` evaluates a path on: 33^4 = 1,185,921 fit, 33^5 does not
+_SAMPLE_POINTS = 2**21
+
 # command -> (required, optional) top-level config fields
 _FIELDS = {
     "rates": ({"structure", "family", "n_list"}, {"profile"}),
@@ -85,6 +88,26 @@ def _int(value, name):
     return int(value)
 
 
+def _real(value, name):
+    """A real config value: any JSON number but a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _bool(value, name):
+    if not isinstance(value, bool):
+        raise ValidationError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _list(value, name, item):
+    """A list config value whose entries each pass the check `item`."""
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{name} must be a list, got {value!r}")
+    return tuple(item(v, name) for v in value)
+
+
 def _load_config(path, command):
     with open(path) as fh:
         try:
@@ -101,23 +124,27 @@ def _load_config(path, command):
 def _profile(cfg):
     kwargs = _fields(cfg.get("profile", {}), "profile",
                      optional=_field_names(rates.RateProfile, exclude=("family",)))
-    return rates.RateProfile(family=cfg["family"], **kwargs)
+    return rates.RateProfile(family=cfg["family"],
+                             **{k: _real(v, f"profile.{k}") for k, v in kwargs.items()})
 
 
 def _space(cfg):
     s = _fields(cfg["space"], "space", ("input_dim", "max_q", "max_width"),
                 ("max_nodes", "beta_bounds"))
+    bounds = _list(s.get("beta_bounds", (0.5, 1.0)), "space.beta_bounds", _real)
+    if len(bounds) != 2:
+        raise ValidationError(f"space.beta_bounds must be [low, high], got {list(bounds)}")
     return structure.StructureSpace(
         **{k: _int(s[k], f"space.{k}") for k in ("input_dim", "max_q", "max_width")},
         max_nodes=_int(s.get("max_nodes", 16), "space.max_nodes"),
-        beta_bounds=tuple(s.get("beta_bounds", (0.5, 1.0))),
+        beta_bounds=bounds,
     )
 
 
 def _prior_spec(cfg):
     return prior.StructurePriorSpec(
         space=_space(cfg), profile=_profile(cfg), n=_int(cfg["n"], "n"),
-        beta_grid=tuple(cfg.get("beta_grid", (1.0,))),
+        beta_grid=_list(cfg.get("beta_grid", (1.0,)), "beta_grid", _real),
     )
 
 
@@ -144,8 +171,7 @@ def _cmd_rates(cfg, seed, out_dir):
         ("q", "dims", "eff_dims", "active_sets", "betas", "beta_bounds")))
     profile = _profile(cfg)
     rows = []
-    for n in cfg["n_list"]:
-        n = _int(n, "n_list")
+    for n in _list(cfg["n_list"], "n_list", _int):
         rn = rates.minimax_rate(eta, n)
         eps = rates.eps_structure(eta, profile, n)
         lw = rates.psi_n(eta, profile, n).log_value
@@ -155,15 +181,23 @@ def _cmd_rates(cfg, seed, out_dir):
 
 
 def _cmd_sample(cfg, seed, out_dir):
-    spec = gp.GpSpec(family=cfg["family"], beta=float(cfg["beta"]), r=_int(cfg["r"], "r"),
-                     n=_int(cfg["n"], "n"), seed=seed, grid=_int(cfg.get("grid", 33), "grid"))
+    spec = gp.GpSpec(family=cfg["family"], beta=_real(cfg["beta"], "beta"),
+                     r=_int(cfg["r"], "r"), n=_int(cfg["n"], "n"), seed=seed,
+                     grid=_int(cfg.get("grid", 33), "grid"))
     count = _int(cfg.get("count", 1), "count")
-    conditioned = bool(cfg.get("conditioned", False))
+    conditioned = _bool(cfg.get("conditioned", False), "conditioned")
+    # every path is evaluated on a 33^r grid, a conditioned draw also on a grid^r one
+    m = max(33, spec.grid) if conditioned else 33
+    if m ** min(spec.r, 21) > _SAMPLE_POINTS:  # m >= 33, so any r > 21 is past the cap
+        raise ValidationError(
+            f"sample evaluates paths on {m}^r grid points, capped at {_SAMPLE_POINTS}; "
+            f"got r={spec.r}" + (f", grid={spec.grid}" if conditioned else ""))
+    k_prime = _real(cfg.get("k_prime", 2.0), "k_prime")
     paths, rows = [], []
     for k in range(count):
         if conditioned:
             cond = funcspace.ConditioningSpec(
-                beta=spec.beta, r=spec.r, K=gp.besov_radius(float(cfg.get("k_prime", 2.0))),
+                beta=spec.beta, r=spec.r, K=gp.besov_radius(k_prime),
                 slack=1.0, mode="besov" if cfg["family"] == rates.WAVELET else "holder",
                 grid_m=spec.grid,
             )
@@ -226,9 +260,11 @@ def _posterior_config(cfg, seed):
     p = dict(_fields(cfg.get("posterior", {}), "posterior",
                      optional=_field_names(inference.PosteriorConfig)))
     p.setdefault("seed", seed)
-    for name in ("iterations", "seed"):
+    for name, check in (("iterations", _int), ("seed", _int), ("pcn_step", _real),
+                        ("structure_move_prob", _real), ("burn_in", _real),
+                        ("prior_only", _bool)):
         if name in p:
-            p[name] = _int(p[name], f"posterior.{name}")
+            p[name] = check(p[name], f"posterior.{name}")
     return inference.PosteriorConfig(**p)
 
 
@@ -252,11 +288,11 @@ def _cmd_fit(cfg, seed, out_dir):
 def _cmd_diagnose(cfg, seed, out_dir):
     spec = _prior_spec(cfg)
     f_star, eta_star = _truth(cfg, spec, seed)
-    C = float(cfg.get("C", 2.0))
+    C = _real(cfg.get("C", 2.0), "C")
     mass_rows, contr_rows = [], []
     for row, spec_n, (trace,) in inference.contraction_runs(
             f_star, eta_star, spec, _posterior_config(cfg, seed),
-            [_int(n, "n_list") for n in cfg["n_list"]]):
+            _list(cfg["n_list"], "n_list", _int)):
         contr_rows.append(row)
         mass_rows.append((row[0], C, inference.model_mass(trace, spec_n, eta_star, C=C)))
     _write_csv(out_dir, "model_mass.csv", ("n", "C", "mass"), mass_rows)

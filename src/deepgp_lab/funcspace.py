@@ -3,8 +3,11 @@
 Two concrete path representations:
 
 * WaveletPath — coefficients on a tensorized hierarchical hat (Faber-Schauder)
-  system, levels j = 1..J with 2^{jr} basis functions per level.  Exact, fast,
-  nested; not orthonormal, which none of the coefficient-level checks need.
+  system, levels j = 1..J with 2^{jr} basis functions per level, for any r.
+  Exact and nested; not orthonormal, which none of the coefficient-level
+  checks need.  A point touches at most 2 hats per axis per level, so
+  evaluation gathers the 2^r corner coefficients around each point rather
+  than forming all 2^{jr} basis values.
 * GridPath — values on a uniform tensor grid over [-1,1]^r with multilinear
   interpolation in between.
 
@@ -43,8 +46,6 @@ __all__ = [
     "path_from_dict",
 ]
 
-_EINSUM = {1: "mi,i->m", 2: "mi,mj,ij->m", 3: "mi,mj,mk,ijk->m", 4: "mi,mj,mk,ml,ijkl->m"}
-
 
 def _as_points(points, r):
     pts = np.asarray(points, dtype=float)
@@ -55,11 +56,18 @@ def _as_points(points, r):
     return pts
 
 
-def _axis_hats(j, x):
-    """Values of the 2^j level-j hat functions along one axis; shape (m, 2^j)."""
+def _axis_bracket(j, x):
+    """The two level-j hats that can be nonzero at each x, as (index, value) pairs.
+
+    Level-j hats have half-width 2^{1-j} and centers 2^{1-j} apart, so only the
+    hats at the centers just left and right of x touch it.
+    """
     centers = -1.0 + (2.0 * np.arange(1, 2**j + 1) - 1.0) / 2**j
     width = 2.0 ** (1 - j)
-    return np.maximum(0.0, 1.0 - np.abs(x[:, None] - centers) / width)
+    left = np.clip((x + 1.0) * 2.0 ** (j - 1) - 0.5, 0, 2**j - 2).astype(np.intp)
+    left -= (x < centers[left]) & (left > 0)  # x + 1 can round up onto a center
+    return [(k, np.maximum(0.0, 1.0 - np.abs(x - centers[k]) / width))
+            for k in (left, left + 1)]
 
 
 class WaveletPath:
@@ -68,8 +76,8 @@ class WaveletPath:
     basis_id = "hat"
 
     def __init__(self, r, levels):
-        if r not in _EINSUM:
-            raise ValidationError(f"wavelet paths support r in {sorted(_EINSUM)}, got {r}")
+        if r < 1:
+            raise ValidationError(f"wavelet paths need r >= 1, got {r}")
         self.r = int(r)
         lv = []
         for j, c in enumerate(levels, start=1):
@@ -81,8 +89,12 @@ class WaveletPath:
         pts = _as_points(points, self.r)
         total = np.zeros(pts.shape[0])
         for j, coeff in enumerate(self.levels, start=1):
-            mats = [_axis_hats(j, pts[:, a]) for a in range(self.r)]
-            total += np.einsum(_EINSUM[self.r], *mats, coeff)
+            level = np.zeros(pts.shape[0])
+            # the 2^r corners in lexicographic order: the order a dense sum adds them in
+            for corner in itertools.product(*(_axis_bracket(j, x) for x in pts.T)):
+                idx, hats = zip(*corner)
+                level += math.prod(hats) * coeff[idx]
+            total += level
         return total
 
 

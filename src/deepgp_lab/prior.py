@@ -156,10 +156,9 @@ def conditioning_spec_for_layer(eta: CompositionStructure, layer: int,
     slack = 2.0 * eps_alpha(spec.profile, a, beta, t, spec.n) ** (1.0 / a)
     if spec.profile.family == WAVELET:
         j = wavelet_resolution(spec.n, beta, t)
-        grid_m = 2 ** (j + 1) + 1 if t == 1 else 2**j * 2 + 1
         return ConditioningSpec(
             beta=beta, r=t, K=besov_radius(_K_PRIME),
-            slack=slack, mode="besov", grid_m=grid_m,
+            slack=slack, mode="besov", grid_m=2 ** (j + 1) + 1,
         )
     return ConditioningSpec(
         beta=beta, r=t, K=spec.profile.holder_radius, slack=slack,

@@ -198,7 +198,7 @@ def test_criterion_09_empirical_contraction():
     cfg = inference.PosteriorConfig(iterations=400, pcn_step=0.9,
                                     structure_move_prob=0.05, seed=0)
     rows = inference.contraction_curve(f_star, eta_star, spec, cfg,
-                                       n_list=(200, 800, 3200),
+                                       n_list=(200, 800, 3200, 12800),
                                        seeds=tuple(range(5)))
     errs = [r[1] for r in rows]
     ns = [r[0] for r in rows]

@@ -118,8 +118,36 @@ class TestExitCodes:
         pytest.param("fit", lambda c: c["posterior"].update(iterations=2.5),
                      "posterior.iterations", id="iterations-not-integral"),
         pytest.param("sample", lambda c: c.update(count=True), "count", id="count-bool"),
+        pytest.param("sample", lambda c: c.update(r=5), "capped at", id="sample-r5-grid"),
+        pytest.param("sample", lambda c: c.update(r=4, conditioned=True, grid=40),
+                     "grid=40", id="sample-conditioning-grid"),
         pytest.param("rates", lambda c: c.update(n_list=[100, "1e3"]), "n_list",
                      id="n-list-not-numeric"),
+        pytest.param("rates", lambda c: c.update(n_list=100), "n_list must be a list",
+                     id="n-list-not-a-list"),
+        pytest.param("sample", lambda c: c.update(beta="abc"), "beta must be a number",
+                     id="beta-not-numeric"),
+        pytest.param("sample", lambda c: c.update(beta=[1]), "beta must be a number",
+                     id="beta-list"),
+        pytest.param("sample", lambda c: c.update(k_prime="x"), "k_prime", id="k-prime-string"),
+        pytest.param("sample", lambda c: c.update(conditioned="no"),
+                     "conditioned must be true or false", id="conditioned-string"),
+        pytest.param("prior", lambda c: c.update(profile={"holder_radius": "x"}),
+                     "profile.holder_radius", id="profile-string"),
+        pytest.param("prior", lambda c: c.update(beta_grid=["x"]), "beta_grid",
+                     id="beta-grid-string"),
+        pytest.param("prior", lambda c: c.update(beta_grid=1.0), "beta_grid must be a list",
+                     id="beta-grid-not-a-list"),
+        pytest.param("prior", lambda c: c["space"].update(beta_bounds=["a", 1]),
+                     "space.beta_bounds", id="beta-bounds-string"),
+        pytest.param("prior", lambda c: c["space"].update(beta_bounds=[0.5]),
+                     "space.beta_bounds", id="beta-bounds-length"),
+        pytest.param("fit", lambda c: c["posterior"].update(pcn_step="0.5"),
+                     "posterior.pcn_step", id="pcn-step-string"),
+        pytest.param("fit", lambda c: c["posterior"].update(prior_only=1),
+                     "posterior.prior_only", id="prior-only-int"),
+        pytest.param("diagnose", lambda c: c.update(C="2"), "C must be a number",
+                     id="diagnose-c-string"),
     ])
     def test_config_mistake_is_a_validation_error(self, tmp_path, capsys, command,
                                                   edit, named):
@@ -140,6 +168,15 @@ class TestExitCodes:
                              "--out", str(out)]) == 0
             outs.append([(out / f).read_bytes() for f in ("weights.csv", "draws.json")])
         assert outs[0] == outs[1]
+
+    def test_five_dimensional_wavelet_prior(self, tmp_path):
+        # seed 2's draw is the structure with all five inputs active
+        space = {"input_dim": 5, "max_q": 0, "max_width": 1, "beta_bounds": [0.5, 1.0]}
+        cfg = config(tmp_path, "prior", space=space, beta_grid=[1.0], draws=1)
+        out = tmp_path / "out"
+        assert cli.main(["prior", "--config", cfg, "--seed", "2", "--out", str(out)]) == 0
+        draws = json.loads((out / "draws.json").read_text())
+        assert [p["r"] for layer in draws[0]["layers"] for p in layer] == [5]
 
     def test_unknown_suite(self, tmp_path, capsys):
         with pytest.raises(ValidationError, match="nope"):

@@ -1,7 +1,10 @@
 import math
+import string
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deepgp_lab import funcspace, gp, rates
 from deepgp_lab.errors import ValidationError
@@ -75,6 +78,73 @@ class TestBesovNorm:
         p = funcspace.WaveletPath(r=1, levels=levels)
         np.testing.assert_allclose(funcspace.besov_norm(p, 1.0), 2**3 * 0.1,
                                    rtol=1e-12)
+
+
+def _axis_hats(j, x):
+    """Values of all 2^j level-j hats along one axis, shape (m, 2^j)."""
+    centers = -1.0 + (2.0 * np.arange(1, 2**j + 1) - 1.0) / 2**j
+    width = 2.0 ** (1 - j)
+    return np.maximum(0.0, 1.0 - np.abs(x[:, None] - centers) / width)
+
+
+def dense_eval(path, pts):
+    """Reference evaluation: contract the dense hat matrices of every level."""
+    axes = string.ascii_lowercase[:path.r]
+    subscripts = ",".join("m" + a for a in axes) + "," + axes + "->m"
+    total = np.zeros(len(pts))
+    for j, coeff in enumerate(path.levels, start=1):
+        total += np.einsum(subscripts, *(_axis_hats(j, x) for x in pts.T), coeff)
+    return total
+
+
+def edge_points(r, J, rng, extra=64):
+    """Points whose every coordinate runs through +-1, 0, each level's centers,
+    the nextafter neighbours of all of those, and some uniform draws."""
+    centers = [-1.0 + (2.0 * np.arange(1, 2**j + 1) - 1.0) / 2**j for j in range(1, J + 1)]
+    base = np.concatenate([[-1.0, 0.0, 1.0], *centers])
+    vals = np.concatenate([base, np.nextafter(base, -2.0), np.nextafter(base, 2.0),
+                           rng.uniform(-1.0, 1.0, extra)])
+    return np.column_stack([rng.permutation(vals) for _ in range(r)])
+
+
+class TestSparseEvaluation:
+    # Up to 2^13 coefficients per level, np.einsum adds each point's terms in
+    # one pass in index order, the order the gather adds its 2^r nonzero terms
+    # in, so the two agree bit for bit.  Above that, einsum sums in pieces of
+    # 8192 terms (its iterator buffer), which can move the last bit.
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sparse_equals_dense(self, data):
+        r = data.draw(st.integers(1, 4), label="r")
+        J = data.draw(st.integers(1, min(8, 13 // r)), label="J")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        path = funcspace.WaveletPath(r, [rng.standard_normal(2 ** (j * r))
+                                         for j in range(1, J + 1)])
+        pts = edge_points(r, J, rng)
+        np.testing.assert_array_equal(path(pts), dense_eval(path, pts))
+
+    @pytest.mark.parametrize("r, J", [(2, 7), (3, 5)])
+    def test_sparse_near_dense_beyond_one_buffer(self, r, J):
+        rng = np.random.default_rng(r)
+        levels = [rng.standard_normal(2 ** (j * r)) for j in range(1, J + 1)]
+        path = funcspace.WaveletPath(r, levels)
+        pts = edge_points(r, J, rng)
+        # reassociating 2^r terms per level moves each level by a few ulps
+        atol = 2**r * np.finfo(float).eps * sum(np.abs(c).max() for c in levels)
+        np.testing.assert_allclose(path(pts), dense_eval(path, pts), rtol=0, atol=atol)
+
+    def test_any_dimension(self):
+        rng = np.random.default_rng(5)
+        path = funcspace.WaveletPath(5, [rng.standard_normal(2 ** (j * 5)) for j in (1, 2)])
+        pts = edge_points(5, 2, rng)
+        np.testing.assert_array_equal(path(pts), dense_eval(path, pts))
+
+    def test_hat_peak_and_corners(self):
+        # the first level-1 hat is 1 at its center (-1/2, ...) and 0 at the far corner
+        levels = [np.eye(1, 2**5).ravel()]
+        path = funcspace.WaveletPath(5, levels)
+        np.testing.assert_array_equal(path(np.array([[-0.5] * 5, [0.5] * 5, [0.0] * 5])),
+                                      [1.0, 0.0, 0.5**5])
 
 
 class TestConditioningSet:
