@@ -165,10 +165,26 @@ def _manifest(out_dir, command, config_path, seed):
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _structure(cfg):
+    """The rates command's structure, with every field type-checked."""
+    def ints(v, name):
+        return _list(v, name, _int)
+
+    def reals(v, name):
+        return _list(v, name, _real)
+
+    def sets(v, name):  # per layer, per output: the active input indices
+        return _list(v, name, lambda layer, name: _list(layer, name, ints))
+
+    checks = {"q": _int, "dims": ints, "eff_dims": ints, "active_sets": sets,
+              "betas": reals, "beta_bounds": reals}
+    s = _fields(cfg["structure"], "structure", checks)
+    return structure.structure_from_dict(
+        {k: check(s[k], f"structure.{k}") for k, check in checks.items()})
+
+
 def _cmd_rates(cfg, seed, out_dir):
-    eta = structure.structure_from_dict(_fields(
-        cfg["structure"], "structure",
-        ("q", "dims", "eff_dims", "active_sets", "betas", "beta_bounds")))
+    eta = _structure(cfg)
     profile = _profile(cfg)
     rows = []
     for n in _list(cfg["n_list"], "n_list", _int):
@@ -192,15 +208,14 @@ def _cmd_sample(cfg, seed, out_dir):
         raise ValidationError(
             f"sample evaluates paths on {m}^r grid points, capped at {_SAMPLE_POINTS}; "
             f"got r={spec.r}" + (f", grid={spec.grid}" if conditioned else ""))
-    k_prime = _real(cfg.get("k_prime", 2.0), "k_prime")
+    # the Besov radius for wavelet paths; the grid families' Hoelder limit is 1 wider
+    limit = gp.besov_radius(_real(cfg.get("k_prime", 2.0), "k_prime"))
+    if spec.family != rates.WAVELET:
+        limit += 1.0
+    cond = funcspace.ConditioningSpec(beta=spec.beta, K=limit, grid_m=spec.grid)
     paths, rows = [], []
     for k in range(count):
         if conditioned:
-            cond = funcspace.ConditioningSpec(
-                beta=spec.beta, r=spec.r, K=gp.besov_radius(k_prime),
-                slack=1.0, mode="besov" if cfg["family"] == rates.WAVELET else "holder",
-                grid_m=spec.grid,
-            )
             _, path, attempts = gp.sample_conditioned(
                 spec, cond, lambda a: gp.draw_state(spec, (k, a)))
         else:
@@ -213,8 +228,7 @@ def _cmd_sample(cfg, seed, out_dir):
             hnorm = float("nan")
         else:
             bnorm = float("nan")
-            hnorm = funcspace.holder_norm_empirical(path, min(spec.beta, 2.0),
-                                                    grid_m=33).value
+            hnorm = funcspace.holder_norm_empirical(path, min(spec.beta, 2.0), grid_m=33)
         paths.append(funcspace.path_to_dict(path))
         rows.append((k, attempts, 1.0 / attempts, bnorm, hnorm, sup))
     _atomic_write(out_dir, "paths.json", json.dumps(paths, sort_keys=True) + "\n")

@@ -34,7 +34,6 @@ __all__ = [
     "GridPath",
     "LayerFunction",
     "ConditioningSpec",
-    "HolderNormResult",
     "holder_norm_empirical",
     "besov_norm",
     "in_conditioning_set",
@@ -150,27 +149,17 @@ class LayerFunction:
 
 @dataclass(frozen=True)
 class ConditioningSpec:
-    """Parameters of the per-layer acceptance region.
+    """The acceptance region of one conditioned layer: a test grid and a limit.
 
-    mode 'besov': coefficient-ball surrogate (wavelet paths) — sup norm on a
-    test grid <= sup_bound and Besov norm <= K.  mode 'holder': empirical
-    finite-difference surrogate (grid paths) — sup <= sup_bound and empirical
-    Holder norm <= K + slack.
+    A path is in the set when its sup over grid_points(r, grid_m) is at most 1,
+    the range LayerFunction clips to, and its smoothness norm is at most K.
+    The path's type picks the norm: the Besov coefficient norm for a
+    WaveletPath, the empirical Holder norm on the same grid for a GridPath.
     """
 
     beta: float
-    r: int
     K: float
-    slack: float
-    mode: str = "besov"
-    sup_bound: float = 1.0
     grid_m: int = 33
-
-    def __post_init__(self):
-        if self.mode not in ("besov", "holder"):
-            raise ValidationError(f"unknown conditioning mode {self.mode!r}")
-        if self.slack <= 0:
-            raise ValidationError("slack must be positive")
 
 
 def grid_points(r, m):
@@ -180,12 +169,6 @@ def grid_points(r, m):
         return axis[:, None]
     mesh = np.meshgrid(*([axis] * r), indexing="ij")
     return np.column_stack([g.ravel() for g in mesh])
-
-
-@dataclass(frozen=True)
-class HolderNormResult:
-    value: float
-    warnings: tuple = ()
 
 
 def _multi_indices(r, order):
@@ -226,9 +209,6 @@ def holder_norm_empirical(f, beta, grid_m=64):
     if grid_m < 8:
         raise ValidationError("grid_m must be >= 8")
     r = f.r
-    warns = []
-    if min(abs(beta - k) for k in (0, 1, 2)) < 0.05 and beta not in (1.0, 2.0):
-        warns.append("beta within 0.05 of an integer: grid-sensitive regime")
     floor_b = int(math.floor(beta))
     if beta == float(floor_b):
         frac = 0.0
@@ -253,8 +233,7 @@ def holder_norm_empirical(f, beta, grid_m=64):
     for a in _multi_indices(r, floor_b):
         g = deriv(vals, a).ravel()
         top += _sup_quotient(pts, g, frac)
-    value = 2.0 * r * low + 2.0**frac * top
-    return HolderNormResult(value=value, warnings=tuple(warns))
+    return 2.0 * r * low + 2.0**frac * top
 
 
 def besov_norm(path, beta):
@@ -270,26 +249,15 @@ def besov_norm(path, beta):
 
 def in_conditioning_set(f, spec: ConditioningSpec):
     """Membership check plus margin diagnostics."""
-    if f.r != spec.r:
-        raise ValidationError(f"path dimension {f.r} != spec dimension {spec.r}")
-    pts = grid_points(spec.r, spec.grid_m)
-    sup = float(np.max(np.abs(f(pts))))
-    diag = {"sup": sup, "sup_margin": spec.sup_bound - sup}
-    if spec.mode == "besov":
-        if not isinstance(f, WaveletPath):
-            raise ValidationError("besov conditioning mode requires a wavelet path")
-        norm = besov_norm(f, spec.beta)
-        limit = spec.K
-        diag["besov"] = norm
-        diag["besov_margin"] = limit - norm
+    sup = float(np.max(np.abs(f(grid_points(f.r, spec.grid_m)))))
+    diag = {"sup": sup, "sup_margin": 1.0 - sup}
+    if isinstance(f, WaveletPath):
+        norm, name = besov_norm(f, spec.beta), "besov"
     else:
-        if not isinstance(f, GridPath):
-            raise ValidationError("holder conditioning mode requires a grid path")
-        norm = holder_norm_empirical(f, spec.beta, spec.grid_m).value
-        limit = spec.K + spec.slack
-        diag["holder"] = norm
-        diag["holder_margin"] = limit - norm
-    ok = sup <= spec.sup_bound and norm <= limit
+        norm, name = holder_norm_empirical(f, spec.beta, spec.grid_m), "holder"
+    diag[name] = norm
+    diag[f"{name}_margin"] = spec.K - norm
+    ok = sup <= 1.0 and norm <= spec.K
     return ok, diag
 
 

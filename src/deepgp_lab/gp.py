@@ -48,6 +48,8 @@ class GpSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
+        if not self.beta > 0:  # NaN fails this too
+            raise ValidationError(f"beta must be > 0, got {self.beta}")
         if self.r < 1:
             raise ValidationError("r must be >= 1")
         if self.family in (FBM, STATIONARY):

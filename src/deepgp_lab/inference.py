@@ -148,7 +148,9 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
     rng = rng_for(config.seed, (12,))
 
     d = data.X.shape[1]
-    eval_pts = grid_points(d, 101 if d == 1 else 17)
+    # at most 17^3 error-grid points: 17 per axis up to d = 3, fewer above
+    eval_pts = grid_points(d, 101 if d == 1 else max(
+        m for m in range(1, 18) if m**d <= 17**3))
     eval_w = np.full(len(eval_pts), 1.0 / len(eval_pts))
     truth_eval = _values(data.f_star, eval_pts) if data.f_star is not None else None
 

@@ -148,22 +148,19 @@ def sample_structure(spec: StructurePriorSpec, seed, weighted=None) -> Compositi
 
 def conditioning_spec_for_layer(eta: CompositionStructure, layer: int,
                                 spec: StructurePriorSpec) -> ConditioningSpec:
-    """Acceptance region for layer `layer`: sup ball + smoothness ball with slack."""
-    alphas = alpha_exponents(eta.betas)
+    """Acceptance region for layer `layer`: sup ball + smoothness ball.
+
+    The wavelet family's Besov radius is fixed; a grid family's Hoelder radius
+    is widened by a slack that shrinks with n.
+    """
     beta = float(eta.betas[layer])
     t = int(eta.graph.eff_dims[layer])
-    a = float(alphas[layer])
-    slack = 2.0 * eps_alpha(spec.profile, a, beta, t, spec.n) ** (1.0 / a)
     if spec.profile.family == WAVELET:
         j = wavelet_resolution(spec.n, beta, t)
-        return ConditioningSpec(
-            beta=beta, r=t, K=besov_radius(_K_PRIME),
-            slack=slack, mode="besov", grid_m=2 ** (j + 1) + 1,
-        )
-    return ConditioningSpec(
-        beta=beta, r=t, K=spec.profile.holder_radius, slack=slack,
-        mode="holder", grid_m=_GRID,
-    )
+        return ConditioningSpec(beta=beta, K=besov_radius(_K_PRIME), grid_m=2 ** (j + 1) + 1)
+    a = float(alpha_exponents(eta.betas)[layer])
+    slack = 2.0 * eps_alpha(spec.profile, a, beta, t, spec.n) ** (1.0 / a)
+    return ConditioningSpec(beta=beta, K=spec.profile.holder_radius + slack, grid_m=_GRID)
 
 
 class Node(NamedTuple):

@@ -114,8 +114,8 @@ def check_holder_examples():
     xs = np.linspace(-1, 1, 257)
     f_lin = funcspace.GridPath(axes=(xs,), values=xs / 2)
     f_sq = funcspace.GridPath(axes=(xs,), values=xs**2)
-    n1 = funcspace.holder_norm_empirical(f_lin, 1.0, grid_m=257).value
-    n2 = funcspace.holder_norm_empirical(f_sq, 1.0, grid_m=257).value
+    n1 = funcspace.holder_norm_empirical(f_lin, 1.0, grid_m=257)
+    n2 = funcspace.holder_norm_empirical(f_sq, 1.0, grid_m=257)
     ok = abs(n1 - 1.0) < 0.02 and abs(n2 - 6.0) < 0.3
     return "holder-norm-examples", ok, f"x/2 -> {n1:.4f} (exp 1), x^2 -> {n2:.4f} (exp 6)"
 
@@ -131,7 +131,7 @@ def check_composition_bound(trials=100, seed=17):
         spec = gp.GpSpec(family=rates.WAVELET, beta=1.0, r=1, n=256,
                          seed=int(rng.integers(2**32)))
         p = gp.sample_path(spec)
-        norm = funcspace.holder_norm_empirical(p, 1.0, grid_m=129).value
+        norm = funcspace.holder_norm_empirical(p, 1.0, grid_m=129)
         scale = min(1.0, 0.95 * K / max(norm, 1e-12))
         return funcspace.WaveletPath(r=1, levels=[scale * lv for lv in p.levels])
 

@@ -148,6 +148,28 @@ class TestExitCodes:
                      "posterior.prior_only", id="prior-only-int"),
         pytest.param("diagnose", lambda c: c.update(C="2"), "C must be a number",
                      id="diagnose-c-string"),
+        pytest.param("sample", lambda c: c.update(beta=-0.5), "beta must be > 0",
+                     id="wavelet-beta-negative"),
+        pytest.param("sample", lambda c: c.update(beta=0), "beta must be > 0",
+                     id="wavelet-beta-zero"),
+        pytest.param("sample", lambda c: c.update(beta=-1), "beta must be > 0",
+                     id="wavelet-beta-minus-one"),
+        pytest.param("sample", lambda c: c.update(beta=-3), "beta must be > 0",
+                     id="wavelet-beta-minus-three"),
+        pytest.param("sample", lambda c: c.update(beta=float("nan")), "beta must be > 0",
+                     id="wavelet-beta-nan"),
+        pytest.param("sample", lambda c: c.update(family="stationary", beta=-1),
+                     "beta must be > 0", id="stationary-beta-negative"),
+        pytest.param("rates", lambda c: c["structure"].update(betas=["x"]),
+                     "structure.betas", id="structure-betas-string"),
+        pytest.param("rates", lambda c: c["structure"].update(dims=["a", 1]),
+                     "structure.dims", id="structure-dims-string"),
+        pytest.param("rates", lambda c: c["structure"].update(active_sets=[[["x"]]]),
+                     "structure.active_sets", id="structure-active-sets-string"),
+        pytest.param("rates", lambda c: c["structure"].update(beta_bounds=[0.5, "y"]),
+                     "structure.beta_bounds", id="structure-beta-bounds-string"),
+        pytest.param("rates", lambda c: c["structure"].update(q=0.5),
+                     "structure.q must be an integer", id="structure-q-not-integral"),
     ])
     def test_config_mistake_is_a_validation_error(self, tmp_path, capsys, command,
                                                   edit, named):

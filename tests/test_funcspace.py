@@ -19,29 +19,24 @@ class TestHolderNorm:
     def test_linear_half(self):
         f = grid_fn(lambda x: x / 2)
         np.testing.assert_allclose(
-            funcspace.holder_norm_empirical(f, 1.0, 257).value, 1.0, atol=1e-8)
+            funcspace.holder_norm_empirical(f, 1.0, 257), 1.0, atol=1e-8)
 
     def test_zero(self):
         f = grid_fn(lambda x: 0 * x)
-        assert funcspace.holder_norm_empirical(f, 1.0, 64).value == 0.0
+        assert funcspace.holder_norm_empirical(f, 1.0, 64) == 0.0
 
     def test_quadratic(self):
         # 2*sup|x^2| + sup|2x - 2y| = 2 + 4
         f = grid_fn(lambda x: x**2)
-        val = funcspace.holder_norm_empirical(f, 1.0, 257).value
+        val = funcspace.holder_norm_empirical(f, 1.0, 257)
         assert abs(val - 6.0) < 0.3
 
     def test_fractional_exponent(self):
         # |x|^{1/2} has Holder-1/2 quotient exactly 1 (attained at 0),
         # weighted by 2^{1/2}
         f = grid_fn(lambda x: np.sqrt(np.abs(x)))
-        val = funcspace.holder_norm_empirical(f, 0.5, 257).value
+        val = funcspace.holder_norm_empirical(f, 0.5, 257)
         np.testing.assert_allclose(val, math.sqrt(2.0), rtol=0.05)
-
-    def test_near_integer_warning(self):
-        f = grid_fn(lambda x: x / 2)
-        res = funcspace.holder_norm_empirical(f, 0.98, 64)
-        assert res.warnings
 
     def test_nested_balls(self):
         # smaller exponent gives a ball at least as large: random polynomials
@@ -50,8 +45,8 @@ class TestHolderNorm:
         for _ in range(20):
             coeffs = rng.uniform(-0.2, 0.2, size=3)
             f = grid_fn(lambda x: coeffs[0] + coeffs[1] * x + coeffs[2] * x**2)
-            hi = funcspace.holder_norm_empirical(f, 1.0, 129).value
-            lo = funcspace.holder_norm_empirical(f, 0.6, 129).value
+            hi = funcspace.holder_norm_empirical(f, 1.0, 129)
+            lo = funcspace.holder_norm_empirical(f, 0.6, 129)
             if hi <= 1.0:
                 assert lo <= 1.0 * 1.01 + 0.05
 
@@ -149,7 +144,7 @@ class TestSparseEvaluation:
 
 class TestConditioningSet:
     def spec(self, **kw):
-        base = dict(beta=1.0, r=1, K=2.0, slack=0.5, mode="besov", grid_m=33)
+        base = dict(beta=1.0, K=2.0, grid_m=33)
         base.update(kw)
         return funcspace.ConditioningSpec(**base)
 
@@ -175,11 +170,20 @@ class TestConditioningSet:
         assert not ok
         np.testing.assert_allclose(diag["sup_margin"], 1.0 - peak, rtol=1e-12)
 
-    def test_mode_mismatch(self):
+    def test_path_type_picks_the_norm(self):
+        # a grid path is judged by its Holder norm, a wavelet path by its Besov norm
         xs = np.linspace(-1, 1, 33)
-        g = funcspace.GridPath(axes=(xs,), values=np.zeros(33))
-        with pytest.raises(ValidationError):
-            funcspace.in_conditioning_set(g, self.spec(mode="besov"))
+        g = funcspace.GridPath(axes=(xs,), values=xs / 2)
+        ok, diag = funcspace.in_conditioning_set(g, self.spec(K=1.5))
+        assert ok and "besov" not in diag
+        np.testing.assert_allclose(diag["holder"], 1.0, atol=1e-8)
+        np.testing.assert_allclose(diag["holder_margin"], 0.5, atol=1e-8)
+        assert not funcspace.in_conditioning_set(g, self.spec(K=0.9))[0]
+        w = funcspace.WaveletPath(r=1, levels=[np.array([-0.25, 0.25])])
+        ok, diag = funcspace.in_conditioning_set(w, self.spec(K=1.5))
+        assert ok and "holder" not in diag
+        np.testing.assert_allclose(diag["besov"], 2.0**1.5 * 0.25, rtol=1e-12)
+        assert not funcspace.in_conditioning_set(w, self.spec(K=0.5))[0]
 
 
 class TestCompose:

@@ -144,8 +144,7 @@ class TestStateMap:
 
 class TestConditioned:
     def loose(self):
-        return funcspace.ConditioningSpec(beta=1.0, r=1, K=1e6, slack=1e6,
-                                          mode="besov", sup_bound=1e6, grid_m=17)
+        return funcspace.ConditioningSpec(beta=1.0, K=1e6, grid_m=17)
 
     @staticmethod
     def keyed(spec, key):
@@ -161,8 +160,7 @@ class TestConditioned:
         np.testing.assert_array_equal(path(pts), gp.path_from_state(spec, z)(pts))
 
     def test_infeasible_raises(self):
-        tight = funcspace.ConditioningSpec(beta=1.0, r=1, K=1e-9, slack=1e-12,
-                                           mode="besov", sup_bound=1e-9, grid_m=17)
+        tight = funcspace.ConditioningSpec(beta=1.0, K=1e-9, grid_m=17)
         spec, tried = wspec(seed=2), []
 
         def draw(a):
@@ -175,10 +173,10 @@ class TestConditioned:
 
     def test_restriction_law(self):
         # accepted draws follow the prior restricted to the set: compare the
-        # besov-norm law of conditioned draws against directly filtered draws
-        thr = 3.0 * math.sqrt(2 * math.log(2))
-        cond = funcspace.ConditioningSpec(beta=1.0, r=1, K=thr, slack=1e-12,
-                                          mode="besov", sup_bound=1e6, grid_m=17)
+        # besov-norm law of conditioned draws against direct draws filtered by
+        # the same set, sup <= 1 included
+        cond = funcspace.ConditioningSpec(beta=1.0, K=3.0 * math.sqrt(2 * math.log(2)),
+                                          grid_m=17)
         accepted = [
             funcspace.besov_norm(
                 gp.sample_conditioned(wspec(seed=s), cond,
@@ -188,9 +186,9 @@ class TestConditioned:
         filtered = []
         s = 10_000
         while len(filtered) < 400:
-            v = funcspace.besov_norm(gp.sample_path(wspec(seed=s)), 1.0)
-            if v <= thr:
-                filtered.append(v)
+            path = gp.sample_path(wspec(seed=s))
+            if funcspace.in_conditioning_set(path, cond)[0]:
+                filtered.append(funcspace.besov_norm(path, 1.0))
             s += 1
         assert stats.ks_2samp(accepted, filtered).pvalue > 0.01
 

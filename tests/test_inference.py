@@ -163,6 +163,21 @@ class TestMcmc:
         assert trace.burn == 20
         assert len(trace.post_burn(trace.l2_error)) == 60
 
+    def test_five_dimensional_error_grid(self, monkeypatch):
+        # the L2-error grid stays within 17^3 points: 5 per axis at d = 5, not 17
+        sizes = []
+
+        def recording(r, m):
+            sizes.append(m**r)
+            return funcspace.grid_points(r, m)
+
+        monkeypatch.setattr(inference, "grid_points", recording)
+        spec = q0_spec(space=structure.StructureSpace(input_dim=5, max_q=0, max_width=1))
+        data = inference.generate_data(lambda x: 0.0 * x[:, 0], n=100, seed=0, input_dim=5)
+        trace = inference.run_mcmc(data, spec, inference.PosteriorConfig(iterations=2))
+        assert sizes == [5**5]
+        assert np.all(np.isfinite(trace.l2_error))
+
 
 class TestModelMass:
     def test_single_structure_full_mass(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from deepgp_lab import prior, rates, structure
+from deepgp_lab import funcspace, gp, prior, rates, structure
 from deepgp_lab.errors import ValidationError
 
 
@@ -158,35 +158,53 @@ class TestDgpDraw:
 
 
 class TestConditioningSpecs:
-    def test_wavelet_mode_and_radius(self):
-        eta = fig2_structure()
-        spec = make_spec(space=structure.StructureSpace(input_dim=5, max_q=1,
-                                                        max_width=3), n=200)
-        cond = prior.conditioning_spec_for_layer(eta, 1, spec)
-        assert cond.mode == "besov"
-        np.testing.assert_allclose(cond.K, 3.0 * math.sqrt(2 * math.log(2)))
+    @staticmethod
+    def fig2_spec(n):
+        return make_spec(space=structure.StructureSpace(input_dim=5, max_q=1, max_width=3),
+                         n=n)
 
-    def test_slack_shrinks_with_n(self):
-        eta = fig2_structure()
-        lo = prior.conditioning_spec_for_layer(
-            eta, 1, make_spec(space=structure.StructureSpace(
-                input_dim=5, max_q=1, max_width=3), n=200))
-        hi = prior.conditioning_spec_for_layer(
-            eta, 1, make_spec(space=structure.StructureSpace(
-                input_dim=5, max_q=1, max_width=3), n=20000))
-        assert hi.slack < lo.slack
-
-    def test_holder_mode_for_grid_family(self):
-        spec = make_spec(profile=rates.RateProfile(family=rates.FBM),
+    @staticmethod
+    def fbm_spec(n):
+        return make_spec(profile=rates.RateProfile(family=rates.FBM),
                          space=structure.StructureSpace(input_dim=2, max_q=1,
                                                         max_width=2),
-                         beta_grid=(0.8,))
+                         beta_grid=(0.8,), n=n)
+
+    @staticmethod
+    def fbm_structure():
         g = structure.make_graph(1, (2, 2, 1), [[(1, 2), (2,)], [(1, 2)]])
-        eta = structure.CompositionStructure(graph=g, betas=(0.8, 0.8),
-                                             bounds=(0.3, 0.9))
-        cond = prior.conditioning_spec_for_layer(eta, 1, spec)
-        assert cond.mode == "holder"
-        assert cond.K == spec.profile.holder_radius
+        return structure.CompositionStructure(graph=g, betas=(0.8, 0.8),
+                                              bounds=(0.3, 0.9))
+
+    def fbm_layer_cond(self, n):
+        return prior.conditioning_spec_for_layer(self.fbm_structure(), 1, self.fbm_spec(n))
+
+    def test_wavelet_radius(self):
+        cond = prior.conditioning_spec_for_layer(fig2_structure(), 1, self.fig2_spec(200))
+        np.testing.assert_allclose(cond.K, 3.0 * math.sqrt(2 * math.log(2)))
+
+    def test_wavelet_limit_does_not_depend_on_n(self):
+        lo, hi = (prior.conditioning_spec_for_layer(fig2_structure(), 1, self.fig2_spec(n))
+                  for n in (200, 20000))
+        assert lo.K == hi.K
+        assert lo.grid_m < hi.grid_m  # the test grid refines with the resolution
+
+    def test_holder_mode_for_grid_family(self):
+        # a grid family's layer is a GridPath, so its set is judged by the Holder norm
+        cond = self.fbm_layer_cond(200)
+        assert cond.K >= rates.RateProfile(family=rates.FBM).holder_radius
+        path = gp.sample_path(gp.GpSpec(family=rates.FBM, beta=cond.beta, r=2, n=200,
+                                        grid=cond.grid_m))
+        assert isinstance(path, funcspace.GridPath)
+        _, diag = funcspace.in_conditioning_set(path, cond)
+        assert "holder" in diag and "besov" not in diag
+        np.testing.assert_allclose(diag["holder_margin"], cond.K - diag["holder"])
+
+    def test_slack_shrinks_with_n(self):
+        # a grid family's Holder limit is holder_radius plus a slack that falls with n
+        lo, hi = self.fbm_layer_cond(200), self.fbm_layer_cond(20000)
+        assert lo.K > hi.K > rates.RateProfile(family=rates.FBM).holder_radius
+        assert lo.grid_m == hi.grid_m == 33
 
 
 class TestFamilyCapabilities:
