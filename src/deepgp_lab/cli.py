@@ -202,6 +202,10 @@ def _cmd_sample(cfg, seed, out_dir):
                      grid=_int(cfg.get("grid", 33), "grid"))
     count = _int(cfg.get("count", 1), "count")
     conditioned = _bool(cfg.get("conditioned", False), "conditioned")
+    if conditioned and spec.family != rates.WAVELET and spec.beta > funcspace.HOLDER_MAX_BETA:
+        raise ValidationError(
+            f"beta = {spec.beta}: a conditioned {spec.family} path needs beta <= "
+            f"{funcspace.HOLDER_MAX_BETA:g}, the most its Hoelder check supports")
     # every path is evaluated on a 33^r grid, a conditioned draw also on a grid^r one
     m = max(33, spec.grid) if conditioned else 33
     if m ** min(spec.r, 21) > _SAMPLE_POINTS:  # m >= 33, so any r > 21 is past the cap
@@ -228,7 +232,8 @@ def _cmd_sample(cfg, seed, out_dir):
             hnorm = float("nan")
         else:
             bnorm = float("nan")
-            hnorm = funcspace.holder_norm_empirical(path, min(spec.beta, 2.0), grid_m=33)
+            hnorm = funcspace.holder_norm_empirical(
+                path, min(spec.beta, funcspace.HOLDER_MAX_BETA), grid_m=33)
         paths.append(funcspace.path_to_dict(path))
         rows.append((k, attempts, 1.0 / attempts, bnorm, hnorm, sup))
     _atomic_write(out_dir, "paths.json", json.dumps(paths, sort_keys=True) + "\n")
@@ -239,6 +244,7 @@ def _cmd_sample(cfg, seed, out_dir):
 
 def _cmd_prior(cfg, seed, out_dir):
     spec = _prior_spec(cfg)
+    n_draws = _int(cfg.get("draws", 0), "draws")
     weighted = prior.structure_prior_weights(spec)
     rows = []
     for idx, (eta, lw) in enumerate(weighted):
@@ -247,7 +253,7 @@ def _cmd_prior(cfg, seed, out_dir):
     _write_csv(out_dir, "weights.csv", ("index", "structure", "log_weight", "weight"),
                rows)
     draws = []
-    for k in range(_int(cfg.get("draws", 0), "draws")):
+    for k in range(n_draws):
         d = prior.sample_prior(spec, seed + k, weighted=weighted)
         draws.append({
             "structure": structure.structure_to_dict(d.structure),

@@ -8,8 +8,9 @@ Two concrete path representations:
   checks need.  A point touches at most 2 hats per axis per level, so
   evaluation gathers the 2^r corner coefficients around each point rather
   than forming all 2^{jr} basis values.
-* GridPath — values on a uniform tensor grid over [-1,1]^r with multilinear
-  interpolation in between.
+* GridPath — values on a tensor grid over [-1,1]^r with multilinear
+  interpolation in between, gathered from the 2^r corner values around
+  each point.
 
 On top of those: empirical Holder norm, Besov sup-norm of coefficients,
 conditioning-set membership, layer/composition evaluation, the composition gap
@@ -24,12 +25,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import BudgetExceededError, ValidationError
 from .rates import alpha_exponents
 
 __all__ = [
+    "HOLDER_MAX_BETA",
     "WaveletPath",
     "GridPath",
     "LayerFunction",
@@ -44,6 +45,9 @@ __all__ = [
     "path_to_dict",
     "path_from_dict",
 ]
+
+
+HOLDER_MAX_BETA = 2.0  # the empirical Holder norm takes derivatives up to order 2
 
 
 def _as_points(points, r):
@@ -103,17 +107,31 @@ class GridPath:
     def __init__(self, axes, values):
         axes = tuple(np.asarray(a, dtype=float) for a in axes)
         values = np.asarray(values, dtype=float)
+        if any(a.ndim != 1 or len(a) < 2 or not np.all(np.diff(a) > 0) for a in axes):
+            raise ValidationError("each axis needs at least 2 strictly increasing nodes")
         if values.shape != tuple(len(a) for a in axes):
             raise ValidationError("values shape does not match axes")
         self.r = len(axes)
         self.axes = axes
         self.values = values
-        self._interp = RegularGridInterpolator(axes, values, method="linear",
-                                               bounds_error=False, fill_value=None)
 
     def __call__(self, points):
-        pts = _as_points(points, self.r)
-        return self._interp(np.clip(pts, -1.0, 1.0))
+        pts = np.clip(_as_points(points, self.r), -1.0, 1.0)
+        brackets = []
+        for a, x in zip(self.axes, pts.T):
+            i = np.clip(np.searchsorted(a, x, side="right") - 1, 0, len(a) - 2)
+            y = (x - a[i]) / (a[i + 1] - a[i])
+            brackets.append(((i, 1.0 - y), (i + 1, y)))
+        total = np.zeros(pts.shape[0])
+        # corners and weights in the order scipy's RegularGridInterpolator uses,
+        # so both give the same bits
+        for corner in itertools.product(*brackets):
+            idx, weights = zip(*corner)
+            term = self.values[idx]
+            for w in weights:
+                term = term * w
+            total += term
+        return total
 
 
 class LayerFunction:
@@ -171,6 +189,18 @@ def grid_points(r, m):
     return np.column_stack([g.ravel() for g in mesh])
 
 
+def _on_grid(f, m):
+    """f's values on grid_points(f.r, m) as an m^r tensor.
+
+    A GridPath whose nodes are that grid is read, not interpolated: at a node
+    the multilinear interpolant is the node's value, bit for bit.
+    """
+    axis = np.linspace(-1.0, 1.0, m)
+    if isinstance(f, GridPath) and all(np.array_equal(a, axis) for a in f.axes):
+        return f.values
+    return f(grid_points(f.r, m)).reshape((m,) * f.r)
+
+
 def _multi_indices(r, order):
     """All derivative multi-indices over r axes with total order `order`."""
     if order == 0:
@@ -189,10 +219,7 @@ def _sup_quotient(points, values, frac):
         dx = np.max(np.abs(p[:, None, :] - points[None, :, :]), axis=2)
         dv = np.abs(v[:, None] - values[None, :])
         mask = dx > 0
-        if frac == 0.0:
-            q = np.where(mask, dv, 0.0)
-        else:
-            q = np.where(mask, dv / np.where(mask, dx, 1.0) ** frac, 0.0)
+        q = np.where(mask, dv / np.where(mask, dx, 1.0) ** frac, 0.0)
         best = max(best, float(q.max(initial=0.0)))
     return best
 
@@ -202,9 +229,11 @@ def holder_norm_empirical(f, beta, grid_m=64):
 
     2r * sum_{|a| < floor(beta)} sup|d^a f|  +  2^{beta - floor(beta)} *
     sum_{|a| = floor(beta)} Holder-(beta - floor(beta)) quotient of d^a f,
-    with derivatives by central differences and sups over the grid.
+    with derivatives by central differences and sups over the grid.  For
+    integer beta the quotient is the range max - min of d^a f, the same bits
+    as the largest pairwise |difference| because rounding is monotone.
     """
-    if beta > 2:
+    if beta > HOLDER_MAX_BETA:
         raise ValidationError("empirical Holder norm supports beta <= 2 only")
     if grid_m < 8:
         raise ValidationError("grid_m must be >= 8")
@@ -216,8 +245,7 @@ def holder_norm_empirical(f, beta, grid_m=64):
         frac = beta - floor_b
     axis = np.linspace(-1.0, 1.0, grid_m)
     h = axis[1] - axis[0]
-    pts = grid_points(r, grid_m)
-    vals = f(pts).reshape((grid_m,) * r)
+    vals = _on_grid(f, grid_m)
 
     def deriv(tensor, axes):
         out = tensor
@@ -232,7 +260,8 @@ def holder_norm_empirical(f, beta, grid_m=64):
     top = 0.0
     for a in _multi_indices(r, floor_b):
         g = deriv(vals, a).ravel()
-        top += _sup_quotient(pts, g, frac)
+        top += float(g.max() - g.min()) if frac == 0.0 else \
+            _sup_quotient(grid_points(r, grid_m), g, frac)
     return 2.0 * r * low + 2.0**frac * top
 
 
@@ -248,17 +277,22 @@ def besov_norm(path, beta):
 
 
 def in_conditioning_set(f, spec: ConditioningSpec):
-    """Membership check plus margin diagnostics."""
-    sup = float(np.max(np.abs(f(grid_points(f.r, spec.grid_m)))))
+    """Membership check plus margin diagnostics.
+
+    A path with sup > 1 (or NaN) on the grid is rejected before any norm is
+    computed, and its diag holds only "sup" and "sup_margin".
+    """
+    sup = float(np.max(np.abs(_on_grid(f, spec.grid_m))))
     diag = {"sup": sup, "sup_margin": 1.0 - sup}
+    if not sup <= 1.0:
+        return False, diag
     if isinstance(f, WaveletPath):
         norm, name = besov_norm(f, spec.beta), "besov"
     else:
         norm, name = holder_norm_empirical(f, spec.beta, spec.grid_m), "holder"
     diag[name] = norm
     diag[f"{name}_margin"] = spec.K - norm
-    ok = sup <= 1.0 and norm <= spec.K
-    return ok, diag
+    return norm <= spec.K, diag
 
 
 def compose(layers, points):

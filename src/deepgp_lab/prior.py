@@ -16,10 +16,10 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import ConditioningError, ValidationError
-from .funcspace import ConditioningSpec, LayerFunction, compose
+from .funcspace import HOLDER_MAX_BETA, ConditioningSpec, LayerFunction, compose
 from .gp import GpSpec, besov_radius, rng_for, sample_conditioned, state_size
-from .rates import (FBM, WAVELET, LogWeight, RateProfile, alpha_exponents, eps_alpha,
-                    psi_n, wavelet_resolution)
+from .rates import (FBM, STATIONARY, WAVELET, LogWeight, RateProfile, alpha_exponents,
+                    eps_alpha, psi_n, wavelet_resolution)
 from .structure import (PENALTY_HORIZON, CompositionStructure, StructureSpace,
                         enumerate_structures)
 
@@ -61,6 +61,10 @@ class StructurePriorSpec:
         if family == FBM and not all(0 < b < 1 for b in self.beta_grid):
             raise ValidationError(
                 f"beta_grid {list(self.beta_grid)}: the fbm family needs every beta in (0, 1)")
+        if family == STATIONARY and not all(b <= HOLDER_MAX_BETA for b in self.beta_grid):
+            raise ValidationError(
+                f"beta_grid {list(self.beta_grid)}: the stationary family needs every "
+                f"beta <= {HOLDER_MAX_BETA:g}, the most its Hoelder check supports")
         if family != WAVELET:
             # grid families draw paths of effective dimension r <= 2 only
             widths = {"input_dim": self.space.input_dim}

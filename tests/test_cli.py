@@ -2,6 +2,8 @@ import ast
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -170,6 +172,13 @@ class TestExitCodes:
                      "structure.beta_bounds", id="structure-beta-bounds-string"),
         pytest.param("rates", lambda c: c["structure"].update(q=0.5),
                      "structure.q must be an integer", id="structure-q-not-integral"),
+        pytest.param("prior", lambda c: c.update(
+            family="stationary", beta_grid=[2.5],
+            space=dict(c["space"], beta_bounds=[0.5, 3.0])), "beta_grid",
+            id="stationary-beta-grid-above-two"),
+        pytest.param("sample", lambda c: c.update(family="stationary", beta=2.5,
+                                                  conditioned=True),
+                     "beta = 2.5", id="conditioned-stationary-beta-above-two"),
     ])
     def test_config_mistake_is_a_validation_error(self, tmp_path, capsys, command,
                                                   edit, named):
@@ -180,6 +189,12 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "validation"
         assert named in err["detail"]
+        assert not (tmp_path / "o").exists()  # rejected before any output is written
+
+    def test_unconditioned_sample_takes_any_beta(self, tmp_path):
+        # only the conditioning check needs beta <= 2; its norm column caps beta at 2
+        cfg = config(tmp_path, "sample", family="stationary", beta=2.5)
+        assert cli.main(["sample", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
     def test_integral_float_is_an_integer(self, tmp_path):
         # 2e2 and 2.0 in a config mean the same as 200 and 2
@@ -297,3 +312,11 @@ def test_library_never_prints():
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "print"]
     assert printing == []
+
+
+def test_cli_does_not_import_scipy_interpolate():
+    # scipy.interpolate adds about a quarter second to every CLI launch
+    src = pathlib.Path(deepgp_lab.__file__).parent.parent
+    code = "import deepgp_lab.cli, sys; assert 'scipy.interpolate' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env=dict(os.environ, PYTHONPATH=str(src)))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import string
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import RegularGridInterpolator
 
 from deepgp_lab import funcspace, gp, rates
 from deepgp_lab.errors import ValidationError
@@ -49,6 +51,33 @@ class TestHolderNorm:
             lo = funcspace.holder_norm_empirical(f, 0.6, 129)
             if hi <= 1.0:
                 assert lo <= 1.0 * 1.01 + 0.05
+
+
+def pairwise_holder_norm(f, beta, m):
+    """Reference for integer beta: each top quotient is the largest pairwise
+    |difference| of a derivative, taken by the O(m^{2r}) _sup_quotient."""
+    axis = np.linspace(-1, 1, m)
+    pts = funcspace.grid_points(f.r, m)
+    d = {(): f(pts).reshape((m,) * f.r)}  # derivative tensors by multi-index
+    for order in range(1, int(beta) + 1):
+        for a in itertools.combinations_with_replacement(range(f.r), order):
+            d[a] = np.gradient(d[a[:-1]], axis[1] - axis[0], axis=a[-1], edge_order=2)
+    low = sum(float(np.max(np.abs(g))) for a, g in d.items() if len(a) < beta)
+    top = sum(funcspace._sup_quotient(pts, g.ravel(), 0.0)
+              for a, g in d.items() if len(a) == beta)
+    return 2.0 * f.r * low + top
+
+
+class TestIntegerHolderQuotient:
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    @pytest.mark.parametrize("r, m", [(1, 65), (1, 33), (2, 17)])
+    def test_range_equals_pairwise_quotient(self, r, m, beta):
+        rng = np.random.default_rng(10 * r + m)
+        axis = np.linspace(-1, 1, m)
+        for _ in range(5):
+            f = funcspace.GridPath((axis,) * r, rng.standard_normal((m,) * r))
+            assert funcspace.holder_norm_empirical(f, beta, m) == \
+                pairwise_holder_norm(f, beta, m)
 
 
 class TestBesovNorm:
@@ -142,6 +171,37 @@ class TestSparseEvaluation:
                                       [1.0, 0.0, 0.5**5])
 
 
+def rgi_eval(path, pts):
+    """Reference evaluation: scipy's multilinear interpolator on the clipped points."""
+    interp = RegularGridInterpolator(path.axes, path.values, method="linear",
+                                     bounds_error=False, fill_value=None)
+    return interp(np.clip(pts, -1.0, 1.0))
+
+
+class TestGridEvaluation:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_gather_equals_interpolator(self, data):
+        r = data.draw(st.integers(1, 2), label="r")
+        # 17, 33 and 65 nodes are spaced by powers of two, 21 nodes are not
+        m = data.draw(st.sampled_from([17, 21, 33, 65]), label="m")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        axis = np.linspace(-1.0, 1.0, m)
+        path = funcspace.GridPath((axis,) * r, rng.standard_normal((m,) * r))
+        # the nodes (+-1 among them), their nextafter neighbours, points in
+        # between, and points outside the cube that are clipped onto it
+        vals = np.concatenate([axis, np.nextafter(axis, -2.0), np.nextafter(axis, 2.0),
+                               rng.uniform(-1.0, 1.0, 32), rng.uniform(1.0, 3.0, 8),
+                               rng.uniform(-3.0, -1.0, 8)])
+        pts = np.column_stack([rng.permutation(vals) for _ in range(r)])
+        np.testing.assert_array_equal(path(pts), rgi_eval(path, pts))
+
+    @pytest.mark.parametrize("axis", [[0.0], [1.0, -1.0], [-1.0, 0.0, 0.0, 1.0]])
+    def test_axes_must_increase(self, axis):
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            funcspace.GridPath(axes=(axis,), values=np.zeros(len(axis)))
+
+
 class TestConditioningSet:
     def spec(self, **kw):
         base = dict(beta=1.0, K=2.0, grid_m=33)
@@ -169,6 +229,32 @@ class TestConditioningSet:
             p, self.spec(K=100.0, grid_m=65))
         assert not ok
         np.testing.assert_allclose(diag["sup_margin"], 1.0 - peak, rtol=1e-12)
+
+    def test_sup_violation_skips_the_norm(self, monkeypatch):
+        def no_norm(*args):
+            raise AssertionError("norm computed for a path with sup > 1")
+        monkeypatch.setattr(funcspace, "holder_norm_empirical", no_norm)
+        monkeypatch.setattr(funcspace, "besov_norm", no_norm)
+        xs = np.linspace(-1, 1, 33)
+        for path in (funcspace.GridPath(axes=(xs,), values=1.5 * xs),
+                     funcspace.GridPath(axes=(xs,), values=np.full(33, np.nan)),
+                     funcspace.WaveletPath(r=1, levels=[np.array([1.5, 0.0])])):
+            ok, diag = funcspace.in_conditioning_set(path, self.spec())
+            assert not ok and set(diag) == {"sup", "sup_margin"}
+
+    def test_grid_path_on_the_test_grid_is_read(self, monkeypatch):
+        def no_eval(self, points):
+            raise AssertionError("GridPath evaluated")
+        monkeypatch.setattr(funcspace.GridPath, "__call__", no_eval)
+        xs = np.linspace(-1, 1, 33)
+        g = funcspace.GridPath(axes=(xs, xs), values=np.add.outer(xs, xs) / 4)
+        # 2r sup|f| + the range of each (constant) partial derivative: 4 * 0.5 + 0
+        ok, diag = funcspace.in_conditioning_set(g, self.spec(K=2.5))
+        assert ok and diag["sup"] == 0.5 and diag["holder"] == 2.0
+        # a path on other nodes is evaluated on the test grid
+        coarse = funcspace.GridPath(axes=(xs[::2],), values=xs[::2] / 4)
+        with pytest.raises(AssertionError, match="GridPath evaluated"):
+            funcspace.in_conditioning_set(coarse, self.spec())
 
     def test_path_type_picks_the_norm(self):
         # a grid path is judged by its Holder norm, a wavelet path by its Besov norm

@@ -193,10 +193,14 @@ class TestConditioningSpecs:
         # a grid family's layer is a GridPath, so its set is judged by the Holder norm
         cond = self.fbm_layer_cond(200)
         assert cond.K >= rates.RateProfile(family=rates.FBM).holder_radius
-        path = gp.sample_path(gp.GpSpec(family=rates.FBM, beta=cond.beta, r=2, n=200,
+        draw = gp.sample_path(gp.GpSpec(family=rates.FBM, beta=cond.beta, r=2, n=200,
                                         grid=cond.grid_m))
-        assert isinstance(path, funcspace.GridPath)
+        assert isinstance(draw, funcspace.GridPath)
+        # scaled into the sup ball: a path with sup > 1 is rejected before any norm
+        sup = float(np.max(np.abs(draw.values)))
+        path = funcspace.GridPath(draw.axes, draw.values * (0.5 / sup))
         _, diag = funcspace.in_conditioning_set(path, cond)
+        np.testing.assert_allclose(diag["sup"], 0.5)
         assert "holder" in diag and "besov" not in diag
         np.testing.assert_allclose(diag["holder_margin"], cond.K - diag["holder"])
 
