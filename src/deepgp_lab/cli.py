@@ -206,11 +206,15 @@ def _cmd_sample(cfg, seed, out_dir):
         raise ValidationError(
             f"beta = {spec.beta}: a conditioned {spec.family} path needs beta <= "
             f"{funcspace.HOLDER_MAX_BETA:g}, the most its Hoelder check supports")
-    # every path is evaluated on a 33^r grid, a conditioned draw also on a grid^r one
+    # every path is evaluated on a 33^r grid, a conditioned draw also on a grid^r one,
+    # and a wavelet path holds its values on its (2^{J+1}+1)^r knot grid
     m = max(33, spec.grid) if conditioned else 33
+    if spec.family == rates.WAVELET:
+        m = max(m, 2 ** (rates.wavelet_resolution(spec.n, spec.beta, spec.r) + 1) + 1)
     if m ** min(spec.r, 21) > _SAMPLE_POINTS:  # m >= 33, so any r > 21 is past the cap
         raise ValidationError(
-            f"sample evaluates paths on {m}^r grid points, capped at {_SAMPLE_POINTS}; "
+            f"sample evaluates paths on {m}^r grid points (33^r, the conditioning grid^r or "
+            f"a wavelet path's knot grid), capped at {_SAMPLE_POINTS}; "
             f"got r={spec.r}" + (f", grid={spec.grid}" if conditioned else ""))
     # the Besov radius for wavelet paths; the grid families' Hoelder limit is 1 wider
     limit = gp.besov_radius(_real(cfg.get("k_prime", 2.0), "k_prime"))

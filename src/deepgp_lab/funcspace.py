@@ -2,15 +2,16 @@
 
 Two concrete path representations:
 
+* GridPath — values on a uniform tensor grid over [-1,1]^r with multilinear
+  interpolation in between, gathered from the 2^r corner values around each
+  point.
 * WaveletPath — coefficients on a tensorized hierarchical hat (Faber-Schauder)
   system, levels j = 1..J with 2^{jr} basis functions per level, for any r.
   Exact and nested; not orthonormal, which none of the coefficient-level
-  checks need.  A point touches at most 2 hats per axis per level, so
-  evaluation gathers the 2^r corner coefficients around each point rather
-  than forming all 2^{jr} basis values.
-* GridPath — values on a tensor grid over [-1,1]^r with multilinear
-  interpolation in between, gathered from the 2^r corner values around
-  each point.
+  checks need.  Every hat is linear between the level-J dyadic knots, so the
+  series is multilinear on the knot grid linspace(-1, 1, 2^{J+1}+1)^r: a
+  WaveletPath is the GridPath of its knot values, which it sums once, level by
+  level, when it is built.
 
 On top of those: empirical Holder norm, Besov sup-norm of coefficients,
 conditioning-set membership, layer/composition evaluation, the composition gap
@@ -48,6 +49,10 @@ __all__ = [
 
 
 HOLDER_MAX_BETA = 2.0  # the empirical Holder norm takes derivatives up to order 2
+# Points per GridPath gather pass.  Temporaries of 64 KB stay in cache and reuse
+# freed memory; temporaries for 10^5 points at once land on fresh pages on
+# every call, which makes the gather about twice as slow.
+_BLOCK = 8192
 
 
 def _as_points(points, r):
@@ -73,42 +78,34 @@ def _axis_bracket(j, x):
             for k in (left, left + 1)]
 
 
-class WaveletPath:
-    """Coefficient-backed path: sum_j sum_k lambda_{j,k} psi_{j,k}(u)."""
-
-    basis_id = "hat"
-
-    def __init__(self, r, levels):
-        if r < 1:
-            raise ValidationError(f"wavelet paths need r >= 1, got {r}")
-        self.r = int(r)
-        lv = []
-        for j, c in enumerate(levels, start=1):
-            arr = np.asarray(c, dtype=float).reshape((2**j,) * r)
-            lv.append(arr)
-        self.levels = tuple(lv)
-
-    def __call__(self, points):
-        pts = _as_points(points, self.r)
-        total = np.zeros(pts.shape[0])
-        for j, coeff in enumerate(self.levels, start=1):
-            level = np.zeros(pts.shape[0])
-            # the 2^r corners in lexicographic order: the order a dense sum adds them in
-            for corner in itertools.product(*(_axis_bracket(j, x) for x in pts.T)):
-                idx, hats = zip(*corner)
-                level += math.prod(hats) * coeff[idx]
-            total += level
-        return total
+def _hat_sum(levels, pts):
+    """sum_j sum_k lambda_{j,k} psi_{j,k} at pts, gathering the 2^r hats that touch each point."""
+    total = np.zeros(pts.shape[0])
+    for j, coeff in enumerate(levels, start=1):
+        level = np.zeros(pts.shape[0])
+        # the 2^r corners in lexicographic order: the order a dense sum adds them in
+        for corner in itertools.product(*(_axis_bracket(j, x) for x in pts.T)):
+            idx, hats = zip(*corner)
+            level += math.prod(hats) * coeff[idx]
+        total += level
+    return total
 
 
 class GridPath:
-    """Grid-backed path with multilinear interpolation between nodes."""
+    """Grid-backed path with multilinear interpolation between nodes.
+
+    Each axis is np.linspace(-1, 1, m) for some m >= 2, bit for bit, so a
+    point's cell is found by arithmetic rather than by search.  Points are
+    clipped onto [-1,1]^r first.
+    """
 
     def __init__(self, axes, values):
         axes = tuple(np.asarray(a, dtype=float) for a in axes)
         values = np.asarray(values, dtype=float)
-        if any(a.ndim != 1 or len(a) < 2 or not np.all(np.diff(a) > 0) for a in axes):
-            raise ValidationError("each axis needs at least 2 strictly increasing nodes")
+        if any(a.ndim != 1 or len(a) < 2
+               or not np.array_equal(a, np.linspace(-1.0, 1.0, len(a))) for a in axes):
+            raise ValidationError("each axis must be np.linspace(-1, 1, m) for some m >= 2: "
+                                  "strictly increasing, uniformly spaced nodes")
         if values.shape != tuple(len(a) for a in axes):
             raise ValidationError("values shape does not match axes")
         self.r = len(axes)
@@ -117,9 +114,20 @@ class GridPath:
 
     def __call__(self, points):
         pts = np.clip(_as_points(points, self.r), -1.0, 1.0)
+        out = np.empty(len(pts))
+        for start in range(0, len(pts), _BLOCK):
+            out[start:start + _BLOCK] = self._gather(pts[start:start + _BLOCK])
+        return out
+
+    def _gather(self, pts):
         brackets = []
         for a, x in zip(self.axes, pts.T):
-            i = np.clip(np.searchsorted(a, x, side="right") - 1, 0, len(a) - 2)
+            # the cell of x on a uniform axis, then at most one step to mend rounding:
+            # the same index as searchsorted(a, x, side="right") - 1 clipped to a cell
+            last = len(a) - 2
+            i = np.clip(((x + 1.0) * ((len(a) - 1) / 2.0)).astype(np.intp), 0, last)
+            i -= x < a[i]
+            i += (x >= a[i + 1]) & (i < last)
             y = (x - a[i]) / (a[i + 1] - a[i])
             brackets.append(((i, 1.0 - y), (i + 1, y)))
         total = np.zeros(pts.shape[0])
@@ -132,6 +140,27 @@ class GridPath:
                 term = term * w
             total += term
         return total
+
+
+class WaveletPath(GridPath):
+    """Coefficient-backed path: sum_j sum_k lambda_{j,k} psi_{j,k}(u).
+
+    Evaluated as the GridPath of its values on the knot grid
+    linspace(-1, 1, 2^{J+1}+1)^r, where the series is multilinear; the levels
+    are kept for the Besov norm and serialization.
+    """
+
+    basis_id = "hat"
+
+    def __init__(self, r, levels):
+        if r < 1:
+            raise ValidationError(f"wavelet paths need r >= 1, got {r}")
+        r = int(r)
+        self.levels = tuple(np.asarray(c, dtype=float).reshape((2**j,) * r)
+                            for j, c in enumerate(levels, start=1))
+        m = 2 ** (len(self.levels) + 1) + 1
+        knots = _hat_sum(self.levels, grid_points(r, m)).reshape((m,) * r)
+        super().__init__((np.linspace(-1.0, 1.0, m),) * r, knots)
 
 
 class LayerFunction:
@@ -192,11 +221,12 @@ def grid_points(r, m):
 def _on_grid(f, m):
     """f's values on grid_points(f.r, m) as an m^r tensor.
 
-    A GridPath whose nodes are that grid is read, not interpolated: at a node
-    the multilinear interpolant is the node's value, bit for bit.
+    A GridPath whose nodes are that grid (its axes are uniform, so m nodes per
+    axis) is read, not interpolated: at a node the multilinear interpolant is
+    the node's value, bit for bit.  In prior and fit a WaveletPath's test grid
+    is its knot grid, so its checks read its knot values.
     """
-    axis = np.linspace(-1.0, 1.0, m)
-    if isinstance(f, GridPath) and all(np.array_equal(a, axis) for a in f.axes):
+    if isinstance(f, GridPath) and f.values.shape == (m,) * f.r:
         return f.values
     return f(grid_points(f.r, m)).reshape((m,) * f.r)
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConditioningError, ValidationError
 from .funcspace import HOLDER_MAX_BETA, ConditioningSpec, LayerFunction, compose
@@ -77,12 +76,24 @@ class StructurePriorSpec:
                         f"effective dimension at most 2")
 
 
+def _logsumexp(a):
+    """log(sum(exp(a))) for finite a, by scipy.special.logsumexp's algorithm
+    (scipy 1.17) and with its bits: the largest entries leave the sum, and the
+    rest enters as log1p of its sum over their count."""
+    a = np.asarray(a, dtype=float)
+    top = np.max(a)
+    ties = a == top
+    s = np.sum(np.exp(np.where(ties, -np.inf, a) - top))
+    m = np.sum(ties, dtype=float)
+    return np.log1p(s / m if s else s) + np.log(m) + top
+
+
 @functools.lru_cache(maxsize=1024)
 def _log_geometric_truncated(k, decay, lo, hi):
     """log P(K = k) for a geometric(decay) renormalized to {lo..hi}."""
     support = np.arange(lo, hi + 1)
     logs = support * math.log(decay)
-    return k * math.log(decay) - logsumexp(logs)
+    return k * math.log(decay) - _logsumexp(logs)
 
 
 def _count_sets_with_max(t, d_in, d_out):
@@ -130,7 +141,7 @@ def structure_prior_weights(spec: StructurePriorSpec):
     # floating-point rounding for near-tied structures.
     shift = float(np.max(pens))
     logs = np.array([p - shift + gamma_log(eta, spec) for eta, p in zip(structures, pens)])
-    norm = logsumexp(logs)
+    norm = _logsumexp(logs)
     return [(eta, LogWeight(lw - norm)) for eta, lw in zip(structures, logs)]
 
 

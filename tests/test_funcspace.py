@@ -145,7 +145,8 @@ class TestSparseEvaluation:
         path = funcspace.WaveletPath(r, [rng.standard_normal(2 ** (j * r))
                                          for j in range(1, J + 1)])
         pts = edge_points(r, J, rng)
-        np.testing.assert_array_equal(path(pts), dense_eval(path, pts))
+        np.testing.assert_array_equal(funcspace._hat_sum(path.levels, pts),
+                                      dense_eval(path, pts))
 
     @pytest.mark.parametrize("r, J", [(2, 7), (3, 5)])
     def test_sparse_near_dense_beyond_one_buffer(self, r, J):
@@ -155,13 +156,15 @@ class TestSparseEvaluation:
         pts = edge_points(r, J, rng)
         # reassociating 2^r terms per level moves each level by a few ulps
         atol = 2**r * np.finfo(float).eps * sum(np.abs(c).max() for c in levels)
-        np.testing.assert_allclose(path(pts), dense_eval(path, pts), rtol=0, atol=atol)
+        np.testing.assert_allclose(funcspace._hat_sum(path.levels, pts), dense_eval(path, pts),
+                                   rtol=0, atol=atol)
 
     def test_any_dimension(self):
         rng = np.random.default_rng(5)
         path = funcspace.WaveletPath(5, [rng.standard_normal(2 ** (j * 5)) for j in (1, 2)])
         pts = edge_points(5, 2, rng)
-        np.testing.assert_array_equal(path(pts), dense_eval(path, pts))
+        np.testing.assert_array_equal(funcspace._hat_sum(path.levels, pts),
+                                      dense_eval(path, pts))
 
     def test_hat_peak_and_corners(self):
         # the first level-1 hat is 1 at its center (-1/2, ...) and 0 at the far corner
@@ -169,6 +172,44 @@ class TestSparseEvaluation:
         path = funcspace.WaveletPath(5, levels)
         np.testing.assert_array_equal(path(np.array([[-0.5] * 5, [0.5] * 5, [0.0] * 5])),
                                       [1.0, 0.0, 0.5**5])
+
+
+class TestKnotGrid:
+    # a level-J hat series is multilinear on its knot grid linspace(-1, 1,
+    # 2^{J+1}+1)^r, and a WaveletPath is the GridPath of its values there
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_path_equals_dense_at_its_knots(self, data):
+        r = data.draw(st.integers(1, 4), label="r")
+        J = data.draw(st.integers(1, min(8, 13 // r)), label="J")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        path = funcspace.WaveletPath(r, [rng.standard_normal(2 ** (j * r))
+                                         for j in range(1, J + 1)])
+        knots = funcspace.grid_points(r, 2 ** (J + 1) + 1)
+        pts = knots[rng.choice(len(knots), size=min(len(knots), 2048), replace=False)]
+        np.testing.assert_array_equal(path(pts), dense_eval(path, pts))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_path_near_dense_off_its_knots(self, data):
+        r = data.draw(st.integers(1, 4), label="r")
+        J = data.draw(st.integers(1, min(8, 13 // r)), label="J")
+        decay = data.draw(st.floats(0.0, 2.0), label="decay")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        levels = [2.0 ** (-j * decay) * rng.standard_normal(2 ** (j * r))
+                  for j in range(1, J + 1)]
+        path = funcspace.WaveletPath(r, levels)
+        knots = np.linspace(-1.0, 1.0, 2 ** (J + 1) + 1)
+        vals = np.clip(np.concatenate([np.nextafter(knots, -2.0), np.nextafter(knots, 2.0),
+                                       rng.uniform(-1.0, 1.0, 64)]), -1.0, 1.0)
+        pts = np.column_stack([rng.permutation(vals) for _ in range(r)])
+        # First-order rounding bound in units of eps * sum_j max|lambda_j|: the
+        # knot values and the reference each sum J levels of 2^r products of r
+        # hats (J + 2^r + 5r + 1 halves each), and the gather rounds its 2^r
+        # terms and r weights per term (2^r + 7r halves).
+        units = J + 2 ** (r + 1) + 9 * r + 1
+        atol = units * np.finfo(float).eps * sum(np.abs(c).max() for c in levels)
+        np.testing.assert_allclose(path(pts), dense_eval(path, pts), rtol=0, atol=atol)
 
 
 def rgi_eval(path, pts):
@@ -183,8 +224,8 @@ class TestGridEvaluation:
     @given(data=st.data())
     def test_gather_equals_interpolator(self, data):
         r = data.draw(st.integers(1, 2), label="r")
-        # 17, 33 and 65 nodes are spaced by powers of two, 21 nodes are not
-        m = data.draw(st.sampled_from([17, 21, 33, 65]), label="m")
+        # 17, 33, 65, 129 and 1025 nodes are spaced by powers of two, 21 nodes are not
+        m = data.draw(st.sampled_from([17, 21, 33, 65, 129, 1025]), label="m")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         axis = np.linspace(-1.0, 1.0, m)
         path = funcspace.GridPath((axis,) * r, rng.standard_normal((m,) * r))
@@ -196,8 +237,31 @@ class TestGridEvaluation:
         pts = np.column_stack([rng.permutation(vals) for _ in range(r)])
         np.testing.assert_array_equal(path(pts), rgi_eval(path, pts))
 
-    @pytest.mark.parametrize("axis", [[0.0], [1.0, -1.0], [-1.0, 0.0, 0.0, 1.0]])
+    def test_blocks_join_up(self, monkeypatch):
+        # the gather runs over blocks of points; 7 does not divide 1000
+        monkeypatch.setattr(funcspace, "_BLOCK", 7)
+        rng = np.random.default_rng(3)
+        axis = np.linspace(-1.0, 1.0, 21)
+        path = funcspace.GridPath((axis, axis), rng.standard_normal((21, 21)))
+        pts = rng.uniform(-1.2, 1.2, (1000, 2))
+        np.testing.assert_array_equal(path(pts), rgi_eval(path, pts))
+
+    @pytest.mark.parametrize("m", [21, 100, 1000])
+    def test_node_is_read_apart_from_its_left_neighbour(self, m):
+        # at some nodes of these axes (x + 1)(m - 1)/2 rounds one cell low; the
+        # gather must step up to the node's own cell, or an infinite left
+        # neighbour would turn the node's value into 0 * inf = nan (the last
+        # node, +1, is read from the last cell, its left neighbour's)
+        axis = np.linspace(-1.0, 1.0, m)
+        for k in range(1, m - 1):
+            values = np.zeros(m)
+            values[k - 1], values[k] = np.inf, 1.0
+            assert funcspace.GridPath((axis,), values)(axis[k:k + 1])[0] == 1.0
+
+    @pytest.mark.parametrize("axis", [[0.0], [1.0, -1.0], [-1.0, 0.0, 0.0, 1.0],
+                                      [-1.0, 0.25, 1.0]])
     def test_axes_must_increase(self, axis):
+        # the last axis increases strictly but is not uniform
         with pytest.raises(ValidationError, match="strictly increasing"):
             funcspace.GridPath(axes=(axis,), values=np.zeros(len(axis)))
 
@@ -255,6 +319,20 @@ class TestConditioningSet:
         coarse = funcspace.GridPath(axes=(xs[::2],), values=xs[::2] / 4)
         with pytest.raises(AssertionError, match="GridPath evaluated"):
             funcspace.in_conditioning_set(coarse, self.spec())
+
+    def test_wavelet_path_on_its_knot_grid_is_read(self, monkeypatch):
+        levels = [np.array([0.3, -0.2]), np.array([0.1, 0.0, -0.1, 0.05])]
+        w = funcspace.WaveletPath(r=1, levels=levels)
+
+        def no_eval(*args):
+            raise AssertionError("wavelet path evaluated")
+        monkeypatch.setattr(funcspace.GridPath, "__call__", no_eval)
+        monkeypatch.setattr(funcspace, "_hat_sum", no_eval)
+        ok, diag = funcspace.in_conditioning_set(w, self.spec(K=10.0, grid_m=2**3 + 1))
+        assert ok and diag["sup"] == float(np.max(np.abs(w.values)))
+        # on another grid the path is evaluated
+        with pytest.raises(AssertionError, match="wavelet path evaluated"):
+            funcspace.in_conditioning_set(w, self.spec(K=10.0, grid_m=33))
 
     def test_path_type_picks_the_norm(self):
         # a grid path is judged by its Holder norm, a wavelet path by its Besov norm

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from deepgp_lab import funcspace, gp, prior, rates, structure
 from deepgp_lab.errors import ValidationError
@@ -88,6 +89,19 @@ class TestStructurePrior:
         for k in range(len(weighted)):
             se = math.sqrt(max(p[k] * (1 - p[k]) / m, 1e-12))
             assert abs(counts[k] / m - p[k]) <= 4 * se + 1e-9
+
+
+def test_logsumexp_has_scipys_bits():
+    rng = np.random.default_rng(7)
+    arrays = [np.array([0.5]), np.full(4, -3.0), np.array([1e308, 1e308]),
+              -np.arange(1, 8) * math.log(2.0)]
+    for _ in range(2000):
+        a = rng.standard_normal(int(rng.integers(1, 40))) * 10.0 ** rng.integers(-3, 10)
+        if rng.random() < 0.5:  # ties at the maximum
+            a[rng.integers(0, len(a), size=int(rng.integers(1, len(a) + 1)))] = a.max()
+        arrays.append(np.round(a) if rng.random() < 0.2 else a)
+    for a in arrays:
+        assert prior._logsumexp(a) == logsumexp(a), a
 
 
 class TestGammaFactors:
