@@ -296,7 +296,7 @@ def _cmd_fit(cfg, seed, out_dir):
     spec = _prior_spec(cfg)
     f_star, eta_star = _truth(cfg, spec, seed)
     data = inference.generate_data(f_star, n=spec.n, seed=seed,
-                                   input_dim=eta_star.graph.dims[0], eta_star=eta_star)
+                                   input_dim=eta_star.graph.dims[0])
     trace = inference.run_mcmc(data, spec, _posterior_config(cfg, seed))
     rows = [(t, int(trace.structure_idx[t]), trace.log_lik[t], trace.l2_error[t],
              trace.besov[t], trace.sup[t]) for t in range(len(trace.log_lik))]

@@ -233,8 +233,6 @@ def _on_grid(f, m):
 
 def _multi_indices(r, order):
     """All derivative multi-indices over r axes with total order `order`."""
-    if order == 0:
-        return [()]
     return [c for c in itertools.combinations_with_replacement(range(r), order)]
 
 
@@ -269,10 +267,7 @@ def holder_norm_empirical(f, beta, grid_m=64):
         raise ValidationError("grid_m must be >= 8")
     r = f.r
     floor_b = int(math.floor(beta))
-    if beta == float(floor_b):
-        frac = 0.0
-    else:
-        frac = beta - floor_b
+    frac = beta - floor_b
     axis = np.linspace(-1.0, 1.0, grid_m)
     h = axis[1] - axis[0]
     vals = _on_grid(f, grid_m)
@@ -301,7 +296,7 @@ def besov_norm(path, beta):
         raise ValidationError("besov_norm needs a wavelet-backed path")
     best = 0.0
     for j, coeff in enumerate(path.levels, start=1):
-        mx = float(np.max(np.abs(coeff))) if coeff.size else 0.0
+        mx = float(np.max(np.abs(coeff)))
         best = max(best, 2.0 ** (j * (beta + path.r / 2.0)) * mx)
     return best
 
@@ -359,8 +354,7 @@ def composition_gap_bound(h, h_tilde, betas, K, eta_slacks):
             raise ValidationError(f"layer {i} dimension mismatch")
         pts = grid_points(hi.in_dim, _layer_grid_m(hi.in_dim))
         sup_i = float(np.max(np.abs(hi(pts) - hti(pts))))
-        total += float(eta_slacks[i]) ** alphas[i] + sup_i ** alphas[i] if sup_i > 0 \
-            else float(eta_slacks[i]) ** alphas[i]
+        total += float(eta_slacks[i]) ** alphas[i] + sup_i ** alphas[i]
     bound = K**q * total
 
     def measured_gap(points):

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, NumericError, ValidationError
-from .funcspace import ConditioningSpec, GridPath, WaveletPath, in_conditioning_set
+from .funcspace import (ConditioningSpec, GridPath, WaveletPath, grid_points,
+                        in_conditioning_set)
 from .rates import FAMILIES, FBM, STATIONARY, WAVELET, wavelet_resolution
 
 __all__ = [
@@ -97,16 +98,15 @@ def _chol_with_jitter(cov):
     raise NumericError("Cholesky failed after jitter escalation (1e-12..1e-8)")
 
 
-def _grid_axes(spec):
-    m = spec.grid | 1  # odd point count so the origin is a grid node
-    axis = np.linspace(-1.0, 1.0, m)
-    return tuple(axis for _ in range(spec.r))
+def _grid(r, grid):
+    """Axes and points of a grid path: odd point count, so the origin is a node."""
+    m = grid | 1
+    return (np.linspace(-1.0, 1.0, m),) * r, grid_points(r, m)
 
 
 @functools.lru_cache(maxsize=64)
 def _fbm_factor(beta, r, grid):
-    axes = _grid_axes(GpSpec(FBM, beta, r, n=3, grid=grid))
-    pts = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    axes, pts = _grid(r, grid)
     origin = int(np.argmin(np.linalg.norm(pts, axis=1)))
     rest = [i for i in range(len(pts)) if i != origin]
     cov = fbm_covariance(pts[rest], pts[rest], beta)
@@ -115,8 +115,7 @@ def _fbm_factor(beta, r, grid):
 
 @functools.lru_cache(maxsize=64)
 def _stationary_factor(beta, r, n, grid):
-    axes = _grid_axes(GpSpec(STATIONARY, beta, r, n=n, grid=grid))
-    pts = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    axes, pts = _grid(r, grid)
     a = scaling_a(n, beta, r)
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
     cov = np.exp(-(a * a) * d2)
@@ -160,10 +159,7 @@ def path_from_state(spec: GpSpec, z):
         x = np.zeros(len(pts))
         x[rest] = chol @ z[1:]
         # x[origin] stays exactly 0: the covariance vanishes there pre-release
-        path = GridPath(axes=axes, values=(x + released).reshape([len(a) for a in axes]))
-        path.pre_release = x.reshape([len(a) for a in axes])
-        path.released_constant = float(released)
-        return path
+        return GridPath(axes=axes, values=(x + released).reshape([len(a) for a in axes]))
     axes, pts, chol = _stationary_factor(spec.beta, spec.r, spec.n, spec.grid)
     vals = (chol @ z).reshape([len(a) for a in axes])
     return GridPath(axes=axes, values=vals)

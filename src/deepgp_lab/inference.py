@@ -30,7 +30,6 @@ __all__ = [
     "run_mcmc",
     "model_mass",
     "contraction_runs",
-    "contraction_curve",
 ]
 
 
@@ -39,7 +38,6 @@ class RegressionSample:
     X: np.ndarray
     Y: np.ndarray
     f_star: object = None  # optional callable truth
-    eta_star: object = None
 
     def __post_init__(self):
         if len(self.X) != len(self.Y):
@@ -52,7 +50,7 @@ class RegressionSample:
         return len(self.Y)
 
 
-def generate_data(f_star, n, seed, input_dim=None, eta_star=None) -> RegressionSample:
+def generate_data(f_star, n, seed, input_dim=None) -> RegressionSample:
     """Uniform design on [-1,1]^d plus standard normal noise."""
     if input_dim is None:
         input_dim = getattr(f_star, "input_dim", 1)
@@ -62,7 +60,7 @@ def generate_data(f_star, n, seed, input_dim=None, eta_star=None) -> RegressionS
     if np.max(np.abs(fv)) > 1 + 1e-9:
         raise ValidationError("truth exceeds the unit sup-norm ball at a design point")
     Y = fv + rng.standard_normal(n)
-    return RegressionSample(X=X, Y=Y, f_star=f_star, eta_star=eta_star)
+    return RegressionSample(X=X, Y=Y, f_star=f_star)
 
 
 def _values(f, X):
@@ -125,7 +123,6 @@ class PosteriorTrace:
     pcn_acceptance: float
     structure_acceptance: float
     burn: int
-    n: int
 
     def post_burn(self, arr):
         return arr[self.burn:]
@@ -237,7 +234,7 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
         besov=bes, sup=sups,
         pcn_acceptance=pcn_acc / pcn_tot if pcn_tot else math.nan,
         structure_acceptance=str_acc / str_tot if str_tot else math.nan,
-        burn=burn, n=data.n,
+        burn=burn,
     )
 
 
@@ -277,16 +274,10 @@ def contraction_runs(f_star, eta_star, spec: StructurePriorSpec,
         for s in seeds:
             seed = config.seed + int(s)
             data = generate_data(f_star, n=n, seed=seed + 1000 * n,
-                                 input_dim=eta_star.graph.dims[0], eta_star=eta_star)
+                                 input_dim=eta_star.graph.dims[0])
             traces.append(run_mcmc(data, spec_n, replace(config, seed=seed)))
         err = float(np.median([np.median(t.post_burn(t.l2_error)) for t in traces]))
         row = (n, err, eps_structure(eta_star, spec.profile, n),
                minimax_rate(eta_star, n).value)
         yield row, spec_n, traces
 
-
-def contraction_curve(f_star, eta_star, spec: StructurePriorSpec,
-                      config: PosteriorConfig, n_list, seeds=(0,)):
-    """Rows (n, median posterior L2 error over seeds, eps_n(eta*), r_n(eta*))."""
-    return [row for row, _, _ in contraction_runs(f_star, eta_star, spec, config,
-                                                  n_list, seeds)]

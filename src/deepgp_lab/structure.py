@@ -10,7 +10,6 @@ beta_i.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 from .errors import SpaceTooLargeError, ValidationError
@@ -30,8 +29,6 @@ __all__ = [
     "graph_from_dict",
     "structure_to_dict",
     "structure_from_dict",
-    "structure_to_json",
-    "structure_from_json",
 ]
 
 ActiveSets = tuple  # per layer: tuple over outputs of sorted 1-based index tuples
@@ -107,8 +104,6 @@ class ValidationReport:
 class ReductionResult:
     structure: CompositionStructure
     applicable: bool
-    removed_layers: tuple = ()
-    note: str = ""
 
 
 def validate_graph(g: CompositionGraph) -> ValidationReport:
@@ -201,20 +196,19 @@ def enumerate_structures(space: StructureSpace, beta_grid, count_limit: int = 20
     return out
 
 
-def reduce_redundant(eta: CompositionStructure, holder_radius: float = 1.0) -> ReductionResult:
+def reduce_redundant(eta: CompositionStructure) -> ReductionResult:
     """Collapse layers j with t_j = t_{j-1} = 1 by multiplying the exponents.
 
-    Only valid when every beta <= 1 and the smoothness-ball radius is 1; outside
-    that regime the structure is returned unchanged with an explanatory note.
+    Only valid when every beta <= 1 (for the smoothness ball of radius 1);
+    otherwise the structure is returned unchanged and marked not applicable.
     The minimax rate is invariant under the collapse.
     """
-    if max(eta.betas) > 1.0 or holder_radius != 1.0:
-        return ReductionResult(eta, applicable=False, note="not applicable")
+    if max(eta.betas) > 1.0:
+        return ReductionResult(eta, applicable=False)
 
     g, betas = eta.graph, list(eta.betas)
     dims = list(g.dims)
     sets = [list(layer) for layer in g.active_sets]
-    removed = []
     while True:
         q = len(betas) - 1
         j = next(
@@ -232,16 +226,15 @@ def reduce_redundant(eta: CompositionStructure, holder_radius: float = 1.0) -> R
         del dims[j]
         betas[j - 1] = betas[j - 1] * betas[j]
         del betas[j]
-        removed.append(j)
 
-    if not removed:
+    if len(betas) == len(eta.betas):
         return ReductionResult(eta, applicable=True)
     graph = make_graph(len(betas) - 1, dims, sets)
     # Multiplying exponents can drop below the original lower bound; widen it
     # so the reduced structure stays admissible.
     bounds = (min(eta.bounds[0], min(betas)), eta.bounds[1])
     reduced = CompositionStructure(graph=graph, betas=tuple(betas), bounds=bounds)
-    return ReductionResult(reduced, applicable=True, removed_layers=tuple(removed))
+    return ReductionResult(reduced, applicable=True)
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +278,3 @@ def structure_from_dict(d: dict) -> CompositionStructure:
         bounds=tuple(float(b) for b in d["beta_bounds"]),
     )
 
-
-def structure_to_json(eta: CompositionStructure) -> str:
-    return json.dumps(structure_to_dict(eta), sort_keys=True)
-
-
-def structure_from_json(s: str) -> CompositionStructure:
-    return structure_from_dict(json.loads(s))

@@ -26,19 +26,9 @@ def _report(num, name, ok, detail, t0):
 
 def test_criterion_01_besov_acceptance_bound():
     t0 = time.perf_counter()
-    spec = gp.GpSpec(family=rates.WAVELET, beta=1.0, r=1, n=10**4, seed=101)
-    thr = 3.0 * math.sqrt(2.0 * math.log(2.0))
-    draws = 10**4
-    hits = sum(
-        funcspace.besov_norm(gp.sample_path(spec, key=(k,)), 1.0) <= thr
-        for k in range(draws)
-    )
-    freq = hits / draws
-    sigma = math.sqrt((2 / 3) * (1 / 3) / draws)
-    ok = freq >= 2.0 / 3.0 - 3 * sigma
+    name, ok, detail = verify.check_besov_acceptance(draws=10**4, seed=101)
     ok = ok and (time.perf_counter() - t0) < 10.0
-    _report(1, "besov acceptance bound", ok,
-            f"empirical {freq:.4f} >= 2/3 - 3sigma = {2/3 - 3*sigma:.4f}", t0)
+    _report(1, "besov acceptance bound", ok, detail, t0)
 
 
 def test_criterion_02_redundancy_rate_equality():
@@ -50,30 +40,9 @@ def test_criterion_02_redundancy_rate_equality():
 
 def test_criterion_03_rate_comparison_sandwich():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(11)
-    profile = rates.RateProfile(family=rates.WAVELET)
-    n = 10**5
-    delta = 1.0 / math.log(n) ** 2
-    pairs = 0
-    ok = True
-    while pairs < 1000:
-        eta_lo = verify._random_structure(rng, bounds=(0.3, 2.0))
-        if eta_lo.graph.num_nodes > 12:
-            continue
-        pairs += 1
-        hi = tuple(min(b + float(rng.uniform(0, delta)), eta_lo.bounds[1])
-                   for b in eta_lo.betas)
-        eta_hi = structure.CompositionStructure(graph=eta_lo.graph, betas=hi,
-                                                bounds=eta_lo.bounds)
-        e_hi = rates.eps_structure(eta_hi, profile, n)
-        e_lo = rates.eps_structure(eta_lo, profile, n)
-        if not (e_hi <= e_lo * (1 + 1e-12)
-                and e_lo <= math.exp(eta_lo.bounds[1]) * e_hi * (1 + 1e-12)):
-            ok = False
-            break
+    name, ok, detail = verify.check_eps_ratio(trials=1000, seed=11, n=10**5)
     ok = ok and (time.perf_counter() - t0) < 1.0
-    _report(3, "rate comparison sandwich", ok,
-            f"{pairs} (structure, beta, beta') pairs within the e^(beta+) band", t0)
+    _report(3, "rate comparison sandwich", ok, detail, t0)
 
 
 def test_criterion_04_entropy_bound_sandwich():
@@ -197,9 +166,9 @@ def test_criterion_09_empirical_contraction():
     f_star, eta_star, spec = _truth_draw()
     cfg = inference.PosteriorConfig(iterations=400, pcn_step=0.9,
                                     structure_move_prob=0.05, seed=0)
-    rows = inference.contraction_curve(f_star, eta_star, spec, cfg,
-                                       n_list=(200, 800, 3200, 12800),
-                                       seeds=tuple(range(5)))
+    rows = [row for row, _, _ in inference.contraction_runs(
+        f_star, eta_star, spec, cfg, n_list=(200, 800, 3200, 12800),
+        seeds=tuple(range(5)))]
     errs = [r[1] for r in rows]
     ns = [r[0] for r in rows]
     monotone = all(a > b for a, b in zip(errs, errs[1:]))

@@ -1,7 +1,9 @@
 import ast
+import importlib
 import json
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
@@ -266,6 +268,13 @@ class TestDeterminism:
         for name in outputs:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_verify_rerun_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert cli.main(["verify", "--suite", "all", "--out", str(out)]) == 0
+        assert set(os.listdir(a)) == {"verify.csv", "manifest.json"}
+        assert (a / "verify.csv").read_bytes() == (b / "verify.csv").read_bytes()
+
 
 class TestPriorAndFit:
     def test_prior_command(self, tmp_path):
@@ -314,6 +323,14 @@ def test_library_never_prints():
                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "print"]
     assert printing == []
+
+
+@pytest.mark.parametrize("module", sorted(
+    m.name for m in pkgutil.iter_modules(deepgp_lab.__path__)))
+def test_all_names_exist(module):
+    # a stale __all__ entry breaks `from deepgp_lab.<module> import *`
+    mod = importlib.import_module(f"deepgp_lab.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 def test_cli_does_not_import_scipy_interpolate():

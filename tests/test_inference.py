@@ -219,8 +219,8 @@ class TestContractionCurve:
             betas=(1.0,), bounds=spec.space.beta_bounds)
         cfg = inference.PosteriorConfig(iterations=120, pcn_step=0.9,
                                         structure_move_prob=0.0, seed=0)
-        rows = inference.contraction_curve(lambda x: 0.0 * x[:, 0], eta, spec,
-                                           cfg, n_list=(100, 400))
+        rows = [row for row, _, _ in inference.contraction_runs(
+            lambda x: 0.0 * x[:, 0], eta, spec, cfg, n_list=(100, 400))]
         assert [r[0] for r in rows] == [100, 400]
         assert rows[1][3] < rows[0][3]  # minimax rate decreases in n
 
@@ -231,5 +231,5 @@ class TestContractionCurve:
             betas=(1.0,), bounds=spec.space.beta_bounds)
         cfg = inference.PosteriorConfig(iterations=10, seed=0)
         with pytest.raises(ValidationError):
-            inference.contraction_curve(lambda x: 0.0 * x[:, 0], eta, spec,
-                                        cfg, n_list=(400, 100))
+            next(inference.contraction_runs(lambda x: 0.0 * x[:, 0], eta, spec,
+                                            cfg, n_list=(400, 100)))

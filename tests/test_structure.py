@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -137,7 +139,8 @@ class TestSerialization:
     def test_round_trip(self):
         eta = structure.CompositionStructure(
             graph=fig2_graph(), betas=(0.5, 0.9), bounds=(0.3, 1.0))
-        back = structure.structure_from_json(structure.structure_to_json(eta))
+        text = json.dumps(structure.structure_to_dict(eta), sort_keys=True)
+        back = structure.structure_from_dict(json.loads(text))
         assert back == eta
 
     def test_invalid_graph_rejected(self):
