@@ -21,6 +21,7 @@ class.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -91,55 +92,83 @@ def _hat_sum(levels, pts):
     return total
 
 
+@functools.lru_cache(maxsize=64)
+def _axis(m):
+    """np.linspace(-1, 1, m), read-only: the axis of every grid path with m nodes on it."""
+    a = np.linspace(-1.0, 1.0, m)
+    a.flags.writeable = False
+    return a
+
+
+def _cells(x, m):
+    """The cell index i and fraction y of each x in [-1, 1] on the axis linspace(-1, 1, m).
+
+    The cell comes from arithmetic on the uniform axis, then at most one step
+    mends rounding: the same index as searchsorted(a, x, side="right") - 1
+    clipped to a cell.
+    """
+    a = _axis(m)
+    last = m - 2
+    i = np.clip(((x + 1.0) * ((m - 1) / 2.0)).astype(np.intp), 0, last)
+    i -= x < a[i]
+    i += (x >= a[i + 1]) & (i < last)
+    return i, (x - a[i]) / (a[i + 1] - a[i])
+
+
+def _gather(values, cells):
+    """The multilinear interpolant of the grid values at points given by per-axis cells (i, y)."""
+    brackets = [((i, 1.0 - y), (i + 1, y)) for i, y in cells]
+    total = np.zeros(len(cells[0][1]))
+    # corners and weights in the order scipy's RegularGridInterpolator uses,
+    # so both give the same bits
+    for corner in itertools.product(*brackets):
+        idx, weights = zip(*corner)
+        term = values[idx]
+        for w in weights:
+            term = term * w
+        total += term
+    return total
+
+
 class GridPath:
     """Grid-backed path with multilinear interpolation between nodes.
 
-    Each axis is np.linspace(-1, 1, m) for some m >= 2, bit for bit, so a
-    point's cell is found by arithmetic rather than by search.  Points are
-    clipped onto [-1,1]^r first.
+    The values are a tensor of shape (m_1, ..., m_r); axis k is
+    np.linspace(-1, 1, m_k), so a point's cell is found by arithmetic rather
+    than by search.  Points are clipped onto [-1,1]^r first.
     """
 
-    def __init__(self, axes, values):
-        axes = tuple(np.asarray(a, dtype=float) for a in axes)
+    def __init__(self, values):
         values = np.asarray(values, dtype=float)
-        if any(a.ndim != 1 or len(a) < 2
-               or not np.array_equal(a, np.linspace(-1.0, 1.0, len(a))) for a in axes):
-            raise ValidationError("each axis must be np.linspace(-1, 1, m) for some m >= 2: "
-                                  "strictly increasing, uniformly spaced nodes")
-        if values.shape != tuple(len(a) for a in axes):
-            raise ValidationError("values shape does not match axes")
-        self.r = len(axes)
-        self.axes = axes
+        if values.ndim < 1 or min(values.shape) < 2:
+            raise ValidationError(f"a grid path needs >= 2 nodes on each of >= 1 axes, "
+                                  f"got values of shape {values.shape}")
+        self.r = values.ndim
         self.values = values
 
-    def __call__(self, points):
-        pts = np.clip(_as_points(points, self.r), -1.0, 1.0)
-        out = np.empty(len(pts))
-        for start in range(0, len(pts), _BLOCK):
-            out[start:start + _BLOCK] = self._gather(pts[start:start + _BLOCK])
-        return out
+    @property
+    def axes(self):
+        """The nodes on each axis, linspace(-1, 1, m_k), shared and read-only."""
+        return tuple(_axis(m) for m in self.values.shape)
 
-    def _gather(self, pts):
-        brackets = []
-        for a, x in zip(self.axes, pts.T):
-            # the cell of x on a uniform axis, then at most one step to mend rounding:
-            # the same index as searchsorted(a, x, side="right") - 1 clipped to a cell
-            last = len(a) - 2
-            i = np.clip(((x + 1.0) * ((len(a) - 1) / 2.0)).astype(np.intp), 0, last)
-            i -= x < a[i]
-            i += (x >= a[i + 1]) & (i < last)
-            y = (x - a[i]) / (a[i + 1] - a[i])
-            brackets.append(((i, 1.0 - y), (i + 1, y)))
-        total = np.zeros(pts.shape[0])
-        # corners and weights in the order scipy's RegularGridInterpolator uses,
-        # so both give the same bits
-        for corner in itertools.product(*brackets):
-            idx, weights = zip(*corner)
-            term = self.values[idx]
-            for w in weights:
-                term = term * w
-            total += term
-        return total
+    def __call__(self, points, cells=None):
+        """Values at the points.
+
+        ``cells``, when given, holds each axis's cells of the points as
+        ``_cells`` computes them (``compose`` keeps them for a fixed point set);
+        the points are then not read again, only counted.
+        """
+        if cells is None:
+            points = np.clip(_as_points(points, self.r), -1.0, 1.0)
+        out = np.empty(len(points))
+        for start in range(0, len(points), _BLOCK):
+            block = slice(start, start + _BLOCK)
+            if cells is None:
+                out[block] = _gather(self.values, [
+                    _cells(x, m) for x, m in zip(points[block].T, self.values.shape)])
+            else:
+                out[block] = _gather(self.values, [(i[block], y[block]) for i, y in cells])
+        return out
 
 
 class WaveletPath(GridPath):
@@ -159,8 +188,7 @@ class WaveletPath(GridPath):
         self.levels = tuple(np.asarray(c, dtype=float).reshape((2**j,) * r)
                             for j, c in enumerate(levels, start=1))
         m = 2 ** (len(self.levels) + 1) + 1
-        knots = _hat_sum(self.levels, grid_points(r, m)).reshape((m,) * r)
-        super().__init__((np.linspace(-1.0, 1.0, m),) * r, knots)
+        super().__init__(_hat_sum(self.levels, grid_points(r, m)).reshape((m,) * r))
 
 
 class LayerFunction:
@@ -182,16 +210,43 @@ class LayerFunction:
             if len(s) > p.r:
                 raise ValidationError(f"active set {s} larger than path dimension {p.r}")
 
-    def __call__(self, points):
+    def __call__(self, points, cells=None):
+        """The layer's outputs at the points, shape (m, out_dim).
+
+        Each path reads the grid cells of its input columns, and of 0 in its
+        padded slots, from ``cells``: ``compose``'s cache for a fixed point set,
+        or a dict for this call only.
+        """
         pts = _as_points(points, self.in_dim)
+        cells = {} if cells is None else cells
         cols = []
         for path, s in self.components:
-            sub = pts[:, [e - 1 for e in s]]
-            if len(s) < path.r:
-                pad = np.zeros((sub.shape[0], path.r - len(s)))
-                sub = np.hstack([sub, pad])
-            cols.append(path(sub))
+            slots = [e - 1 for e in s] + [None] * (path.r - len(s))
+            cols.append(path(pts, [_cached_cells(cells, pts, c, m)
+                                   for c, m in zip(slots, path.values.shape)]))
         return np.clip(np.column_stack(cols), -1.0, 1.0)
+
+
+def _cached_cells(cells, pts, col, m):
+    """The cells of column ``col`` of pts (None: a zero-padded slot) on linspace(-1, 1, m).
+
+    Looked up in ``cells`` by (col, m), or computed once and stored there:
+    int32 indices and float64 fractions of the clipped points, filled block by
+    block.  A padded slot is the one cell of 0, broadcast to every point.
+    """
+    key = (col, m)
+    if key not in cells:
+        n = len(pts)
+        if col is None:
+            i, y = _cells(np.zeros(1), m)
+            cells[key] = np.broadcast_to(i.astype(np.int32), n), np.broadcast_to(y, n)
+        else:
+            i, y = np.empty(n, dtype=np.int32), np.empty(n)
+            for start in range(0, n, _BLOCK):
+                block = slice(start, start + _BLOCK)
+                i[block], y[block] = _cells(np.clip(pts[block, col], -1.0, 1.0), m)
+            cells[key] = i, y
+    return cells[key]
 
 
 @dataclass(frozen=True)
@@ -268,7 +323,7 @@ def holder_norm_empirical(f, beta, grid_m=64):
     r = f.r
     floor_b = int(math.floor(beta))
     frac = beta - floor_b
-    axis = np.linspace(-1.0, 1.0, grid_m)
+    axis = _axis(grid_m)
     h = axis[1] - axis[0]
     vals = _on_grid(f, grid_m)
 
@@ -320,13 +375,20 @@ def in_conditioning_set(f, spec: ConditioningSpec):
     return norm <= spec.K, diag
 
 
-def compose(layers, points):
-    """Evaluate h_q o ... o h_0 at the given points; returns a vector."""
+def compose(layers, points, cells=None):
+    """Evaluate h_q o ... o h_0 at the given points; returns a vector.
+
+    ``cells`` is an optional dict that the caller keeps for one fixed point
+    set and passes on every call with those points.  It holds the points'
+    grid cells on each (input column, nodes per axis) pair that layer 0's
+    paths read, filled on first use, so later calls neither recompute nor copy
+    them.  Later layers see new points on every call and are not cached.
+    """
     pts = _as_points(points, layers[0].in_dim)
     for i, layer in enumerate(layers):
         if pts.shape[1] != layer.in_dim:
             raise ValidationError(f"layer {i} expects {layer.in_dim} inputs, got {pts.shape[1]}")
-        pts = layer(pts)
+        pts = layer(pts, cells if i == 0 else None)
     if pts.shape[1] != 1:
         raise ValidationError("final layer must have a single output")
     return pts[:, 0]
@@ -460,5 +522,12 @@ def path_from_dict(d: dict):
         return WaveletPath(r=d["r"], levels=d["levels"])
     if d["type"] == "grid":
         values = np.asarray(d["values"], dtype=float).reshape(d["shape"])
-        return GridPath(axes=d["axes"], values=values)
+        axes = [np.asarray(a, dtype=float) for a in d["axes"]]
+        if any(a.ndim != 1 or len(a) < 2
+               or not np.array_equal(a, np.linspace(-1.0, 1.0, len(a))) for a in axes):
+            raise ValidationError("each axis must be np.linspace(-1, 1, m) for some m >= 2: "
+                                  "strictly increasing, uniformly spaced nodes")
+        if values.shape != tuple(len(a) for a in axes):
+            raise ValidationError("values shape does not match axes")
+        return GridPath(values)
     raise ValidationError(f"unknown path type {d['type']!r}")

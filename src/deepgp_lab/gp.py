@@ -99,27 +99,27 @@ def _chol_with_jitter(cov):
 
 
 def _grid(r, grid):
-    """Axes and points of a grid path: odd point count, so the origin is a node."""
+    """Value shape and points of a grid path: odd point count, so the origin is a node."""
     m = grid | 1
-    return (np.linspace(-1.0, 1.0, m),) * r, grid_points(r, m)
+    return (m,) * r, grid_points(r, m)
 
 
 @functools.lru_cache(maxsize=64)
 def _fbm_factor(beta, r, grid):
-    axes, pts = _grid(r, grid)
+    shape, pts = _grid(r, grid)
     origin = int(np.argmin(np.linalg.norm(pts, axis=1)))
     rest = [i for i in range(len(pts)) if i != origin]
     cov = fbm_covariance(pts[rest], pts[rest], beta)
-    return axes, pts, origin, rest, _chol_with_jitter(cov)
+    return shape, pts, origin, rest, _chol_with_jitter(cov)
 
 
 @functools.lru_cache(maxsize=64)
 def _stationary_factor(beta, r, n, grid):
-    axes, pts = _grid(r, grid)
+    shape, pts = _grid(r, grid)
     a = scaling_a(n, beta, r)
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
     cov = np.exp(-(a * a) * d2)
-    return axes, pts, _chol_with_jitter(cov)
+    return shape, pts, _chol_with_jitter(cov)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +137,7 @@ def state_size(spec: GpSpec) -> int:
     if spec.family == FBM:
         _, pts, _, rest, _ = _fbm_factor(spec.beta, spec.r, spec.grid)
         return 1 + len(rest)
-    axes, pts, _ = _stationary_factor(spec.beta, spec.r, spec.n, spec.grid)
+    _, pts, _ = _stationary_factor(spec.beta, spec.r, spec.n, spec.grid)
     return len(pts)
 
 
@@ -154,15 +154,14 @@ def path_from_state(spec: GpSpec, z):
             pos += count
         return WaveletPath(r=spec.r, levels=levels)
     if spec.family == FBM:
-        axes, pts, origin, rest, chol = _fbm_factor(spec.beta, spec.r, spec.grid)
+        shape, pts, origin, rest, chol = _fbm_factor(spec.beta, spec.r, spec.grid)
         released = z[0]
         x = np.zeros(len(pts))
         x[rest] = chol @ z[1:]
         # x[origin] stays exactly 0: the covariance vanishes there pre-release
-        return GridPath(axes=axes, values=(x + released).reshape([len(a) for a in axes]))
-    axes, pts, chol = _stationary_factor(spec.beta, spec.r, spec.n, spec.grid)
-    vals = (chol @ z).reshape([len(a) for a in axes])
-    return GridPath(axes=axes, values=vals)
+        return GridPath((x + released).reshape(shape))
+    shape, _, chol = _stationary_factor(spec.beta, spec.r, spec.n, spec.grid)
+    return GridPath((chol @ z).reshape(shape))
 
 
 def draw_state(spec: GpSpec, key=()):
@@ -188,8 +187,10 @@ def sample_conditioned(spec: GpSpec, cond: ConditioningSpec, draw, max_attempts:
         ok, _ = in_conditioning_set(path, cond)
         if ok:
             return z, path, attempt
+    norm = "Besov" if spec.family == WAVELET else "Hoelder"
     raise ConditioningError(
-        f"conditioning too tight: no acceptance in {max_attempts} attempts")
+        f"conditioning too tight: no acceptance in {max_attempts} attempts into sup <= 1 "
+        f"and {norm} norm <= K = {cond.K:.4g} on the {cond.grid_m}^{spec.r} test grid")
 
 
 def besov_radius(k_prime: float) -> float:

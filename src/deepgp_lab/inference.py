@@ -150,11 +150,13 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
         m for m in range(1, 18) if m**d <= 17**3))
     eval_w = np.full(len(eval_pts), 1.0 / len(eval_pts))
     truth_eval = _values(data.f_star, eval_pts) if data.f_star is not None else None
+    # the grid cells of the design and of the error grid, found once per chain
+    design_cells, eval_cells = {}, {}
 
     def loglik(layers):
         if config.prior_only:
             return 0.0, None
-        fv = compose(layers, data.X)
+        fv = compose(layers, data.X, design_cells)
         ll = float(np.sum(data.Y * fv - 0.5 * fv**2))
         return ll, fv
 
@@ -215,7 +217,7 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
                     cur_states, cur_layers, cur_ll = prop_states, prop_layers, prop_ll
                     pcn_acc += 1
 
-        fe = compose(cur_layers, eval_pts)
+        fe = compose(cur_layers, eval_pts, eval_cells)
         s_idx[t] = cur_idx
         lls[t] = cur_ll
         errs[t] = (math.sqrt(float(np.sum(eval_w * (fe - truth_eval) ** 2)))

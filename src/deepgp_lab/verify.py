@@ -104,14 +104,14 @@ def check_fbm_origin(seed=3):
     z = gp.draw_state(spec)
     p = gp.path_from_state(spec, z)
     # the released constant is z[0], so the path minus it is the pre-release path
-    v = float(p.values[len(p.axes[0]) // 2] - z[0])
+    v = float(p.values[len(p.values) // 2] - z[0])
     return "fbm-pinned-at-origin", v == 0.0, f"pre-release value at 0 is {v}"
 
 
 def check_holder_examples():
     xs = np.linspace(-1, 1, 257)
-    f_lin = funcspace.GridPath(axes=(xs,), values=xs / 2)
-    f_sq = funcspace.GridPath(axes=(xs,), values=xs**2)
+    f_lin = funcspace.GridPath(xs / 2)
+    f_sq = funcspace.GridPath(xs**2)
     n1 = funcspace.holder_norm_empirical(f_lin, 1.0, grid_m=257)
     n2 = funcspace.holder_norm_empirical(f_sq, 1.0, grid_m=257)
     ok = abs(n1 - 1.0) < 0.02 and abs(n2 - 6.0) < 0.3

@@ -98,7 +98,7 @@ def test_criterion_07_fbm_covariance_fidelity():
     ok = True
     details = []
     for beta in (0.3, 0.5, 0.8):
-        axes, pts, origin, rest, chol = gp._fbm_factor(beta, 1, 33)
+        _, pts, origin, rest, chol = gp._fbm_factor(beta, 1, 33)
         rng = gp.rng_for(2024, (int(beta * 10),))
         z = rng.standard_normal((draws, 1 + len(rest)))
         x = np.zeros((draws, len(pts)))

@@ -231,6 +231,17 @@ class TestExitCodes:
 
 
 class TestSampleCommand:
+    def test_exhausted_conditioned_draw_names_its_limit(self, tmp_path, capsys):
+        # the default k_prime gives a stationary path the Hoelder limit
+        # (1 + 2) sqrt(2 log 2) + 1 = 4.532, which no draw at this seed meets
+        cfg = config(tmp_path, "sample", family="stationary", beta=1.0, r=1, n=500,
+                     count=1, conditioned=True)
+        assert cli.main(["sample", "--config", cfg, "--seed", "1001",
+                         "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "numeric"
+        assert "Hoelder norm <= K = 4.532 on the 33^1 test grid" in err["detail"]
+
     def test_outputs(self, tmp_path):
         out = str(tmp_path / "out")
         assert cli.main(["sample", "--config", config(tmp_path, "sample"),

@@ -14,7 +14,7 @@ from deepgp_lab.errors import ValidationError
 
 def grid_fn(fn, m=257):
     xs = np.linspace(-1, 1, m)
-    return funcspace.GridPath(axes=(xs,), values=fn(xs))
+    return funcspace.GridPath(fn(xs))
 
 
 class TestHolderNorm:
@@ -73,9 +73,8 @@ class TestIntegerHolderQuotient:
     @pytest.mark.parametrize("r, m", [(1, 65), (1, 33), (2, 17)])
     def test_range_equals_pairwise_quotient(self, r, m, beta):
         rng = np.random.default_rng(10 * r + m)
-        axis = np.linspace(-1, 1, m)
         for _ in range(5):
-            f = funcspace.GridPath((axis,) * r, rng.standard_normal((m,) * r))
+            f = funcspace.GridPath(rng.standard_normal((m,) * r))
             assert funcspace.holder_norm_empirical(f, beta, m) == \
                 pairwise_holder_norm(f, beta, m)
 
@@ -228,7 +227,7 @@ class TestGridEvaluation:
         m = data.draw(st.sampled_from([17, 21, 33, 65, 129, 1025]), label="m")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         axis = np.linspace(-1.0, 1.0, m)
-        path = funcspace.GridPath((axis,) * r, rng.standard_normal((m,) * r))
+        path = funcspace.GridPath(rng.standard_normal((m,) * r))
         # the nodes (+-1 among them), their nextafter neighbours, points in
         # between, and points outside the cube that are clipped onto it
         vals = np.concatenate([axis, np.nextafter(axis, -2.0), np.nextafter(axis, 2.0),
@@ -241,8 +240,7 @@ class TestGridEvaluation:
         # the gather runs over blocks of points; 7 does not divide 1000
         monkeypatch.setattr(funcspace, "_BLOCK", 7)
         rng = np.random.default_rng(3)
-        axis = np.linspace(-1.0, 1.0, 21)
-        path = funcspace.GridPath((axis, axis), rng.standard_normal((21, 21)))
+        path = funcspace.GridPath(rng.standard_normal((21, 21)))
         pts = rng.uniform(-1.2, 1.2, (1000, 2))
         np.testing.assert_array_equal(path(pts), rgi_eval(path, pts))
 
@@ -256,14 +254,7 @@ class TestGridEvaluation:
         for k in range(1, m - 1):
             values = np.zeros(m)
             values[k - 1], values[k] = np.inf, 1.0
-            assert funcspace.GridPath((axis,), values)(axis[k:k + 1])[0] == 1.0
-
-    @pytest.mark.parametrize("axis", [[0.0], [1.0, -1.0], [-1.0, 0.0, 0.0, 1.0],
-                                      [-1.0, 0.25, 1.0]])
-    def test_axes_must_increase(self, axis):
-        # the last axis increases strictly but is not uniform
-        with pytest.raises(ValidationError, match="strictly increasing"):
-            funcspace.GridPath(axes=(axis,), values=np.zeros(len(axis)))
+            assert funcspace.GridPath(values)(axis[k:k + 1])[0] == 1.0
 
 
 class TestConditioningSet:
@@ -300,8 +291,8 @@ class TestConditioningSet:
         monkeypatch.setattr(funcspace, "holder_norm_empirical", no_norm)
         monkeypatch.setattr(funcspace, "besov_norm", no_norm)
         xs = np.linspace(-1, 1, 33)
-        for path in (funcspace.GridPath(axes=(xs,), values=1.5 * xs),
-                     funcspace.GridPath(axes=(xs,), values=np.full(33, np.nan)),
+        for path in (funcspace.GridPath(1.5 * xs),
+                     funcspace.GridPath(np.full(33, np.nan)),
                      funcspace.WaveletPath(r=1, levels=[np.array([1.5, 0.0])])):
             ok, diag = funcspace.in_conditioning_set(path, self.spec())
             assert not ok and set(diag) == {"sup", "sup_margin"}
@@ -311,12 +302,12 @@ class TestConditioningSet:
             raise AssertionError("GridPath evaluated")
         monkeypatch.setattr(funcspace.GridPath, "__call__", no_eval)
         xs = np.linspace(-1, 1, 33)
-        g = funcspace.GridPath(axes=(xs, xs), values=np.add.outer(xs, xs) / 4)
+        g = funcspace.GridPath(np.add.outer(xs, xs) / 4)
         # 2r sup|f| + the range of each (constant) partial derivative: 4 * 0.5 + 0
         ok, diag = funcspace.in_conditioning_set(g, self.spec(K=2.5))
         assert ok and diag["sup"] == 0.5 and diag["holder"] == 2.0
         # a path on other nodes is evaluated on the test grid
-        coarse = funcspace.GridPath(axes=(xs[::2],), values=xs[::2] / 4)
+        coarse = funcspace.GridPath(xs[::2] / 4)
         with pytest.raises(AssertionError, match="GridPath evaluated"):
             funcspace.in_conditioning_set(coarse, self.spec())
 
@@ -337,7 +328,7 @@ class TestConditioningSet:
     def test_path_type_picks_the_norm(self):
         # a grid path is judged by its Holder norm, a wavelet path by its Besov norm
         xs = np.linspace(-1, 1, 33)
-        g = funcspace.GridPath(axes=(xs,), values=xs / 2)
+        g = funcspace.GridPath(xs / 2)
         ok, diag = funcspace.in_conditioning_set(g, self.spec(K=1.5))
         assert ok and "besov" not in diag
         np.testing.assert_allclose(diag["holder"], 1.0, atol=1e-8)
@@ -354,7 +345,7 @@ class TestCompose:
     def identity_layer(self):
         # hat combination reproducing x on [-0.5, 0.5]: use grid path instead
         xs = np.linspace(-1, 1, 33)
-        p = funcspace.GridPath(axes=(xs,), values=xs)
+        p = funcspace.GridPath(xs)
         return funcspace.LayerFunction([(p, (1,))], in_dim=1)
 
     def test_identity(self):
@@ -365,15 +356,15 @@ class TestCompose:
 
     def test_two_layer_arithmetic(self):
         xs = np.linspace(-1, 1, 201)
-        h0 = funcspace.LayerFunction([(funcspace.GridPath(axes=(xs,), values=xs / 2), (1,))], 1)
-        h1 = funcspace.LayerFunction([(funcspace.GridPath(axes=(xs,), values=xs**2), (1,))], 1)
+        h0 = funcspace.LayerFunction([(funcspace.GridPath(xs / 2), (1,))], 1)
+        h1 = funcspace.LayerFunction([(funcspace.GridPath(xs**2), (1,))], 1)
         out = funcspace.compose([h0, h1], np.array([[1.0]]))
         np.testing.assert_allclose(out, [0.25], atol=1e-4)
 
     def test_layer_clips_overshoot(self):
         # the path itself reaches +-1.5; the layer maps into [-1, 1]
         xs = np.linspace(-1, 1, 33)
-        p = funcspace.GridPath(axes=(xs,), values=1.5 * xs)
+        p = funcspace.GridPath(1.5 * xs)
         layer = funcspace.LayerFunction([(p, (1,))], in_dim=1)
         pts = np.array([[-1.0], [-0.5], [0.0], [0.5], [1.0]])
         np.testing.assert_allclose(p(pts), [-1.5, -0.75, 0.0, 0.75, 1.5])
@@ -381,9 +372,8 @@ class TestCompose:
 
     def test_constant_propagation(self):
         c = 0.37
-        xs = np.linspace(-1, 1, 17)
         def const_layer(d_in, d_out):
-            comps = [(funcspace.GridPath(axes=(xs,) * 1, values=np.full(17, c)), (1,))
+            comps = [(funcspace.GridPath(np.full(17, c)), (1,))
                      for _ in range(d_out)]
             return funcspace.LayerFunction(comps, in_dim=d_in)
         layers = [const_layer(5, 3), const_layer(3, 1)]
@@ -392,11 +382,10 @@ class TestCompose:
                                    atol=1e-12)
 
     def test_associativity_of_evaluation(self):
-        xs = np.linspace(-1, 1, 65)
         rng = np.random.default_rng(7)
         layers = [
             funcspace.LayerFunction(
-                [(funcspace.GridPath(axes=(xs,), values=rng.uniform(-1, 1, 65)), (1,))], 1)
+                [(funcspace.GridPath(rng.uniform(-1, 1, 65)), (1,))], 1)
             for _ in range(3)
         ]
         pts = rng.uniform(-1, 1, size=(50, 1))
@@ -405,11 +394,65 @@ class TestCompose:
                                       funcspace.compose(layers, pts))
 
 
+class TestCellCache:
+    # compose keeps the grid cells of one point set in the caller's dict; layer 0
+    # must read from it the bits that each path computes from its own points
+    def reference(self, layers, pts):
+        for layer in layers:
+            cols = []
+            for path, s in layer.components:
+                sub = np.zeros((len(pts), path.r))  # slots past the active set stay 0
+                sub[:, :len(s)] = pts[:, [e - 1 for e in s]]
+                cols.append(path(sub))
+            pts = np.clip(np.column_stack(cols), -1.0, 1.0)
+        return pts[:, 0]
+
+    def stacks(self, rng):
+        def grid(*shape):
+            return funcspace.GridPath(rng.uniform(-1.0, 1.0, shape))
+
+        hats = funcspace.WaveletPath(2, [rng.uniform(-0.5, 0.5, 4**j) for j in (1, 2, 3)])
+        layer = funcspace.LayerFunction
+        return [
+            # q = 0: one r = 1 path on the second input
+            [layer([(grid(65), (2,))], 2)],
+            # q = 1: an r = 2 path, and an r = 2 path on one input with a padded slot
+            [layer([(grid(17, 33), (1, 2)), (grid(33, 17), (2,))], 2),
+             layer([(grid(21), (2,))], 2)],
+            # q = 2: a hat path (17 knots per axis) with a padded slot, an r = 1 path
+            [layer([(hats, (1,)), (grid(17), (2,)), (grid(17, 17), (2, 1))], 2),
+             layer([(grid(9, 9), (1, 3))], 3),
+             layer([(grid(33), (1,))], 1)],
+        ]
+
+    def test_cached_cells_give_the_same_bits(self, monkeypatch):
+        monkeypatch.setattr(funcspace, "_BLOCK", 7)  # 7 does not divide 500
+        rng = np.random.default_rng(5)
+        axis = np.linspace(-1.0, 1.0, 33)
+        vals = np.concatenate([axis, np.nextafter(axis, 2.0), rng.uniform(-1.2, 1.2, 401)])
+        pts = np.column_stack([rng.permutation(vals)[:500] for _ in range(2)])
+        cells = {}
+        for _ in range(2):
+            for layers in self.stacks(rng):
+                want = self.reference(layers, pts)
+                np.testing.assert_array_equal(funcspace.compose(layers, pts, cells), want)
+                np.testing.assert_array_equal(funcspace.compose(layers, pts), want)
+        # one entry per (input column, nodes per axis), None for a padded slot
+        assert set(cells) == {(1, 65), (0, 17), (1, 33), (None, 17), (1, 17)}
+        seen = dict(cells)
+        for layers in self.stacks(rng):
+            funcspace.compose(layers, pts, cells)
+        assert len(cells) == len(seen)
+        assert all(cells[key][0] is i and cells[key][1] is y
+                   for key, (i, y) in seen.items())
+        assert all(i.dtype == np.int32 and y.dtype == np.float64 for i, y in seen.values())
+
+
 class TestCompositionGapBound:
     def test_single_layer_equality(self):
         xs = np.linspace(-1, 1, 201)
-        h = funcspace.LayerFunction([(funcspace.GridPath(axes=(xs,), values=xs / 2), (1,))], 1)
-        ht = funcspace.LayerFunction([(funcspace.GridPath(axes=(xs,), values=xs / 4), (1,))], 1)
+        h = funcspace.LayerFunction([(funcspace.GridPath(xs / 2), (1,))], 1)
+        ht = funcspace.LayerFunction([(funcspace.GridPath(xs / 4), (1,))], 1)
         bound, gap = funcspace.composition_gap_bound([h], [ht], betas=(1.0,), K=1.0,
                                                      eta_slacks=(1e-12,))
         measured = gap(xs[:, None])
@@ -418,7 +461,7 @@ class TestCompositionGapBound:
 
     def test_identical_layers_zero_gap(self):
         xs = np.linspace(-1, 1, 65)
-        h = funcspace.LayerFunction([(funcspace.GridPath(axes=(xs,), values=xs / 2), (1,))], 1)
+        h = funcspace.LayerFunction([(funcspace.GridPath(xs / 2), (1,))], 1)
         bound, gap = funcspace.composition_gap_bound([h], [h], betas=(1.0,), K=1.0,
                                                      eta_slacks=(0.5,))
         np.testing.assert_allclose(bound, 0.5, rtol=1e-12)
@@ -464,3 +507,13 @@ class TestSerialization:
         q = funcspace.path_from_dict(funcspace.path_to_dict(p))
         pts = np.linspace(-1, 1, 101)[:, None]
         np.testing.assert_allclose(p(pts), q(pts), rtol=1e-15, atol=1e-15)
+
+    @pytest.mark.parametrize("axis", [[0.0], [1.0, -1.0], [-1.0, 0.0, 0.0, 1.0],
+                                      [-1.0, 0.25, 1.0]])
+    def test_axes_must_increase(self, axis):
+        # a grid path's axes come from its values' shape; only a serialized path
+        # names its axes, and the last one here increases strictly but is not uniform
+        d = {"type": "grid", "r": 1, "axes": [axis], "values": [0.0] * len(axis),
+             "shape": [len(axis)]}
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            funcspace.path_from_dict(d)

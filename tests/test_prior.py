@@ -212,7 +212,7 @@ class TestConditioningSpecs:
         assert isinstance(draw, funcspace.GridPath)
         # scaled into the sup ball: a path with sup > 1 is rejected before any norm
         sup = float(np.max(np.abs(draw.values)))
-        path = funcspace.GridPath(draw.axes, draw.values * (0.5 / sup))
+        path = funcspace.GridPath(draw.values * (0.5 / sup))
         _, diag = funcspace.in_conditioning_set(path, cond)
         np.testing.assert_allclose(diag["sup"], 0.5)
         assert "holder" in diag and "besov" not in diag
