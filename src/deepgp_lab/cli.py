@@ -29,7 +29,7 @@ _SAMPLE_POINTS = 2**21
 # command -> (required, optional) top-level config fields
 _FIELDS = {
     "rates": ({"structure", "family", "n_list"}, {"profile"}),
-    "sample": ({"family", "beta", "r", "n"}, {"count", "conditioned", "k_prime", "grid"}),
+    "sample": ({"family", "beta", "r", "n"}, {"count", "conditioned", "grid"}),
     "prior": ({"space", "family", "n"}, {"beta_grid", "draws", "profile"}),
     "fit": ({"space", "family", "n", "truth"}, {"beta_grid", "posterior", "profile"}),
     "diagnose": ({"space", "family", "n", "truth", "n_list"},
@@ -200,30 +200,22 @@ def _cmd_sample(cfg, seed, out_dir):
     spec = gp.GpSpec(family=cfg["family"], beta=_real(cfg["beta"], "beta"),
                      r=_int(cfg["r"], "r"), n=_int(cfg["n"], "n"), seed=seed,
                      grid=_int(cfg.get("grid", 33), "grid"))
+    if "grid" in cfg and spec.family == rates.WAVELET:
+        raise ValidationError(f"grid={spec.grid}: a wavelet path's values live on its "
+                              "knot grid, so grid is for the fbm and stationary families")
     count = _int(cfg.get("count", 1), "count")
-    conditioned = _bool(cfg.get("conditioned", False), "conditioned")
-    if conditioned and spec.family != rates.WAVELET and spec.beta > funcspace.HOLDER_MAX_BETA:
-        raise ValidationError(
-            f"beta = {spec.beta}: a conditioned {spec.family} path needs beta <= "
-            f"{funcspace.HOLDER_MAX_BETA:g}, the most its Hoelder check supports")
-    # every path is evaluated on a 33^r grid, a conditioned draw also on a grid^r one,
-    # and a wavelet path holds its values on its (2^{J+1}+1)^r knot grid
-    m = max(33, spec.grid) if conditioned else 33
-    if spec.family == rates.WAVELET:
-        m = max(m, 2 ** (rates.wavelet_resolution(spec.n, spec.beta, spec.r) + 1) + 1)
+    # a conditioned draw is a node of the prior: the same set, test grid and budget
+    cond = (prior.conditioning_spec(spec, rates.RateProfile(family=spec.family))
+            if _bool(cfg.get("conditioned", False), "conditioned") else None)
+    # every path is evaluated on a 33^r grid and holds its values on a value_grid^r one
+    m = max(33, gp.value_grid(spec))
     if m ** min(spec.r, 21) > _SAMPLE_POINTS:  # m >= 33, so any r > 21 is past the cap
         raise ValidationError(
-            f"sample evaluates paths on {m}^r grid points (33^r, the conditioning grid^r or "
-            f"a wavelet path's knot grid), capped at {_SAMPLE_POINTS}; "
-            f"got r={spec.r}" + (f", grid={spec.grid}" if conditioned else ""))
-    # the Besov radius for wavelet paths; the grid families' Hoelder limit is 1 wider
-    limit = gp.besov_radius(_real(cfg.get("k_prime", 2.0), "k_prime"))
-    if spec.family != rates.WAVELET:
-        limit += 1.0
-    cond = funcspace.ConditioningSpec(beta=spec.beta, K=limit, grid_m=spec.grid)
+            f"sample evaluates paths on {m}^r grid points (33^r, or the grid a path's "
+            f"values live on), capped at {_SAMPLE_POINTS}; got r={spec.r}")
     paths, rows = [], []
     for k in range(count):
-        if conditioned:
+        if cond is not None:
             _, path, attempts = gp.sample_conditioned(
                 spec, cond, lambda a: gp.draw_state(spec, (k, a)))
         else:

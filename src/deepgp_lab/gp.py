@@ -24,6 +24,7 @@ __all__ = [
     "GpSpec",
     "rng_for",
     "state_size",
+    "value_grid",
     "path_from_state",
     "draw_state",
     "sample_path",
@@ -98,15 +99,20 @@ def _chol_with_jitter(cov):
     raise NumericError("Cholesky failed after jitter escalation (1e-12..1e-8)")
 
 
-def _grid(r, grid):
-    """Value shape and points of a grid path: odd point count, so the origin is a node."""
-    m = grid | 1
-    return (m,) * r, grid_points(r, m)
+def value_grid(spec: GpSpec) -> int:
+    """Nodes per axis of the grid a path's values live on.
+
+    A wavelet path's knot grid has 2^{J+1}+1, J = wavelet_resolution(n, beta, r);
+    a grid family's path has grid | 1, an odd count, so the origin is a node.
+    """
+    if spec.family == WAVELET:
+        return 2 ** (wavelet_resolution(spec.n, spec.beta, spec.r) + 1) + 1
+    return spec.grid | 1
 
 
 @functools.lru_cache(maxsize=64)
-def _fbm_factor(beta, r, grid):
-    shape, pts = _grid(r, grid)
+def _fbm_factor(beta, r, m):
+    shape, pts = (m,) * r, grid_points(r, m)
     origin = int(np.argmin(np.linalg.norm(pts, axis=1)))
     rest = [i for i in range(len(pts)) if i != origin]
     cov = fbm_covariance(pts[rest], pts[rest], beta)
@@ -114,8 +120,8 @@ def _fbm_factor(beta, r, grid):
 
 
 @functools.lru_cache(maxsize=64)
-def _stationary_factor(beta, r, n, grid):
-    shape, pts = _grid(r, grid)
+def _stationary_factor(beta, r, n, m):
+    shape, pts = (m,) * r, grid_points(r, m)
     a = scaling_a(n, beta, r)
     d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
     cov = np.exp(-(a * a) * d2)
@@ -135,9 +141,9 @@ def state_size(spec: GpSpec) -> int:
     if spec.family == WAVELET:
         return sum(2 ** (j * spec.r) for j, _ in _wavelet_scales(spec))
     if spec.family == FBM:
-        _, pts, _, rest, _ = _fbm_factor(spec.beta, spec.r, spec.grid)
+        _, pts, _, rest, _ = _fbm_factor(spec.beta, spec.r, value_grid(spec))
         return 1 + len(rest)
-    _, pts, _ = _stationary_factor(spec.beta, spec.r, spec.n, spec.grid)
+    _, pts, _ = _stationary_factor(spec.beta, spec.r, spec.n, value_grid(spec))
     return len(pts)
 
 
@@ -154,13 +160,13 @@ def path_from_state(spec: GpSpec, z):
             pos += count
         return WaveletPath(r=spec.r, levels=levels)
     if spec.family == FBM:
-        shape, pts, origin, rest, chol = _fbm_factor(spec.beta, spec.r, spec.grid)
+        shape, pts, origin, rest, chol = _fbm_factor(spec.beta, spec.r, value_grid(spec))
         released = z[0]
         x = np.zeros(len(pts))
         x[rest] = chol @ z[1:]
         # x[origin] stays exactly 0: the covariance vanishes there pre-release
         return GridPath((x + released).reshape(shape))
-    shape, _, chol = _stationary_factor(spec.beta, spec.r, spec.n, spec.grid)
+    shape, _, chol = _stationary_factor(spec.beta, spec.r, spec.n, value_grid(spec))
     return GridPath((chol @ z).reshape(shape))
 
 

@@ -17,7 +17,7 @@ from .errors import ConditioningError, ValidationError
 from .funcspace import besov_norm, compose, grid_points, in_conditioning_set
 from .gp import path_from_state, rng_for
 from .prior import (Node, StructurePriorSpec, build_layers, sample_nodes,
-                    structure_prior_weights, _weights_array)
+                    structure_prior_weights, _structure_index, _weights_array)
 from .rates import WAVELET, eps_structure, minimax_rate
 
 __all__ = [
@@ -188,8 +188,7 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
     for t in range(it):
         if rng.random() < config.structure_move_prob:
             str_tot += 1
-            k = int(min(np.searchsorted(cum, rng.random(), side="right"),
-                        len(probs) - 1))
+            k = _structure_index(cum, rng.random())
             prop_states = _fresh_state(structures[k], spec, rng)
             if prop_states is not None:
                 prop_layers = build_layers(structures[k], prop_states)

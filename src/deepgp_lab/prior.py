@@ -16,9 +16,9 @@ import numpy as np
 
 from .errors import ConditioningError, ValidationError
 from .funcspace import HOLDER_MAX_BETA, ConditioningSpec, LayerFunction, compose
-from .gp import GpSpec, besov_radius, rng_for, sample_conditioned, state_size
-from .rates import (FBM, STATIONARY, WAVELET, LogWeight, RateProfile, alpha_exponents,
-                    eps_alpha, psi_n, wavelet_resolution)
+from .gp import (GpSpec, besov_radius, rng_for, sample_conditioned, state_size,
+                 value_grid)
+from .rates import WAVELET, LogWeight, RateProfile, alpha_exponents, eps_alpha, psi_n
 from .structure import (PENALTY_HORIZON, CompositionStructure, StructureSpace,
                         enumerate_structures)
 
@@ -32,7 +32,7 @@ __all__ = [
     "build_layers",
     "sample_dgp",
     "sample_prior",
-    "conditioning_spec_for_layer",
+    "conditioning_spec",
 ]
 
 # RNG key components (first slot of every spawn key)
@@ -42,8 +42,7 @@ _KEY_PATHS = 1
 _DEPTH_DECAY = 0.5  # gamma(q): geometric on 0..max_q
 _WIDTH_DECAY = 0.5  # gamma(d_i | q): geometric on 1..max_width
 _K_PRIME = 2.0  # K' of the wavelet family's Besov conditioning radius
-_GRID = 33  # grid families: nodes per axis of the path and of the Hoelder check
-_MAX_ATTEMPTS = 1000  # rejection budget of one conditioned node
+_GRID = 33  # grid families: nodes per axis of a node's path
 
 
 @dataclass(frozen=True)
@@ -54,26 +53,20 @@ class StructurePriorSpec:
     beta_grid: tuple = (1.0,)
 
     def __post_init__(self):
+        """Every node law the space can ask for exists: each beta at each layer width."""
         if self.n < 3:
             raise ValidationError("n must be >= 3")
-        family = self.profile.family
-        if family == FBM and not all(0 < b < 1 for b in self.beta_grid):
-            raise ValidationError(
-                f"beta_grid {list(self.beta_grid)}: the fbm family needs every beta in (0, 1)")
-        if family == STATIONARY and not all(b <= HOLDER_MAX_BETA for b in self.beta_grid):
-            raise ValidationError(
-                f"beta_grid {list(self.beta_grid)}: the stationary family needs every "
-                f"beta <= {HOLDER_MAX_BETA:g}, the most its Hoelder check supports")
-        if family != WAVELET:
-            # grid families draw paths of effective dimension r <= 2 only
-            widths = {"input_dim": self.space.input_dim}
-            if self.space.max_q > 0:
-                widths["max_width"] = self.space.max_width
+        widths = {"input_dim": self.space.input_dim}
+        if self.space.max_q > 0:
+            widths["max_width"] = self.space.max_width
+        for beta in self.beta_grid:
             for name, width in widths.items():
-                if width > 2:
-                    raise ValidationError(
-                        f"space.{name} = {width}: the {family} family supports "
-                        f"effective dimension at most 2")
+                try:
+                    conditioning_spec(GpSpec(family=self.profile.family, beta=beta, r=width,
+                                             n=self.n, grid=_GRID), self.profile)
+                except ValidationError as exc:
+                    raise ValidationError(f"beta_grid {list(self.beta_grid)}, "
+                                          f"space.{name} = {width}: {exc}") from exc
 
 
 def _logsumexp(a):
@@ -151,31 +144,36 @@ def _weights_array(weighted):
     return p
 
 
+def _structure_index(cum, u):
+    """The structure index a uniform u draws from cum = cumsum(p); the last if u >= cum[-1]."""
+    return int(min(np.searchsorted(cum, u, side="right"), len(cum) - 1))
+
+
 def sample_structure(spec: StructurePriorSpec, seed, weighted=None) -> CompositionStructure:
     if weighted is None:
         weighted = structure_prior_weights(spec)
-    p = _weights_array(weighted)
     u = rng_for(seed, (_KEY_STRUCTURE,)).random()
-    idx = int(np.searchsorted(np.cumsum(p), u, side="right"))
-    idx = min(idx, len(weighted) - 1)
-    return weighted[idx][0]
+    return weighted[_structure_index(np.cumsum(_weights_array(weighted)), u)][0]
 
 
-def conditioning_spec_for_layer(eta: CompositionStructure, layer: int,
-                                spec: StructurePriorSpec) -> ConditioningSpec:
-    """Acceptance region for layer `layer`: sup ball + smoothness ball.
+def conditioning_spec(gp_spec: GpSpec, profile: RateProfile,
+                      alpha: float = 1.0) -> ConditioningSpec:
+    """The set a node drawn from gp_spec is conditioned on: sup ball + smoothness ball.
 
     The wavelet family's Besov radius is fixed; a grid family's Hoelder radius
-    is widened by a slack that shrinks with n.
+    is widened by a slack 2 eps_n(alpha)^{1/alpha} that shrinks with n, where
+    alpha is the node's layer exponent (rates.alpha_exponents).  The test grid
+    is the grid the path's values live on, so a check reads node values.
     """
-    beta = float(eta.betas[layer])
-    t = int(eta.graph.eff_dims[layer])
-    if spec.profile.family == WAVELET:
-        j = wavelet_resolution(spec.n, beta, t)
-        return ConditioningSpec(beta=beta, K=besov_radius(_K_PRIME), grid_m=2 ** (j + 1) + 1)
-    a = float(alpha_exponents(eta.betas)[layer])
-    slack = 2.0 * eps_alpha(spec.profile, a, beta, t, spec.n) ** (1.0 / a)
-    return ConditioningSpec(beta=beta, K=spec.profile.holder_radius + slack, grid_m=_GRID)
+    beta, m = gp_spec.beta, value_grid(gp_spec)
+    if gp_spec.family == WAVELET:
+        return ConditioningSpec(beta=beta, K=besov_radius(_K_PRIME), grid_m=m)
+    if beta > HOLDER_MAX_BETA:
+        raise ValidationError(
+            f"beta = {beta}: a conditioned {gp_spec.family} path needs beta <= "
+            f"{HOLDER_MAX_BETA:g}, the most its Hoelder check supports")
+    slack = 2.0 * eps_alpha(profile, alpha, beta, gp_spec.r, gp_spec.n) ** (1.0 / alpha)
+    return ConditioningSpec(beta=beta, K=profile.holder_radius + slack, grid_m=m)
 
 
 class Node(NamedTuple):
@@ -191,20 +189,21 @@ def sample_nodes(eta: CompositionStructure, spec: StructurePriorSpec, draw):
     """Rejection-sample every (layer, output) node of eta into its layer's set.
 
     Layer i's nodes are paths with smoothness beta_i on t_i variables, conditioned
-    on conditioning_spec_for_layer(eta, i, spec).  draw(node, size, a) returns the
-    state of length size that node (i, j) tries at attempt a.  Returns
+    on conditioning_spec(their GpSpec, spec.profile, alpha_i).  draw(node, size, a)
+    returns the state of length size that node (i, j) tries at attempt a.  Returns
     ({node: Node}, {node: attempts}); an exhausted budget raises ConditioningError.
     """
     nodes, attempts = {}, {}
+    alphas = alpha_exponents(eta.betas)
     for i in range(eta.graph.q + 1):
-        cond = conditioning_spec_for_layer(eta, i, spec)
         gp_spec = GpSpec(family=spec.profile.family, beta=float(eta.betas[i]),
                          r=int(eta.graph.eff_dims[i]), n=spec.n, grid=_GRID)
+        cond = conditioning_spec(gp_spec, spec.profile, float(alphas[i]))
         size = state_size(gp_spec)
         for j in range(len(eta.graph.active_sets[i])):
             try:
                 z, path, attempts[(i, j)] = sample_conditioned(
-                    gp_spec, cond, lambda a: draw((i, j), size, a), _MAX_ATTEMPTS)
+                    gp_spec, cond, lambda a: draw((i, j), size, a))
             except ConditioningError as exc:
                 raise ConditioningError(f"node (layer {i}, output {j + 1}): {exc}",
                                         node=(i, j)) from exc

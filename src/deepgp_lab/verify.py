@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from . import funcspace, gp, rates, structure
+from . import funcspace, gp, prior, rates, structure
 from .errors import ValidationError
 from .rates import RateProfile
 
@@ -87,16 +87,17 @@ def check_floor(trials=200, seed=13):
 
 def check_besov_acceptance(draws=2000, seed=5):
     spec = gp.GpSpec(family=rates.WAVELET, beta=1.0, r=1, n=10**4, seed=seed)
-    thr = gp.besov_radius(2.0)
+    thr = prior.conditioning_spec(spec, RateProfile(family=rates.WAVELET)).K
+    bound = gp.acceptance_lower_bound(prior._K_PRIME, spec.r)
     hits = 0
     for k in range(draws):
         p = gp.sample_path(spec, key=(k,))
         if funcspace.besov_norm(p, 1.0) <= thr:
             hits += 1
     rate = hits / draws
-    sigma = math.sqrt((2 / 3) * (1 / 3) / draws)
-    ok = rate >= 2.0 / 3.0 - 3 * sigma
-    return "besov-acceptance-bound", ok, f"empirical {rate:.4f} vs bound 2/3"
+    sigma = math.sqrt(bound * (1 - bound) / draws)
+    ok = rate >= bound - 3 * sigma
+    return "besov-acceptance-bound", ok, f"empirical {rate:.4f} vs bound {bound:.4f}"
 
 
 def check_fbm_origin(seed=3):

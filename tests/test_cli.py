@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -79,12 +80,13 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")]) == 1
 
     def test_numeric_failure_exit_2(self, tmp_path, capsys):
-        # conditioning so tight that rejection sampling exhausts its budget
-        cfg = write_config(tmp_path, "s.json", {
-            "schema_version": 1, "family": "wavelet", "beta": 1.0, "r": 1,
-            "n": 256, "count": 1, "conditioned": True, "k_prime": -0.999})
+        # at n = 1e12 a stationary path's 33 nodes are nearly independent, so
+        # sup <= 1 almost never holds and rejection sampling exhausts its budget
+        cfg = config(tmp_path, "sample", family="stationary", n=10**12, count=1,
+                     conditioned=True)
         assert cli.main(["sample", "--config", cfg,
                          "--out", str(tmp_path / "o")]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "numeric"
 
     @pytest.mark.parametrize("command, edit, named", [
         pytest.param("fit", lambda c: c["posterior"].update(iters=5), "iters",
@@ -135,7 +137,9 @@ class TestExitCodes:
                      id="beta-not-numeric"),
         pytest.param("sample", lambda c: c.update(beta=[1]), "beta must be a number",
                      id="beta-list"),
-        pytest.param("sample", lambda c: c.update(k_prime="x"), "k_prime", id="k-prime-string"),
+        pytest.param("sample", lambda c: c.update(k_prime=2.0),
+                     "unknown sample config fields: ['k_prime']", id="k-prime-unknown"),
+        pytest.param("sample", lambda c: c.update(grid=33), "grid=33", id="wavelet-grid"),
         pytest.param("sample", lambda c: c.update(conditioned="no"),
                      "conditioned must be true or false", id="conditioned-string"),
         pytest.param("prior", lambda c: c.update(profile={"holder_radius": "x"}),
@@ -232,15 +236,23 @@ class TestExitCodes:
 
 class TestSampleCommand:
     def test_exhausted_conditioned_draw_names_its_limit(self, tmp_path, capsys):
-        # the default k_prime gives a stationary path the Hoelder limit
-        # (1 + 2) sqrt(2 log 2) + 1 = 4.532, which no draw at this seed meets
-        cfg = config(tmp_path, "sample", family="stationary", beta=1.0, r=1, n=500,
-                     count=1, conditioned=True)
-        assert cli.main(["sample", "--config", cfg, "--seed", "1001",
-                         "--out", str(tmp_path / "o")]) == 2
+        # the prior's node law: K = holder_radius + 2 eps_n(1), which is 39.32 at n = 1e12
+        cfg = config(tmp_path, "sample", family="stationary", n=10**12, count=1,
+                     conditioned=True)
+        assert cli.main(["sample", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "numeric"
-        assert "Hoelder norm <= K = 4.532 on the 33^1 test grid" in err["detail"]
+        assert ("no acceptance in 1000 attempts into sup <= 1 and Hoelder norm <= "
+                "K = 39.32 on the 33^1 test grid") in err["detail"]
+
+    def test_conditioned_draw_is_the_prior_node(self, tmp_path):
+        # the prior's node law (K = 904.2 at n = 500) accepts this draw at attempt 21
+        cfg = config(tmp_path, "sample", family="stationary", n=500, count=1,
+                     conditioned=True)
+        out = tmp_path / "o"
+        assert cli.main(["sample", "--config", cfg, "--seed", "1001",
+                         "--out", str(out)]) == 0
+        assert (out / "stats.csv").read_text().splitlines()[1].startswith("0,21,")
 
     def test_outputs(self, tmp_path):
         out = str(tmp_path / "out")
@@ -323,6 +335,23 @@ class TestVerifyCommand:
         stdout = capsys.readouterr().out
         assert "[PASS]" in stdout and "[FAIL]" not in stdout
         assert os.path.exists(os.path.join(out, "verify.csv"))
+
+
+README_JSON = re.findall(r"```json\n(.*?)```",
+                         (pathlib.Path(__file__).parents[1] / "README.md").read_text(), re.S)
+
+
+@pytest.mark.parametrize("block", README_JSON,
+                         ids=[f"block{i}" for i in range(len(README_JSON))])
+def test_readme_example_runs(tmp_path, block):
+    # an example documents the one command whose config fields it has
+    example = json.loads(block)
+    fields = set(example) - {"schema_version"}
+    commands = [c for c, (required, optional) in cli._FIELDS.items()
+                if required <= fields <= required | optional]
+    assert len(commands) == 1, f"{sorted(fields)} match the commands {commands}"
+    cfg = write_config(tmp_path, "example.json", example)
+    assert cli.main([commands[0], "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_library_never_prints():

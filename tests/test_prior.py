@@ -173,11 +173,6 @@ class TestDgpDraw:
 
 class TestConditioningSpecs:
     @staticmethod
-    def fig2_spec(n):
-        return make_spec(space=structure.StructureSpace(input_dim=5, max_q=1, max_width=3),
-                         n=n)
-
-    @staticmethod
     def fbm_spec(n):
         return make_spec(profile=rates.RateProfile(family=rates.FBM),
                          space=structure.StructureSpace(input_dim=2, max_q=1,
@@ -190,16 +185,21 @@ class TestConditioningSpecs:
         return structure.CompositionStructure(graph=g, betas=(0.8, 0.8),
                                               bounds=(0.3, 0.9))
 
+    @staticmethod
+    def cond(family, beta, r, n):
+        return prior.conditioning_spec(gp.GpSpec(family=family, beta=beta, r=r, n=n, grid=33),
+                                       rates.RateProfile(family=family))
+
     def fbm_layer_cond(self, n):
-        return prior.conditioning_spec_for_layer(self.fbm_structure(), 1, self.fbm_spec(n))
+        # the last layer of fbm_structure: beta 0.8 on 2 variables, alpha = 1
+        return self.cond(rates.FBM, 0.8, 2, n)
 
     def test_wavelet_radius(self):
-        cond = prior.conditioning_spec_for_layer(fig2_structure(), 1, self.fig2_spec(200))
+        cond = self.cond(rates.WAVELET, 1.0, 3, 200)
         np.testing.assert_allclose(cond.K, 3.0 * math.sqrt(2 * math.log(2)))
 
     def test_wavelet_limit_does_not_depend_on_n(self):
-        lo, hi = (prior.conditioning_spec_for_layer(fig2_structure(), 1, self.fig2_spec(n))
-                  for n in (200, 20000))
+        lo, hi = (self.cond(rates.WAVELET, 1.0, 3, n) for n in (200, 20000))
         assert lo.K == hi.K
         assert lo.grid_m < hi.grid_m  # the test grid refines with the resolution
 
@@ -223,6 +223,33 @@ class TestConditioningSpecs:
         lo, hi = self.fbm_layer_cond(200), self.fbm_layer_cond(20000)
         assert lo.K > hi.K > rates.RateProfile(family=rates.FBM).holder_radius
         assert lo.grid_m == hi.grid_m == 33
+
+    def test_nodes_follow_the_node_law(self):
+        # every node's set is conditioning_spec of its own law at its layer's alpha;
+        # layer 0 has alpha = min(beta_1, 1) = 0.8, so its slack differs from alpha = 1
+        spec, eta = self.fbm_spec(200), self.fbm_structure()
+        nodes, _ = prior.sample_nodes(eta, spec, lambda node, size, a: gp.rng_for(
+            5, node + (a,)).standard_normal(size))
+        alphas = rates.alpha_exponents(eta.betas)
+        for (i, _), node in nodes.items():
+            assert node.cond == prior.conditioning_spec(node.gp_spec, spec.profile, alphas[i])
+        assert nodes[(0, 0)].cond.K != prior.conditioning_spec(
+            nodes[(0, 0)].gp_spec, spec.profile).K
+
+    @pytest.mark.parametrize("grid", [20, 17])
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("family, beta", [
+        (rates.WAVELET, 1.0), (rates.FBM, 0.8), (rates.STATIONARY, 1.0)])
+    def test_no_check_interpolates(self, monkeypatch, family, beta, r, grid):
+        # the test grid is the grid the path's values live on, so a check reads them
+        def interpolate(path, points, cells=None):
+            raise AssertionError("a conditioning check interpolated a path")
+
+        spec = gp.GpSpec(family=family, beta=beta, r=r, n=500, grid=grid)
+        cond = prior.conditioning_spec(spec, rates.RateProfile(family=family))
+        monkeypatch.setattr(funcspace.GridPath, "__call__", interpolate)
+        _, path, _ = gp.sample_conditioned(spec, cond, lambda a: gp.draw_state(spec, (a,)))
+        assert path.values.shape == (cond.grid_m,) * r == (gp.value_grid(spec),) * r
 
 
 class TestFamilyCapabilities:
@@ -248,6 +275,21 @@ class TestFamilyCapabilities:
                       dict(input_dim=2, max_q=0, max_width=3)):
             make_spec(profile=rates.RateProfile(family=family), beta_grid=(0.5, 0.9),
                       space=structure.StructureSpace(**space))
+
+    @pytest.mark.parametrize("family, beta_grid, message", [
+        pytest.param(rates.FBM, (1.0,),
+                     "beta_grid [1.0], space.input_dim = 1: fBM requires beta in (0, 1)",
+                     id="fbm"),
+        pytest.param(rates.STATIONARY, (0.5, 2.5),
+                     "beta_grid [0.5, 2.5], space.input_dim = 1: "
+                     "beta = 2.5: a conditioned stationary path needs beta <= 2",
+                     id="stationary"),
+    ])
+    def test_error_names_the_fields(self, family, beta_grid, message):
+        # the spec asks the node law, and names the fields that led to its error
+        with pytest.raises(ValidationError) as exc:
+            make_spec(profile=rates.RateProfile(family=family), beta_grid=beta_grid)
+        assert str(exc.value).startswith(message)
 
     def test_wavelet_is_not_capped(self):
         make_spec(space=structure.StructureSpace(input_dim=5, max_q=1, max_width=3),
