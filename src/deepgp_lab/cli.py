@@ -23,8 +23,10 @@ from .errors import DeepGpError, NumericError, ValidationError
 
 _SCHEMA_VERSION = 1
 
-# most points `sample` evaluates a path on: 33^4 = 1,185,921 fit, 33^5 does not
-_SAMPLE_POINTS = 2**21
+# most nodes a `sample` path holds its values on, and its largest r.  Building
+# a wavelet path sums 2^r corner terms at each knot, so r is capped too: at
+# r = 9, J = 1 a path has only 5^9 knots, but 2^9 terms at each.
+_SAMPLE_POINTS, _SAMPLE_MAX_R = 2**21, 4
 
 # command -> (required, optional) top-level config fields
 _FIELDS = {
@@ -199,37 +201,35 @@ def _cmd_rates(cfg, seed, out_dir):
 def _cmd_sample(cfg, seed, out_dir):
     spec = gp.GpSpec(family=cfg["family"], beta=_real(cfg["beta"], "beta"),
                      r=_int(cfg["r"], "r"), n=_int(cfg["n"], "n"), seed=seed,
-                     grid=_int(cfg.get("grid", 33), "grid"))
+                     grid=_int(cfg.get("grid", gp.DEFAULT_GRID), "grid"))
     if "grid" in cfg and spec.family == rates.WAVELET:
         raise ValidationError(f"grid={spec.grid}: a wavelet path's values live on its "
                               "knot grid, so grid is for the fbm and stationary families")
     count = _int(cfg.get("count", 1), "count")
-    # a conditioned draw is a node of the prior: the same set, test grid and budget
-    cond = (prior.conditioning_spec(spec, rates.RateProfile(family=spec.family))
-            if _bool(cfg.get("conditioned", False), "conditioned") else None)
-    # every path is evaluated on a 33^r grid and holds its values on a value_grid^r one
-    m = max(33, gp.value_grid(spec))
-    if m ** min(spec.r, 21) > _SAMPLE_POINTS:  # m >= 33, so any r > 21 is past the cap
+    # a conditioned draw is a node of the prior: the same limit K and budget
+    K = (prior.conditioning_limit(spec, rates.RateProfile(family=spec.family))
+         if _bool(cfg.get("conditioned", False), "conditioned") else None)
+    m = gp.value_grid(spec)
+    if spec.r > _SAMPLE_MAX_R or m ** spec.r > _SAMPLE_POINTS:
         raise ValidationError(
-            f"sample evaluates paths on {m}^r grid points (33^r, or the grid a path's "
-            f"values live on), capped at {_SAMPLE_POINTS}; got r={spec.r}")
+            f"sample holds a path's values on {m}^r grid points, capped at "
+            f"{_SAMPLE_POINTS} and at r <= {_SAMPLE_MAX_R}; got r={spec.r}")
     paths, rows = [], []
     for k in range(count):
-        if cond is not None:
+        if K is not None:
             _, path, attempts = gp.sample_conditioned(
-                spec, cond, lambda a: gp.draw_state(spec, (k, a)))
+                spec, K, lambda a: gp.draw_state(spec, (k, a)))
         else:
             path = gp.sample_path(spec, key=(k, 1))
             attempts = 1
-        pts = funcspace.grid_points(spec.r, 33)
-        sup = float(np.max(np.abs(path(pts))))
+        # the norms a conditioning check reads: on the nodes the values live on
+        sup = float(np.max(np.abs(path.values)))
+        bnorm = hnorm = float("nan")
         if isinstance(path, funcspace.WaveletPath):
             bnorm = funcspace.besov_norm(path, spec.beta)
-            hnorm = float("nan")
         else:
-            bnorm = float("nan")
             hnorm = funcspace.holder_norm_empirical(
-                path, min(spec.beta, funcspace.HOLDER_MAX_BETA), grid_m=33)
+                path, min(spec.beta, funcspace.HOLDER_MAX_BETA))
         paths.append(funcspace.path_to_dict(path))
         rows.append((k, attempts, 1.0 / attempts, bnorm, hnorm, sup))
     _atomic_write(out_dir, "paths.json", json.dumps(paths, sort_keys=True) + "\n")
@@ -296,9 +296,11 @@ def _cmd_fit(cfg, seed, out_dir):
                ("iteration", "structure_index", "log_lik", "l2_error", "besov_norm",
                 "sup_norm"), rows)
     _write_csv(out_dir, "summary.csv",
-               ("n", "pcn_acceptance", "structure_acceptance", "median_l2_error"),
+               ("n", "pcn_acceptance", "structure_acceptance", "median_l2_error",
+                "structure_exhausted"),
                [(data.n, trace.pcn_acceptance, trace.structure_acceptance,
-                 float(np.median(trace.post_burn(trace.l2_error))))])
+                 float(np.median(trace.post_burn(trace.l2_error))),
+                 trace.structure_exhausted)])
 
 
 def _cmd_diagnose(cfg, seed, out_dir):

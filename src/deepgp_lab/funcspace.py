@@ -13,10 +13,10 @@ Two concrete path representations:
   WaveletPath is the GridPath of its knot values, which it sums once, level by
   level, when it is built.
 
-On top of those: empirical Holder norm, Besov sup-norm of coefficients,
-conditioning-set membership, layer/composition evaluation, the composition gap
-bound, and a brute-force covering-number oracle for the discretized Lipschitz
-class.
+On top of those: empirical Holder norm and conditioning-set membership, both
+read on a path's own nodes, Besov sup-norm of coefficients, layer/composition
+evaluation, the composition gap bound, and a brute-force covering-number
+oracle for the discretized Lipschitz class.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +35,6 @@ __all__ = [
     "WaveletPath",
     "GridPath",
     "LayerFunction",
-    "ConditioningSpec",
     "holder_norm_empirical",
     "besov_norm",
     "in_conditioning_set",
@@ -249,41 +247,14 @@ def _cached_cells(cells, pts, col, m):
     return cells[key]
 
 
-@dataclass(frozen=True)
-class ConditioningSpec:
-    """The acceptance region of one conditioned layer: a test grid and a limit.
-
-    A path is in the set when its sup over grid_points(r, grid_m) is at most 1,
-    the range LayerFunction clips to, and its smoothness norm is at most K.
-    The path's type picks the norm: the Besov coefficient norm for a
-    WaveletPath, the empirical Holder norm on the same grid for a GridPath.
-    """
-
-    beta: float
-    K: float
-    grid_m: int = 33
-
-
 def grid_points(r, m):
     """Full uniform mesh of [-1,1]^r with m points per axis, shape (m^r, r)."""
-    axis = np.linspace(-1.0, 1.0, m)
-    if r == 1:
-        return axis[:, None]
-    mesh = np.meshgrid(*([axis] * r), indexing="ij")
-    return np.column_stack([g.ravel() for g in mesh])
+    return _nodes((np.linspace(-1.0, 1.0, m),) * r)
 
 
-def _on_grid(f, m):
-    """f's values on grid_points(f.r, m) as an m^r tensor.
-
-    A GridPath whose nodes are that grid (its axes are uniform, so m nodes per
-    axis) is read, not interpolated: at a node the multilinear interpolant is
-    the node's value, bit for bit.  In prior and fit a WaveletPath's test grid
-    is its knot grid, so its checks read its knot values.
-    """
-    if isinstance(f, GridPath) and f.values.shape == (m,) * f.r:
-        return f.values
-    return f(grid_points(f.r, m)).reshape((m,) * f.r)
+def _nodes(axes):
+    """Every node of the tensor grid on these axes, one row each, in C order."""
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
 
 
 def _multi_indices(r, order):
@@ -307,30 +278,30 @@ def _sup_quotient(points, values, frac):
     return best
 
 
-def holder_norm_empirical(f, beta, grid_m=64):
-    """Grid surrogate of the weighted Holder-ball norm.
+def holder_norm_empirical(f, beta):
+    """Grid surrogate of the weighted Holder-ball norm, on the nodes of the grid path f.
 
     2r * sum_{|a| < floor(beta)} sup|d^a f|  +  2^{beta - floor(beta)} *
     sum_{|a| = floor(beta)} Holder-(beta - floor(beta)) quotient of d^a f,
-    with derivatives by central differences and sups over the grid.  For
+    with derivatives by central differences and sups over f's nodes.  For
     integer beta the quotient is the range max - min of d^a f, the same bits
     as the largest pairwise |difference| because rounding is monotone.
     """
     if beta > HOLDER_MAX_BETA:
         raise ValidationError("empirical Holder norm supports beta <= 2 only")
-    if grid_m < 8:
-        raise ValidationError("grid_m must be >= 8")
+    if min(f.values.shape) < 8:
+        raise ValidationError(f"empirical Holder norm needs >= 8 nodes per axis, "
+                              f"got a path of shape {f.values.shape}")
     r = f.r
     floor_b = int(math.floor(beta))
     frac = beta - floor_b
-    axis = _axis(grid_m)
-    h = axis[1] - axis[0]
-    vals = _on_grid(f, grid_m)
+    steps = [a[1] - a[0] for a in f.axes]
+    vals = f.values
 
     def deriv(tensor, axes):
         out = tensor
         for a in axes:
-            out = np.gradient(out, h, axis=a, edge_order=2)
+            out = np.gradient(out, steps[a], axis=a, edge_order=2)
         return out
 
     low = 0.0
@@ -341,7 +312,7 @@ def holder_norm_empirical(f, beta, grid_m=64):
     for a in _multi_indices(r, floor_b):
         g = deriv(vals, a).ravel()
         top += float(g.max() - g.min()) if frac == 0.0 else \
-            _sup_quotient(grid_points(r, grid_m), g, frac)
+            _sup_quotient(_nodes(f.axes), g, frac)
     return 2.0 * r * low + 2.0**frac * top
 
 
@@ -356,23 +327,26 @@ def besov_norm(path, beta):
     return best
 
 
-def in_conditioning_set(f, spec: ConditioningSpec):
-    """Membership check plus margin diagnostics.
+def in_conditioning_set(path, beta, K):
+    """Membership of the set {sup |path| <= 1, smoothness norm <= K}, plus margins.
 
-    A path with sup > 1 (or NaN) on the grid is rejected before any norm is
-    computed, and its diag holds only "sup" and "sup_margin".
+    Both read the nodes the path's values live on; 1 is the range
+    LayerFunction clips to.  The path's type picks the norm: the Besov
+    coefficient norm for a WaveletPath, the empirical Holder norm of the node
+    values for any other GridPath.  A path with sup > 1 (or NaN) is rejected
+    before any norm is computed, and its diag holds only "sup" and "sup_margin".
     """
-    sup = float(np.max(np.abs(_on_grid(f, spec.grid_m))))
+    sup = float(np.max(np.abs(path.values)))
     diag = {"sup": sup, "sup_margin": 1.0 - sup}
     if not sup <= 1.0:
         return False, diag
-    if isinstance(f, WaveletPath):
-        norm, name = besov_norm(f, spec.beta), "besov"
+    if isinstance(path, WaveletPath):
+        norm, name = besov_norm(path, beta), "besov"
     else:
-        norm, name = holder_norm_empirical(f, spec.beta, spec.grid_m), "holder"
+        norm, name = holder_norm_empirical(path, beta), "holder"
     diag[name] = norm
-    diag[f"{name}_margin"] = spec.K - norm
-    return norm <= spec.K, diag
+    diag[f"{name}_margin"] = K - norm
+    return norm <= K, diag
 
 
 def compose(layers, points, cells=None):

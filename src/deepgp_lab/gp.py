@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningError, NumericError, ValidationError
-from .funcspace import (ConditioningSpec, GridPath, WaveletPath, grid_points,
-                        in_conditioning_set)
+from .funcspace import GridPath, WaveletPath, grid_points, in_conditioning_set
 from .rates import FAMILIES, FBM, STATIONARY, WAVELET, wavelet_resolution
 
 __all__ = [
     "GpSpec",
+    "DEFAULT_GRID",
     "rng_for",
     "state_size",
     "value_grid",
@@ -36,6 +36,7 @@ __all__ = [
 ]
 
 _GRID_CAP = {1: 1024, 2: 64}
+DEFAULT_GRID = 33  # a grid family's nodes per axis, unless a spec says otherwise
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,7 @@ class GpSpec:
     r: int
     n: int
     seed: int = 0
-    grid: int = 65
+    grid: int = DEFAULT_GRID
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -178,8 +179,8 @@ def sample_path(spec: GpSpec, key=()):
     return path_from_state(spec, draw_state(spec, key))
 
 
-def sample_conditioned(spec: GpSpec, cond: ConditioningSpec, draw, max_attempts: int = 1000):
-    """Rejection-sample the family into the conditioning set.
+def sample_conditioned(spec: GpSpec, K: float, draw, max_attempts: int = 1000):
+    """Rejection-sample the family into the set {sup <= 1, smoothness norm <= K}.
 
     ``draw(a)`` returns the standard-normal state tried at attempt a = 1, 2, ...
     Returns (state, path, attempts).  The accepted draw's law is the
@@ -190,13 +191,14 @@ def sample_conditioned(spec: GpSpec, cond: ConditioningSpec, draw, max_attempts:
     for attempt in range(1, max_attempts + 1):
         z = draw(attempt)
         path = path_from_state(spec, z)
-        ok, _ = in_conditioning_set(path, cond)
+        ok, _ = in_conditioning_set(path, spec.beta, K)
         if ok:
             return z, path, attempt
     norm = "Besov" if spec.family == WAVELET else "Hoelder"
     raise ConditioningError(
         f"conditioning too tight: no acceptance in {max_attempts} attempts into sup <= 1 "
-        f"and {norm} norm <= K = {cond.K:.4g} on the {cond.grid_m}^{spec.r} test grid")
+        f"and {norm} norm <= K = {K:.4g} on the {value_grid(spec)}^{spec.r} grid "
+        "its values live on")
 
 
 def besov_radius(k_prime: float) -> float:

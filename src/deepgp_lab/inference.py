@@ -1,9 +1,10 @@
 """Synthetic regression, information geometry, and posterior MCMC.
 
-The sampler is pCN-within-Gibbs on the per-node Gaussian states with
-automatic rejection of proposals that leave the conditioning set (this targets
-the conditioned prior exactly), plus independence structure moves drawn from
-the prior (so the acceptance ratio reduces to the likelihood ratio).
+The sampler makes one joint pCN proposal for all node states and accepts or
+rejects it once, rejecting outright a proposal in which any node leaves its
+conditioning set (this targets the conditioned prior exactly), plus
+independence structure moves drawn from the prior (so the acceptance ratio
+reduces to the likelihood ratio; a move whose node draw runs out is counted).
 """
 
 from __future__ import annotations
@@ -122,6 +123,7 @@ class PosteriorTrace:
     sup: np.ndarray
     pcn_acceptance: float
     structure_acceptance: float
+    structure_exhausted: int  # structure moves rejected because a node draw ran out
     burn: int
 
     def post_burn(self, arr):
@@ -155,10 +157,9 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
 
     def loglik(layers):
         if config.prior_only:
-            return 0.0, None
+            return 0.0
         fv = compose(layers, data.X, design_cells)
-        ll = float(np.sum(data.Y * fv - 0.5 * fv**2))
-        return ll, fv
+        return float(np.sum(data.Y * fv - 0.5 * fv**2))
 
     # initialize at a prior draw (first structure with feasible conditioning)
     order = np.argsort(-probs)
@@ -173,7 +174,7 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
     if cur_idx is None:
         raise ConditioningError("no structure admits a feasible conditioned draw")
     cur_layers = build_layers(structures[cur_idx], cur_states)
-    cur_ll, _ = loglik(cur_layers)
+    cur_ll = loglik(cur_layers)
 
     it = config.iterations
     s_idx = np.empty(it, dtype=int)
@@ -181,7 +182,7 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
     errs = np.empty(it)
     bes = np.empty(it)
     sups = np.empty(it)
-    pcn_acc = pcn_tot = str_acc = str_tot = 0
+    pcn_acc = pcn_tot = str_acc = str_tot = str_exhausted = 0
     rho = config.pcn_step
     cum = np.cumsum(probs)
 
@@ -190,9 +191,11 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
             str_tot += 1
             k = _structure_index(cum, rng.random())
             prop_states = _fresh_state(structures[k], spec, rng)
-            if prop_states is not None:
+            if prop_states is None:
+                str_exhausted += 1
+            else:
                 prop_layers = build_layers(structures[k], prop_states)
-                prop_ll, _ = loglik(prop_layers)
+                prop_ll = loglik(prop_layers)
                 if math.log(rng.random() + 1e-300) < prop_ll - cur_ll:
                     cur_idx, cur_states = k, prop_states
                     cur_layers, cur_ll = prop_layers, prop_ll
@@ -200,18 +203,15 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
         else:
             pcn_tot += 1
             prop_states = {}
-            ok_all = True
             for key, ns in cur_states.items():
                 z = rho * ns.z + math.sqrt(1 - rho * rho) * rng.standard_normal(len(ns.z))
                 path = path_from_state(ns.gp_spec, z)
-                ok, _ = in_conditioning_set(path, ns.cond)
-                if not ok:
-                    ok_all = False
+                if not in_conditioning_set(path, ns.gp_spec.beta, ns.K)[0]:
                     break
-                prop_states[key] = Node(z, path, ns.gp_spec, ns.cond)
-            if ok_all:
+                prop_states[key] = Node(z, path, ns.gp_spec, ns.K)
+            else:
                 prop_layers = build_layers(structures[cur_idx], prop_states)
-                prop_ll, _ = loglik(prop_layers)
+                prop_ll = loglik(prop_layers)
                 if math.log(rng.random() + 1e-300) < prop_ll - cur_ll:
                     cur_states, cur_layers, cur_ll = prop_states, prop_layers, prop_ll
                     pcn_acc += 1
@@ -222,12 +222,8 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
         errs[t] = (math.sqrt(float(np.sum(eval_w * (fe - truth_eval) ** 2)))
                    if truth_eval is not None else math.nan)
         sups[t] = float(np.max(np.abs(fe)))
-        if spec.profile.family == WAVELET:
-            bes[t] = max(
-                besov_norm(ns.path, ns.cond.beta) for ns in cur_states.values()
-            )
-        else:
-            bes[t] = math.nan
+        bes[t] = (max(besov_norm(ns.path, ns.gp_spec.beta) for ns in cur_states.values())
+                  if spec.profile.family == WAVELET else math.nan)
 
     burn = int(config.burn_in * it)
     return PosteriorTrace(
@@ -235,7 +231,7 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
         besov=bes, sup=sups,
         pcn_acceptance=pcn_acc / pcn_tot if pcn_tot else math.nan,
         structure_acceptance=str_acc / str_tot if str_tot else math.nan,
-        burn=burn,
+        structure_exhausted=str_exhausted, burn=burn,
     )
 
 

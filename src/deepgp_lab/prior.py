@@ -15,9 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConditioningError, ValidationError
-from .funcspace import HOLDER_MAX_BETA, ConditioningSpec, LayerFunction, compose
-from .gp import (GpSpec, besov_radius, rng_for, sample_conditioned, state_size,
-                 value_grid)
+from .funcspace import HOLDER_MAX_BETA, LayerFunction, compose
+from .gp import GpSpec, besov_radius, rng_for, sample_conditioned, state_size
 from .rates import WAVELET, LogWeight, RateProfile, alpha_exponents, eps_alpha, psi_n
 from .structure import (PENALTY_HORIZON, CompositionStructure, StructureSpace,
                         enumerate_structures)
@@ -32,7 +31,7 @@ __all__ = [
     "build_layers",
     "sample_dgp",
     "sample_prior",
-    "conditioning_spec",
+    "conditioning_limit",
 ]
 
 # RNG key components (first slot of every spawn key)
@@ -42,7 +41,6 @@ _KEY_PATHS = 1
 _DEPTH_DECAY = 0.5  # gamma(q): geometric on 0..max_q
 _WIDTH_DECAY = 0.5  # gamma(d_i | q): geometric on 1..max_width
 _K_PRIME = 2.0  # K' of the wavelet family's Besov conditioning radius
-_GRID = 33  # grid families: nodes per axis of a node's path
 
 
 @dataclass(frozen=True)
@@ -62,8 +60,8 @@ class StructurePriorSpec:
         for beta in self.beta_grid:
             for name, width in widths.items():
                 try:
-                    conditioning_spec(GpSpec(family=self.profile.family, beta=beta, r=width,
-                                             n=self.n, grid=_GRID), self.profile)
+                    conditioning_limit(GpSpec(family=self.profile.family, beta=beta,
+                                              r=width, n=self.n), self.profile)
                 except ValidationError as exc:
                     raise ValidationError(f"beta_grid {list(self.beta_grid)}, "
                                           f"space.{name} = {width}: {exc}") from exc
@@ -156,40 +154,39 @@ def sample_structure(spec: StructurePriorSpec, seed, weighted=None) -> Compositi
     return weighted[_structure_index(np.cumsum(_weights_array(weighted)), u)][0]
 
 
-def conditioning_spec(gp_spec: GpSpec, profile: RateProfile,
-                      alpha: float = 1.0) -> ConditioningSpec:
-    """The set a node drawn from gp_spec is conditioned on: sup ball + smoothness ball.
+def conditioning_limit(gp_spec: GpSpec, profile: RateProfile, alpha: float = 1.0) -> float:
+    """The radius K of the smoothness ball a node drawn from gp_spec is conditioned on.
 
+    The node's set is {sup <= 1, smoothness norm <= K} (funcspace.in_conditioning_set).
     The wavelet family's Besov radius is fixed; a grid family's Hoelder radius
     is widened by a slack 2 eps_n(alpha)^{1/alpha} that shrinks with n, where
-    alpha is the node's layer exponent (rates.alpha_exponents).  The test grid
-    is the grid the path's values live on, so a check reads node values.
+    alpha is the node's layer exponent (rates.alpha_exponents).
     """
-    beta, m = gp_spec.beta, value_grid(gp_spec)
+    beta = gp_spec.beta
     if gp_spec.family == WAVELET:
-        return ConditioningSpec(beta=beta, K=besov_radius(_K_PRIME), grid_m=m)
+        return besov_radius(_K_PRIME)
     if beta > HOLDER_MAX_BETA:
         raise ValidationError(
             f"beta = {beta}: a conditioned {gp_spec.family} path needs beta <= "
             f"{HOLDER_MAX_BETA:g}, the most its Hoelder check supports")
     slack = 2.0 * eps_alpha(profile, alpha, beta, gp_spec.r, gp_spec.n) ** (1.0 / alpha)
-    return ConditioningSpec(beta=beta, K=profile.holder_radius + slack, grid_m=m)
+    return profile.holder_radius + slack
 
 
 class Node(NamedTuple):
-    """A conditioned node: its Gaussian state z, its path and the law it is drawn from."""
+    """A conditioned node: its Gaussian state z, its path, its law and its limit K."""
 
     z: np.ndarray
     path: object
     gp_spec: GpSpec
-    cond: ConditioningSpec
+    K: float
 
 
 def sample_nodes(eta: CompositionStructure, spec: StructurePriorSpec, draw):
     """Rejection-sample every (layer, output) node of eta into its layer's set.
 
     Layer i's nodes are paths with smoothness beta_i on t_i variables, conditioned
-    on conditioning_spec(their GpSpec, spec.profile, alpha_i).  draw(node, size, a)
+    on conditioning_limit(their GpSpec, spec.profile, alpha_i).  draw(node, size, a)
     returns the state of length size that node (i, j) tries at attempt a.  Returns
     ({node: Node}, {node: attempts}); an exhausted budget raises ConditioningError.
     """
@@ -197,17 +194,17 @@ def sample_nodes(eta: CompositionStructure, spec: StructurePriorSpec, draw):
     alphas = alpha_exponents(eta.betas)
     for i in range(eta.graph.q + 1):
         gp_spec = GpSpec(family=spec.profile.family, beta=float(eta.betas[i]),
-                         r=int(eta.graph.eff_dims[i]), n=spec.n, grid=_GRID)
-        cond = conditioning_spec(gp_spec, spec.profile, float(alphas[i]))
+                         r=int(eta.graph.eff_dims[i]), n=spec.n)
+        K = conditioning_limit(gp_spec, spec.profile, float(alphas[i]))
         size = state_size(gp_spec)
         for j in range(len(eta.graph.active_sets[i])):
             try:
                 z, path, attempts[(i, j)] = sample_conditioned(
-                    gp_spec, cond, lambda a: draw((i, j), size, a))
+                    gp_spec, K, lambda a: draw((i, j), size, a))
             except ConditioningError as exc:
                 raise ConditioningError(f"node (layer {i}, output {j + 1}): {exc}",
                                         node=(i, j)) from exc
-            nodes[(i, j)] = Node(z, path, gp_spec, cond)
+            nodes[(i, j)] = Node(z, path, gp_spec, K)
     return nodes, attempts
 
 

@@ -87,7 +87,7 @@ def check_floor(trials=200, seed=13):
 
 def check_besov_acceptance(draws=2000, seed=5):
     spec = gp.GpSpec(family=rates.WAVELET, beta=1.0, r=1, n=10**4, seed=seed)
-    thr = prior.conditioning_spec(spec, RateProfile(family=rates.WAVELET)).K
+    thr = prior.conditioning_limit(spec, RateProfile(family=rates.WAVELET))
     bound = gp.acceptance_lower_bound(prior._K_PRIME, spec.r)
     hits = 0
     for k in range(draws):
@@ -113,8 +113,8 @@ def check_holder_examples():
     xs = np.linspace(-1, 1, 257)
     f_lin = funcspace.GridPath(xs / 2)
     f_sq = funcspace.GridPath(xs**2)
-    n1 = funcspace.holder_norm_empirical(f_lin, 1.0, grid_m=257)
-    n2 = funcspace.holder_norm_empirical(f_sq, 1.0, grid_m=257)
+    n1 = funcspace.holder_norm_empirical(f_lin, 1.0)
+    n2 = funcspace.holder_norm_empirical(f_sq, 1.0)
     ok = abs(n1 - 1.0) < 0.02 and abs(n2 - 6.0) < 0.3
     return "holder-norm-examples", ok, f"x/2 -> {n1:.4f} (exp 1), x^2 -> {n2:.4f} (exp 6)"
 
@@ -130,7 +130,9 @@ def check_composition_bound(trials=100, seed=17):
         spec = gp.GpSpec(family=rates.WAVELET, beta=1.0, r=1, n=256,
                          seed=int(rng.integers(2**32)))
         p = gp.sample_path(spec)
-        norm = funcspace.holder_norm_empirical(p, 1.0, grid_m=129)
+        # the norm is read on 129 nodes, finer than the path's 17 knots
+        nodes = funcspace.GridPath(p(funcspace.grid_points(1, 129)))
+        norm = funcspace.holder_norm_empirical(nodes, 1.0)
         scale = min(1.0, 0.95 * K / max(norm, 1e-12))
         return funcspace.WaveletPath(r=1, levels=[scale * lv for lv in p.levels])
 

@@ -8,10 +8,11 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import deepgp_lab
-from deepgp_lab import cli, structure, verify
+from deepgp_lab import cli, funcspace, structure, verify
 from deepgp_lab.errors import ValidationError
 
 
@@ -243,7 +244,7 @@ class TestSampleCommand:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "numeric"
         assert ("no acceptance in 1000 attempts into sup <= 1 and Hoelder norm <= "
-                "K = 39.32 on the 33^1 test grid") in err["detail"]
+                "K = 39.32 on the 33^1 grid its values live on") in err["detail"]
 
     def test_conditioned_draw_is_the_prior_node(self, tmp_path):
         # the prior's node law (K = 904.2 at n = 500) accepts this draw at attempt 21
@@ -253,6 +254,21 @@ class TestSampleCommand:
         assert cli.main(["sample", "--config", cfg, "--seed", "1001",
                          "--out", str(out)]) == 0
         assert (out / "stats.csv").read_text().splitlines()[1].startswith("0,21,")
+
+    def test_norms_are_read_on_the_path_nodes(self, tmp_path):
+        # stats.csv reports the norms a conditioning check reads: on the 65 nodes
+        # the values live on, not interpolated onto another grid
+        cfg = config(tmp_path, "sample", family="stationary", n=500, grid=65)
+        out = tmp_path / "o"
+        assert cli.main(["sample", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "stats.csv").read_text().splitlines()[1:]]
+        paths = [funcspace.path_from_dict(d)
+                 for d in json.loads((out / "paths.json").read_text())]
+        assert len(rows) == len(paths) == 3
+        for row, path in zip(rows, paths):
+            assert path.values.shape == (65,)
+            assert float(row[4]) == funcspace.holder_norm_empirical(path, 1.0)
+            assert float(row[5]) == float(np.max(np.abs(path.values)))
 
     def test_outputs(self, tmp_path):
         out = str(tmp_path / "out")
@@ -316,7 +332,8 @@ class TestPriorAndFit:
         trace = (tmp_path / "out" / "trace.csv").read_text().splitlines()
         assert len(trace) == 61
         summary = (tmp_path / "out" / "summary.csv").read_text().splitlines()
-        assert summary[0] == "n,pcn_acceptance,structure_acceptance,median_l2_error"
+        assert summary[0] == ("n,pcn_acceptance,structure_acceptance,median_l2_error,"
+                              "structure_exhausted")
 
     def test_diagnose_seed_changes_output(self, tmp_path):
         cfg = config(tmp_path, "diagnose")

@@ -21,23 +21,23 @@ class TestHolderNorm:
     def test_linear_half(self):
         f = grid_fn(lambda x: x / 2)
         np.testing.assert_allclose(
-            funcspace.holder_norm_empirical(f, 1.0, 257), 1.0, atol=1e-8)
+            funcspace.holder_norm_empirical(f, 1.0), 1.0, atol=1e-8)
 
     def test_zero(self):
-        f = grid_fn(lambda x: 0 * x)
-        assert funcspace.holder_norm_empirical(f, 1.0, 64) == 0.0
+        f = grid_fn(lambda x: 0 * x, m=64)
+        assert funcspace.holder_norm_empirical(f, 1.0) == 0.0
 
     def test_quadratic(self):
         # 2*sup|x^2| + sup|2x - 2y| = 2 + 4
         f = grid_fn(lambda x: x**2)
-        val = funcspace.holder_norm_empirical(f, 1.0, 257)
+        val = funcspace.holder_norm_empirical(f, 1.0)
         assert abs(val - 6.0) < 0.3
 
     def test_fractional_exponent(self):
         # |x|^{1/2} has Holder-1/2 quotient exactly 1 (attained at 0),
         # weighted by 2^{1/2}
         f = grid_fn(lambda x: np.sqrt(np.abs(x)))
-        val = funcspace.holder_norm_empirical(f, 0.5, 257)
+        val = funcspace.holder_norm_empirical(f, 0.5)
         np.testing.assert_allclose(val, math.sqrt(2.0), rtol=0.05)
 
     def test_nested_balls(self):
@@ -46,9 +46,9 @@ class TestHolderNorm:
         rng = np.random.default_rng(42)
         for _ in range(20):
             coeffs = rng.uniform(-0.2, 0.2, size=3)
-            f = grid_fn(lambda x: coeffs[0] + coeffs[1] * x + coeffs[2] * x**2)
-            hi = funcspace.holder_norm_empirical(f, 1.0, 129)
-            lo = funcspace.holder_norm_empirical(f, 0.6, 129)
+            f = grid_fn(lambda x: coeffs[0] + coeffs[1] * x + coeffs[2] * x**2, m=129)
+            hi = funcspace.holder_norm_empirical(f, 1.0)
+            lo = funcspace.holder_norm_empirical(f, 0.6)
             if hi <= 1.0:
                 assert lo <= 1.0 * 1.01 + 0.05
 
@@ -68,6 +68,24 @@ def pairwise_holder_norm(f, beta, m):
     return 2.0 * f.r * low + top
 
 
+class TestHolderNodes:
+    def test_fewer_than_eight_nodes_refused(self):
+        with pytest.raises(ValidationError, match="needs >= 8 nodes per axis"):
+            funcspace.holder_norm_empirical(grid_fn(np.sin, m=7), 1.0)
+        with pytest.raises(ValidationError, match=r"\(9, 7\)"):
+            funcspace.holder_norm_empirical(funcspace.GridPath(np.zeros((9, 7))), 1.0)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_each_axis_has_its_own_spacing(self, beta):
+        # the norm is symmetric in the axes, so a (17, 33) grid and its transpose
+        # agree only when each derivative steps by its own axis's spacing
+        x, y = np.linspace(-1, 1, 17), np.linspace(-1, 1, 33)
+        values = np.sin(2 * x)[:, None] * np.cos(y**2)[None, :] / 2
+        a = funcspace.holder_norm_empirical(funcspace.GridPath(values), beta)
+        b = funcspace.holder_norm_empirical(funcspace.GridPath(values.T), beta)
+        np.testing.assert_allclose(a, b, rtol=1e-12)
+
+
 class TestIntegerHolderQuotient:
     @pytest.mark.parametrize("beta", [1.0, 2.0])
     @pytest.mark.parametrize("r, m", [(1, 65), (1, 33), (2, 17)])
@@ -75,7 +93,7 @@ class TestIntegerHolderQuotient:
         rng = np.random.default_rng(10 * r + m)
         for _ in range(5):
             f = funcspace.GridPath(rng.standard_normal((m,) * r))
-            assert funcspace.holder_norm_empirical(f, beta, m) == \
+            assert funcspace.holder_norm_empirical(f, beta) == \
                 pairwise_holder_norm(f, beta, m)
 
 
@@ -258,20 +276,15 @@ class TestGridEvaluation:
 
 
 class TestConditioningSet:
-    def spec(self, **kw):
-        base = dict(beta=1.0, K=2.0, grid_m=33)
-        base.update(kw)
-        return funcspace.ConditioningSpec(**base)
-
     def test_zero_path_accepted(self):
         p = funcspace.WaveletPath(r=1, levels=[np.zeros(2)])
-        ok, diag = funcspace.in_conditioning_set(p, self.spec())
+        ok, diag = funcspace.in_conditioning_set(p, 1.0, 2.0)
         assert ok and diag["sup"] == 0.0
 
     def test_constructed_interior_point(self):
         # besov norm K/2, sup well under 1
         p = funcspace.WaveletPath(r=1, levels=[np.array([2.0 ** -1.5, 0.0])])
-        ok, diag = funcspace.in_conditioning_set(p, self.spec(K=2.0))
+        ok, diag = funcspace.in_conditioning_set(p, 1.0, 2.0)
         assert ok
         np.testing.assert_allclose(diag["besov"], 1.0, rtol=1e-12)
 
@@ -280,8 +293,7 @@ class TestConditioningSet:
         # scale a single hat so its peak is 1.2
         peak = float(np.max(np.abs(p(np.linspace(-1, 1, 65)[:, None]))))
         assert peak > 1.0
-        ok, diag = funcspace.in_conditioning_set(
-            p, self.spec(K=100.0, grid_m=65))
+        ok, diag = funcspace.in_conditioning_set(p, 1.0, 100.0)
         assert not ok
         np.testing.assert_allclose(diag["sup_margin"], 1.0 - peak, rtol=1e-12)
 
@@ -294,7 +306,7 @@ class TestConditioningSet:
         for path in (funcspace.GridPath(1.5 * xs),
                      funcspace.GridPath(np.full(33, np.nan)),
                      funcspace.WaveletPath(r=1, levels=[np.array([1.5, 0.0])])):
-            ok, diag = funcspace.in_conditioning_set(path, self.spec())
+            ok, diag = funcspace.in_conditioning_set(path, 1.0, 2.0)
             assert not ok and set(diag) == {"sup", "sup_margin"}
 
     def test_grid_path_on_the_test_grid_is_read(self, monkeypatch):
@@ -304,12 +316,12 @@ class TestConditioningSet:
         xs = np.linspace(-1, 1, 33)
         g = funcspace.GridPath(np.add.outer(xs, xs) / 4)
         # 2r sup|f| + the range of each (constant) partial derivative: 4 * 0.5 + 0
-        ok, diag = funcspace.in_conditioning_set(g, self.spec(K=2.5))
+        ok, diag = funcspace.in_conditioning_set(g, 1.0, 2.5)
         assert ok and diag["sup"] == 0.5 and diag["holder"] == 2.0
-        # a path on other nodes is evaluated on the test grid
-        coarse = funcspace.GridPath(xs[::2] / 4)
-        with pytest.raises(AssertionError, match="GridPath evaluated"):
-            funcspace.in_conditioning_set(coarse, self.spec())
+        # a path on other nodes is read on its own nodes too: 2 * 0.25 + 0
+        ok, diag = funcspace.in_conditioning_set(funcspace.GridPath(xs[::2] / 4), 1.0, 2.0)
+        assert ok and diag["sup"] == 0.25
+        np.testing.assert_allclose(diag["holder"], 0.5, atol=1e-12)
 
     def test_wavelet_path_on_its_knot_grid_is_read(self, monkeypatch):
         levels = [np.array([0.3, -0.2]), np.array([0.1, 0.0, -0.1, 0.05])]
@@ -319,26 +331,23 @@ class TestConditioningSet:
             raise AssertionError("wavelet path evaluated")
         monkeypatch.setattr(funcspace.GridPath, "__call__", no_eval)
         monkeypatch.setattr(funcspace, "_hat_sum", no_eval)
-        ok, diag = funcspace.in_conditioning_set(w, self.spec(K=10.0, grid_m=2**3 + 1))
+        ok, diag = funcspace.in_conditioning_set(w, 1.0, 10.0)
         assert ok and diag["sup"] == float(np.max(np.abs(w.values)))
-        # on another grid the path is evaluated
-        with pytest.raises(AssertionError, match="wavelet path evaluated"):
-            funcspace.in_conditioning_set(w, self.spec(K=10.0, grid_m=33))
 
     def test_path_type_picks_the_norm(self):
         # a grid path is judged by its Holder norm, a wavelet path by its Besov norm
         xs = np.linspace(-1, 1, 33)
         g = funcspace.GridPath(xs / 2)
-        ok, diag = funcspace.in_conditioning_set(g, self.spec(K=1.5))
+        ok, diag = funcspace.in_conditioning_set(g, 1.0, 1.5)
         assert ok and "besov" not in diag
         np.testing.assert_allclose(diag["holder"], 1.0, atol=1e-8)
         np.testing.assert_allclose(diag["holder_margin"], 0.5, atol=1e-8)
-        assert not funcspace.in_conditioning_set(g, self.spec(K=0.9))[0]
+        assert not funcspace.in_conditioning_set(g, 1.0, 0.9)[0]
         w = funcspace.WaveletPath(r=1, levels=[np.array([-0.25, 0.25])])
-        ok, diag = funcspace.in_conditioning_set(w, self.spec(K=1.5))
+        ok, diag = funcspace.in_conditioning_set(w, 1.0, 1.5)
         assert ok and "holder" not in diag
         np.testing.assert_allclose(diag["besov"], 2.0**1.5 * 0.25, rtol=1e-12)
-        assert not funcspace.in_conditioning_set(w, self.spec(K=0.5))[0]
+        assert not funcspace.in_conditioning_set(w, 1.0, 0.5)[0]
 
 
 class TestCompose:

@@ -14,6 +14,13 @@ def wspec(**kw):
     return gp.GpSpec(**base)
 
 
+def test_default_grid_fits_r2():
+    # the default grid is within the r = 2 cap, so a 2-D spec need not name one
+    spec = gp.GpSpec(family=rates.STATIONARY, beta=1.0, r=2, n=100)
+    assert spec.grid == gp.DEFAULT_GRID == 33
+    assert gp.sample_path(spec).values.shape == (33, 33)
+
+
 def test_unknown_family_rejected():
     # without the check, state_size and path_from_state fall through to stationary
     with pytest.raises(ValidationError, match="family 'foo'"):
@@ -134,24 +141,19 @@ class TestStateMap:
 
 
 class TestConditioned:
-    def loose(self):
-        return funcspace.ConditioningSpec(beta=1.0, K=1e6, grid_m=17)
-
     @staticmethod
     def keyed(spec, key):
         return lambda a: gp.draw_state(spec, key + (a,))
 
     def test_trivial_set_first_attempt(self):
         spec = wspec(seed=2)
-        z, path, attempts = gp.sample_conditioned(spec, self.loose(),
-                                                  self.keyed(spec, (0,)))
+        z, path, attempts = gp.sample_conditioned(spec, 1e6, self.keyed(spec, (0,)))
         assert attempts == 1
         np.testing.assert_array_equal(z, gp.draw_state(spec, (0, 1)))
         pts = np.linspace(-1, 1, 17)[:, None]
         np.testing.assert_array_equal(path(pts), gp.path_from_state(spec, z)(pts))
 
     def test_infeasible_raises(self):
-        tight = funcspace.ConditioningSpec(beta=1.0, K=1e-9, grid_m=17)
         spec, tried = wspec(seed=2), []
 
         def draw(a):
@@ -159,18 +161,17 @@ class TestConditioned:
             return gp.draw_state(spec, (0, a))
 
         with pytest.raises(ConditioningError):
-            gp.sample_conditioned(spec, tight, draw, max_attempts=20)
+            gp.sample_conditioned(spec, 1e-9, draw, max_attempts=20)
         assert tried == list(range(1, 21))
 
     def test_restriction_law(self):
         # accepted draws follow the prior restricted to the set: compare the
         # besov-norm law of conditioned draws against direct draws filtered by
         # the same set, sup <= 1 included
-        cond = funcspace.ConditioningSpec(beta=1.0, K=3.0 * math.sqrt(2 * math.log(2)),
-                                          grid_m=17)
+        K = 3.0 * math.sqrt(2 * math.log(2))
         accepted = [
             funcspace.besov_norm(
-                gp.sample_conditioned(wspec(seed=s), cond,
+                gp.sample_conditioned(wspec(seed=s), K,
                                       self.keyed(wspec(seed=s), (1,)))[1], 1.0)
             for s in range(400)
         ]
@@ -178,7 +179,7 @@ class TestConditioned:
         s = 10_000
         while len(filtered) < 400:
             path = gp.sample_path(wspec(seed=s))
-            if funcspace.in_conditioning_set(path, cond)[0]:
+            if funcspace.in_conditioning_set(path, 1.0, K)[0]:
                 filtered.append(funcspace.besov_norm(path, 1.0))
             s += 1
         assert stats.ks_2samp(accepted, filtered).pvalue > 0.01

@@ -163,6 +163,24 @@ class TestMcmc:
         assert trace.burn == 20
         assert len(trace.post_burn(trace.l2_error)) == 60
 
+    def test_exhausted_structure_moves_are_counted(self, monkeypatch):
+        # after the chain's first state every node draw runs out of its budget,
+        # so every structure move is rejected, and counted
+        real, calls = prior.sample_conditioned, []
+
+        def exhausting(spec, K, draw, max_attempts=1000):
+            calls.append(K)
+            if len(calls) > 1:  # q0_spec's one node: call 1 is the first state
+                K, max_attempts = -1.0, 3
+            return real(spec, K, draw, max_attempts)
+
+        monkeypatch.setattr(prior, "sample_conditioned", exhausting)
+        data = inference.generate_data(lambda x: 0.0 * x[:, 0], n=100, seed=0)
+        cfg = inference.PosteriorConfig(iterations=60, structure_move_prob=0.5, seed=4)
+        trace = inference.run_mcmc(data, q0_spec(n=100), cfg)
+        assert trace.structure_exhausted == len(calls) - 1 > 10
+        assert trace.structure_acceptance == 0.0
+
     def test_five_dimensional_error_grid(self, monkeypatch):
         # the L2-error grid stays within 17^3 points: 5 per axis at d = 5, not 17
         sizes = []

@@ -186,70 +186,65 @@ class TestConditioningSpecs:
                                               bounds=(0.3, 0.9))
 
     @staticmethod
-    def cond(family, beta, r, n):
-        return prior.conditioning_spec(gp.GpSpec(family=family, beta=beta, r=r, n=n, grid=33),
-                                       rates.RateProfile(family=family))
+    def limit(family, beta, r, n):
+        return prior.conditioning_limit(gp.GpSpec(family=family, beta=beta, r=r, n=n),
+                                        rates.RateProfile(family=family))
 
-    def fbm_layer_cond(self, n):
+    def fbm_layer_limit(self, n):
         # the last layer of fbm_structure: beta 0.8 on 2 variables, alpha = 1
-        return self.cond(rates.FBM, 0.8, 2, n)
+        return self.limit(rates.FBM, 0.8, 2, n)
 
     def test_wavelet_radius(self):
-        cond = self.cond(rates.WAVELET, 1.0, 3, 200)
-        np.testing.assert_allclose(cond.K, 3.0 * math.sqrt(2 * math.log(2)))
+        K = self.limit(rates.WAVELET, 1.0, 3, 200)
+        np.testing.assert_allclose(K, 3.0 * math.sqrt(2 * math.log(2)))
 
     def test_wavelet_limit_does_not_depend_on_n(self):
-        lo, hi = (self.cond(rates.WAVELET, 1.0, 3, n) for n in (200, 20000))
-        assert lo.K == hi.K
-        assert lo.grid_m < hi.grid_m  # the test grid refines with the resolution
+        assert self.limit(rates.WAVELET, 1.0, 3, 200) == self.limit(rates.WAVELET, 1.0, 3, 20000)
 
     def test_holder_mode_for_grid_family(self):
         # a grid family's layer is a GridPath, so its set is judged by the Holder norm
-        cond = self.fbm_layer_cond(200)
-        assert cond.K >= rates.RateProfile(family=rates.FBM).holder_radius
-        draw = gp.sample_path(gp.GpSpec(family=rates.FBM, beta=cond.beta, r=2, n=200,
-                                        grid=cond.grid_m))
+        K = self.fbm_layer_limit(200)
+        assert K >= rates.RateProfile(family=rates.FBM).holder_radius
+        draw = gp.sample_path(gp.GpSpec(family=rates.FBM, beta=0.8, r=2, n=200))
         assert isinstance(draw, funcspace.GridPath)
         # scaled into the sup ball: a path with sup > 1 is rejected before any norm
         sup = float(np.max(np.abs(draw.values)))
         path = funcspace.GridPath(draw.values * (0.5 / sup))
-        _, diag = funcspace.in_conditioning_set(path, cond)
+        _, diag = funcspace.in_conditioning_set(path, 0.8, K)
         np.testing.assert_allclose(diag["sup"], 0.5)
         assert "holder" in diag and "besov" not in diag
-        np.testing.assert_allclose(diag["holder_margin"], cond.K - diag["holder"])
+        np.testing.assert_allclose(diag["holder_margin"], K - diag["holder"])
 
     def test_slack_shrinks_with_n(self):
         # a grid family's Holder limit is holder_radius plus a slack that falls with n
-        lo, hi = self.fbm_layer_cond(200), self.fbm_layer_cond(20000)
-        assert lo.K > hi.K > rates.RateProfile(family=rates.FBM).holder_radius
-        assert lo.grid_m == hi.grid_m == 33
+        lo, hi = self.fbm_layer_limit(200), self.fbm_layer_limit(20000)
+        assert lo > hi > rates.RateProfile(family=rates.FBM).holder_radius
 
     def test_nodes_follow_the_node_law(self):
-        # every node's set is conditioning_spec of its own law at its layer's alpha;
+        # every node's limit is conditioning_limit of its own law at its layer's alpha;
         # layer 0 has alpha = min(beta_1, 1) = 0.8, so its slack differs from alpha = 1
         spec, eta = self.fbm_spec(200), self.fbm_structure()
         nodes, _ = prior.sample_nodes(eta, spec, lambda node, size, a: gp.rng_for(
             5, node + (a,)).standard_normal(size))
         alphas = rates.alpha_exponents(eta.betas)
         for (i, _), node in nodes.items():
-            assert node.cond == prior.conditioning_spec(node.gp_spec, spec.profile, alphas[i])
-        assert nodes[(0, 0)].cond.K != prior.conditioning_spec(
-            nodes[(0, 0)].gp_spec, spec.profile).K
+            assert node.K == prior.conditioning_limit(node.gp_spec, spec.profile, alphas[i])
+        assert nodes[(0, 0)].K != prior.conditioning_limit(nodes[(0, 0)].gp_spec, spec.profile)
 
     @pytest.mark.parametrize("grid", [20, 17])
     @pytest.mark.parametrize("r", [1, 2])
     @pytest.mark.parametrize("family, beta", [
         (rates.WAVELET, 1.0), (rates.FBM, 0.8), (rates.STATIONARY, 1.0)])
     def test_no_check_interpolates(self, monkeypatch, family, beta, r, grid):
-        # the test grid is the grid the path's values live on, so a check reads them
+        # a check reads the values on the grid they live on
         def interpolate(path, points, cells=None):
             raise AssertionError("a conditioning check interpolated a path")
 
         spec = gp.GpSpec(family=family, beta=beta, r=r, n=500, grid=grid)
-        cond = prior.conditioning_spec(spec, rates.RateProfile(family=family))
+        K = prior.conditioning_limit(spec, rates.RateProfile(family=family))
         monkeypatch.setattr(funcspace.GridPath, "__call__", interpolate)
-        _, path, _ = gp.sample_conditioned(spec, cond, lambda a: gp.draw_state(spec, (a,)))
-        assert path.values.shape == (cond.grid_m,) * r == (gp.value_grid(spec),) * r
+        _, path, _ = gp.sample_conditioned(spec, K, lambda a: gp.draw_state(spec, (a,)))
+        assert path.values.shape == (gp.value_grid(spec),) * r
 
 
 class TestFamilyCapabilities:
