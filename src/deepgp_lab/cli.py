@@ -217,8 +217,8 @@ def _cmd_sample(cfg, seed, out_dir):
     paths, rows = [], []
     for k in range(count):
         if K is not None:
-            _, path, attempts = gp.sample_conditioned(
-                spec, K, lambda a: gp.draw_state(spec, (k, a)))
+            _, path, attempts = gp.sample_conditioned(spec, K, lambda a, count: np.stack(
+                [gp.draw_state(spec, (k, b)) for b in range(a, a + count)]))
         else:
             path = gp.sample_path(spec, key=(k, 1))
             attempts = 1

@@ -37,6 +37,8 @@ __all__ = [
 
 _GRID_CAP = {1: 1024, 2: 64}
 DEFAULT_GRID = 33  # a grid family's nodes per axis, unless a spec says otherwise
+_BLOCK_CAP = 64  # most attempts sample_conditioned draws and screens at once
+_SLACK_FACTOR = 2.0  # two products' rounding, in _screen_factor's bound
 
 
 @dataclass(frozen=True)
@@ -179,21 +181,73 @@ def sample_path(spec: GpSpec, key=()):
     return path_from_state(spec, draw_state(spec, key))
 
 
+@functools.lru_cache(maxsize=64)
+def _screen_factor(family, beta, r, n, m):
+    """A grid family's Cholesky factor L and a rounding bound per unit of max |z|.
+
+    A dot product of length k, summed in any order, is within
+    k u/(1 - k u) sum_j |L_ij z_j| of its exact value (u = 2^-53, the unit
+    roundoff), so row i of a block product Z @ L.T and path_from_state's
+    L @ z differ by at most twice that, or 2 k u/(1 - k u) max_i ||L_i||_1 max|z|.
+    The bound takes eps = 2^-52 = 2u for u, which covers 1/(1 - k u) and the
+    rounding of the row sums.
+    """
+    chol = (_fbm_factor(beta, r, m) if family == FBM else _stationary_factor(beta, r, n, m))[-1]
+    row_l1 = float(np.max(np.sum(np.abs(chol), axis=1)))
+    return chol, _SLACK_FACTOR * chol.shape[1] * np.finfo(float).eps * row_l1
+
+
+def _screened_rows(spec: GpSpec, states):
+    """The rows of a block of states, in order, whose paths may have sup <= 1.
+
+    A wavelet block is not screened.  A grid family's node values come from one
+    matrix product for the whole block.  A row is dropped only when its sup
+    exceeds 1 by more than the product's rounding bound, plus 4 eps for fbm's
+    added z[0] and the rounding of values near 1; path_from_state's values for
+    that row then have sup > 1 too, and in_conditioning_set would reject it.
+    """
+    if spec.family == WAVELET:
+        return range(len(states))
+    chol, bound = _screen_factor(spec.family, spec.beta, spec.r, spec.n, value_grid(spec))
+    if spec.family == FBM:
+        released = states[:, :1]
+        # the origin holds exactly the released z[0]; the other nodes add it to L @ z[1:]
+        sup = np.maximum(abs(released[:, 0]), abs(states[:, 1:] @ chol.T + released).max(axis=1))
+    else:
+        sup = abs(states @ chol.T).max(axis=1)
+    slack = bound * abs(states).max() + 4 * np.finfo(float).eps
+    return np.flatnonzero(sup <= 1.0 + slack)
+
+
 def sample_conditioned(spec: GpSpec, K: float, draw, max_attempts: int = 1000):
     """Rejection-sample the family into the set {sup <= 1, smoothness norm <= K}.
 
-    ``draw(a)`` returns the standard-normal state tried at attempt a = 1, 2, ...
-    Returns (state, path, attempts).  The accepted draw's law is the
-    unconditioned law restricted to the set, exactly.
+    ``draw(a, count)`` returns the (count, state_size(spec)) standard-normal
+    states tried at attempts a, a+1, ..., a+count-1; attempts are drawn in
+    blocks of 1, 2, 4, ..., at most _BLOCK_CAP and at most the budget left, so
+    the blocks of an exhausted budget cover exactly max_attempts attempts.
+    A grid family's block is screened first: one matrix product gives every
+    row's node values, and a row whose sup exceeds 1 by more than the product's
+    rounding bound is rejected there, as the exact check would reject it.
+    The rows left (every row of a wavelet block) are decided in attempt order
+    by path_from_state and in_conditioning_set, so every decision is the one a
+    per-attempt loop makes.  Returns (state, path, attempts).  The accepted
+    draw's law is the unconditioned law restricted to the set, exactly.
     """
     if max_attempts < 1:
         raise ValidationError("max_attempts must be >= 1")
-    for attempt in range(1, max_attempts + 1):
-        z = draw(attempt)
-        path = path_from_state(spec, z)
-        ok, _ = in_conditioning_set(path, spec.beta, K)
-        if ok:
-            return z, path, attempt
+    attempt, block = 1, 1
+    while attempt <= max_attempts:
+        count = min(block, max_attempts - attempt + 1)
+        states = draw(attempt, count)
+        for i in _screened_rows(spec, states):
+            z = states[i].copy()  # the node keeps its own state, not a view of the block
+            path = path_from_state(spec, z)
+            ok, _ = in_conditioning_set(path, spec.beta, K)
+            if ok:
+                return z, path, attempt + int(i)
+        attempt += count
+        block = min(2 * block, _BLOCK_CAP)
     norm = "Besov" if spec.family == WAVELET else "Hoelder"
     raise ConditioningError(
         f"conditioning too tight: no acceptance in {max_attempts} attempts into sup <= 1 "

@@ -27,6 +27,7 @@ __all__ = [
     "Node",
     "structure_prior_weights",
     "sample_structure",
+    "node_draws",
     "sample_nodes",
     "build_layers",
     "sample_dgp",
@@ -182,15 +183,16 @@ class Node(NamedTuple):
     K: float
 
 
-def sample_nodes(eta: CompositionStructure, spec: StructurePriorSpec, draw):
-    """Rejection-sample every (layer, output) node of eta into its layer's set.
+def node_draws(eta: CompositionStructure, spec: StructurePriorSpec, draw):
+    """Rejection-sample every (layer, output) node of eta into its layer's set, in turn.
 
     Layer i's nodes are paths with smoothness beta_i on t_i variables, conditioned
-    on conditioning_limit(their GpSpec, spec.profile, alpha_i).  draw(node, size, a)
-    returns the state of length size that node (i, j) tries at attempt a.  Returns
-    ({node: Node}, {node: attempts}); an exhausted budget raises ConditioningError.
+    on conditioning_limit(their GpSpec, spec.profile, alpha_i).
+    draw(node, size, a, count) returns the (count, size) states that node (i, j)
+    tries at attempts a, ..., a+count-1 (gp.sample_conditioned's blocks).
+    Yields ((i, j), Node, attempts) as each node is accepted, before the next
+    node draws; an exhausted budget raises ConditioningError.
     """
-    nodes, attempts = {}, {}
     alphas = alpha_exponents(eta.betas)
     for i in range(eta.graph.q + 1):
         gp_spec = GpSpec(family=spec.profile.family, beta=float(eta.betas[i]),
@@ -199,12 +201,24 @@ def sample_nodes(eta: CompositionStructure, spec: StructurePriorSpec, draw):
         size = state_size(gp_spec)
         for j in range(len(eta.graph.active_sets[i])):
             try:
-                z, path, attempts[(i, j)] = sample_conditioned(
-                    gp_spec, K, lambda a: draw((i, j), size, a))
+                z, path, attempts = sample_conditioned(
+                    gp_spec, K, lambda a, count: draw((i, j), size, a, count))
             except ConditioningError as exc:
                 raise ConditioningError(f"node (layer {i}, output {j + 1}): {exc}",
                                         node=(i, j)) from exc
-            nodes[(i, j)] = Node(z, path, gp_spec, K)
+            yield (i, j), Node(z, path, gp_spec, K), attempts
+
+
+def sample_nodes(eta: CompositionStructure, spec: StructurePriorSpec, draw):
+    """Every node of eta, as node_draws draws them: ({node: Node}, {node: attempts}).
+
+    draw(node, size, a, count) returns the (count, size) states that node (i, j)
+    tries at attempts a, ..., a+count-1.  A caller that needs to act between
+    nodes, as a shared sequential stream does, iterates node_draws instead.
+    """
+    nodes, attempts = {}, {}
+    for key, node, tries in node_draws(eta, spec, draw):
+        nodes[key], attempts[key] = node, tries
     return nodes, attempts
 
 
@@ -232,8 +246,9 @@ class DgpDraw:
 
 def sample_dgp(eta: CompositionStructure, spec: StructurePriorSpec, seed) -> DgpDraw:
     """One conditioned path per (layer, output) node, independent across nodes."""
-    nodes, attempts = sample_nodes(eta, spec, lambda node, size, a: rng_for(
-        seed, (_KEY_PATHS,) + node + (a,)).standard_normal(size))
+    nodes, attempts = sample_nodes(eta, spec, lambda node, size, a, count: np.stack([
+        rng_for(seed, (_KEY_PATHS,) + node + (b,)).standard_normal(size)
+        for b in range(a, a + count)]))
     return DgpDraw(structure=eta, layers=build_layers(eta, nodes), stats=attempts)
 
 

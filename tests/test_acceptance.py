@@ -45,18 +45,35 @@ def test_criterion_03_rate_comparison_sandwich():
     _report(3, "rate comparison sandwich", ok, detail, t0)
 
 
-def test_criterion_04_entropy_bound_sandwich():
-    t0 = time.perf_counter()
+def _entropy_sandwich(covering_number):
+    """Criterion 4's check: Q1(1, 1, 1) is 2.07e4 and, at delta 1 and 0.5, the
+    log of the covering count of the discretized Holder ball is within Q1 / delta."""
     q1 = rates.entropy_constant_Q1(1.0, 1, 1.0)
     details = []
     ok = abs(q1 - 2.07e4) < 100
     for delta in (1.0, 0.5):
-        n_cov = funcspace.covering_number_oracle(1.0, 1, 1.0, delta, 4)
+        n_cov = covering_number(1.0, 1, 1.0, delta, 4)
         lhs = math.log(max(n_cov, 1))
         ok = ok and lhs <= q1 / delta
         details.append(f"delta={delta}: log N = {lhs:.3f} <= {q1 / delta:.1f}")
+    return ok, "; ".join(details)
+
+
+def test_criterion_04_entropy_bound_sandwich():
+    t0 = time.perf_counter()
+    ok, detail = _entropy_sandwich(funcspace.covering_number_oracle)
     ok = ok and (time.perf_counter() - t0) < 60.0
-    _report(4, "entropy bound sandwich", ok, "; ".join(details), t0)
+    _report(4, "entropy bound sandwich", ok, detail, t0)
+
+
+def test_criterion_04_fails_when_the_count_exceeds_the_bound():
+    # a covering count above e^{Q1/delta} (here 3^{ceil(Q1/delta)}) breaks the
+    # sandwich inequality itself; the Q1 constant check still passes
+    q1 = rates.entropy_constant_Q1(1.0, 1, 1.0)
+    assert abs(q1 - 2.07e4) < 100
+    ok, detail = _entropy_sandwich(lambda beta, r, K, delta, m: 3 ** math.ceil(q1 / delta))
+    assert not ok
+    assert "log N = 22741." in detail
 
 
 def test_criterion_05_composition_bound():

@@ -1,10 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from deepgp_lab import funcspace, gp, rates
+from deepgp_lab import funcspace, gp, prior, rates
 from deepgp_lab.errors import ConditioningError, ValidationError
 
 
@@ -143,7 +144,8 @@ class TestStateMap:
 class TestConditioned:
     @staticmethod
     def keyed(spec, key):
-        return lambda a: gp.draw_state(spec, key + (a,))
+        return lambda a, count: np.stack(
+            [gp.draw_state(spec, key + (b,)) for b in range(a, a + count)])
 
     def test_trivial_set_first_attempt(self):
         spec = wspec(seed=2)
@@ -156,9 +158,9 @@ class TestConditioned:
     def test_infeasible_raises(self):
         spec, tried = wspec(seed=2), []
 
-        def draw(a):
-            tried.append(a)
-            return gp.draw_state(spec, (0, a))
+        def draw(a, count):
+            tried.extend(range(a, a + count))
+            return np.stack([gp.draw_state(spec, (0, b)) for b in range(a, a + count)])
 
         with pytest.raises(ConditioningError):
             gp.sample_conditioned(spec, 1e-9, draw, max_attempts=20)
@@ -183,6 +185,141 @@ class TestConditioned:
                 filtered.append(funcspace.besov_norm(path, 1.0))
             s += 1
         assert stats.ks_2samp(accepted, filtered).pvalue > 0.01
+
+    @pytest.mark.parametrize("family, beta", [(rates.STATIONARY, 1.0), (rates.FBM, 0.5)])
+    def test_restriction_law_screened(self, family, beta):
+        # the same for grid families, whose blocks of attempts are screened on
+        # the sup first: the accepted draws' sup against filtered direct draws
+        def spec(s):
+            return gp.GpSpec(family=family, beta=beta, r=1, n=500, seed=s)
+
+        K = prior.conditioning_limit(spec(0), rates.RateProfile(family=family))
+        accepted = [
+            np.max(np.abs(gp.sample_conditioned(spec(s), K, self.keyed(spec(s), (1,)))[1].values))
+            for s in range(400)
+        ]
+        filtered = []
+        s = 10_000
+        while len(filtered) < 400:
+            path = gp.sample_path(spec(s))
+            if funcspace.in_conditioning_set(path, beta, K)[0]:
+                filtered.append(np.max(np.abs(path.values)))
+            s += 1
+        assert stats.ks_2samp(accepted, filtered).pvalue > 0.01
+
+
+def per_attempt(spec, K, state, max_attempts=1000):
+    """The reference: one attempt at a time, each state's path built and checked."""
+    for attempt in range(1, max_attempts + 1):
+        z = state(attempt)
+        path = gp.path_from_state(spec, z)
+        if funcspace.in_conditioning_set(path, spec.beta, K)[0]:
+            return z, path, attempt
+    return None
+
+
+def stream(rng):
+    """A generator's bit_generator.state, in a form == compares."""
+    return json.dumps(rng.bit_generator.state, default=lambda a: a.tolist(), sort_keys=True)
+
+
+def block_end(attempt):
+    """The last attempt of the block of sample_conditioned's that holds attempt."""
+    end, block = 0, 1
+    while end < attempt:
+        end, block = end + block, min(2 * block, gp._BLOCK_CAP)
+    return end
+
+
+NODE_LAWS = [(rates.STATIONARY, 1.0, 1, 500), (rates.STATIONARY, 1.0, 2, 200),
+             (rates.FBM, 0.5, 1, 500), (rates.FBM, 0.8, 1, 500), (rates.WAVELET, 1.0, 1, 1024)]
+
+
+class TestBlockedAttempts:
+    """sample_conditioned draws and screens blocks of attempts, and decides as the
+    per-attempt loop does: same state bits, same path values, same attempt."""
+
+    @staticmethod
+    def law(family, beta, r, n):
+        spec = gp.GpSpec(family=family, beta=beta, r=r, n=n)
+        return spec, prior.conditioning_limit(spec, rates.RateProfile(family=family))
+
+    @staticmethod
+    def assert_same(got, want):
+        z, path, attempts = got
+        assert attempts == want[2]
+        assert z.tobytes() == want[0].tobytes()
+        assert path.values.tobytes() == want[1].values.tobytes()
+
+    @pytest.mark.parametrize("family, beta, r, n", NODE_LAWS)
+    def test_keyed_draws(self, family, beta, r, n):
+        spec, K = self.law(family, beta, r, n)
+        for k in range(6):
+            want = per_attempt(spec, K, lambda a: gp.draw_state(spec, (k, a)))
+            got = gp.sample_conditioned(spec, K, lambda a, count: np.stack(
+                [gp.draw_state(spec, (k, b)) for b in range(a, a + count)]))
+            self.assert_same(got, want)
+
+    @pytest.mark.parametrize("family, beta, r, n", NODE_LAWS)
+    def test_sequential_draws(self, family, beta, r, n):
+        # the stream is read in whole blocks: up to the end of the accepting one
+        spec, K = self.law(family, beta, r, n)
+        size = gp.state_size(spec)
+        for seed in range(6):
+            ref = gp.rng_for(seed, (12,))
+            want = per_attempt(spec, K, lambda a: ref.standard_normal(size))
+            rng = gp.rng_for(seed, (12,))
+            got = gp.sample_conditioned(spec, K, lambda a, count: rng.standard_normal((count, size)))
+            self.assert_same(got, want)
+            ref.standard_normal((block_end(want[2]) - want[2], size))
+            assert stream(rng) == stream(ref)
+
+    @pytest.mark.parametrize("max_attempts", [1, 100, 1000])
+    def test_exhaustion_reads_exactly_the_budget(self, max_attempts):
+        spec = gp.GpSpec(rates.STATIONARY, 1.0, 1, n=500)
+        size, rng, ref = gp.state_size(spec), gp.rng_for(3), gp.rng_for(3)
+        with pytest.raises(ConditioningError) as info:
+            gp.sample_conditioned(spec, 1e-9, lambda a, count: rng.standard_normal((count, size)),
+                                  max_attempts=max_attempts)
+        assert str(info.value) == (
+            f"conditioning too tight: no acceptance in {max_attempts} attempts into sup <= 1 "
+            "and Hoelder norm <= K = 1e-09 on the 33^1 grid its values live on")
+        ref.standard_normal((max_attempts, size))
+        assert stream(rng) == stream(ref)
+
+    @pytest.mark.parametrize("family, beta, r", [(rates.STATIONARY, 1.0, 1),
+                                                 (rates.STATIONARY, 1.0, 2),
+                                                 (rates.FBM, 0.5, 1), (rates.FBM, 0.8, 2)])
+    def test_sup_within_ulps_of_one(self, monkeypatch, family, beta, r):
+        # states rescaled so that their exact sup is 1 give or take a few ulp are
+        # decided as in_conditioning_set decides them, each one alone and as the
+        # first row of the block of attempts 64-127, where the block's product
+        # rounds differently from path_from_state's
+        monkeypatch.setattr(funcspace, "holder_norm_empirical", lambda path, beta: 0.0)
+        spec = gp.GpSpec(family=family, beta=beta, r=r, n=500)
+        eps, K = np.finfo(float).eps, 1.0  # only the sup decides
+        states = []
+        for k in range(8):
+            z = gp.draw_state(spec, (k,))
+            z = z / np.max(np.abs(gp.path_from_state(spec, z).values))
+            states += [z * (1.0 + t * eps / 2) for t in range(-4, 5)]
+        far = 10 * np.array(states[:63])
+        decided = []
+        for z in states:
+            path = gp.path_from_state(spec, z)
+            ok = funcspace.in_conditioning_set(path, beta, K)[0]
+            decided.append(ok)
+            for rows, attempt in ((z[None], 1), (np.concatenate([far, z[None], far]), 64)):
+                def draw(a, count):
+                    return rows[a - 1:a - 1 + count]
+
+                if ok:
+                    self.assert_same(gp.sample_conditioned(spec, K, draw, len(rows)),
+                                     (z, path, attempt))
+                else:
+                    with pytest.raises(ConditioningError):
+                        gp.sample_conditioned(spec, K, draw, len(rows))
+        assert 0 < sum(decided) < len(decided)
 
 
 class TestAcceptanceBound:

@@ -1,9 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from deepgp_lab import funcspace, inference, prior, rates, structure
+from deepgp_lab import funcspace, gp, inference, prior, rates, structure
 from deepgp_lab.errors import ValidationError
 
 
@@ -21,6 +22,77 @@ def q0_spec(n=200, **kw):
 def uniform_quad(m=401):
     pts = np.linspace(-1, 1, m)[:, None]
     return pts, np.full(m, 1.0 / m)
+
+
+def stream(rng):
+    """A generator's bit_generator.state, in a form == compares."""
+    return json.dumps(rng.bit_generator.state, default=lambda a: a.tolist(), sort_keys=True)
+
+
+def per_attempt_nodes(eta, spec, rng, max_attempts=1000):
+    """The reference for _fresh_state: each node in turn draws one state of the
+    shared stream per attempt until its path is in the node's set."""
+    alphas, nodes = rates.alpha_exponents(eta.betas), {}
+    for i in range(eta.graph.q + 1):
+        gp_spec = gp.GpSpec(family=spec.profile.family, beta=float(eta.betas[i]),
+                            r=int(eta.graph.eff_dims[i]), n=spec.n)
+        K = prior.conditioning_limit(gp_spec, spec.profile, float(alphas[i]))
+        for j in range(len(eta.graph.active_sets[i])):
+            for _ in range(max_attempts):
+                z = rng.standard_normal(gp.state_size(gp_spec))
+                path = gp.path_from_state(gp_spec, z)
+                if funcspace.in_conditioning_set(path, gp_spec.beta, K)[0]:
+                    nodes[(i, j)] = z, path
+                    break
+            else:
+                return None
+    return nodes
+
+
+# one structure per family: two layer-0 nodes on one variable, a last node on two
+FRESH_LAWS = [(rates.STATIONARY, (1.0, 1.0)), (rates.FBM, (0.5, 0.8)),
+              (rates.WAVELET, (1.0, 1.0))]
+
+
+def fresh_case(family, betas):
+    spec = prior.StructurePriorSpec(
+        space=structure.StructureSpace(input_dim=1, max_q=1, max_width=2),
+        profile=rates.RateProfile(family=family), n=200, beta_grid=tuple(sorted(set(betas))))
+    g = structure.make_graph(1, (1, 2, 1), [[(1,), (1,)], [(1, 2)]])
+    return structure.CompositionStructure(graph=g, betas=betas, bounds=(0.3, 1.0)), spec
+
+
+class TestFreshState:
+    """_fresh_state draws blocks of attempts from the chain's one stream, and
+    leaves it where drawing one attempt at a time would."""
+
+    @pytest.mark.parametrize("family, betas", FRESH_LAWS)
+    def test_matches_the_per_attempt_stream(self, family, betas):
+        eta, spec = fresh_case(family, betas)
+        for seed in range(3):
+            rng, ref = gp.rng_for(seed, (12,)), gp.rng_for(seed, (12,))
+            for _ in range(2):  # consecutive fresh states read on from the same stream
+                got = inference._fresh_state(eta, spec, rng)
+                want = per_attempt_nodes(eta, spec, ref)
+                assert sorted(got) == sorted(want)
+                for key, (z, path) in want.items():
+                    assert got[key].z.tobytes() == z.tobytes()
+                    assert got[key].path.values.tobytes() == path.values.tobytes()
+                assert stream(rng) == stream(ref)
+
+    @pytest.mark.parametrize("max_attempts", [1, 100])
+    def test_exhausted_budget_reads_exactly_the_budget(self, monkeypatch, max_attempts):
+        real = prior.sample_conditioned
+
+        def exhausting(spec, K, draw, budget=1000):
+            return real(spec, -1.0, draw, max_attempts)
+
+        monkeypatch.setattr(prior, "sample_conditioned", exhausting)
+        eta, spec = fresh_case(rates.STATIONARY, (1.0, 1.0))
+        rng, ref = gp.rng_for(8, (12,)), gp.rng_for(8, (12,))
+        assert inference._fresh_state(eta, spec, rng) is None
+        ref.standard_normal((max_attempts, 33))
+        assert stream(rng) == stream(ref)
 
 
 class TestGenerateData:

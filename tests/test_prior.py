@@ -224,8 +224,8 @@ class TestConditioningSpecs:
         # every node's limit is conditioning_limit of its own law at its layer's alpha;
         # layer 0 has alpha = min(beta_1, 1) = 0.8, so its slack differs from alpha = 1
         spec, eta = self.fbm_spec(200), self.fbm_structure()
-        nodes, _ = prior.sample_nodes(eta, spec, lambda node, size, a: gp.rng_for(
-            5, node + (a,)).standard_normal(size))
+        nodes, _ = prior.sample_nodes(eta, spec, lambda node, size, a, count: np.stack([
+            gp.rng_for(5, node + (b,)).standard_normal(size) for b in range(a, a + count)]))
         alphas = rates.alpha_exponents(eta.betas)
         for (i, _), node in nodes.items():
             assert node.K == prior.conditioning_limit(node.gp_spec, spec.profile, alphas[i])
@@ -243,7 +243,8 @@ class TestConditioningSpecs:
         spec = gp.GpSpec(family=family, beta=beta, r=r, n=500, grid=grid)
         K = prior.conditioning_limit(spec, rates.RateProfile(family=family))
         monkeypatch.setattr(funcspace.GridPath, "__call__", interpolate)
-        _, path, _ = gp.sample_conditioned(spec, K, lambda a: gp.draw_state(spec, (a,)))
+        _, path, _ = gp.sample_conditioned(spec, K, lambda a, count: np.stack(
+            [gp.draw_state(spec, (b,)) for b in range(a, a + count)]))
         assert path.values.shape == (gp.value_grid(spec),) * r
 
 
