@@ -299,7 +299,7 @@ def _cmd_fit(cfg, seed, out_dir):
                ("n", "pcn_acceptance", "structure_acceptance", "median_l2_error",
                 "structure_exhausted"),
                [(data.n, trace.pcn_acceptance, trace.structure_acceptance,
-                 float(np.median(trace.post_burn(trace.l2_error))),
+                 inference.median(trace.post_burn(trace.l2_error)),
                  trace.structure_exhausted)])
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "run_mcmc",
     "model_mass",
     "contraction_runs",
+    "median",
 ]
 
 
@@ -68,6 +69,20 @@ def _values(f, X):
     if callable(f):
         return np.asarray(f(X), dtype=float)
     return np.asarray(f, dtype=float)
+
+
+def median(values) -> float:
+    """np.median of a nonempty 1-D sample, bit for bit: NaN if any entry is NaN.
+
+    It takes np.median's partition and mean, but not its NaN check, whose first
+    call imports numpy.ma (11-15 ms on a 2-vCPU host).
+    """
+    a = np.asarray(values, dtype=float).ravel()
+    half, odd = divmod(a.size, 2)
+    part = np.partition(a, ([half] if odd else [half - 1, half]) + [-1])
+    if np.isnan(part[-1]):  # the partition puts any NaN last
+        return float(part[-1])
+    return float(np.mean(part[half - 1 + odd:half + 1]))
 
 
 def log_likelihood_ratio(f, f_star, data: RegressionSample) -> float:
@@ -289,7 +304,7 @@ def contraction_runs(f_star, eta_star, spec: StructurePriorSpec,
             data = generate_data(f_star, n=n, seed=seed + 1000 * n,
                                  input_dim=eta_star.graph.dims[0])
             traces.append(run_mcmc(data, spec_n, replace(config, seed=seed)))
-        err = float(np.median([np.median(t.post_burn(t.l2_error)) for t in traces]))
+        err = median([median(t.post_burn(t.l2_error)) for t in traces])
         row = (n, err, eps_structure(eta_star, spec.profile, n),
                minimax_rate(eta_star, n).value)
         yield row, spec_n, traces

@@ -127,12 +127,26 @@ def structure_prior_weights(spec: StructurePriorSpec):
         raise ValidationError(
             f"no admissible structure in the space with |d|_1 <= {PENALTY_HORIZON} "
             "(larger structures carry no prior mass)")
-    pens = np.array([psi_n(eta, spec.profile, spec.n).log_value for eta in structures])
+    # psi_n reads only eta's rate signature: its betas, its effective dims
+    # t_0..t_q, its beta bounds and |d|_1.  gamma_log reads only (q, d, t).
+    # Each is computed once per distinct signature and shared by its structures.
+    psi, gamma, pens, gammas = {}, {}, [], []
+    for eta in structures:
+        g = eta.graph
+        rate_key = (eta.betas, g.eff_dims[:g.q + 1], eta.bounds, g.num_nodes)
+        if rate_key not in psi:
+            psi[rate_key] = psi_n(eta, spec.profile, spec.n).log_value
+        gamma_key = (g.q, g.dims, g.eff_dims)
+        if gamma_key not in gamma:
+            gamma[gamma_key] = gamma_log(eta, spec)
+        pens.append(psi[rate_key])
+        gammas.append(gamma[gamma_key])
+    pens = np.array(pens)
     # Shift the penalties by their maximum before adding gamma: penalties can be
     # astronomically large, and gamma (order 1) would otherwise be absorbed by
     # floating-point rounding for near-tied structures.
     shift = float(np.max(pens))
-    logs = np.array([p - shift + gamma_log(eta, spec) for eta, p in zip(structures, pens)])
+    logs = np.array([p - shift + gm for p, gm in zip(pens, gammas)])
     norm = _logsumexp(logs)
     return [(eta, LogWeight(lw - norm)) for eta, lw in zip(structures, logs)]
 
@@ -183,6 +197,23 @@ class Node(NamedTuple):
     K: float
 
 
+@functools.lru_cache(maxsize=1024)
+def _node_laws(eta: CompositionStructure, spec: StructurePriorSpec) -> tuple:
+    """Per layer i, the law of its nodes: (GpSpec, limit K, state size).
+
+    A pure function of the frozen eta and spec, cached so that a chain's
+    structure moves solve eps_alpha once per structure, not once per move.
+    """
+    alphas = alpha_exponents(eta.betas)
+    laws = []
+    for i in range(eta.graph.q + 1):
+        gp_spec = GpSpec(family=spec.profile.family, beta=float(eta.betas[i]),
+                         r=int(eta.graph.eff_dims[i]), n=spec.n)
+        laws.append((gp_spec, conditioning_limit(gp_spec, spec.profile, float(alphas[i])),
+                     state_size(gp_spec)))
+    return tuple(laws)
+
+
 def node_draws(eta: CompositionStructure, spec: StructurePriorSpec, draw):
     """Rejection-sample every (layer, output) node of eta into its layer's set, in turn.
 
@@ -193,12 +224,7 @@ def node_draws(eta: CompositionStructure, spec: StructurePriorSpec, draw):
     Yields ((i, j), Node, attempts) as each node is accepted, before the next
     node draws; an exhausted budget raises ConditioningError.
     """
-    alphas = alpha_exponents(eta.betas)
-    for i in range(eta.graph.q + 1):
-        gp_spec = GpSpec(family=spec.profile.family, beta=float(eta.betas[i]),
-                         r=int(eta.graph.eff_dims[i]), n=spec.n)
-        K = conditioning_limit(gp_spec, spec.profile, float(alphas[i]))
-        size = state_size(gp_spec)
+    for i, (gp_spec, K, size) in enumerate(_node_laws(eta, spec)):
         for j in range(len(eta.graph.active_sets[i])):
             try:
                 z, path, attempts = sample_conditioned(

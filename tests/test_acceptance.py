@@ -197,6 +197,15 @@ def test_criterion_09_empirical_contraction():
             f"log-log slope {slope:.3f} within 0.25 of -1/3", t0)
 
 
+def _mass_trend(per_seed):
+    """Criterion 10's check: the median over seeds of the posterior mass on
+    over-complex structures (q > 0) does not rise from n = 200 to n = 3200."""
+    masses = {n: float(np.median(fractions)) for n, fractions in per_seed.items()}
+    ok = masses[3200] <= masses[200] + 1e-12
+    return ok, (f"over-complex mass median {masses[200]:.4f} at n=200 -> "
+                f"{masses[3200]:.4f} at n=3200 (non-increasing)")
+
+
 def test_criterion_10_model_selection_trend():
     t0 = time.perf_counter()
     f_star, eta_star, _ = _truth_draw()
@@ -204,12 +213,12 @@ def test_criterion_10_model_selection_trend():
     # penalty is what separates the two structures, not float noise in n eps^2.
     space = structure.StructureSpace(input_dim=1, max_q=1, max_width=1,
                                      beta_bounds=(0.5, 1.0))
-    masses = {}
+    per_seed = {}
     for n in (200, 3200):
         spec = prior.StructurePriorSpec(
             space=space, profile=rates.RateProfile(family=rates.WAVELET),
             n=n, beta_grid=(1.0,))
-        per_seed = []
+        per_seed[n] = []
         for s in range(5):
             data = inference.generate_data(f_star, n=n, seed=s + 1000)
             cfg = inference.PosteriorConfig(iterations=400, pcn_step=0.9,
@@ -217,13 +226,21 @@ def test_criterion_10_model_selection_trend():
             trace = inference.run_mcmc(data, spec, cfg)
             idx = trace.post_burn(trace.structure_idx)
             over = np.array([trace.structures[k].graph.q > 0 for k in idx])
-            per_seed.append(float(np.mean(over)))
-        masses[n] = float(np.median(per_seed))
-    ok = masses[3200] <= masses[200] + 1e-12
+            per_seed[n].append(float(np.mean(over)))
+    ok, detail = _mass_trend(per_seed)
     ok = ok and (time.perf_counter() - t0) < 900.0
-    _report(10, "model-selection trend", ok,
-            f"over-complex mass median {masses[200]:.4f} at n=200 -> "
-            f"{masses[3200]:.4f} at n=3200 (non-increasing)", t0)
+    _report(10, "model-selection trend", ok, detail, t0)
+
+
+def test_criterion_10_fails_when_the_mass_rises():
+    # over-complex mass that grows with n, in every seed, breaks the trend
+    ok, detail = _mass_trend({200: [0.0, 0.1, 0.05, 0.0, 0.2],
+                              3200: [0.3, 0.4, 0.25, 0.5, 0.35]})
+    assert not ok
+    assert "0.0500 at n=200 -> 0.3500 at n=3200" in detail
+    # the bound itself: equal masses pass, a rise of 1e-9 fails
+    assert _mass_trend({200: [0.2], 3200: [0.2]})[0]
+    assert not _mass_trend({200: [0.2], 3200: [0.2 + 1e-9]})[0]
 
 
 def test_criterion_11_cli_determinism(tmp_path):

@@ -398,3 +398,14 @@ def test_cli_does_not_import_scipy_interpolate():
             "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
                    env=dict(os.environ, PYTHONPATH=str(src)))
+
+
+def test_fit_does_not_import_numpy_ma(tmp_path):
+    # np.median's first call imports numpy.ma, 11-15 ms of a CLI launch on a
+    # 2-vCPU host; fit and diagnose take their medians with inference.median
+    src = pathlib.Path(deepgp_lab.__file__).parent.parent
+    argv = ["fit", "--config", config(tmp_path, "fit"), "--out", str(tmp_path / "out")]
+    code = ("import sys; from deepgp_lab import cli; "
+            f"assert cli.main({argv!r}) == 0; assert 'numpy.ma' not in sys.modules")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env=dict(os.environ, PYTHONPATH=str(src)))

@@ -94,6 +94,52 @@ class TestFreshState:
         ref.standard_normal((max_attempts, 33))
         assert stream(rng) == stream(ref)
 
+    def test_node_law_is_solved_once_per_structure(self, monkeypatch):
+        eta, spec = fresh_case(rates.STATIONARY, (1.0, 1.0))
+        calls = []
+        real = prior.conditioning_limit
+
+        def counting(gp_spec, profile, alpha=1.0):
+            calls.append(gp_spec)
+            return real(gp_spec, profile, alpha)
+
+        monkeypatch.setattr(prior, "conditioning_limit", counting)
+        prior._node_laws.cache_clear()
+        try:
+            rng = gp.rng_for(3, (12,))
+            for _ in range(3):
+                assert inference._fresh_state(eta, spec, rng) is not None
+        finally:
+            prior._node_laws.cache_clear()
+        assert len(calls) == eta.graph.q + 1  # one law per layer, for all three moves
+
+
+class TestMedian:
+    """inference.median is np.median's value, bit for bit."""
+
+    def test_matches_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        for size in range(1, 41):  # odd and even lengths
+            for _ in range(20):
+                a = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 6)
+                if rng.random() < 0.3:  # ties, and zeros of both signs
+                    a = np.round(a)
+                    a[rng.integers(0, size)] = -0.0
+                want = np.float64(np.median(a))
+                assert np.float64(inference.median(a)).tobytes() == want.tobytes(), a
+                assert np.float64(inference.median(list(a))).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("values", [[math.nan], [1.0, math.nan], [2.0, math.nan, 1.0],
+                                        [math.nan, 0.5, 3.0, -1.0]])
+    def test_nan_entry_gives_nan(self, values):
+        assert math.isnan(inference.median(values))
+        assert math.isnan(np.median(values))
+
+    def test_does_not_reorder_its_input(self):
+        a = np.array([3.0, 1.0, 2.0, 0.0])
+        assert inference.median(a) == 1.5
+        assert a.tolist() == [3.0, 1.0, 2.0, 0.0]
+
 
 class TestGenerateData:
     def test_shapes_and_design_range(self):

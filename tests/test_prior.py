@@ -104,6 +104,55 @@ def test_logsumexp_has_scipys_bits():
         assert prior._logsumexp(a) == logsumexp(a), a
 
 
+def per_structure_weights(spec):
+    """The reference for structure_prior_weights: psi_n and gamma_log for each
+    structure, shifted and normalized the same way."""
+    structures = structure.enumerate_structures(spec.space, spec.beta_grid)
+    pens = np.array([rates.psi_n(eta, spec.profile, spec.n).log_value for eta in structures])
+    shift = float(np.max(pens))
+    logs = np.array([p - shift + prior.gamma_log(eta, spec) for eta, p in zip(structures, pens)])
+    return structures, logs - prior._logsumexp(logs)
+
+
+def d2_spec(family):
+    """A 2-D space with q <= 2, in which many structures share a rate signature."""
+    return make_spec(space=structure.StructureSpace(input_dim=2, max_q=2, max_width=2,
+                                                    beta_bounds=(0.5, 1.0)),
+                     profile=rates.RateProfile(family=family),
+                     beta_grid=(0.5, 0.8) if family == rates.FBM else (0.5, 0.75, 1.0))
+
+
+class TestGroupedWeights:
+    """structure_prior_weights computes psi_n once per rate signature and
+    gamma_log once per (q, d, t); every weight keeps the per-structure bits."""
+
+    @pytest.mark.parametrize("family", rates.FAMILIES)
+    def test_bits_match_the_per_structure_weights(self, family):
+        spec = d2_spec(family)
+        weighted = prior.structure_prior_weights(spec)
+        structures, logs = per_structure_weights(spec)
+        assert [eta for eta, _ in weighted] == structures
+        got = np.array([w.log_value for _, w in weighted])
+        assert got.tobytes() == logs.tobytes()
+        # some signatures differ only in |d|_1 and some only in t, so a key
+        # that drops either field gives a structure another's penalty
+        sizes, ts = {}, {}
+        for eta in structures:
+            t, size = eta.graph.eff_dims[:eta.graph.q + 1], eta.graph.num_nodes
+            sizes.setdefault((eta.betas, t), set()).add(size)
+            ts.setdefault((eta.betas, size), set()).add(t)
+        assert max(map(len, sizes.values())) > 1 and max(map(len, ts.values())) > 1
+
+    def test_eps_structure_floor_still_surfaces(self, monkeypatch):
+        monkeypatch.setattr(rates, "_CTILDE_SAFETY", 0.5)
+        rates._ctilde.cache_clear()
+        try:
+            with pytest.raises(ValidationError, match="fell below the per-layer maximum"):
+                prior.structure_prior_weights(d2_spec(rates.WAVELET))
+        finally:
+            rates._ctilde.cache_clear()
+
+
 class TestGammaFactors:
     def test_set_counting(self):
         # d_in=2, d_out=1: 3 nonempty subsets, 2 of size <= 1
