@@ -104,9 +104,11 @@ def _bool(value, name):
 
 
 def _list(value, name, item):
-    """A list config value whose entries each pass the check `item`."""
+    """A nonempty list config value whose entries each pass the check `item`."""
     if not isinstance(value, (list, tuple)):
         raise ValidationError(f"{name} must be a list, got {value!r}")
+    if not value:
+        raise ValidationError(f"{name} must not be empty")
     return tuple(item(v, name) for v in value)
 
 
@@ -200,12 +202,14 @@ def _cmd_rates(cfg, seed, out_dir):
 
 def _cmd_sample(cfg, seed, out_dir):
     spec = gp.GpSpec(family=cfg["family"], beta=_real(cfg["beta"], "beta"),
-                     r=_int(cfg["r"], "r"), n=_int(cfg["n"], "n"), seed=seed,
+                     r=_int(cfg["r"], "r"), n=_int(cfg["n"], "n"),
                      grid=_int(cfg.get("grid", gp.DEFAULT_GRID), "grid"))
     if "grid" in cfg and spec.family == rates.WAVELET:
         raise ValidationError(f"grid={spec.grid}: a wavelet path's values live on its "
                               "knot grid, so grid is for the fbm and stationary families")
     count = _int(cfg.get("count", 1), "count")
+    if count < 1:
+        raise ValidationError(f"count must be >= 1, got {count}")
     # a conditioned draw is a node of the prior: the same limit K and budget
     K = (prior.conditioning_limit(spec, rates.RateProfile(family=spec.family))
          if _bool(cfg.get("conditioned", False), "conditioned") else None)
@@ -216,12 +220,11 @@ def _cmd_sample(cfg, seed, out_dir):
             f"{_SAMPLE_POINTS} and at r <= {_SAMPLE_MAX_R}; got r={spec.r}")
     paths, rows = [], []
     for k in range(count):
+        rng = gp.rng_for(seed, (k, 1))
         if K is not None:
-            _, path, attempts = gp.sample_conditioned(spec, K, lambda a, count: np.stack(
-                [gp.draw_state(spec, (k, b)) for b in range(a, a + count)]))
+            _, path, attempts = gp.sample_conditioned(spec, K, rng)
         else:
-            path = gp.sample_path(spec, key=(k, 1))
-            attempts = 1
+            path, attempts = gp.sample_path(spec, rng), 1
         # the norms a conditioning check reads: on the nodes the values live on
         sup = float(np.max(np.abs(path.values)))
         bnorm = hnorm = float("nan")
@@ -241,6 +244,8 @@ def _cmd_sample(cfg, seed, out_dir):
 def _cmd_prior(cfg, seed, out_dir):
     spec = _prior_spec(cfg)
     n_draws = _int(cfg.get("draws", 0), "draws")
+    if n_draws < 0:
+        raise ValidationError(f"draws must be >= 0, got {n_draws}")
     weighted = prior.structure_prior_weights(spec)
     rows = []
     for idx, (eta, lw) in enumerate(weighted):
@@ -304,13 +309,14 @@ def _cmd_fit(cfg, seed, out_dir):
 
 
 def _cmd_diagnose(cfg, seed, out_dir):
-    spec = _prior_spec(cfg)
+    spec, C = _prior_spec(cfg), _real(cfg.get("C", 2.0), "C")
+    n_list = _list(cfg["n_list"], "n_list", _int)
+    if not C > 0:
+        raise ValidationError(f"C must be > 0, got {C}")
     f_star, eta_star = _truth(cfg, spec, seed)
-    C = _real(cfg.get("C", 2.0), "C")
     mass_rows, contr_rows = [], []
     for row, spec_n, (trace,) in inference.contraction_runs(
-            f_star, eta_star, spec, _posterior_config(cfg, seed),
-            _list(cfg["n_list"], "n_list", _int)):
+            f_star, eta_star, spec, _posterior_config(cfg, seed), n_list):
         contr_rows.append(row)
         mass_rows.append((row[0], C, inference.model_mass(trace, spec_n, eta_star, C=C)))
     _write_csv(out_dir, "model_mass.csv", ("n", "C", "mass"), mass_rows)

@@ -2,9 +2,9 @@
 
 Every family is a deterministic map from an i.i.d. standard-normal state
 vector to a path; keeping the state explicit lets the MCMC module run
-preconditioned Crank-Nicolson directly on it.  The RNG is numpy's
-SeedSequence/Philox machinery keyed by (seed, *key), which gives splittable,
-scheduling-independent streams.
+preconditioned Crank-Nicolson directly on it.  Samplers read their states from
+a numpy Generator; rng_for keys numpy's SeedSequence/Philox machinery by
+(seed, *key), which gives splittable, scheduling-independent streams.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ __all__ = [
     "state_size",
     "value_grid",
     "path_from_state",
-    "draw_state",
     "sample_path",
     "sample_conditioned",
     "acceptance_lower_bound",
@@ -37,6 +36,7 @@ __all__ = [
 
 _GRID_CAP = {1: 1024, 2: 64}
 DEFAULT_GRID = 33  # a grid family's nodes per axis, unless a spec says otherwise
+# a shared stream (a chain's) advances by whole blocks: changing the cap changes `fit`
 _BLOCK_CAP = 64  # most attempts sample_conditioned draws and screens at once
 _SLACK_FACTOR = 2.0  # two products' rounding, in _screen_factor's bound
 
@@ -47,7 +47,6 @@ class GpSpec:
     beta: float
     r: int
     n: int
-    seed: int = 0
     grid: int = DEFAULT_GRID
 
     def __post_init__(self):
@@ -173,12 +172,8 @@ def path_from_state(spec: GpSpec, z):
     return GridPath((chol @ z).reshape(shape))
 
 
-def draw_state(spec: GpSpec, key=()):
-    return rng_for(spec.seed, key).standard_normal(state_size(spec))
-
-
-def sample_path(spec: GpSpec, key=()):
-    return path_from_state(spec, draw_state(spec, key))
+def sample_path(spec: GpSpec, rng):
+    return path_from_state(spec, rng.standard_normal(state_size(spec)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -219,13 +214,13 @@ def _screened_rows(spec: GpSpec, states):
     return np.flatnonzero(sup <= 1.0 + slack)
 
 
-def sample_conditioned(spec: GpSpec, K: float, draw, max_attempts: int = 1000):
+def sample_conditioned(spec: GpSpec, K: float, rng, max_attempts: int = 1000):
     """Rejection-sample the family into the set {sup <= 1, smoothness norm <= K}.
 
-    ``draw(a, count)`` returns the (count, state_size(spec)) standard-normal
-    states tried at attempts a, a+1, ..., a+count-1; attempts are drawn in
-    blocks of 1, 2, 4, ..., at most _BLOCK_CAP and at most the budget left, so
-    the blocks of an exhausted budget cover exactly max_attempts attempts.
+    Attempts are read from the generator rng in blocks of 1, 2, 4, ..., at most
+    _BLOCK_CAP and at most the budget left, each as rng.standard_normal((count,
+    state_size(spec))), so rng ends at the end of the accepting block, or after
+    exactly max_attempts attempts.
     A grid family's block is screened first: one matrix product gives every
     row's node values, and a row whose sup exceeds 1 by more than the product's
     rounding bound is rejected there, as the exact check would reject it.
@@ -236,10 +231,10 @@ def sample_conditioned(spec: GpSpec, K: float, draw, max_attempts: int = 1000):
     """
     if max_attempts < 1:
         raise ValidationError("max_attempts must be >= 1")
-    attempt, block = 1, 1
+    attempt, block, size = 1, 1, state_size(spec)
     while attempt <= max_attempts:
         count = min(block, max_attempts - attempt + 1)
-        states = draw(attempt, count)
+        states = rng.standard_normal((count, size))
         for i in _screened_rows(spec, states):
             z = states[i].copy()  # the node keeps its own state, not a view of the block
             path = path_from_state(spec, z)

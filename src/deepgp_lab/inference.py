@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConditioningError, ValidationError
 from .funcspace import besov_norm, compose, grid_points, in_conditioning_set
 from .gp import path_from_state, rng_for
-from .prior import (Node, StructurePriorSpec, build_layers, node_draws,
+from .prior import (Node, StructurePriorSpec, build_layers, sample_nodes,
                     structure_prior_weights, _structure_index, _weights_array)
 from .rates import WAVELET, eps_structure, minimax_rate
 
@@ -146,28 +146,12 @@ class PosteriorTrace:
 
 
 def _fresh_state(eta, spec, rng):
-    """Rejection-sample all node states for a structure; None if budget exhausted.
-
-    The nodes draw their blocks of attempts from rng in turn, and each leaves
-    rng where drawing one attempt at a time would: just after the state of
-    the attempt it accepted, or after all of its budget.
-    """
-    mark = []  # rng's state before the latest block, and that block's first attempt
-
-    def draw(node, size, a, count):
-        mark[:] = [rng.bit_generator.state, a]
-        return rng.standard_normal((count, size))
-
-    nodes = {}
+    """Every node of a structure, each reading its attempts from the chain's
+    stream rng in turn; None if a node's budget runs out."""
     try:
-        for key, node, attempts in node_draws(eta, spec, draw):
-            state, first = mark
-            rng.bit_generator.state = state
-            rng.standard_normal((attempts - first + 1, len(node.z)))
-            nodes[key] = node
+        return sample_nodes(eta, spec, lambda node: rng)[0]
     except ConditioningError:
         return None
-    return nodes
 
 
 def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,

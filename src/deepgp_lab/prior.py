@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConditioningError, ValidationError
 from .funcspace import HOLDER_MAX_BETA, LayerFunction, compose
-from .gp import GpSpec, besov_radius, rng_for, sample_conditioned, state_size
+from .gp import GpSpec, besov_radius, rng_for, sample_conditioned
 from .rates import WAVELET, LogWeight, RateProfile, alpha_exponents, eps_alpha, psi_n
 from .structure import (PENALTY_HORIZON, CompositionStructure, StructureSpace,
                         enumerate_structures)
@@ -27,7 +27,6 @@ __all__ = [
     "Node",
     "structure_prior_weights",
     "sample_structure",
-    "node_draws",
     "sample_nodes",
     "build_layers",
     "sample_dgp",
@@ -199,7 +198,7 @@ class Node(NamedTuple):
 
 @functools.lru_cache(maxsize=1024)
 def _node_laws(eta: CompositionStructure, spec: StructurePriorSpec) -> tuple:
-    """Per layer i, the law of its nodes: (GpSpec, limit K, state size).
+    """Per layer i, the law of its nodes: (GpSpec, limit K).
 
     A pure function of the frozen eta and spec, cached so that a chain's
     structure moves solve eps_alpha once per structure, not once per move.
@@ -209,42 +208,27 @@ def _node_laws(eta: CompositionStructure, spec: StructurePriorSpec) -> tuple:
     for i in range(eta.graph.q + 1):
         gp_spec = GpSpec(family=spec.profile.family, beta=float(eta.betas[i]),
                          r=int(eta.graph.eff_dims[i]), n=spec.n)
-        laws.append((gp_spec, conditioning_limit(gp_spec, spec.profile, float(alphas[i])),
-                     state_size(gp_spec)))
+        laws.append((gp_spec, conditioning_limit(gp_spec, spec.profile, float(alphas[i]))))
     return tuple(laws)
 
 
-def node_draws(eta: CompositionStructure, spec: StructurePriorSpec, draw):
+def sample_nodes(eta: CompositionStructure, spec: StructurePriorSpec, rng_of):
     """Rejection-sample every (layer, output) node of eta into its layer's set, in turn.
 
     Layer i's nodes are paths with smoothness beta_i on t_i variables, conditioned
-    on conditioning_limit(their GpSpec, spec.profile, alpha_i).
-    draw(node, size, a, count) returns the (count, size) states that node (i, j)
-    tries at attempts a, ..., a+count-1 (gp.sample_conditioned's blocks).
-    Yields ((i, j), Node, attempts) as each node is accepted, before the next
-    node draws; an exhausted budget raises ConditioningError.
+    on conditioning_limit(their GpSpec, spec.profile, alpha_i); node (i, j) reads its
+    attempts from the generator rng_of((i, j)).  Returns ({node: Node},
+    {node: attempts}); an exhausted budget raises ConditioningError.
     """
-    for i, (gp_spec, K, size) in enumerate(_node_laws(eta, spec)):
+    nodes, attempts = {}, {}
+    for i, (gp_spec, K) in enumerate(_node_laws(eta, spec)):
         for j in range(len(eta.graph.active_sets[i])):
             try:
-                z, path, attempts = sample_conditioned(
-                    gp_spec, K, lambda a, count: draw((i, j), size, a, count))
+                z, path, attempts[(i, j)] = sample_conditioned(gp_spec, K, rng_of((i, j)))
             except ConditioningError as exc:
                 raise ConditioningError(f"node (layer {i}, output {j + 1}): {exc}",
                                         node=(i, j)) from exc
-            yield (i, j), Node(z, path, gp_spec, K), attempts
-
-
-def sample_nodes(eta: CompositionStructure, spec: StructurePriorSpec, draw):
-    """Every node of eta, as node_draws draws them: ({node: Node}, {node: attempts}).
-
-    draw(node, size, a, count) returns the (count, size) states that node (i, j)
-    tries at attempts a, ..., a+count-1.  A caller that needs to act between
-    nodes, as a shared sequential stream does, iterates node_draws instead.
-    """
-    nodes, attempts = {}, {}
-    for key, node, tries in node_draws(eta, spec, draw):
-        nodes[key], attempts[key] = node, tries
+            nodes[(i, j)] = Node(z, path, gp_spec, K)
     return nodes, attempts
 
 
@@ -271,10 +255,9 @@ class DgpDraw:
 
 
 def sample_dgp(eta: CompositionStructure, spec: StructurePriorSpec, seed) -> DgpDraw:
-    """One conditioned path per (layer, output) node, independent across nodes."""
-    nodes, attempts = sample_nodes(eta, spec, lambda node, size, a, count: np.stack([
-        rng_for(seed, (_KEY_PATHS,) + node + (b,)).standard_normal(size)
-        for b in range(a, a + count)]))
+    """One conditioned path per (layer, output) node, each from its own keyed stream."""
+    nodes, attempts = sample_nodes(
+        eta, spec, lambda node: rng_for(seed, (_KEY_PATHS,) + node + (1,)))
     return DgpDraw(structure=eta, layers=build_layers(eta, nodes), stats=attempts)
 
 

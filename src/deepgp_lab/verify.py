@@ -86,12 +86,12 @@ def check_floor(trials=200, seed=13):
 
 
 def check_besov_acceptance(draws=2000, seed=5):
-    spec = gp.GpSpec(family=rates.WAVELET, beta=1.0, r=1, n=10**4, seed=seed)
+    spec = gp.GpSpec(family=rates.WAVELET, beta=1.0, r=1, n=10**4)
     thr = prior.conditioning_limit(spec, RateProfile(family=rates.WAVELET))
     bound = gp.acceptance_lower_bound(prior._K_PRIME, spec.r)
     hits = 0
     for k in range(draws):
-        p = gp.sample_path(spec, key=(k,))
+        p = gp.sample_path(spec, gp.rng_for(seed, (k,)))
         if funcspace.besov_norm(p, 1.0) <= thr:
             hits += 1
     rate = hits / draws
@@ -101,8 +101,8 @@ def check_besov_acceptance(draws=2000, seed=5):
 
 
 def check_fbm_origin(seed=3):
-    spec = gp.GpSpec(family=rates.FBM, beta=0.5, r=1, n=100, seed=seed, grid=33)
-    z = gp.draw_state(spec)
+    spec = gp.GpSpec(family=rates.FBM, beta=0.5, r=1, n=100, grid=33)
+    z = gp.rng_for(seed).standard_normal(gp.state_size(spec))
     p = gp.path_from_state(spec, z)
     # the released constant is z[0], so the path minus it is the pre-release path
     v = float(p.values[len(p.values) // 2] - z[0])
@@ -127,9 +127,8 @@ def check_composition_bound(trials=100, seed=17):
     def rand_layer():
         # wavelet draw rescaled into the radius-K smoothness ball (the bound
         # is only promised for layers inside the ball)
-        spec = gp.GpSpec(family=rates.WAVELET, beta=1.0, r=1, n=256,
-                         seed=int(rng.integers(2**32)))
-        p = gp.sample_path(spec)
+        spec = gp.GpSpec(family=rates.WAVELET, beta=1.0, r=1, n=256)
+        p = gp.sample_path(spec, gp.rng_for(int(rng.integers(2**32))))
         # the norm is read on 129 nodes, finer than the path's 17 knots
         nodes = funcspace.GridPath(p(funcspace.grid_points(1, 129)))
         norm = funcspace.holder_norm_empirical(nodes, 1.0)

@@ -188,6 +188,20 @@ class TestExitCodes:
         pytest.param("sample", lambda c: c.update(family="stationary", beta=2.5,
                                                   conditioned=True),
                      "beta = 2.5", id="conditioned-stationary-beta-above-two"),
+        pytest.param("sample", lambda c: c.update(count=-2), "count must be >= 1",
+                     id="sample-count-negative"),
+        pytest.param("sample", lambda c: c.update(count=0), "count must be >= 1",
+                     id="sample-count-zero"),
+        pytest.param("prior", lambda c: c.update(draws=-3), "draws must be >= 0",
+                     id="prior-draws-negative"),
+        pytest.param("rates", lambda c: c.update(n_list=[]), "n_list must not be empty",
+                     id="rates-n-list-empty"),
+        pytest.param("diagnose", lambda c: c.update(n_list=[]), "n_list must not be empty",
+                     id="diagnose-n-list-empty"),
+        pytest.param("diagnose", lambda c: c.update(C=-1), "C must be > 0",
+                     id="diagnose-c-negative"),
+        pytest.param("diagnose", lambda c: c.update(C=0), "C must be > 0",
+                     id="diagnose-c-zero"),
     ])
     def test_config_mistake_is_a_validation_error(self, tmp_path, capsys, command,
                                                   edit, named):
@@ -247,13 +261,13 @@ class TestSampleCommand:
                 "K = 39.32 on the 33^1 grid its values live on") in err["detail"]
 
     def test_conditioned_draw_is_the_prior_node(self, tmp_path):
-        # the prior's node law (K = 904.2 at n = 500) accepts this draw at attempt 21
+        # the prior's node law (K = 904.2 at n = 500) accepts this draw at attempt 17
         cfg = config(tmp_path, "sample", family="stationary", n=500, count=1,
                      conditioned=True)
         out = tmp_path / "o"
         assert cli.main(["sample", "--config", cfg, "--seed", "1001",
                          "--out", str(out)]) == 0
-        assert (out / "stats.csv").read_text().splitlines()[1].startswith("0,21,")
+        assert (out / "stats.csv").read_text().splitlines()[1].startswith("0,17,")
 
     def test_norms_are_read_on_the_path_nodes(self, tmp_path):
         # stats.csv reports the norms a conditioning check reads: on the 65 nodes

@@ -504,15 +504,15 @@ class TestCoveringOracle:
 
 class TestSerialization:
     def test_wavelet_round_trip(self):
-        p = gp.sample_path(gp.GpSpec(family=rates.WAVELET, beta=1.0, r=1,
-                                     n=1024, seed=9))
+        p = gp.sample_path(gp.GpSpec(family=rates.WAVELET, beta=1.0, r=1, n=1024),
+                           gp.rng_for(9))
         q = funcspace.path_from_dict(funcspace.path_to_dict(p))
         pts = np.linspace(-1, 1, 101)[:, None]
         np.testing.assert_array_equal(p(pts), q(pts))
 
     def test_grid_round_trip(self):
-        p = gp.sample_path(gp.GpSpec(family=rates.FBM, beta=0.5, r=1, n=100,
-                                     seed=9, grid=33))
+        p = gp.sample_path(gp.GpSpec(family=rates.FBM, beta=0.5, r=1, n=100, grid=33),
+                           gp.rng_for(9))
         q = funcspace.path_from_dict(funcspace.path_to_dict(p))
         pts = np.linspace(-1, 1, 101)[:, None]
         np.testing.assert_allclose(p(pts), q(pts), rtol=1e-15, atol=1e-15)

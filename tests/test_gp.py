@@ -10,7 +10,7 @@ from deepgp_lab.errors import ConditioningError, ValidationError
 
 
 def wspec(**kw):
-    base = dict(family=rates.WAVELET, beta=1.0, r=1, n=1024, seed=0)
+    base = dict(family=rates.WAVELET, beta=1.0, r=1, n=1024)
     base.update(kw)
     return gp.GpSpec(**base)
 
@@ -19,7 +19,7 @@ def test_default_grid_fits_r2():
     # the default grid is within the r = 2 cap, so a 2-D spec need not name one
     spec = gp.GpSpec(family=rates.STATIONARY, beta=1.0, r=2, n=100)
     assert spec.grid == gp.DEFAULT_GRID == 33
-    assert gp.sample_path(spec).values.shape == (33, 33)
+    assert gp.sample_path(spec, gp.rng_for(0)).values.shape == (33, 33)
 
 
 def test_unknown_family_rejected():
@@ -42,22 +42,22 @@ class TestRng:
 
 class TestWaveletFamily:
     def test_determinism(self):
-        p = gp.sample_path(wspec(seed=5))
-        q = gp.sample_path(wspec(seed=5))
+        p = gp.sample_path(wspec(), gp.rng_for(5))
+        q = gp.sample_path(wspec(), gp.rng_for(5))
         pts = np.linspace(-1, 1, 64)[:, None]
         np.testing.assert_array_equal(p(pts), q(pts))
 
     def test_truncation_level(self):
-        p = gp.sample_path(wspec(n=1024, beta=1.0))
+        p = gp.sample_path(wspec(n=1024, beta=1.0), gp.rng_for(0))
         assert len(p.levels) == 3
-        p = gp.sample_path(wspec(n=1024, beta=0.5))
+        p = gp.sample_path(wspec(n=1024, beta=0.5), gp.rng_for(0))
         assert len(p.levels) == 5
 
     def test_coefficient_variance(self):
         # lambda_{j,k} ~ N(0, 2^{-2j(b+r/2)}/(jr)); check level-2 empirically
         beta, j = 1.0, 2
         draws = np.array([
-            gp.sample_path(wspec(seed=s, beta=beta)).levels[j - 1]
+            gp.sample_path(wspec(beta=beta), gp.rng_for(s)).levels[j - 1]
             for s in range(2500)
         ]).ravel()
         target = 2.0 ** (-2 * j * (beta + 0.5)) / j
@@ -66,8 +66,8 @@ class TestWaveletFamily:
 
 class TestFbmFamily:
     def test_origin_released(self):
-        spec = gp.GpSpec(rates.FBM, 0.5, 1, n=100, seed=3, grid=33)
-        z = gp.draw_state(spec)
+        spec = gp.GpSpec(rates.FBM, 0.5, 1, n=100, grid=33)
+        z = gp.rng_for(3).standard_normal(gp.state_size(spec))
         p = gp.path_from_state(spec, z)
         # pinned at 0 before the release, the origin holds exactly the released z[0]
         assert p.values[len(p.axes[0]) // 2] == z[0]
@@ -81,7 +81,7 @@ class TestFbmFamily:
     def test_brownian_increment_variance(self):
         # beta = 1/2 on r=1 is Brownian motion: Var(X(u)-X(u')) = |u-u'|
         vals = np.array([
-            gp.sample_path(gp.GpSpec(rates.FBM, 0.5, 1, n=100, seed=s, grid=33)).values
+            gp.sample_path(gp.GpSpec(rates.FBM, 0.5, 1, n=100, grid=33), gp.rng_for(s)).values
             for s in range(4000)
         ])
         xs = np.linspace(-1, 1, 33)
@@ -101,8 +101,8 @@ class TestStationaryFamily:
     def test_stationarity(self):
         # marginal variance constant over the grid
         vals = np.array([
-            gp.sample_path(gp.GpSpec(rates.STATIONARY, 1.0, 1, n=50,
-                                     seed=s, grid=33)).values
+            gp.sample_path(gp.GpSpec(rates.STATIONARY, 1.0, 1, n=50, grid=33),
+                           gp.rng_for(s)).values
             for s in range(3000)
         ])
         v = vals.var(axis=0)
@@ -114,7 +114,7 @@ class TestStationaryFamily:
             tot = 0.0
             for s in range(200):
                 vals = gp.sample_path(
-                    gp.GpSpec(rates.STATIONARY, 1.0, 1, n=n, seed=s, grid=33)).values
+                    gp.GpSpec(rates.STATIONARY, 1.0, 1, n=n, grid=33), gp.rng_for(s)).values
                 tot += np.mean(np.diff(vals) ** 2)
             return tot / 200
 
@@ -129,7 +129,7 @@ class TestStateMap:
     def test_round_trip_sizes(self):
         for spec in (wspec(), gp.GpSpec(rates.FBM, 0.5, 1, n=100, grid=33),
                      gp.GpSpec(rates.STATIONARY, 1.0, 1, n=100, grid=33)):
-            z = gp.draw_state(spec, key=(4,))
+            z = gp.rng_for(0, (4,)).standard_normal(gp.state_size(spec))
             assert len(z) == gp.state_size(spec)
             p = gp.path_from_state(spec, z)
             q = gp.path_from_state(spec, z)
@@ -142,29 +142,20 @@ class TestStateMap:
 
 
 class TestConditioned:
-    @staticmethod
-    def keyed(spec, key):
-        return lambda a, count: np.stack(
-            [gp.draw_state(spec, key + (b,)) for b in range(a, a + count)])
-
     def test_trivial_set_first_attempt(self):
-        spec = wspec(seed=2)
-        z, path, attempts = gp.sample_conditioned(spec, 1e6, self.keyed(spec, (0,)))
+        spec = wspec()
+        z, path, attempts = gp.sample_conditioned(spec, 1e6, gp.rng_for(2, (0, 1)))
         assert attempts == 1
-        np.testing.assert_array_equal(z, gp.draw_state(spec, (0, 1)))
+        np.testing.assert_array_equal(
+            z, gp.rng_for(2, (0, 1)).standard_normal(gp.state_size(spec)))
         pts = np.linspace(-1, 1, 17)[:, None]
         np.testing.assert_array_equal(path(pts), gp.path_from_state(spec, z)(pts))
 
     def test_infeasible_raises(self):
-        spec, tried = wspec(seed=2), []
-
-        def draw(a, count):
-            tried.extend(range(a, a + count))
-            return np.stack([gp.draw_state(spec, (0, b)) for b in range(a, a + count)])
-
+        spec, rng = wspec(), Recorder(gp.rng_for(2))
         with pytest.raises(ConditioningError):
-            gp.sample_conditioned(spec, 1e-9, draw, max_attempts=20)
-        assert tried == list(range(1, 21))
+            gp.sample_conditioned(spec, 1e-9, rng, max_attempts=20)
+        assert rng.shapes == [(count, gp.state_size(spec)) for count in (1, 2, 4, 8, 5)]
 
     def test_restriction_law(self):
         # accepted draws follow the prior restricted to the set: compare the
@@ -173,14 +164,13 @@ class TestConditioned:
         K = 3.0 * math.sqrt(2 * math.log(2))
         accepted = [
             funcspace.besov_norm(
-                gp.sample_conditioned(wspec(seed=s), K,
-                                      self.keyed(wspec(seed=s), (1,)))[1], 1.0)
+                gp.sample_conditioned(wspec(), K, gp.rng_for(s, (1,)))[1], 1.0)
             for s in range(400)
         ]
         filtered = []
         s = 10_000
         while len(filtered) < 400:
-            path = gp.sample_path(wspec(seed=s))
+            path = gp.sample_path(wspec(), gp.rng_for(s))
             if funcspace.in_conditioning_set(path, 1.0, K)[0]:
                 filtered.append(funcspace.besov_norm(path, 1.0))
             s += 1
@@ -190,18 +180,16 @@ class TestConditioned:
     def test_restriction_law_screened(self, family, beta):
         # the same for grid families, whose blocks of attempts are screened on
         # the sup first: the accepted draws' sup against filtered direct draws
-        def spec(s):
-            return gp.GpSpec(family=family, beta=beta, r=1, n=500, seed=s)
-
-        K = prior.conditioning_limit(spec(0), rates.RateProfile(family=family))
+        spec = gp.GpSpec(family=family, beta=beta, r=1, n=500)
+        K = prior.conditioning_limit(spec, rates.RateProfile(family=family))
         accepted = [
-            np.max(np.abs(gp.sample_conditioned(spec(s), K, self.keyed(spec(s), (1,)))[1].values))
+            np.max(np.abs(gp.sample_conditioned(spec, K, gp.rng_for(s, (1,)))[1].values))
             for s in range(400)
         ]
         filtered = []
         s = 10_000
         while len(filtered) < 400:
-            path = gp.sample_path(spec(s))
+            path = gp.sample_path(spec, gp.rng_for(s))
             if funcspace.in_conditioning_set(path, beta, K)[0]:
                 filtered.append(np.max(np.abs(path.values)))
             s += 1
@@ -216,6 +204,29 @@ def per_attempt(spec, K, state, max_attempts=1000):
         if funcspace.in_conditioning_set(path, spec.beta, K)[0]:
             return z, path, attempt
     return None
+
+
+class Recorder:
+    """A generator that records the shape of each block of normals read from it."""
+
+    def __init__(self, rng):
+        self.rng, self.shapes = rng, []
+
+    def standard_normal(self, shape):
+        self.shapes.append(shape)
+        return self.rng.standard_normal(shape)
+
+
+class Rows:
+    """A stand-in generator whose normals are the given rows, read in order."""
+
+    def __init__(self, rows):
+        self.rows, self.read = rows, 0
+
+    def standard_normal(self, shape):
+        count = shape[0]
+        self.read += count
+        return self.rows[self.read - count:self.read]
 
 
 def stream(rng):
@@ -252,35 +263,26 @@ class TestBlockedAttempts:
         assert path.values.tobytes() == want[1].values.tobytes()
 
     @pytest.mark.parametrize("family, beta, r, n", NODE_LAWS)
-    def test_keyed_draws(self, family, beta, r, n):
-        spec, K = self.law(family, beta, r, n)
-        for k in range(6):
-            want = per_attempt(spec, K, lambda a: gp.draw_state(spec, (k, a)))
-            got = gp.sample_conditioned(spec, K, lambda a, count: np.stack(
-                [gp.draw_state(spec, (k, b)) for b in range(a, a + count)]))
-            self.assert_same(got, want)
-
-    @pytest.mark.parametrize("family, beta, r, n", NODE_LAWS)
     def test_sequential_draws(self, family, beta, r, n):
-        # the stream is read in whole blocks: up to the end of the accepting one
+        # the stream is read in whole blocks: up to the end of the accepting one;
+        # a chain's stream and a keyed node stream alike
         spec, K = self.law(family, beta, r, n)
         size = gp.state_size(spec)
         for seed in range(6):
-            ref = gp.rng_for(seed, (12,))
-            want = per_attempt(spec, K, lambda a: ref.standard_normal(size))
-            rng = gp.rng_for(seed, (12,))
-            got = gp.sample_conditioned(spec, K, lambda a, count: rng.standard_normal((count, size)))
-            self.assert_same(got, want)
-            ref.standard_normal((block_end(want[2]) - want[2], size))
-            assert stream(rng) == stream(ref)
+            for key in ((12,), (seed, 1)):
+                ref = gp.rng_for(seed, key)
+                want = per_attempt(spec, K, lambda a: ref.standard_normal(size))
+                rng = gp.rng_for(seed, key)
+                self.assert_same(gp.sample_conditioned(spec, K, rng), want)
+                ref.standard_normal((block_end(want[2]) - want[2], size))
+                assert stream(rng) == stream(ref)
 
     @pytest.mark.parametrize("max_attempts", [1, 100, 1000])
     def test_exhaustion_reads_exactly_the_budget(self, max_attempts):
         spec = gp.GpSpec(rates.STATIONARY, 1.0, 1, n=500)
         size, rng, ref = gp.state_size(spec), gp.rng_for(3), gp.rng_for(3)
         with pytest.raises(ConditioningError) as info:
-            gp.sample_conditioned(spec, 1e-9, lambda a, count: rng.standard_normal((count, size)),
-                                  max_attempts=max_attempts)
+            gp.sample_conditioned(spec, 1e-9, rng, max_attempts=max_attempts)
         assert str(info.value) == (
             f"conditioning too tight: no acceptance in {max_attempts} attempts into sup <= 1 "
             "and Hoelder norm <= K = 1e-09 on the 33^1 grid its values live on")
@@ -300,7 +302,7 @@ class TestBlockedAttempts:
         eps, K = np.finfo(float).eps, 1.0  # only the sup decides
         states = []
         for k in range(8):
-            z = gp.draw_state(spec, (k,))
+            z = gp.rng_for(0, (k,)).standard_normal(gp.state_size(spec))
             z = z / np.max(np.abs(gp.path_from_state(spec, z).values))
             states += [z * (1.0 + t * eps / 2) for t in range(-4, 5)]
         far = 10 * np.array(states[:63])
@@ -310,15 +312,12 @@ class TestBlockedAttempts:
             ok = funcspace.in_conditioning_set(path, beta, K)[0]
             decided.append(ok)
             for rows, attempt in ((z[None], 1), (np.concatenate([far, z[None], far]), 64)):
-                def draw(a, count):
-                    return rows[a - 1:a - 1 + count]
-
                 if ok:
-                    self.assert_same(gp.sample_conditioned(spec, K, draw, len(rows)),
+                    self.assert_same(gp.sample_conditioned(spec, K, Rows(rows), len(rows)),
                                      (z, path, attempt))
                 else:
                     with pytest.raises(ConditioningError):
-                        gp.sample_conditioned(spec, K, draw, len(rows))
+                        gp.sample_conditioned(spec, K, Rows(rows), len(rows))
         assert 0 < sum(decided) < len(decided)
 
 

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from deepgp_lab import funcspace, gp, inference, prior, rates, structure
 from deepgp_lab.errors import ValidationError
@@ -29,20 +30,31 @@ def stream(rng):
     return json.dumps(rng.bit_generator.state, default=lambda a: a.tolist(), sort_keys=True)
 
 
+def block_end(attempt):
+    """The last attempt of the block of sample_conditioned's that holds attempt."""
+    end, block = 0, 1
+    while end < attempt:
+        end, block = end + block, min(2 * block, gp._BLOCK_CAP)
+    return end
+
+
 def per_attempt_nodes(eta, spec, rng, max_attempts=1000):
     """The reference for _fresh_state: each node in turn draws one state of the
-    shared stream per attempt until its path is in the node's set."""
+    shared stream per attempt until its path is in the node's set, and the next
+    node starts at the end of the block that holds the accepted attempt."""
     alphas, nodes = rates.alpha_exponents(eta.betas), {}
     for i in range(eta.graph.q + 1):
         gp_spec = gp.GpSpec(family=spec.profile.family, beta=float(eta.betas[i]),
                             r=int(eta.graph.eff_dims[i]), n=spec.n)
         K = prior.conditioning_limit(gp_spec, spec.profile, float(alphas[i]))
         for j in range(len(eta.graph.active_sets[i])):
-            for _ in range(max_attempts):
-                z = rng.standard_normal(gp.state_size(gp_spec))
+            size = gp.state_size(gp_spec)
+            for attempt in range(1, max_attempts + 1):
+                z = rng.standard_normal(size)
                 path = gp.path_from_state(gp_spec, z)
                 if funcspace.in_conditioning_set(path, gp_spec.beta, K)[0]:
                     nodes[(i, j)] = z, path
+                    rng.standard_normal((block_end(attempt) - attempt, size))
                     break
             else:
                 return None
@@ -64,7 +76,7 @@ def fresh_case(family, betas):
 
 class TestFreshState:
     """_fresh_state draws blocks of attempts from the chain's one stream, and
-    leaves it where drawing one attempt at a time would."""
+    leaves it at the end of the last node's accepting block."""
 
     @pytest.mark.parametrize("family, betas", FRESH_LAWS)
     def test_matches_the_per_attempt_stream(self, family, betas):
@@ -84,8 +96,8 @@ class TestFreshState:
     def test_exhausted_budget_reads_exactly_the_budget(self, monkeypatch, max_attempts):
         real = prior.sample_conditioned
 
-        def exhausting(spec, K, draw, budget=1000):
-            return real(spec, -1.0, draw, max_attempts)
+        def exhausting(spec, K, rng, budget=1000):
+            return real(spec, -1.0, rng, max_attempts)
 
         monkeypatch.setattr(prior, "sample_conditioned", exhausting)
         eta, spec = fresh_case(rates.STATIONARY, (1.0, 1.0))
@@ -112,6 +124,21 @@ class TestFreshState:
         finally:
             prior._node_laws.cache_clear()
         assert len(calls) == eta.graph.q + 1  # one law per layer, for all three moves
+
+    def test_grid_family_chain_draws_the_prior(self):
+        # prior_only with a structure move every iteration: each iteration is a
+        # fresh state read from the chain's stream and always accepted, so the
+        # chain's sups are independent draws of the prior's sup on the same grid
+        spec = q0_spec(n=500, profile=rates.RateProfile(family=rates.STATIONARY))
+        data = inference.generate_data(lambda x: np.zeros(len(x)), n=500, seed=0)
+        cfg = inference.PosteriorConfig(iterations=1000, structure_move_prob=1.0,
+                                        burn_in=0.0, seed=0, prior_only=True)
+        trace = inference.run_mcmc(data, spec, cfg)
+        assert np.all(np.diff(trace.sup) != 0)
+        weighted, pts = prior.structure_prior_weights(spec), funcspace.grid_points(1, 101)
+        prior_sup = [float(np.max(np.abs(prior.sample_prior(spec, 50_000 + s, weighted)(pts))))
+                     for s in range(1000)]
+        assert stats.ks_2samp(trace.sup, prior_sup).pvalue > 0.01
 
 
 class TestMedian:
@@ -286,11 +313,11 @@ class TestMcmc:
         # so every structure move is rejected, and counted
         real, calls = prior.sample_conditioned, []
 
-        def exhausting(spec, K, draw, max_attempts=1000):
+        def exhausting(spec, K, rng, max_attempts=1000):
             calls.append(K)
             if len(calls) > 1:  # q0_spec's one node: call 1 is the first state
                 K, max_attempts = -1.0, 3
-            return real(spec, K, draw, max_attempts)
+            return real(spec, K, rng, max_attempts)
 
         monkeypatch.setattr(prior, "sample_conditioned", exhausting)
         data = inference.generate_data(lambda x: 0.0 * x[:, 0], n=100, seed=0)
