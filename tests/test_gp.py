@@ -262,20 +262,29 @@ class TestBlockedAttempts:
         assert z.tobytes() == want[0].tobytes()
         assert path.values.tobytes() == want[1].values.tobytes()
 
+    def assert_reads_blocks(self, spec, K, seed, key):
+        # the stream is read in whole blocks: up to the end of the accepting one
+        size = gp.state_size(spec)
+        ref = gp.rng_for(seed, key)
+        want = per_attempt(spec, K, lambda a: ref.standard_normal(size))
+        rng = gp.rng_for(seed, key)
+        self.assert_same(gp.sample_conditioned(spec, K, rng), want)
+        ref.standard_normal((block_end(want[2]) - want[2], size))
+        assert stream(rng) == stream(ref)
+
+    @pytest.mark.parametrize("family, beta, r, n", NODE_LAWS)
+    def test_keyed_draws(self, family, beta, r, n):
+        # a node's own keyed stream, as the sample command keys node k
+        spec, K = self.law(family, beta, r, n)
+        for k in range(6):
+            self.assert_reads_blocks(spec, K, 0, (k, 1))
+
     @pytest.mark.parametrize("family, beta, r, n", NODE_LAWS)
     def test_sequential_draws(self, family, beta, r, n):
-        # the stream is read in whole blocks: up to the end of the accepting one;
-        # a chain's stream and a keyed node stream alike
+        # a chain's stream, one seed after another
         spec, K = self.law(family, beta, r, n)
-        size = gp.state_size(spec)
         for seed in range(6):
-            for key in ((12,), (seed, 1)):
-                ref = gp.rng_for(seed, key)
-                want = per_attempt(spec, K, lambda a: ref.standard_normal(size))
-                rng = gp.rng_for(seed, key)
-                self.assert_same(gp.sample_conditioned(spec, K, rng), want)
-                ref.standard_normal((block_end(want[2]) - want[2], size))
-                assert stream(rng) == stream(ref)
+            self.assert_reads_blocks(spec, K, seed, (12,))
 
     @pytest.mark.parametrize("max_attempts", [1, 100, 1000])
     def test_exhaustion_reads_exactly_the_budget(self, max_attempts):
