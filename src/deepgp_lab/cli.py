@@ -90,6 +90,14 @@ def _int(value, name):
     return int(value)
 
 
+def _seed(value, name):
+    """A seed: a nonnegative integer, as numpy's SeedSequence takes."""
+    seed = _int(value, name)
+    if seed < 0:
+        raise ValidationError(f"{name} must be >= 0, got {seed}")
+    return seed
+
+
 def _real(value, name):
     """A real config value: any JSON number but a boolean."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -272,7 +280,7 @@ def _truth(cfg, spec, seed):
         weighted = prior.structure_prior_weights(spec)
         return f, weighted[0][0]
     if t["type"] == "prior_draw":
-        d = prior.sample_prior(spec, _int(t.get("seed", seed + 999), "truth.seed"))
+        d = prior.sample_prior(spec, _seed(t.get("seed", seed + 999), "truth.seed"))
         return d, d.structure
     raise ValidationError(f"unknown truth type {t['type']!r}")
 
@@ -281,7 +289,7 @@ def _posterior_config(cfg, seed):
     p = dict(_fields(cfg.get("posterior", {}), "posterior",
                      optional=_field_names(inference.PosteriorConfig)))
     p.setdefault("seed", seed)
-    for name, check in (("iterations", _int), ("seed", _int), ("pcn_step", _real),
+    for name, check in (("iterations", _int), ("seed", _seed), ("pcn_step", _real),
                         ("structure_move_prob", _real), ("burn_in", _real),
                         ("prior_only", _bool)):
         if name in p:
@@ -348,6 +356,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        _seed(args.seed, "--seed")
         if args.command == "verify":
             ok = _cmd_verify(args.suite, args.out)
             _manifest(args.out, args.command, args.config, args.seed)

@@ -22,14 +22,7 @@ class NumericError(DeepGpError):
 
 
 class ConditioningError(NumericError):
-    """Rejection sampling exhausted its attempt budget.
-
-    Carries the (layer, output) node it gave up on, when known.
-    """
-
-    def __init__(self, message, node=None):
-        super().__init__(message)
-        self.node = node
+    """Rejection sampling exhausted its attempt budget."""
 
 
 class BudgetExceededError(NumericError):

@@ -153,19 +153,16 @@ class GridPath:
         """Values at the points.
 
         ``cells``, when given, holds each axis's cells of the points as
-        ``_cells`` computes them (``compose`` keeps them for a fixed point set);
-        the points are then not read again, only counted.
+        ``_cached_cells`` finds them (``compose`` keeps them for a fixed point
+        set); the points are then not read again, only counted.
         """
         if cells is None:
-            points = np.clip(_as_points(points, self.r), -1.0, 1.0)
+            points, local = _as_points(points, self.r), {}
+            cells = [_cached_cells(local, points, k, m) for k, m in enumerate(self.values.shape)]
         out = np.empty(len(points))
         for start in range(0, len(points), _BLOCK):
             block = slice(start, start + _BLOCK)
-            if cells is None:
-                out[block] = _gather(self.values, [
-                    _cells(x, m) for x, m in zip(points[block].T, self.values.shape)])
-            else:
-                out[block] = _gather(self.values, [(i[block], y[block]) for i, y in cells])
+            out[block] = _gather(self.values, [(i[block], y[block]) for i, y in cells])
         return out
 
 

@@ -2,9 +2,10 @@
 
 Every family is a deterministic map from an i.i.d. standard-normal state
 vector to a path; keeping the state explicit lets the MCMC module run
-preconditioned Crank-Nicolson directly on it.  Samplers read their states from
-a numpy Generator; rng_for keys numpy's SeedSequence/Philox machinery by
-(seed, *key), which gives splittable, scheduling-independent streams.
+preconditioned Crank-Nicolson directly on it.  A grid family's node values
+(fbm's or stationary's) are L z, for its cached factor L.  Samplers read their
+states from a numpy Generator; rng_for keys numpy's SeedSequence/Philox
+machinery by (seed, *key): splittable, scheduling-independent streams.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ _GRID_CAP = {1: 1024, 2: 64}
 DEFAULT_GRID = 33  # a grid family's nodes per axis, unless a spec says otherwise
 # a shared stream (a chain's) advances by whole blocks: changing the cap changes `fit`
 _BLOCK_CAP = 64  # most attempts sample_conditioned draws and screens at once
-_SLACK_FACTOR = 2.0  # two products' rounding, in _screen_factor's bound
+_SLACK_FACTOR = 2.0  # two products' rounding, in _grid_factor's bound
 
 
 @dataclass(frozen=True)
@@ -113,21 +114,40 @@ def value_grid(spec: GpSpec) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _fbm_factor(beta, r, m):
-    shape, pts = (m,) * r, grid_points(r, m)
-    origin = int(np.argmin(np.linalg.norm(pts, axis=1)))
-    rest = [i for i in range(len(pts)) if i != origin]
-    cov = fbm_covariance(pts[rest], pts[rest], beta)
-    return shape, pts, origin, rest, _chol_with_jitter(cov)
+def _grid_factor(family, beta, r, m, n=None):
+    """A grid family's factor L, whose path values on the m^r grid are L z, and
+    the screen's rounding bound per unit of max |z|.
+
+    stationary: L is the Cholesky factor of the grid's covariance.  fbm, released
+    at 0: column 0, the released constant, is 1 at every node; the origin's row
+    is (1, 0, ..., 0); the other rows hold the Cholesky factor of the fBM
+    covariance off the origin in columns 1 onward.  fbm's L does not read n.
+
+    A dot product of length k, summed in any order, is within
+    k u/(1 - k u) sum_j |L_ij z_j| of its exact value (u = 2^-53, the unit
+    roundoff), so row i of a block product Z @ L.T and path_from_state's
+    L @ z differ by at most twice that, or 2 k u/(1 - k u) max_i ||L_i||_1 max|z|.
+    The bound takes eps = 2^-52 = 2u for u, which covers 1/(1 - k u) and the
+    rounding of the row sums.
+    """
+    pts = grid_points(r, m)
+    if family == FBM:
+        rest = np.arange(len(pts)) != np.argmin(np.linalg.norm(pts, axis=1))  # not the origin
+        L = np.zeros((len(pts), len(pts)))
+        L[:, 0] = 1.0
+        L[rest, 1:] = _chol_with_jitter(fbm_covariance(pts[rest], pts[rest], beta))
+    else:
+        a = scaling_a(n, beta, r)
+        d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
+        L = _chol_with_jitter(np.exp(-(a * a) * d2))
+    row_l1 = float(np.max(np.sum(np.abs(L), axis=1)))
+    return L, _SLACK_FACTOR * L.shape[1] * np.finfo(float).eps * row_l1
 
 
-@functools.lru_cache(maxsize=64)
-def _stationary_factor(beta, r, n, m):
-    shape, pts = (m,) * r, grid_points(r, m)
-    a = scaling_a(n, beta, r)
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
-    cov = np.exp(-(a * a) * d2)
-    return shape, pts, _chol_with_jitter(cov)
+def _spec_factor(spec: GpSpec):
+    """_grid_factor of a grid-family spec, keyed without n for fbm."""
+    n = spec.n if spec.family == STATIONARY else None
+    return _grid_factor(spec.family, spec.beta, spec.r, value_grid(spec), n)
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +162,7 @@ def _wavelet_scales(spec):
 def state_size(spec: GpSpec) -> int:
     if spec.family == WAVELET:
         return sum(2 ** (j * spec.r) for j, _ in _wavelet_scales(spec))
-    if spec.family == FBM:
-        _, pts, _, rest, _ = _fbm_factor(spec.beta, spec.r, value_grid(spec))
-        return 1 + len(rest)
-    _, pts, _ = _stationary_factor(spec.beta, spec.r, spec.n, value_grid(spec))
-    return len(pts)
+    return value_grid(spec) ** spec.r
 
 
 def path_from_state(spec: GpSpec, z):
@@ -161,35 +177,12 @@ def path_from_state(spec: GpSpec, z):
             levels.append(scale * z[pos:pos + count])
             pos += count
         return WaveletPath(r=spec.r, levels=levels)
-    if spec.family == FBM:
-        shape, pts, origin, rest, chol = _fbm_factor(spec.beta, spec.r, value_grid(spec))
-        released = z[0]
-        x = np.zeros(len(pts))
-        x[rest] = chol @ z[1:]
-        # x[origin] stays exactly 0: the covariance vanishes there pre-release
-        return GridPath((x + released).reshape(shape))
-    shape, _, chol = _stationary_factor(spec.beta, spec.r, spec.n, value_grid(spec))
-    return GridPath((chol @ z).reshape(shape))
+    L, _ = _spec_factor(spec)
+    return GridPath((L @ z).reshape((value_grid(spec),) * spec.r))
 
 
 def sample_path(spec: GpSpec, rng):
     return path_from_state(spec, rng.standard_normal(state_size(spec)))
-
-
-@functools.lru_cache(maxsize=64)
-def _screen_factor(family, beta, r, n, m):
-    """A grid family's Cholesky factor L and a rounding bound per unit of max |z|.
-
-    A dot product of length k, summed in any order, is within
-    k u/(1 - k u) sum_j |L_ij z_j| of its exact value (u = 2^-53, the unit
-    roundoff), so row i of a block product Z @ L.T and path_from_state's
-    L @ z differ by at most twice that, or 2 k u/(1 - k u) max_i ||L_i||_1 max|z|.
-    The bound takes eps = 2^-52 = 2u for u, which covers 1/(1 - k u) and the
-    rounding of the row sums.
-    """
-    chol = (_fbm_factor(beta, r, m) if family == FBM else _stationary_factor(beta, r, n, m))[-1]
-    row_l1 = float(np.max(np.sum(np.abs(chol), axis=1)))
-    return chol, _SLACK_FACTOR * chol.shape[1] * np.finfo(float).eps * row_l1
 
 
 def _screened_rows(spec: GpSpec, states):
@@ -197,19 +190,14 @@ def _screened_rows(spec: GpSpec, states):
 
     A wavelet block is not screened.  A grid family's node values come from one
     matrix product for the whole block.  A row is dropped only when its sup
-    exceeds 1 by more than the product's rounding bound, plus 4 eps for fbm's
-    added z[0] and the rounding of values near 1; path_from_state's values for
+    exceeds 1 by more than the product's rounding bound, plus 4 eps for the
+    rounding of 1.0 + slack and of values near 1; path_from_state's values for
     that row then have sup > 1 too, and in_conditioning_set would reject it.
     """
     if spec.family == WAVELET:
         return range(len(states))
-    chol, bound = _screen_factor(spec.family, spec.beta, spec.r, spec.n, value_grid(spec))
-    if spec.family == FBM:
-        released = states[:, :1]
-        # the origin holds exactly the released z[0]; the other nodes add it to L @ z[1:]
-        sup = np.maximum(abs(released[:, 0]), abs(states[:, 1:] @ chol.T + released).max(axis=1))
-    else:
-        sup = abs(states @ chol.T).max(axis=1)
+    L, bound = _spec_factor(spec)
+    sup = abs(states @ L.T).max(axis=1)
     slack = bound * abs(states).max() + 4 * np.finfo(float).eps
     return np.flatnonzero(sup <= 1.0 + slack)
 

@@ -176,7 +176,7 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
         fv = compose(layers, data.X, design_cells)
         return float(np.sum(data.Y * fv - 0.5 * fv**2))
 
-    # initialize at a prior draw (first structure with feasible conditioning)
+    # start at the most probable structure whose nodes draw within their budget
     order = np.argsort(-probs)
     cur_idx = None
     for k in order:

@@ -226,8 +226,7 @@ def sample_nodes(eta: CompositionStructure, spec: StructurePriorSpec, rng_of):
             try:
                 z, path, attempts[(i, j)] = sample_conditioned(gp_spec, K, rng_of((i, j)))
             except ConditioningError as exc:
-                raise ConditioningError(f"node (layer {i}, output {j + 1}): {exc}",
-                                        node=(i, j)) from exc
+                raise ConditioningError(f"node (layer {i}, output {j + 1}): {exc}") from exc
             nodes[(i, j)] = Node(z, path, gp_spec, K)
     return nodes, attempts
 

@@ -64,7 +64,6 @@ class LogWeight:
 class RateResult:
     value: float
     argmax_layers: tuple
-    exponents: tuple
 
 
 @dataclass(frozen=True)
@@ -163,7 +162,7 @@ def minimax_rate(eta: CompositionStructure, n: int) -> RateResult:
     exps = tuple(rate_exponent(b, a, ti) for b, a, ti in zip(eta.betas, alphas, t))
     emin = min(exps)
     argmax = tuple(i for i, e in enumerate(exps) if e <= emin * (1 + 1e-12) + 1e-15)
-    return RateResult(value=float(n) ** (-emin), argmax_layers=argmax, exponents=exps)
+    return RateResult(value=float(n) ** (-emin), argmax_layers=argmax)
 
 
 def entropy_constant_Q1(beta: float, r: int, K: float) -> float:

@@ -115,12 +115,11 @@ def test_criterion_07_fbm_covariance_fidelity():
     ok = True
     details = []
     for beta in (0.3, 0.5, 0.8):
-        _, pts, origin, rest, chol = gp._fbm_factor(beta, 1, 33)
+        L, _ = gp._grid_factor(rates.FBM, beta, 1, 33)
         rng = gp.rng_for(2024, (int(beta * 10),))
-        z = rng.standard_normal((draws, 1 + len(rest)))
-        x = np.zeros((draws, len(pts)))
-        x[:, rest] = z[:, 1:] @ chol.T
-        xs = pts[:, 0]
+        z = rng.standard_normal((draws, len(L)))
+        x = z @ L.T
+        xs = funcspace.grid_points(1, 33)[:, 0]
         worst = 0.0
         for i, j in ((0, 16), (16, 24), (4, 28)):
             emp = float(np.var(x[:, i] - x[:, j]))

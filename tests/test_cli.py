@@ -202,6 +202,12 @@ class TestExitCodes:
                      id="diagnose-c-negative"),
         pytest.param("diagnose", lambda c: c.update(C=0), "C must be > 0",
                      id="diagnose-c-zero"),
+        pytest.param("fit", lambda c: c["posterior"].update(seed=-3),
+                     "posterior.seed must be >= 0", id="posterior-seed-negative"),
+        pytest.param("diagnose", lambda c: c["posterior"].update(seed=-3),
+                     "posterior.seed must be >= 0", id="diagnose-posterior-seed-negative"),
+        pytest.param("fit", lambda c: c.update(truth={"type": "prior_draw", "seed": -5}),
+                     "truth.seed must be >= 0", id="truth-seed-negative"),
     ])
     def test_config_mistake_is_a_validation_error(self, tmp_path, capsys, command,
                                                   edit, named):
@@ -213,6 +219,17 @@ class TestExitCodes:
         assert err["error"] == "validation"
         assert named in err["detail"]
         assert not (tmp_path / "o").exists()  # rejected before any output is written
+
+    @pytest.mark.parametrize("command", ["sample", "prior", "fit"])
+    def test_negative_seed_is_a_validation_error(self, tmp_path, capsys, command):
+        # numpy's SeedSequence takes no negative entropy: reject it before any work
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", config(tmp_path, command), "--seed", "-1",
+                         "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "validation"
+        assert "--seed must be >= 0" in err["detail"]
+        assert not out.exists()
 
     def test_unconditioned_sample_takes_any_beta(self, tmp_path):
         # only the conditioning check needs beta <= 2; its norm column caps beta at 2

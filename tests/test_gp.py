@@ -72,6 +72,18 @@ class TestFbmFamily:
         # pinned at 0 before the release, the origin holds exactly the released z[0]
         assert p.values[len(p.axes[0]) // 2] == z[0]
 
+    @pytest.mark.parametrize("r", [1, 2])
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8])
+    def test_factor_law(self, beta, r):
+        # values L z, z standard normal, have the fBM covariance plus 1, the
+        # variance of the released constant; the origin holds z[0] alone
+        m = gp.value_grid(gp.GpSpec(rates.FBM, beta, r, n=100))
+        L, _ = gp._grid_factor(rates.FBM, beta, r, m)
+        pts = funcspace.grid_points(r, m)
+        np.testing.assert_allclose(L @ L.T, gp.fbm_covariance(pts, pts, beta) + 1.0,
+                                   rtol=0, atol=1e-12)
+        assert (L[m ** r // 2] == np.eye(m ** r)[0]).all()  # the middle node is the origin
+
     def test_covariance_formula(self):
         u = np.array([[0.5], [-0.25]])
         c = gp.fbm_covariance(u, u, 0.5)
