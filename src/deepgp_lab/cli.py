@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -19,7 +20,7 @@ import time
 import numpy as np
 
 from . import __version__, funcspace, gp, inference, prior, rates, structure, verify
-from .errors import DeepGpError, NumericError, ValidationError
+from .errors import DeepGpError, ValidationError
 
 _SCHEMA_VERSION = 1
 
@@ -44,9 +45,7 @@ def _field_names(cls, exclude=()):
 
 
 def _fmt(x):
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
+    return format(x, ".17g") if isinstance(x, float) else str(x)
 
 
 def _atomic_write(out_dir, name, text):
@@ -63,9 +62,7 @@ def _atomic_write(out_dir, name, text):
 
 
 def _write_csv(out_dir, name, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = [",".join(header)] + [",".join(map(_fmt, row)) for row in rows]
     _atomic_write(out_dir, name, "\n".join(lines) + "\n")
 
 
@@ -99,9 +96,11 @@ def _seed(value, name):
 
 
 def _real(value, name):
-    """A real config value: any JSON number but a boolean."""
+    """A real config value: a finite JSON number, not a boolean (json reads NaN, Infinity)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value!r}")
     return float(value)
 
 
@@ -255,10 +254,9 @@ def _cmd_prior(cfg, seed, out_dir):
     if n_draws < 0:
         raise ValidationError(f"draws must be >= 0, got {n_draws}")
     weighted = prior.structure_prior_weights(spec)
-    rows = []
-    for idx, (eta, lw) in enumerate(weighted):
-        rows.append((idx, json.dumps(structure.structure_to_dict(eta), sort_keys=True)
-                     .replace(",", ";"), lw.log_value, float(np.exp(lw.log_value))))
+    rows = [(idx, json.dumps(structure.structure_to_dict(eta), sort_keys=True)
+             .replace(",", ";"), lw.log_value, float(np.exp(lw.log_value)))
+            for idx, (eta, lw) in enumerate(weighted)]
     _write_csv(out_dir, "weights.csv", ("index", "structure", "log_weight", "weight"),
                rows)
     draws = []
@@ -311,9 +309,9 @@ def _cmd_fit(cfg, seed, out_dir):
     _write_csv(out_dir, "summary.csv",
                ("n", "pcn_acceptance", "structure_acceptance", "median_l2_error",
                 "structure_exhausted"),
-               [(data.n, trace.pcn_acceptance, trace.structure_acceptance,
+               [(data.n, trace.acceptance("pcn"), trace.acceptance("structure"),
                  inference.median(trace.post_burn(trace.l2_error)),
-                 trace.structure_exhausted)])
+                 trace.moves["structure", "exhausted"])])
 
 
 def _cmd_diagnose(cfg, seed, out_dir):
@@ -333,15 +331,12 @@ def _cmd_diagnose(cfg, seed, out_dir):
 
 
 def _cmd_verify(suite, out_dir):
-    results = verify.run_suite(suite)
     rows = []
-    ok_all = True
-    for name, ok, detail in results:
+    for name, ok, detail in verify.run_suite(suite):
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
         rows.append((name, int(ok), detail.replace(",", ";")))
-        ok_all = ok_all and ok
     _write_csv(out_dir, "verify.csv", ("check", "ok", "detail"), rows)
-    return ok_all
+    return all(ok for _, ok, _ in rows)
 
 
 def main(argv=None) -> int:
@@ -357,6 +352,8 @@ def main(argv=None) -> int:
 
     try:
         _seed(args.seed, "--seed")
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise ValidationError(f"--out {args.out!r} exists and is not a directory")
         if args.command == "verify":
             ok = _cmd_verify(args.suite, args.out)
             _manifest(args.out, args.command, args.config, args.seed)
@@ -370,11 +367,13 @@ def main(argv=None) -> int:
         _manifest(args.out, args.command, args.config, args.seed)
         return 0
     except (ValidationError, FileNotFoundError) as exc:
-        print(json.dumps({"error": "validation", "detail": str(exc)}), file=sys.stderr)
-        return 1
-    except (NumericError, DeepGpError) as exc:
-        print(json.dumps({"error": "numeric", "detail": str(exc)}), file=sys.stderr)
-        return 2
+        code, error, detail = 1, "validation", str(exc)
+    except DeepGpError as exc:  # NumericError and its kin
+        code, error, detail = 2, "numeric", str(exc)
+    except Exception as exc:  # a program bug, not a user or numeric error
+        code, error, detail = 3, "internal", f"{type(exc).__name__}: {exc}"
+    print(json.dumps({"error": error, "detail": detail}), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
-Two broad families matter for the CLI exit codes: configuration/validation
-problems (exit 1) and numeric/resource problems (exit 2).
+The CLI's exit codes: configuration/validation problems exit 1, numeric and
+resource problems exit 2, and any other exception, a program bug, exits 3.
 """
 
 
@@ -13,7 +13,7 @@ class ValidationError(DeepGpError):
     """Invalid configuration, graph, or argument."""
 
 
-class SpaceTooLargeError(DeepGpError):
+class SpaceTooLargeError(ValidationError):
     """Structure enumeration would exceed the configured count limit."""
 
 

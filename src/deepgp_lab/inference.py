@@ -1,16 +1,17 @@
 """Synthetic regression, information geometry, and posterior MCMC.
 
-The sampler makes one joint pCN proposal for all node states and accepts or
-rejects it once, rejecting outright a proposal in which any node leaves its
-conditioning set (this targets the conditioned prior exactly), plus
-independence structure moves drawn from the prior (so the acceptance ratio
-reduces to the likelihood ratio; a move whose node draw runs out is counted).
+The chain's two proposals return node states or None: a joint pCN move on all
+nodes (_pcn_state; None when a node leaves its conditioning set, so the chain
+targets the conditioned prior exactly) and a structure move drawn from the prior
+(_fresh_state; None when a node draw runs out).  One Metropolis test on the
+likelihood ratio accepts either; PosteriorTrace.moves tallies the outcomes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,13 +137,28 @@ class PosteriorTrace:
     l2_error: np.ndarray
     besov: np.ndarray
     sup: np.ndarray
-    pcn_acceptance: float
-    structure_acceptance: float
-    structure_exhausted: int  # structure moves rejected because a node draw ran out
+    moves: dict  # (move, outcome) -> count; see _MOVES
     burn: int
 
     def post_burn(self, arr):
         return arr[self.burn:]
+
+    def acceptance(self, move):
+        """Accepted over proposed moves of this kind; NaN if none was proposed."""
+        proposed = sum(c for (m, _), c in self.moves.items() if m == move)
+        return self.moves[move, "accepted"] / proposed if proposed else math.nan
+
+
+# each move's outcomes; the last is that of a proposal that is None
+_MOVES = {"pcn": ("accepted", "rejected", "left_set"),
+          "structure": ("accepted", "rejected", "exhausted")}
+
+
+class _Chain(NamedTuple):
+    k: int  # structure index
+    nodes: dict
+    layers: list
+    ll: float
 
 
 def _fresh_state(eta, spec, rng):
@@ -152,6 +168,19 @@ def _fresh_state(eta, spec, rng):
         return sample_nodes(eta, spec, lambda node: rng)[0]
     except ConditioningError:
         return None
+
+
+def _pcn_state(nodes, rho, rng):
+    """One joint pCN proposal, z -> rho z + sqrt(1 - rho^2) xi at every node in
+    turn; None at the first node whose path leaves its conditioning set."""
+    proposal = {}
+    for key, ns in nodes.items():
+        z = rho * ns.z + math.sqrt(1 - rho * rho) * rng.standard_normal(len(ns.z))
+        path = path_from_state(ns.gp_spec, z)
+        if not in_conditioning_set(path, ns.gp_spec.beta, ns.K)[0]:
+            return None
+        proposal[key] = Node(z, path, ns.gp_spec, ns.K)
+    return proposal
 
 
 def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
@@ -170,84 +199,54 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
     # the grid cells of the design and of the error grid, found once per chain
     design_cells, eval_cells = {}, {}
 
-    def loglik(layers):
+    def chain_at(k, nodes):
+        layers = build_layers(structures[k], nodes)
         if config.prior_only:
-            return 0.0
+            return _Chain(k, nodes, layers, 0.0)
         fv = compose(layers, data.X, design_cells)
-        return float(np.sum(data.Y * fv - 0.5 * fv**2))
+        return _Chain(k, nodes, layers, float(np.sum(data.Y * fv - 0.5 * fv**2)))
 
     # start at the most probable structure whose nodes draw within their budget
-    order = np.argsort(-probs)
-    cur_idx = None
-    for k in order:
-        if probs[k] <= 0:
-            continue
-        st = _fresh_state(structures[k], spec, rng)
-        if st is not None:
-            cur_idx, cur_states = int(k), st
+    for k in np.argsort(-probs):
+        nodes = _fresh_state(structures[k], spec, rng) if probs[k] > 0 else None
+        if nodes is not None:
             break
-    if cur_idx is None:
+    else:
         raise ConditioningError("no structure admits a feasible conditioned draw")
-    cur_layers = build_layers(structures[cur_idx], cur_states)
-    cur_ll = loglik(cur_layers)
+    chain = chain_at(int(k), nodes)
 
     it = config.iterations
     s_idx = np.empty(it, dtype=int)
-    lls = np.empty(it)
-    errs = np.empty(it)
-    bes = np.empty(it)
-    sups = np.empty(it)
-    pcn_acc = pcn_tot = str_acc = str_tot = str_exhausted = 0
-    rho = config.pcn_step
+    lls, errs, bes, sups = (np.empty(it) for _ in range(4))
+    moves = {(move, outcome): 0 for move, outcomes in _MOVES.items() for outcome in outcomes}
     cum = np.cumsum(probs)
 
     for t in range(it):
         if rng.random() < config.structure_move_prob:
-            str_tot += 1
-            k = _structure_index(cum, rng.random())
-            prop_states = _fresh_state(structures[k], spec, rng)
-            if prop_states is None:
-                str_exhausted += 1
-            else:
-                prop_layers = build_layers(structures[k], prop_states)
-                prop_ll = loglik(prop_layers)
-                if math.log(rng.random() + 1e-300) < prop_ll - cur_ll:
-                    cur_idx, cur_states = k, prop_states
-                    cur_layers, cur_ll = prop_layers, prop_ll
-                    str_acc += 1
+            move, k = "structure", _structure_index(cum, rng.random())
+            nodes = _fresh_state(structures[k], spec, rng)
         else:
-            pcn_tot += 1
-            prop_states = {}
-            for key, ns in cur_states.items():
-                z = rho * ns.z + math.sqrt(1 - rho * rho) * rng.standard_normal(len(ns.z))
-                path = path_from_state(ns.gp_spec, z)
-                if not in_conditioning_set(path, ns.gp_spec.beta, ns.K)[0]:
-                    break
-                prop_states[key] = Node(z, path, ns.gp_spec, ns.K)
-            else:
-                prop_layers = build_layers(structures[cur_idx], prop_states)
-                prop_ll = loglik(prop_layers)
-                if math.log(rng.random() + 1e-300) < prop_ll - cur_ll:
-                    cur_states, cur_layers, cur_ll = prop_states, prop_layers, prop_ll
-                    pcn_acc += 1
+            move, k = "pcn", chain.k
+            nodes = _pcn_state(chain.nodes, config.pcn_step, rng)
+        outcome = _MOVES[move][-1]
+        if nodes is not None:  # the prior proposes both moves: test the likelihoods
+            proposal, outcome = chain_at(k, nodes), "rejected"
+            if math.log(rng.random() + 1e-300) < proposal.ll - chain.ll:
+                chain, outcome = proposal, "accepted"
+        moves[move, outcome] += 1
 
-        fe = compose(cur_layers, eval_pts, eval_cells)
-        s_idx[t] = cur_idx
-        lls[t] = cur_ll
+        fe = compose(chain.layers, eval_pts, eval_cells)
+        s_idx[t] = chain.k
+        lls[t] = chain.ll
         errs[t] = (math.sqrt(float(np.sum(eval_w * (fe - truth_eval) ** 2)))
                    if truth_eval is not None else math.nan)
         sups[t] = float(np.max(np.abs(fe)))
-        bes[t] = (max(besov_norm(ns.path, ns.gp_spec.beta) for ns in cur_states.values())
+        bes[t] = (max(besov_norm(ns.path, ns.gp_spec.beta) for ns in chain.nodes.values())
                   if spec.profile.family == WAVELET else math.nan)
 
-    burn = int(config.burn_in * it)
     return PosteriorTrace(
         structures=structures, structure_idx=s_idx, log_lik=lls, l2_error=errs,
-        besov=bes, sup=sups,
-        pcn_acceptance=pcn_acc / pcn_tot if pcn_tot else math.nan,
-        structure_acceptance=str_acc / str_tot if str_tot else math.nan,
-        structure_exhausted=str_exhausted, burn=burn,
-    )
+        besov=bes, sup=sups, moves=moves, burn=int(config.burn_in * it))
 
 
 def model_mass(trace: PosteriorTrace, spec: StructurePriorSpec, eta_star,
@@ -278,8 +277,8 @@ def contraction_runs(f_star, eta_star, spec: StructurePriorSpec,
     r_n(eta*)).  Seed s draws its data with seed config.seed + s + 1000 n and
     runs its chain with seed config.seed + s.
     """
-    if list(n_list) != sorted(n_list):
-        raise ValidationError("n_list must be increasing")
+    if any(a >= b for a, b in zip(n_list, n_list[1:])):
+        raise ValidationError(f"n_list must be strictly increasing, got {list(n_list)}")
     for n in map(int, n_list):
         spec_n = replace(spec, n=n)
         traces = []

@@ -167,8 +167,12 @@ class TestExitCodes:
                      id="wavelet-beta-minus-one"),
         pytest.param("sample", lambda c: c.update(beta=-3), "beta must be > 0",
                      id="wavelet-beta-minus-three"),
-        pytest.param("sample", lambda c: c.update(beta=float("nan")), "beta must be > 0",
+        pytest.param("sample", lambda c: c.update(beta=float("nan")), "beta must be finite",
                      id="wavelet-beta-nan"),
+        pytest.param("sample", lambda c: c.update(beta=float("inf")), "beta must be finite",
+                     id="beta-infinite"),
+        pytest.param("prior", lambda c: c.update(profile={"holder_radius": float("inf")}),
+                     "profile.holder_radius must be finite", id="profile-infinite"),
         pytest.param("sample", lambda c: c.update(family="stationary", beta=-1),
                      "beta must be > 0", id="stationary-beta-negative"),
         pytest.param("rates", lambda c: c["structure"].update(betas=["x"]),
@@ -208,6 +212,12 @@ class TestExitCodes:
                      "posterior.seed must be >= 0", id="diagnose-posterior-seed-negative"),
         pytest.param("fit", lambda c: c.update(truth={"type": "prior_draw", "seed": -5}),
                      "truth.seed must be >= 0", id="truth-seed-negative"),
+        pytest.param("prior", lambda c: c.update(
+            space={"input_dim": 1, "max_q": 4, "max_width": 1},
+            beta_grid=list(np.linspace(0.5, 1.0, 12))), "exceeds count limit",
+            id="space-too-large"),
+        pytest.param("diagnose", lambda c: c.update(n_list=[200, 200]),
+                     "n_list must be strictly increasing", id="diagnose-n-list-repeated"),
     ])
     def test_config_mistake_is_a_validation_error(self, tmp_path, capsys, command,
                                                   edit, named):
@@ -230,6 +240,25 @@ class TestExitCodes:
         assert err["error"] == "validation"
         assert "--seed must be >= 0" in err["detail"]
         assert not out.exists()
+
+    def test_out_naming_a_file_is_a_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert cli.main(["rates", "--config", config(tmp_path, "rates"),
+                         "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "validation"
+        assert "--out" in err["detail"]
+
+    def test_program_bug_exits_3(self, tmp_path, capsys, monkeypatch):
+        def broken(cfg, seed, out_dir):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_cmd_rates", broken)
+        assert cli.main(["rates", "--config", config(tmp_path, "rates"),
+                         "--out", str(tmp_path / "o")]) == 3
+        last = capsys.readouterr().err.strip().splitlines()[-1]
+        assert json.loads(last) == {"error": "internal", "detail": "RuntimeError: boom"}
 
     def test_unconditioned_sample_takes_any_beta(self, tmp_path):
         # only the conditioning check needs beta <= 2; its norm column caps beta at 2

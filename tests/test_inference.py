@@ -273,7 +273,7 @@ class TestMcmc:
         cfg = inference.PosteriorConfig(iterations=300, pcn_step=0.995,
                                         structure_move_prob=0.0, seed=1)
         trace = inference.run_mcmc(data, spec, cfg)
-        assert trace.pcn_acceptance > 0.9
+        assert trace.acceptance("pcn") > 0.9
 
     def test_shrinkage_vs_prior(self):
         # the posterior given data from f* = 0 concentrates: post-burn-in sup
@@ -323,8 +323,69 @@ class TestMcmc:
         data = inference.generate_data(lambda x: 0.0 * x[:, 0], n=100, seed=0)
         cfg = inference.PosteriorConfig(iterations=60, structure_move_prob=0.5, seed=4)
         trace = inference.run_mcmc(data, q0_spec(n=100), cfg)
-        assert trace.structure_exhausted == len(calls) - 1 > 10
-        assert trace.structure_acceptance == 0.0
+        assert trace.moves["structure", "exhausted"] == len(calls) - 1 > 10
+        assert trace.acceptance("structure") == 0.0
+
+    def test_move_tally_counts_what_happened(self, monkeypatch):
+        # the chain's events in order: each pCN node check, each structure
+        # move's node draw, and the error-grid compose that ends an iteration
+        spec = prior.StructurePriorSpec(
+            space=structure.StructureSpace(input_dim=1, max_q=1, max_width=2),
+            profile=rates.RateProfile(family=rates.STATIONARY), n=200, beta_grid=(1.0,))
+        data = inference.generate_data(prior.sample_prior(spec, 1), n=200, seed=3)
+        check, fresh, compose = (inference.in_conditioning_set, inference._fresh_state,
+                                 inference.compose)
+        events = []
+
+        def checking(path, beta, K):
+            result = check(path, beta, K)
+            events.append(("check", result[0]))
+            return result
+
+        def drawing(eta, spec, rng):
+            # after the start, structure moves 1, 4, 7, ... run out
+            starting = not any(e == "design" for e, _ in events)
+            draws = sum(e == "draw" for e, _ in events)
+            nodes = fresh(eta, spec, rng) if starting or draws % 3 else None
+            events.append(("start", eta) if starting else ("draw", nodes is None))
+            return nodes
+
+        def composing(layers, points, cells):
+            fv = compose(layers, points, cells)
+            events.append(("design", fv) if points is data.X else ("end", None))
+            return fv
+
+        monkeypatch.setattr(inference, "in_conditioning_set", checking)
+        monkeypatch.setattr(inference, "_fresh_state", drawing)
+        monkeypatch.setattr(inference, "compose", composing)
+        cfg = inference.PosteriorConfig(iterations=120, pcn_step=0.98,
+                                        structure_move_prob=0.3, seed=3)
+        trace = inference.run_mcmc(data, spec, cfg)
+
+        first = next(i for i, (e, _) in enumerate(events) if e == "design")
+        fv = events[first][1]
+        prev = (trace.structures.index(events[first - 1][1]),
+                float(np.sum(data.Y * fv - 0.5 * fv**2)))
+        want = dict.fromkeys(trace.moves, 0)
+        iteration = []
+        for e, note in events[first + 1:]:
+            if e != "end":
+                iteration.append((e, note))
+                continue
+            t = sum(want.values())
+            draws = [exhausted for e, exhausted in iteration if e == "draw"]
+            now = (trace.structure_idx[t], trace.log_lik[t])
+            if draws:
+                outcome = "exhausted" if draws[0] else "accepted" if now != prev else "rejected"
+                want["structure", outcome] += 1
+            else:
+                left = any(not ok for e, ok in iteration if e == "check")
+                outcome = "left_set" if left else "accepted" if now != prev else "rejected"
+                want["pcn", outcome] += 1
+            prev, iteration = now, []
+        assert trace.moves == want
+        assert sum(trace.moves.values()) == cfg.iterations
+        assert all(count > 0 for count in want.values())  # every outcome happened
 
     def test_five_dimensional_error_grid(self, monkeypatch):
         # the L2-error grid stays within 17^3 points: 5 per axis at d = 5, not 17
@@ -393,6 +454,7 @@ class TestContractionCurve:
             graph=structure.make_graph(0, (1, 1), [[(1,)]]),
             betas=(1.0,), bounds=spec.space.beta_bounds)
         cfg = inference.PosteriorConfig(iterations=10, seed=0)
-        with pytest.raises(ValidationError):
-            next(inference.contraction_runs(lambda x: 0.0 * x[:, 0], eta, spec,
-                                            cfg, n_list=(400, 100)))
+        for n_list in ((400, 100), (200, 200)):  # a repeated n reruns one chain
+            with pytest.raises(ValidationError, match="strictly increasing"):
+                next(inference.contraction_runs(lambda x: 0.0 * x[:, 0], eta, spec,
+                                                cfg, n_list=n_list))
