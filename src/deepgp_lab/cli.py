@@ -199,6 +199,8 @@ def _cmd_rates(cfg, seed, out_dir):
     profile = _profile(cfg)
     rows = []
     for n in _list(cfg["n_list"], "n_list", _int):
+        rates.check_finite(profile, lambda p: n * rates.eps_structure(eta, p, n) ** 2,
+                           f"n = {n}: the penalty Psi_n")
         rn = rates.minimax_rate(eta, n)
         eps = rates.eps_structure(eta, profile, n)
         lw = rates.psi_n(eta, profile, n).log_value

@@ -4,19 +4,23 @@ Two concrete path representations:
 
 * GridPath — values on a uniform tensor grid over [-1,1]^r with multilinear
   interpolation in between, gathered from the 2^r corner values around each
-  point.
+  point: each corner is one take from the flat values, at the points' base
+  indices plus the corner's offset.
 * WaveletPath — coefficients on a tensorized hierarchical hat (Faber-Schauder)
   system, levels j = 1..J with 2^{jr} basis functions per level, for any r.
   Exact and nested; not orthonormal, which none of the coefficient-level
   checks need.  Every hat is linear between the level-J dyadic knots, so the
   series is multilinear on the knot grid linspace(-1, 1, 2^{J+1}+1)^r: a
   WaveletPath is the GridPath of its knot values, which it sums once, level by
-  level, when it is built.
+  level, when it is built, from hat brackets on the knot axis that are cached
+  per (level, knot count) and shared by every path.
 
-On top of those: empirical Holder norm and conditioning-set membership, both
-read on a path's own nodes, Besov sup-norm of coefficients, layer/composition
-evaluation, the composition gap bound, and a brute-force covering-number
-oracle for the discretized Lipschitz class.
+On top of those: empirical Holder norm (by np.gradient's difference stencil,
+written out with its bits) and conditioning-set membership, both read on a
+path's own nodes, Besov sup-norm of coefficients, layer/composition
+evaluation (a layer writes its outputs into one array and clips it in place),
+the composition gap bound, and a brute-force covering-number oracle for the
+discretized Lipschitz class.
 """
 
 from __future__ import annotations
@@ -78,16 +82,40 @@ def _axis_bracket(j, x):
 
 
 def _hat_sum(levels, pts):
-    """sum_j sum_k lambda_{j,k} psi_{j,k} at pts, gathering the 2^r hats that touch each point."""
-    total = np.zeros(pts.shape[0])
+    """sum_j sum_k lambda_{j,k} psi_{j,k} at any points, from the 2^r hats touching each one."""
+    return _sum_levels(levels, lambda j: [_axis_bracket(j, x) for x in pts.T], len(pts))
+
+
+def _sum_levels(levels, brackets, n):
+    """The hat sum at n points; brackets(j) holds each axis's two level-j (index, hat) pairs."""
+    total = np.zeros(n)
     for j, coeff in enumerate(levels, start=1):
-        level = np.zeros(pts.shape[0])
+        level = np.zeros(n)
         # the 2^r corners in lexicographic order: the order a dense sum adds them in
-        for corner in itertools.product(*(_axis_bracket(j, x) for x in pts.T)):
+        for corner in itertools.product(*brackets(j)):
             idx, hats = zip(*corner)
             level += math.prod(hats) * coeff[idx]
         total += level
     return total
+
+
+@functools.lru_cache(maxsize=64)
+def _knot_bracket(j, m):
+    """_axis_bracket(j, _axis(m)), read-only: shared by every path whose knot axis has m nodes."""
+    pairs = tuple(_axis_bracket(j, _axis(m)))
+    for a in itertools.chain.from_iterable(pairs):
+        a.flags.writeable = False
+    return pairs
+
+
+def _knot_sum(levels, r, m):
+    """_hat_sum(levels, grid_points(r, m)) from the per-axis brackets of the knot axis.
+
+    A mesh node's bracket on axis k is the axis bracket at its k-th node index.
+    """
+    nodes = np.indices((m,) * r).reshape(r, -1)
+    return _sum_levels(levels, lambda j: [[(k[ix], h[ix]) for k, h in _knot_bracket(j, m)]
+                                          for ix in nodes], m**r)
 
 
 @functools.lru_cache(maxsize=64)
@@ -114,16 +142,26 @@ def _cells(x, m):
 
 
 def _gather(values, cells):
-    """The multilinear interpolant of the grid values at points given by per-axis cells (i, y)."""
-    brackets = [((i, 1.0 - y), (i + 1, y)) for i, y in cells]
+    """The multilinear interpolant of the grid values at points given by per-axis cells (i, y).
+
+    Each of the 2^r corners is one take from the flat values: the points' base
+    indices sum_k i_k stride_k, read from the corner's offset, the sum of the
+    strides of the axes on which it takes the upper node.
+    """
+    flat = values.ravel()
+    strides = [math.prod(values.shape[k + 1:]) for k in range(values.ndim)]
+    base = cells[-1][0].astype(np.intp)  # take would convert int32 indices on every corner
+    for (i, _), stride in zip(cells[:-1], strides):
+        base = base + i * stride
+    brackets = [((0, 1.0 - y), (stride, y)) for (_, y), stride in zip(cells, strides)]
     total = np.zeros(len(cells[0][1]))
     # corners and weights in the order scipy's RegularGridInterpolator uses,
     # so both give the same bits
     for corner in itertools.product(*brackets):
-        idx, weights = zip(*corner)
-        term = values[idx]
+        offsets, weights = zip(*corner)
+        term = flat[sum(offsets):].take(base)
         for w in weights:
-            term = term * w
+            term *= w
         total += term
     return total
 
@@ -183,7 +221,7 @@ class WaveletPath(GridPath):
         self.levels = tuple(np.asarray(c, dtype=float).reshape((2**j,) * r)
                             for j, c in enumerate(levels, start=1))
         m = 2 ** (len(self.levels) + 1) + 1
-        super().__init__(_hat_sum(self.levels, grid_points(r, m)).reshape((m,) * r))
+        super().__init__(_knot_sum(self.levels, r, m).reshape((m,) * r))
 
 
 class LayerFunction:
@@ -214,12 +252,12 @@ class LayerFunction:
         """
         pts = _as_points(points, self.in_dim)
         cells = {} if cells is None else cells
-        cols = []
-        for path, s in self.components:
+        out = np.empty((len(pts), self.out_dim))
+        for j, (path, s) in enumerate(self.components):
             slots = [e - 1 for e in s] + [None] * (path.r - len(s))
-            cols.append(path(pts, [_cached_cells(cells, pts, c, m)
-                                   for c, m in zip(slots, path.values.shape)]))
-        return np.clip(np.column_stack(cols), -1.0, 1.0)
+            out[:, j] = path(pts, [_cached_cells(cells, pts, c, m)
+                                   for c, m in zip(slots, path.values.shape)])
+        return np.clip(out, -1.0, 1.0, out=out)
 
 
 def _cached_cells(cells, pts, col, m):
@@ -275,6 +313,18 @@ def _sup_quotient(points, values, frac):
     return best
 
 
+def _difference(f, dx, axis):
+    """np.gradient(f, dx, axis=axis, edge_order=2) with its bits: central differences
+    inside, numpy's second-order one-sided stencils on the two edges, each in
+    numpy's order of operations."""
+    out = np.empty_like(f)
+    f, d = f.swapaxes(0, axis), out.swapaxes(0, axis)
+    d[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
+    d[0] = -1.5 / dx * f[0] + 2.0 / dx * f[1] + -0.5 / dx * f[2]
+    d[-1] = 0.5 / dx * f[-3] + -2.0 / dx * f[-2] + 1.5 / dx * f[-1]
+    return out
+
+
 def holder_norm_empirical(f, beta):
     """Grid surrogate of the weighted Holder-ball norm, on the nodes of the grid path f.
 
@@ -292,13 +342,13 @@ def holder_norm_empirical(f, beta):
     r = f.r
     floor_b = int(math.floor(beta))
     frac = beta - floor_b
-    steps = [a[1] - a[0] for a in f.axes]
+    steps = [float(a[1] - a[0]) for a in f.axes]
     vals = f.values
 
     def deriv(tensor, axes):
         out = tensor
         for a in axes:
-            out = np.gradient(out, steps[a], axis=a, edge_order=2)
+            out = _difference(out, steps[a], a)
         return out
 
     low = 0.0

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import ConditioningError, ValidationError
 from .funcspace import HOLDER_MAX_BETA, LayerFunction, compose
 from .gp import GpSpec, besov_radius, rng_for, sample_conditioned
-from .rates import WAVELET, LogWeight, RateProfile, alpha_exponents, eps_alpha, psi_n
+from .rates import (WAVELET, LogWeight, RateProfile, alpha_exponents, check_finite, eps_alpha,
+                    penalty_bound, psi_n)
 from .structure import (PENALTY_HORIZON, CompositionStructure, StructureSpace,
                         enumerate_structures)
 
@@ -51,20 +52,27 @@ class StructurePriorSpec:
     beta_grid: tuple = (1.0,)
 
     def __post_init__(self):
-        """Every node law the space can ask for exists: each beta at each layer width."""
+        """Every node law the space can ask for exists, each beta at each layer width,
+        and every limit K and penalty Psi_n the space computes is finite."""
         if self.n < 3:
             raise ValidationError("n must be >= 3")
         widths = {"input_dim": self.space.input_dim}
         if self.space.max_q > 0:
             widths["max_width"] = self.space.max_width
+        # K grows as alpha falls; alpha_i is a product of at most max_q factors min(beta, 1)
+        alphas = (1.0, min(min(b, 1.0) for b in self.beta_grid) ** self.space.max_q)
         for beta in self.beta_grid:
             for name, width in widths.items():
                 try:
-                    conditioning_limit(GpSpec(family=self.profile.family, beta=beta,
-                                              r=width, n=self.n), self.profile)
+                    gp_spec = GpSpec(family=self.profile.family, beta=beta, r=width, n=self.n)
+                    check_finite(self.profile, lambda p: max(
+                        conditioning_limit(gp_spec, p, a) for a in alphas), "the limit K")
                 except ValidationError as exc:
                     raise ValidationError(f"beta_grid {list(self.beta_grid)}, "
                                           f"space.{name} = {width}: {exc}") from exc
+        ts = range(1, max(widths.values()) + 1)
+        check_finite(self.profile, lambda p: penalty_bound(p, self.space.beta_bounds, ts, self.n),
+                     "the penalty Psi_n")
 
 
 def _logsumexp(a):

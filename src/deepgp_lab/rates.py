@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -32,6 +32,8 @@ __all__ = [
     "eps_alpha",
     "eps_structure",
     "psi_n",
+    "penalty_bound",
+    "check_finite",
     "smallest_solution_m",
     "WAVELET",
     "FBM",
@@ -252,6 +254,36 @@ def psi_n(eta: CompositionStructure, profile: RateProfile, n: int) -> LogWeight:
         return LogWeight(-math.inf)
     eps = eps_structure(eta, profile, n)
     return LogWeight(-(n * eps * eps + math.exp(math.exp(m))))
+
+
+def penalty_bound(profile: RateProfile, bounds, ts, n: int) -> float:
+    """An upper bound on n eps_n(eta)^2 over every structure with these beta
+    bounds and effective dims in ts: eps_structure's constants with r_n <= 1."""
+    c1_tilde, c2_tilde = _ctilde(profile, tuple(bounds), tuple(ts))
+    return n * (c1_tilde * math.log(n) ** c2_tilde) ** 2
+
+
+def check_finite(profile: RateProfile, value_of, what: str) -> None:
+    """Raise ValidationError unless value_of(profile) is finite, naming the fields to blame.
+
+    A field is to blame when resetting it alone to its default makes the value
+    finite; when no single field does, every field off its default is named.
+    """
+    def finite(p):
+        try:
+            return math.isfinite(value_of(p))
+        except OverflowError:
+            return False
+
+    if finite(profile):
+        return
+    default = RateProfile(family=profile.family)
+    moved = [f.name for f in fields(RateProfile)
+             if getattr(profile, f.name) != getattr(default, f.name)]
+    blamed = [k for k in moved if finite(replace(profile, **{k: getattr(default, k)}))] or moved
+    named = ", ".join(f"profile.{k} = {getattr(profile, k)!r}" for k in blamed)
+    raise ValidationError(f"{what} overflows double precision with "
+                          f"{named or 'the default profile'}")
 
 
 def smallest_solution_m(profile: RateProfile, alpha: float, beta: float, r: int,

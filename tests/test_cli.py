@@ -173,6 +173,16 @@ class TestExitCodes:
                      id="beta-infinite"),
         pytest.param("prior", lambda c: c.update(profile={"holder_radius": float("inf")}),
                      "profile.holder_radius must be finite", id="profile-infinite"),
+        pytest.param("prior", lambda c: c.update(profile={"holder_radius": 1e300}),
+                     "profile.holder_radius = 1e+300", id="profile-huge-holder-radius"),
+        pytest.param("prior", lambda c: c.update(family="stationary",
+                                                 profile={"spectral_c": 1e300}),
+                     "profile.spectral_c = 1e+300", id="profile-huge-spectral-c"),
+        pytest.param("rates", lambda c: c.update(profile={"holder_radius": 1e300}),
+                     "profile.holder_radius = 1e+300", id="rates-profile-huge-holder-radius"),
+        pytest.param("rates", lambda c: c.update(family="stationary",
+                                                 profile={"spectral_c": 1e300}),
+                     "profile.spectral_c = 1e+300", id="rates-profile-huge-spectral-c"),
         pytest.param("sample", lambda c: c.update(family="stationary", beta=-1),
                      "beta must be > 0", id="stationary-beta-negative"),
         pytest.param("rates", lambda c: c["structure"].update(betas=["x"]),

@@ -275,6 +275,61 @@ class TestGridEvaluation:
             assert funcspace.GridPath(values)(axis[k:k + 1])[0] == 1.0
 
 
+def fancy_gather(values, cells):
+    """The gather with one tuple fancy index per corner: the reference for its flat takes."""
+    brackets = [((i, 1.0 - y), (i + 1, y)) for i, y in cells]
+    total = np.zeros(len(cells[0][1]))
+    for corner in itertools.product(*brackets):
+        idx, weights = zip(*corner)
+        term = values[idx]
+        for w in weights:
+            term = term * w
+        total += term
+    return total
+
+
+class TestFlatKernels:
+    # each kernel that reads a fixed point set gives the bits of the plainer
+    # code it replaced
+
+    @pytest.mark.parametrize("shape", [(17,), (129,), (21, 33), (33, 9), (9, 5, 7)])
+    def test_takes_equal_fancy_indexing(self, monkeypatch, shape):
+        monkeypatch.setattr(funcspace, "_BLOCK", 7)  # 7 does not divide 300
+        rng = np.random.default_rng(len(shape) * 1000 + shape[0])
+        values = rng.standard_normal(shape)
+        pts = rng.uniform(-1.2, 1.2, (300, len(shape)))
+        pts[:40] = np.nextafter(np.linspace(-1.0, 1.0, 40), 2.0)[:, None]
+        path = funcspace.GridPath(values)
+        for used in range(1, len(shape) + 1):  # the slots past the used ones are padded
+            slots = list(range(used)) + [None] * (len(shape) - used)
+            cells = [funcspace._cached_cells({}, pts, c, m) for c, m in zip(slots, shape)]
+            np.testing.assert_array_equal(path(pts, cells), fancy_gather(values, cells))
+
+    @pytest.mark.parametrize("m", [8, 9, 33, 201])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_stencil_equals_numpy_gradient(self, r, m):
+        rng = np.random.default_rng(10 * m + r)
+        f = rng.standard_normal((m,) * r) * 10.0 ** rng.uniform(-3.0, 3.0, (m,) * r)
+        dx = float(funcspace._axis(m)[1] - funcspace._axis(m)[0])
+        for a in range(r):
+            want = np.gradient(f, dx, axis=a, edge_order=2)
+            np.testing.assert_array_equal(funcspace._difference(f, dx, a), want)
+            for b in range(r):  # second derivatives difference a difference
+                np.testing.assert_array_equal(
+                    funcspace._difference(funcspace._difference(f, dx, a), dx, b),
+                    np.gradient(want, dx, axis=b, edge_order=2))
+
+    @pytest.mark.parametrize("r, J", [(1, 1), (1, 7), (2, 1), (2, 4), (3, 1), (3, 3)])
+    def test_knot_brackets_equal_hat_sum(self, r, J):
+        rng = np.random.default_rng(10 * r + J)
+        knots = funcspace.grid_points(r, 2 ** (J + 1) + 1)
+        for _ in range(2):  # the second path reads the cached brackets
+            path = funcspace.WaveletPath(r, [rng.standard_normal(2 ** (j * r))
+                                             for j in range(1, J + 1)])
+            np.testing.assert_array_equal(path.values.ravel(),
+                                          funcspace._hat_sum(path.levels, knots))
+
+
 class TestConditioningSet:
     def test_zero_path_accepted(self):
         p = funcspace.WaveletPath(r=1, levels=[np.zeros(2)])

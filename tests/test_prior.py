@@ -320,6 +320,39 @@ class TestConditioningSpecs:
         assert path.values.shape == (gp.value_grid(spec),) * r
 
 
+class TestFiniteRates:
+    # a profile whose constants overflow a limit K or the penalty Psi_n is
+    # refused when the spec is built, and the error names the fields to blame
+    def test_fields_to_blame_together(self):
+        # c1' = spectral_c + spectral_d: resetting either alone leaves it at 1e300
+        profile = rates.RateProfile(family=rates.STATIONARY, spectral_c=1e300, spectral_d=1e300)
+        with pytest.raises(ValidationError, match=r"limit K .* profile.spectral_c = 1e\+300, "
+                                                  r"profile.spectral_d = 1e\+300"):
+            make_spec(profile=profile)
+
+    def test_an_innocent_field_is_not_named(self):
+        # a wavelet space reads spectral_d nowhere; holder_radius sets the entropy floor
+        profile = rates.RateProfile(family=rates.WAVELET, holder_radius=1e300, spectral_d=2.0)
+        with pytest.raises(ValidationError, match="penalty Psi_n") as info:
+            make_spec(profile=profile)
+        assert str(info.value).endswith("with profile.holder_radius = 1e+300")
+
+    @pytest.mark.parametrize("max_q, refused", [(1, False), (2, True)])
+    def test_limit_at_the_smallest_alpha(self, max_q, refused):
+        # K ~ eps^{1/alpha} with eps ~ 1e80: a layer under two layers of beta 0.5
+        # has alpha 1/4, and 1e320 overflows, though K at alpha 1 and 1/2 does not
+        def build():
+            return make_spec(space=structure.StructureSpace(input_dim=1, max_q=max_q, max_width=1),
+                             profile=rates.RateProfile(family=rates.STATIONARY, spectral_c=1e40),
+                             beta_grid=(0.5, 1.0))
+
+        if refused:
+            with pytest.raises(ValidationError, match=r"limit K .* profile.spectral_c = 1e\+40"):
+                build()
+        else:
+            build()
+
+
 class TestFamilyCapabilities:
     @pytest.mark.parametrize("beta_grid", [(1.0,), (0.5, 1.0), (0.5, 1.5)])
     def test_fbm_beta_grid_outside_unit_interval(self, beta_grid):
