@@ -87,6 +87,15 @@ def _int(value, name):
     return int(value)
 
 
+def _design_size(value, name):
+    """A sample size n: an integer no larger than numpy's largest index, so that an
+    array can hold n design points."""
+    n = _int(value, name)
+    if n > np.iinfo(np.intp).max:
+        raise ValidationError(f"{name} = {n} exceeds the largest array length numpy can index")
+    return n
+
+
 def _seed(value, name):
     """A seed: a nonnegative integer, as numpy's SeedSequence takes."""
     seed = _int(value, name)
@@ -142,13 +151,10 @@ def _profile(cfg):
 def _space(cfg):
     s = _fields(cfg["space"], "space", ("input_dim", "max_q", "max_width"),
                 ("max_nodes", "beta_bounds"))
-    bounds = _list(s.get("beta_bounds", (0.5, 1.0)), "space.beta_bounds", _real)
-    if len(bounds) != 2:
-        raise ValidationError(f"space.beta_bounds must be [low, high], got {list(bounds)}")
     return structure.StructureSpace(
         **{k: _int(s[k], f"space.{k}") for k in ("input_dim", "max_q", "max_width")},
         max_nodes=_int(s.get("max_nodes", 16), "space.max_nodes"),
-        beta_bounds=bounds,
+        beta_bounds=_list(s.get("beta_bounds", (0.5, 1.0)), "space.beta_bounds", _real),
     )
 
 
@@ -197,6 +203,11 @@ def _structure(cfg):
 def _cmd_rates(cfg, seed, out_dir):
     eta = _structure(cfg)
     profile = _profile(cfg)
+    for beta in eta.betas:
+        try:
+            rates.check_beta(profile.family, beta)
+        except ValidationError as exc:
+            raise ValidationError(f"structure.betas {list(eta.betas)}: {exc}") from exc
     rows = []
     for n in _list(cfg["n_list"], "n_list", _int):
         rates.check_finite(profile, lambda p: n * rates.eps_structure(eta, p, n) ** 2,
@@ -298,6 +309,7 @@ def _posterior_config(cfg, seed):
 
 
 def _cmd_fit(cfg, seed, out_dir):
+    _design_size(cfg["n"], "n")
     spec = _prior_spec(cfg)
     f_star, eta_star = _truth(cfg, spec, seed)
     data = inference.generate_data(f_star, n=spec.n, seed=seed,
@@ -318,7 +330,7 @@ def _cmd_fit(cfg, seed, out_dir):
 
 def _cmd_diagnose(cfg, seed, out_dir):
     spec, C = _prior_spec(cfg), _real(cfg.get("C", 2.0), "C")
-    n_list = _list(cfg["n_list"], "n_list", _int)
+    n_list = _list(cfg["n_list"], "n_list", _design_size)
     if not C > 0:
         raise ValidationError(f"C must be > 0, got {C}")
     f_star, eta_star = _truth(cfg, spec, seed)
@@ -372,6 +384,8 @@ def main(argv=None) -> int:
         code, error, detail = 1, "validation", str(exc)
     except DeepGpError as exc:  # NumericError and its kin
         code, error, detail = 2, "numeric", str(exc)
+    except MemoryError as exc:  # a design or path too large for this host
+        code, error, detail = 2, "resource", f"MemoryError: {exc}"
     except Exception as exc:  # a program bug, not a user or numeric error
         code, error, detail = 3, "internal", f"{type(exc).__name__}: {exc}"
     print(json.dumps({"error": error, "detail": detail}), file=sys.stderr)

@@ -23,7 +23,3 @@ class NumericError(DeepGpError):
 
 class ConditioningError(NumericError):
     """Rejection sampling exhausted its attempt budget."""
-
-
-class BudgetExceededError(NumericError):
-    """A brute-force search exceeded its resource budget."""

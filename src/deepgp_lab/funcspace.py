@@ -19,8 +19,7 @@ On top of those: empirical Holder norm (by np.gradient's difference stencil,
 written out with its bits) and conditioning-set membership, both read on a
 path's own nodes, Besov sup-norm of coefficients, layer/composition
 evaluation (a layer writes its outputs into one array and clips it in place),
-the composition gap bound, and a brute-force covering-number oracle for the
-discretized Lipschitz class.
+and the composition gap bound.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import math
 
 import numpy as np
 
-from .errors import BudgetExceededError, ValidationError
+from .errors import ValidationError
 from .rates import alpha_exponents
 
 __all__ = [
@@ -44,10 +43,8 @@ __all__ = [
     "in_conditioning_set",
     "compose",
     "composition_gap_bound",
-    "covering_number_oracle",
     "grid_points",
     "path_to_dict",
-    "path_from_dict",
 ]
 
 
@@ -447,76 +444,6 @@ def composition_gap_bound(h, h_tilde, betas, K, eta_slacks):
 
 
 # ---------------------------------------------------------------------------
-# Brute-force covering-number oracle
-
-def _discrete_holder_ok(values, h, beta, K):
-    v = np.asarray(values)
-    if beta == 1.0:
-        slopes = np.diff(v) / h
-        osc = float(slopes.max() - slopes.min()) if len(slopes) else 0.0
-        return 2.0 * float(np.max(np.abs(v))) + osc <= K + 1e-12
-    # beta < 1: pure Holder quotient with the 2^beta weight
-    n = len(v)
-    best = 0.0
-    for gap in range(1, n):
-        diffs = np.abs(v[gap:] - v[:-gap])
-        best = max(best, float(diffs.max(initial=0.0)) / (gap * h) ** beta)
-    return 2.0**beta * best <= K + 1e-12
-
-
-def covering_number_oracle(beta, r, K, delta, discretization, budget=500_000):
-    """Certified covering count for the discretized smoothness-ball proxy class.
-
-    The proxy class: piecewise-linear functions on a uniform grid of
-    `discretization` cells over [-1,1], values delta/2-quantized, bounded by 1,
-    with discrete Holder norm <= K.  The class is enumerated exhaustively
-    (depth-first with norm pruning, budget-limited) and covered greedily in sup
-    norm at radius delta; the returned count is the number of centers, a valid
-    covering number for the proxy class.
-    """
-    if r != 1:
-        raise ValidationError("covering oracle supports r=1 only")
-    if beta > 1:
-        raise ValidationError("covering oracle supports beta <= 1 only")
-    m = discretization + 1
-    h = 2.0 / discretization
-    step = delta / 2.0
-    n_levels = int(math.floor(1.0 / step + 1e-9))
-    levels = np.arange(-n_levels, n_levels + 1) * step
-
-    members = []
-    visited = 0
-
-    def feasible_prefix(prefix):
-        return _discrete_holder_ok(np.array(prefix), h, beta, K)
-
-    stack = [(lv,) for lv in levels if _discrete_holder_ok(np.array([lv]), h, beta, K)]
-    stack.reverse()
-    while stack:
-        prefix = stack.pop()
-        visited += 1
-        if visited > budget:
-            raise BudgetExceededError(f"covering oracle exceeded budget {budget}")
-        if len(prefix) == m:
-            members.append(np.array(prefix))
-            continue
-        for lv in levels[::-1]:
-            cand = prefix + (lv,)
-            if feasible_prefix(cand):
-                stack.append(cand)
-
-    if not members:
-        return 0
-    # deterministic greedy cover in sup norm (piecewise-linear sup = grid sup)
-    arr = np.array(members)
-    centers = []
-    for row in arr:
-        if not any(np.max(np.abs(row - c)) <= delta + 1e-12 for c in centers):
-            centers.append(row)
-    return len(centers)
-
-
-# ---------------------------------------------------------------------------
 # Serialization
 
 def path_to_dict(path) -> dict:
@@ -536,19 +463,3 @@ def path_to_dict(path) -> dict:
             "shape": list(path.values.shape),
         }
     raise ValidationError(f"cannot serialize {type(path).__name__}")
-
-
-def path_from_dict(d: dict):
-    if d["type"] == "wavelet":
-        return WaveletPath(r=d["r"], levels=d["levels"])
-    if d["type"] == "grid":
-        values = np.asarray(d["values"], dtype=float).reshape(d["shape"])
-        axes = [np.asarray(a, dtype=float) for a in d["axes"]]
-        if any(a.ndim != 1 or len(a) < 2
-               or not np.array_equal(a, np.linspace(-1.0, 1.0, len(a))) for a in axes):
-            raise ValidationError("each axis must be np.linspace(-1, 1, m) for some m >= 2: "
-                                  "strictly increasing, uniformly spaced nodes")
-        if values.shape != tuple(len(a) for a in axes):
-            raise ValidationError("values shape does not match axes")
-        return GridPath(values)
-    raise ValidationError(f"unknown path type {d['type']!r}")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConditioningError, NumericError, ValidationError
 from .funcspace import GridPath, WaveletPath, grid_points, in_conditioning_set
-from .rates import FAMILIES, FBM, STATIONARY, WAVELET, wavelet_resolution
+from .rates import FAMILIES, FBM, STATIONARY, WAVELET, check_beta, wavelet_resolution
 
 __all__ = [
     "GpSpec",
@@ -53,8 +53,7 @@ class GpSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValidationError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if not self.beta > 0:  # NaN fails this too
-            raise ValidationError(f"beta must be > 0, got {self.beta}")
+        check_beta(self.family, self.beta)
         if self.r < 1:
             raise ValidationError("r must be >= 1")
         if self.family in (FBM, STATIONARY):
@@ -64,8 +63,6 @@ class GpSpec:
                 raise ValidationError("grid families need grid >= 16")
             if self.grid > _GRID_CAP[self.r]:
                 raise ValidationError(f"grid capped at {_GRID_CAP[self.r]} for r={self.r}")
-        if self.family == FBM and not (0 < self.beta < 1):
-            raise ValidationError("fBM requires beta in (0, 1)")
 
 
 def rng_for(seed, key=()):

@@ -1,4 +1,4 @@
-"""Synthetic regression, information geometry, and posterior MCMC.
+"""Synthetic regression and posterior MCMC.
 
 The chain's two proposals return node states or None: a joint pCN move on all
 nodes (_pcn_state; None when a node leaves its conditioning set, so the chain
@@ -27,8 +27,6 @@ __all__ = [
     "PosteriorConfig",
     "PosteriorTrace",
     "generate_data",
-    "log_likelihood_ratio",
-    "kl_v2_hellinger",
     "run_mcmc",
     "model_mass",
     "contraction_runs",
@@ -40,7 +38,7 @@ __all__ = [
 class RegressionSample:
     X: np.ndarray
     Y: np.ndarray
-    f_star: object = None  # optional callable truth
+    f_star: object  # the callable truth
 
     def __post_init__(self):
         if len(self.X) != len(self.Y):
@@ -66,12 +64,6 @@ def generate_data(f_star, n, seed, input_dim=None) -> RegressionSample:
     return RegressionSample(X=X, Y=Y, f_star=f_star)
 
 
-def _values(f, X):
-    if callable(f):
-        return np.asarray(f(X), dtype=float)
-    return np.asarray(f, dtype=float)
-
-
 def median(values) -> float:
     """np.median of a nonempty 1-D sample, bit for bit: NaN if any entry is NaN.
 
@@ -84,29 +76,6 @@ def median(values) -> float:
     if np.isnan(part[-1]):  # the partition puts any NaN last
         return float(part[-1])
     return float(np.mean(part[half - 1 + odd:half + 1]))
-
-
-def log_likelihood_ratio(f, f_star, data: RegressionSample) -> float:
-    """sum_i Y_i (f - f*)(X_i) - f(X_i)^2/2 + f*(X_i)^2/2."""
-    fv = _values(f, data.X)
-    gv = _values(f_star, data.X)
-    return float(np.sum(data.Y * (fv - gv) - 0.5 * fv**2 + 0.5 * gv**2))
-
-
-def kl_v2_hellinger(f, g, points, weights):
-    """(KL, V2 upper bound, squared-Hellinger-type distance) by quadrature.
-
-    KL = int (f-g)^2 dmu; V2 <= int (f-g)^2 + (f-g)^4/4 dmu;
-    d_H = 1 - int exp(-(f-g)^2/8) dmu.
-    """
-    w = np.asarray(weights, dtype=float)
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise ValidationError("quadrature weights must sum to 1")
-    d = _values(f, points) - _values(g, points)
-    kl = float(np.sum(w * d**2))
-    v2 = float(np.sum(w * (d**2 + 0.25 * d**4)))
-    hell = float(1.0 - np.sum(w * np.exp(-(d**2) / 8.0)))
-    return kl, v2, hell
 
 
 @dataclass(frozen=True)
@@ -195,7 +164,7 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
     eval_pts = grid_points(d, 101 if d == 1 else max(
         m for m in range(1, 18) if m**d <= 17**3))
     eval_w = np.full(len(eval_pts), 1.0 / len(eval_pts))
-    truth_eval = _values(data.f_star, eval_pts) if data.f_star is not None else None
+    truth_eval = np.asarray(data.f_star(eval_pts), dtype=float)
     # the grid cells of the design and of the error grid, found once per chain
     design_cells, eval_cells = {}, {}
 
@@ -238,8 +207,7 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
         fe = compose(chain.layers, eval_pts, eval_cells)
         s_idx[t] = chain.k
         lls[t] = chain.ll
-        errs[t] = (math.sqrt(float(np.sum(eval_w * (fe - truth_eval) ** 2)))
-                   if truth_eval is not None else math.nan)
+        errs[t] = math.sqrt(float(np.sum(eval_w * (fe - truth_eval) ** 2)))
         sups[t] = float(np.max(np.abs(fe)))
         bes[t] = (max(besov_norm(ns.path, ns.gp_spec.beta) for ns in chain.nodes.values())
                   if spec.profile.family == WAVELET else math.nan)

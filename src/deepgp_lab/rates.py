@@ -34,7 +34,7 @@ __all__ = [
     "psi_n",
     "penalty_bound",
     "check_finite",
-    "smallest_solution_m",
+    "check_beta",
     "WAVELET",
     "FBM",
     "STATIONARY",
@@ -56,10 +56,6 @@ class LogWeight:
     """Log of a nonnegative weight; -inf encodes exact zero."""
 
     log_value: float
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log_value == -math.inf
 
 
 @dataclass(frozen=True)
@@ -133,6 +129,14 @@ class RateProfile:
         if self.family == FBM:
             return 0.0
         return self.c2_prime(beta, r) * (2 * beta + 2)
+
+
+def check_beta(family: str, beta: float) -> None:
+    """Raise ValidationError unless the family has paths of smoothness beta."""
+    if not beta > 0:  # NaN fails this too
+        raise ValidationError(f"beta must be > 0, got {beta}")
+    if family == FBM and not beta < 1:
+        raise ValidationError("fBM requires beta in (0, 1)")
 
 
 def alpha_exponents(betas) -> np.ndarray:
@@ -284,28 +288,3 @@ def check_finite(profile: RateProfile, value_of, what: str) -> None:
     named = ", ".join(f"profile.{k} = {getattr(profile, k)!r}" for k in blamed)
     raise ValidationError(f"{what} overflows double precision with "
                           f"{named or 'the default profile'}")
-
-
-def smallest_solution_m(profile: RateProfile, alpha: float, beta: float, r: int,
-                        n: int) -> int:
-    """Largest m with m * eps_m(1, beta, r)^{2 - 2 alpha} <= n.
-
-    This is the sample-size substitution that turns the alpha = 1 solution into
-    the minimal valid alpha-level solution eps_m(1)^alpha.
-    """
-    def g(m):
-        return m * eps_alpha(profile, 1.0, beta, r, m) ** (2.0 - 2.0 * alpha)
-
-    if g(3) > n:
-        raise ValidationError("no m >= 3 satisfies the substitution inequality")
-    hi = 3
-    while g(hi) <= n:
-        hi *= 2
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if g(mid) <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo

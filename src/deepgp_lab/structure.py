@@ -18,8 +18,6 @@ __all__ = [
     "CompositionGraph",
     "CompositionStructure",
     "StructureSpace",
-    "ValidationReport",
-    "ReductionResult",
     "PENALTY_HORIZON",
     "make_graph",
     "validate_graph",
@@ -71,9 +69,7 @@ class CompositionStructure:
             raise ValidationError(
                 f"betas must have length q+1={self.graph.q + 1}, got {len(self.betas)}"
             )
-        lo, hi = self.bounds
-        if not (0 < lo <= hi):
-            raise ValidationError(f"invalid beta bounds {self.bounds}")
+        lo, hi = _check_bounds(self.bounds, "structure.beta_bounds")
         for b in self.betas:
             if not (lo <= b <= hi):
                 raise ValidationError(f"beta {b} outside bounds {self.bounds}")
@@ -92,26 +88,25 @@ class StructureSpace:
     def __post_init__(self):
         if self.input_dim < 1 or self.max_q < 0 or self.max_width < 1 or self.max_nodes < 1:
             raise ValidationError("StructureSpace caps must be positive (max_q >= 0)")
+        _check_bounds(self.beta_bounds, "space.beta_bounds")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple = ()
+def _check_bounds(bounds, name):
+    """The beta bounds (low, high), once they are a pair with 0 < low <= high."""
+    if len(bounds) != 2 or not 0 < bounds[0] <= bounds[1]:
+        raise ValidationError(f"{name} must be [low, high] with 0 < low <= high, "
+                              f"got {list(bounds)}")
+    return bounds
 
 
-@dataclass(frozen=True)
-class ReductionResult:
-    structure: CompositionStructure
-    applicable: bool
+def validate_graph(g: CompositionGraph) -> None:
+    """Check every graph invariant; raise ValidationError listing every violation.
 
-
-def validate_graph(g: CompositionGraph) -> ValidationReport:
-    """Check every graph invariant; violations are data, not exceptions."""
-    v = []
+    A layer count that does not match q stops the checks that index by it.
+    """
     if len(g.dims) != g.q + 2:
-        v.append(f"dims length {len(g.dims)} != q+2 = {g.q + 2}")
-        return ValidationReport(False, tuple(v))
+        raise ValidationError(f"invalid graph: dims length {len(g.dims)} != q+2 = {g.q + 2}")
+    v = []
     if g.dims[-1] != 1:
         v.append(f"d_(q+1) = {g.dims[-1]} != 1")
     for i, d in enumerate(g.dims):
@@ -123,7 +118,7 @@ def validate_graph(g: CompositionGraph) -> ValidationReport:
         v.append(f"t_(q+1) = {g.eff_dims[-1]} != 1")
     if len(g.active_sets) != g.q + 1:
         v.append(f"active_sets has {len(g.active_sets)} layers, expected q+1 = {g.q + 1}")
-        return ValidationReport(False, tuple(v))
+        raise ValidationError("invalid graph: " + "; ".join(v))
     for i in range(g.q + 1):
         sets_i = g.active_sets[i]
         if len(sets_i) != g.dims[i + 1]:
@@ -139,7 +134,8 @@ def validate_graph(g: CompositionGraph) -> ValidationReport:
         tmax = max(len(s) for s in sets_i) if sets_i else 0
         if i < len(g.eff_dims) and g.eff_dims[i] != tmax:
             v.append(f"t_{i} != max_j |S_{i}j| ({g.eff_dims[i]} vs {tmax})")
-    return ValidationReport(len(v) == 0, tuple(v))
+    if v:
+        raise ValidationError("invalid graph: " + "; ".join(v))
 
 
 def make_graph(q, dims, active_sets) -> CompositionGraph:
@@ -196,15 +192,15 @@ def enumerate_structures(space: StructureSpace, beta_grid, count_limit: int = 20
     return out
 
 
-def reduce_redundant(eta: CompositionStructure) -> ReductionResult:
+def reduce_redundant(eta: CompositionStructure) -> CompositionStructure:
     """Collapse layers j with t_j = t_{j-1} = 1 by multiplying the exponents.
 
     Only valid when every beta <= 1 (for the smoothness ball of radius 1);
-    otherwise the structure is returned unchanged and marked not applicable.
-    The minimax rate is invariant under the collapse.
+    otherwise the structure is returned unchanged.  The minimax rate is
+    invariant under the collapse.
     """
     if max(eta.betas) > 1.0:
-        return ReductionResult(eta, applicable=False)
+        return eta
 
     g, betas = eta.graph, list(eta.betas)
     dims = list(g.dims)
@@ -228,13 +224,12 @@ def reduce_redundant(eta: CompositionStructure) -> ReductionResult:
         del betas[j]
 
     if len(betas) == len(eta.betas):
-        return ReductionResult(eta, applicable=True)
+        return eta
     graph = make_graph(len(betas) - 1, dims, sets)
     # Multiplying exponents can drop below the original lower bound; widen it
     # so the reduced structure stays admissible.
     bounds = (min(eta.bounds[0], min(betas)), eta.bounds[1])
-    reduced = CompositionStructure(graph=graph, betas=tuple(betas), bounds=bounds)
-    return ReductionResult(reduced, applicable=True)
+    return CompositionStructure(graph=graph, betas=tuple(betas), bounds=bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -258,9 +253,7 @@ def graph_from_dict(d: dict) -> CompositionGraph:
             tuple(tuple(int(e) for e in s) for s in layer) for layer in d["active_sets"]
         ),
     )
-    report = validate_graph(g)
-    if not report.ok:
-        raise ValidationError("invalid graph: " + "; ".join(report.violations))
+    validate_graph(g)
     return g
 
 

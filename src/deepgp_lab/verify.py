@@ -37,10 +37,10 @@ def check_redundancy_rates(trials=200, seed=7):
     worst = 0.0
     for _ in range(trials):
         eta = _random_structure(rng)
-        res = structure.reduce_redundant(eta)
+        reduced = structure.reduce_redundant(eta)
         for n in (10**3, 10**6):
             a = rates.minimax_rate(eta, n).value
-            b = rates.minimax_rate(res.structure, n).value
+            b = rates.minimax_rate(reduced, n).value
             worst = max(worst, abs(a - b) / a)
     return "redundancy-rate-equality", worst < 1e-12, f"worst relative error {worst:.3e}"
 

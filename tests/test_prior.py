@@ -29,7 +29,7 @@ def fig2_structure():
 class TestStructurePrior:
     def test_normalization(self):
         weighted = prior.structure_prior_weights(make_spec())
-        total = sum(math.exp(w.log_value) for _, w in weighted if not w.is_zero)
+        total = sum(math.exp(w.log_value) for _, w in weighted if w.log_value > -math.inf)
         assert abs(total - 1.0) < 1e-12
 
     def test_single_structure_gets_unit_mass(self):
@@ -68,7 +68,7 @@ class TestStructurePrior:
         eta = structure.CompositionStructure(graph=g, betas=(1.0,) * 3,
                                              bounds=(0.3, 1.0))
         assert g.num_nodes == 8
-        assert rates.psi_n(eta, spec.profile, spec.n).is_zero
+        assert rates.psi_n(eta, spec.profile, spec.n).log_value == -math.inf
 
     def test_all_zero_raises(self):
         spec = make_spec(space=structure.StructureSpace(input_dim=8, max_q=0,

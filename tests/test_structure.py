@@ -20,26 +20,25 @@ class TestValidation:
     def test_wide_graph_is_valid(self):
         g = fig2_graph()
         assert g.eff_dims == (3, 3, 1)
-        assert structure.validate_graph(g).ok
+        structure.validate_graph(g)
 
     def test_minimal_graph(self):
         g = structure.make_graph(0, (1, 1), [[(1,)]])
-        assert structure.validate_graph(g).ok
+        structure.validate_graph(g)
         assert g.num_nodes == 2
 
     def test_wrong_eff_dim_reported(self):
         g = fig2_graph()
         bad = structure.CompositionGraph(q=g.q, dims=g.dims, eff_dims=(2, 3, 1),
                                          active_sets=g.active_sets)
-        report = structure.validate_graph(bad)
-        assert not report.ok
-        assert any("t_0" in v for v in report.violations)
+        with pytest.raises(ValidationError, match="invalid graph: .*t_0"):
+            structure.validate_graph(bad)
 
     def test_empty_active_set_reported(self):
         g = structure.CompositionGraph(q=0, dims=(1, 1), eff_dims=(0, 1),
                                        active_sets=(((),),))
-        report = structure.validate_graph(g)
-        assert not report.ok
+        with pytest.raises(ValidationError, match="invalid graph: S_01 is empty"):
+            structure.validate_graph(g)
 
 
 class TestEnumeration:
@@ -64,7 +63,7 @@ class TestEnumeration:
         out = structure.enumerate_structures(space, (0.5, 1.0))
         assert out
         for eta in out:
-            assert structure.validate_graph(eta.graph).ok
+            structure.validate_graph(eta.graph)
 
     def test_count_limit(self):
         space = structure.StructureSpace(input_dim=3, max_q=2, max_width=3)
@@ -92,15 +91,14 @@ class TestReduction:
         eta = structure.CompositionStructure(graph=g, betas=(0.5, 0.5),
                                              bounds=(0.2, 1.0))
         res = structure.reduce_redundant(eta)
-        assert res.applicable
-        assert res.structure.graph.q == 0
-        np.testing.assert_allclose(res.structure.betas, (0.25,))
+        assert res.graph.q == 0
+        np.testing.assert_allclose(res.betas, (0.25,))
 
     def test_q0_unchanged(self):
         g = structure.make_graph(0, (1, 1), [[(1,)]])
         eta = structure.CompositionStructure(graph=g, betas=(0.7,), bounds=(0.2, 1.0))
         res = structure.reduce_redundant(eta)
-        assert res.structure == eta
+        assert res == eta
 
     def test_three_layer_collapse(self):
         # t=(3,1,1,1): the last two layers merge, beta 0.8*0.5 = 0.4
@@ -109,29 +107,27 @@ class TestReduction:
         eta = structure.CompositionStructure(graph=g, betas=(0.5, 0.8, 0.5),
                                              bounds=(0.2, 1.0))
         res = structure.reduce_redundant(eta)
-        assert res.structure.graph.q == 1
-        assert res.structure.graph.eff_dims == (3, 1, 1)
-        np.testing.assert_allclose(res.structure.betas, (0.5, 0.4))
+        assert res.graph.q == 1
+        assert res.graph.eff_dims == (3, 1, 1)
+        np.testing.assert_allclose(res.betas, (0.5, 0.4))
         for n in (10**3, 10**6):
             np.testing.assert_allclose(rates.minimax_rate(eta, n).value,
-                                       rates.minimax_rate(res.structure, n).value,
+                                       rates.minimax_rate(res, n).value,
                                        rtol=1e-13)
 
     def test_not_applicable_above_one(self):
         g = structure.make_graph(1, (1, 1, 1), [[(1,)], [(1,)]])
         eta = structure.CompositionStructure(graph=g, betas=(1.5, 0.5),
                                              bounds=(0.2, 2.0))
-        res = structure.reduce_redundant(eta)
-        assert not res.applicable
-        assert res.structure == eta
+        assert structure.reduce_redundant(eta) == eta
 
     def test_idempotent(self):
         g = structure.make_graph(
             2, (3, 1, 1, 1), [[(1, 2, 3)], [(1,)], [(1,)]])
         eta = structure.CompositionStructure(graph=g, betas=(0.5, 0.8, 0.5),
                                              bounds=(0.2, 1.0))
-        once = structure.reduce_redundant(eta).structure
-        twice = structure.reduce_redundant(once).structure
+        once = structure.reduce_redundant(eta)
+        twice = structure.reduce_redundant(once)
         assert once == twice
 
 
