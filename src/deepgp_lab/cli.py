@@ -87,12 +87,20 @@ def _int(value, name):
     return int(value)
 
 
-def _design_size(value, name):
-    """A sample size n: an integer no larger than numpy's largest index, so that an
-    array can hold n design points."""
+def _float64_count(count, name):
+    """A count of float64 entries that one numpy array can hold: numpy refuses an
+    array of more than its largest index in bytes, before it allocates anything."""
+    if count * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+        raise ValidationError(f"{name}: {count} float64 values exceed the largest array "
+                              "numpy can allocate")
+    return count
+
+
+def _design_size(value, input_dim, name):
+    """A sample size n whose design, n points of input_dim float64 coordinates, an
+    array can hold."""
     n = _int(value, name)
-    if n > np.iinfo(np.intp).max:
-        raise ValidationError(f"{name} = {n} exceeds the largest array length numpy can index")
+    _float64_count(n * input_dim, f"{name} = {n} points of space.input_dim = {input_dim}")
     return n
 
 
@@ -305,16 +313,18 @@ def _posterior_config(cfg, seed):
                         ("prior_only", _bool)):
         if name in p:
             p[name] = check(p[name], f"posterior.{name}")
+    if "iterations" in p:  # the trace holds one float64 per iteration in each column
+        p["iterations"] = _float64_count(p["iterations"], "posterior.iterations")
     return inference.PosteriorConfig(**p)
 
 
 def _cmd_fit(cfg, seed, out_dir):
-    _design_size(cfg["n"], "n")
-    spec = _prior_spec(cfg)
+    _design_size(cfg["n"], _space(cfg).input_dim, "n")
+    spec, config = _prior_spec(cfg), _posterior_config(cfg, seed)
     f_star, eta_star = _truth(cfg, spec, seed)
     data = inference.generate_data(f_star, n=spec.n, seed=seed,
                                    input_dim=eta_star.graph.dims[0])
-    trace = inference.run_mcmc(data, spec, _posterior_config(cfg, seed))
+    trace = inference.run_mcmc(data, spec, config)
     rows = [(t, int(trace.structure_idx[t]), trace.log_lik[t], trace.l2_error[t],
              trace.besov[t], trace.sup[t]) for t in range(len(trace.log_lik))]
     _write_csv(out_dir, "trace.csv",
@@ -330,13 +340,15 @@ def _cmd_fit(cfg, seed, out_dir):
 
 def _cmd_diagnose(cfg, seed, out_dir):
     spec, C = _prior_spec(cfg), _real(cfg.get("C", 2.0), "C")
-    n_list = _list(cfg["n_list"], "n_list", _design_size)
+    n_list = _list(cfg["n_list"], "n_list",
+                   lambda n, name: _design_size(n, spec.space.input_dim, name))
     if not C > 0:
         raise ValidationError(f"C must be > 0, got {C}")
+    config = _posterior_config(cfg, seed)
     f_star, eta_star = _truth(cfg, spec, seed)
     mass_rows, contr_rows = [], []
     for row, spec_n, (trace,) in inference.contraction_runs(
-            f_star, eta_star, spec, _posterior_config(cfg, seed), n_list):
+            f_star, eta_star, spec, config, n_list):
         contr_rows.append(row)
         mass_rows.append((row[0], C, inference.model_mass(trace, spec_n, eta_star, C=C)))
     _write_csv(out_dir, "model_mass.csv", ("n", "C", "mass"), mass_rows)

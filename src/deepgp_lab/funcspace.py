@@ -19,7 +19,8 @@ On top of those: empirical Holder norm (by np.gradient's difference stencil,
 written out with its bits) and conditioning-set membership, both read on a
 path's own nodes, Besov sup-norm of coefficients, layer/composition
 evaluation (a layer writes its outputs into one array and clips it in place),
-and the composition gap bound.
+the design statistics that make a one-layer Gaussian log-likelihood a quadratic
+form in node values, and the composition gap bound.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +44,8 @@ __all__ = [
     "besov_norm",
     "in_conditioning_set",
     "compose",
+    "design_statistics",
+    "quadratic_loglik",
     "composition_gap_bound",
     "grid_points",
     "path_to_dict",
@@ -138,25 +142,36 @@ def _cells(x, m):
     return i, (x - a[i]) / (a[i + 1] - a[i])
 
 
-def _gather(values, cells):
-    """The multilinear interpolant of the grid values at points given by per-axis cells (i, y).
+def _corners(shape, cells):
+    """The points' base indices in the flat values of a grid of this shape, and its
+    2^r corners as (offset, weights), in the order _gather sums them.
 
-    Each of the 2^r corners is one take from the flat values: the points' base
-    indices sum_k i_k stride_k, read from the corner's offset, the sum of the
-    strides of the axes on which it takes the upper node.
+    A point's base index is sum_k i_k stride_k over its per-axis cells (i, y); a
+    corner's offset is the sum of the strides of the axes on which it takes the
+    upper node, and its weights are the per-axis factors y there and 1 - y elsewhere.
     """
-    flat = values.ravel()
-    strides = [math.prod(values.shape[k + 1:]) for k in range(values.ndim)]
+    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
     base = cells[-1][0].astype(np.intp)  # take would convert int32 indices on every corner
     for (i, _), stride in zip(cells[:-1], strides):
         base = base + i * stride
     brackets = [((0, 1.0 - y), (stride, y)) for (_, y), stride in zip(cells, strides)]
-    total = np.zeros(len(cells[0][1]))
     # corners and weights in the order scipy's RegularGridInterpolator uses,
     # so both give the same bits
-    for corner in itertools.product(*brackets):
-        offsets, weights = zip(*corner)
-        term = flat[sum(offsets):].take(base)
+    return base, [(sum(offsets), weights)
+                  for offsets, weights in (zip(*c) for c in itertools.product(*brackets))]
+
+
+def _gather(values, cells):
+    """The multilinear interpolant of the grid values at points given by per-axis cells (i, y).
+
+    Each of the 2^r corners is one take from the flat values, at the points'
+    base indices read from the corner's offset.
+    """
+    flat = values.ravel()
+    base, corners = _corners(values.shape, cells)
+    total = np.zeros(len(base))
+    for offset, weights in corners:
+        term = flat[offset:].take(base)
         for w in weights:
             term *= w
         total += term
@@ -250,11 +265,15 @@ class LayerFunction:
         pts = _as_points(points, self.in_dim)
         cells = {} if cells is None else cells
         out = np.empty((len(pts), self.out_dim))
-        for j, (path, s) in enumerate(self.components):
-            slots = [e - 1 for e in s] + [None] * (path.r - len(s))
-            out[:, j] = path(pts, [_cached_cells(cells, pts, c, m)
-                                   for c, m in zip(slots, path.values.shape)])
+        for j, (path, _) in enumerate(self.components):
+            out[:, j] = path(pts, self._path_cells(j, pts, cells))
         return np.clip(out, -1.0, 1.0, out=out)
+
+    def _path_cells(self, j, pts, cells):
+        """The cells component j's path reads: its input columns', and 0's in its padded slots."""
+        path, s = self.components[j]
+        slots = [e - 1 for e in s] + [None] * (path.r - len(s))
+        return [_cached_cells(cells, pts, c, m) for c, m in zip(slots, path.values.shape)]
 
 
 def _cached_cells(cells, pts, col, m):
@@ -410,6 +429,75 @@ def compose(layers, points, cells=None):
     if pts.shape[1] != 1:
         raise ValidationError("final layer must have a single output")
     return pts[:, 0]
+
+
+class _DesignStatistics(NamedTuple):
+    """design_statistics's result, trimmed to the L = m^r - (last corner's offset)
+    base indices a point can have."""
+
+    index: np.ndarray  # (2^r, L): row c holds the flat indices offset_c + k, k < L
+    left: np.ndarray  # the pairs c <= c' of corners, as the rows c ...
+    right: np.ndarray  # ... and c' of index
+    b: np.ndarray  # (2^r, L): b[c, k] = sum of w_c Y over the points with base k
+    G: np.ndarray  # (pairs, L): G[p, k] = sum of w_c w_c' over them, doubled when c < c'
+    n: int
+    abs_y: float  # sum |Y|
+
+    def rounding_bound(self, values):
+        """Most that quadratic_loglik and compose's sum(Y f - f^2/2) can differ by rounding.
+
+        Each side sums at most N = n + (entries of G) + 4 2^r rounded terms, so
+        it is within N u/(1 - N u) of its exact value, relative to
+        sum(|Y| a + a^2/2) with a = W|v| <= max|v|.  Twice that, with eps = 2u
+        for u to cover the weights' own rounding, as in gp._grid_factor's bound.
+        """
+        N = self.n + self.G.size + 4 * len(self.index)
+        eps = N * np.finfo(float).eps
+        s = float(np.max(np.abs(values)))
+        return 2.0 * eps / (1.0 - eps) * (s * self.abs_y + 0.5 * s * s * self.n)
+
+
+def design_statistics(layer, points, Y, cells):
+    """The statistics that give sum(Y f - f^2/2) for f = layer(points) in node values.
+
+    ``layer`` has one component, whose path reads the points' cells directly, so
+    f = W v for the path's flat values v and sum(Y f - f^2/2) = b.v - v.G v/2,
+    b = W^T Y, G = W^T W (the clip to [-1, 1] binds only by rounding when
+    sup |v| <= 1).  A point's row of W is its 2^r corner weights at its base
+    index plus each corner's offset (_corners), so G is one array over base
+    indices per pair of corners c <= c', not an m^r x m^r matrix.  The cells
+    come from ``cells`` (compose's cache, filled here if empty); the sums run
+    over _BLOCK points at a time, of at least one point.
+    """
+    (path, _), = layer.components
+    pts = _as_points(points, layer.in_dim)
+    Y = np.asarray(Y, dtype=float)
+    axes = layer._path_cells(0, pts, cells)
+    size = path.values.size
+    corners = 2**path.r
+    left, right = np.triu_indices(corners)
+    b, G = np.zeros((corners, size)), np.zeros((len(left), size))
+    for start in range(0, len(pts), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        base, weighted = _corners(path.values.shape, [(i[block], y[block]) for i, y in axes])
+        offsets, w = zip(*((o, math.prod(ws)) for o, ws in weighted))
+        for c in range(corners):
+            b[c] += np.bincount(base, w[c] * Y[block], minlength=size)
+        for p, (c, d) in enumerate(zip(left, right)):
+            G[p] += np.bincount(base, w[c] * w[d], minlength=size)
+    length = size - offsets[-1]
+    G[left < right] *= 2.0
+    return _DesignStatistics(np.add.outer(offsets, np.arange(length)), left, right,
+                             b[:, :length].copy(), G[:, :length].copy(), len(pts),
+                             float(np.sum(np.abs(Y))))
+
+
+def quadratic_loglik(stats, values):
+    """b.v - v.G v/2 at the flat node values v: sum(Y f - f^2/2) of design_statistics's layer
+    with its path's values set to ``values``."""
+    V = values.ravel()[stats.index]
+    quadratic = float(np.vdot(stats.G, V[stats.left] * V[stats.right]))
+    return float(np.vdot(stats.b, V)) - 0.5 * quadratic
 
 
 def _layer_grid_m(d):

@@ -5,6 +5,8 @@ nodes (_pcn_state; None when a node leaves its conditioning set, so the chain
 targets the conditioned prior exactly) and a structure move drawn from the prior
 (_fresh_state; None when a node draw runs out).  One Metropolis test on the
 likelihood ratio accepts either; PosteriorTrace.moves tallies the outcomes.
+A one-layer structure's log-likelihood is a quadratic form in its node values,
+from design statistics built once per structure (funcspace.design_statistics).
 """
 
 from __future__ import annotations
@@ -15,12 +17,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConditioningError, ValidationError
-from .funcspace import besov_norm, compose, grid_points, in_conditioning_set
+from .errors import ConditioningError, NumericError, ValidationError
+from .funcspace import (besov_norm, compose, design_statistics, grid_points,
+                        in_conditioning_set, quadratic_loglik)
 from .gp import path_from_state, rng_for
 from .prior import (Node, StructurePriorSpec, build_layers, sample_nodes,
                     structure_prior_weights, _structure_index, _weights_array)
 from .rates import WAVELET, eps_structure, minimax_rate
+from .structure import structure_to_dict
 
 __all__ = [
     "RegressionSample",
@@ -51,10 +55,8 @@ class RegressionSample:
         return len(self.Y)
 
 
-def generate_data(f_star, n, seed, input_dim=None) -> RegressionSample:
-    """Uniform design on [-1,1]^d plus standard normal noise."""
-    if input_dim is None:
-        input_dim = getattr(f_star, "input_dim", 1)
+def generate_data(f_star, n, seed, input_dim) -> RegressionSample:
+    """Uniform design on [-1,1]^d, d = input_dim, plus standard normal noise."""
     rng = rng_for(seed, (11,))
     X = rng.uniform(-1.0, 1.0, size=(n, input_dim))
     fv = np.asarray(f_star(X), dtype=float)
@@ -167,13 +169,34 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
     truth_eval = np.asarray(data.f_star(eval_pts), dtype=float)
     # the grid cells of the design and of the error grid, found once per chain
     design_cells, eval_cells = {}, {}
+    stats = {}  # structure index -> the design statistics of its one layer
+
+    def loglik(k, layers):
+        """sum(Y f - f^2/2) of f = compose(layers) on the design.
+
+        A one-layer f is linear in its node values: its log-likelihood is their
+        quadratic form, from statistics built on the structure's first state,
+        whose compose on the design they must match within their rounding bound.
+        """
+        if len(layers) == 1 and k in stats:
+            return quadratic_loglik(stats[k], layers[0].components[0][0].values)
+        fv = compose(layers, data.X, design_cells)
+        full = float(np.sum(data.Y * fv - 0.5 * fv**2))
+        if len(layers) > 1:
+            return full
+        values = layers[0].components[0][0].values
+        stats[k] = design_statistics(layers[0], data.X, data.Y, design_cells)
+        ll, bound = quadratic_loglik(stats[k], values), stats[k].rounding_bound(values)
+        if not abs(ll - full) <= bound:
+            raise NumericError(
+                f"structure {k} {structure_to_dict(structures[k])}: its design statistics "
+                f"give log-likelihood {ll!r}, compose on the design {full!r}; they differ "
+                f"by more than the rounding bound {bound:.3g}")
+        return ll
 
     def chain_at(k, nodes):
         layers = build_layers(structures[k], nodes)
-        if config.prior_only:
-            return _Chain(k, nodes, layers, 0.0)
-        fv = compose(layers, data.X, design_cells)
-        return _Chain(k, nodes, layers, float(np.sum(data.Y * fv - 0.5 * fv**2)))
+        return _Chain(k, nodes, layers, 0.0 if config.prior_only else loglik(k, layers))
 
     # start at the most probable structure whose nodes draw within their budget
     for k in np.argsort(-probs):

@@ -256,10 +256,6 @@ class DgpDraw:
     def __call__(self, points):
         return compose(self.layers, points)
 
-    @property
-    def input_dim(self):
-        return self.layers[0].in_dim
-
 
 def sample_dgp(eta: CompositionStructure, spec: StructurePriorSpec, seed) -> DgpDraw:
     """One conditioned path per (layer, output) node, each from its own keyed stream."""

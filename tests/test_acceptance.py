@@ -144,7 +144,7 @@ def _q0_spec(n):
 def test_criterion_08_sampler_null_test():
     t0 = time.perf_counter()
     spec = _q0_spec(500)
-    data = inference.generate_data(lambda x: np.zeros(len(x)), n=500, seed=0)
+    data = inference.generate_data(lambda x: np.zeros(len(x)), n=500, seed=0, input_dim=1)
     cfg = inference.PosteriorConfig(iterations=6000, pcn_step=0.2,
                                     structure_move_prob=0.0, burn_in=0.2,
                                     seed=0, prior_only=True)
@@ -220,7 +220,7 @@ def test_criterion_10_model_selection_trend():
             n=n, beta_grid=(1.0,))
         per_seed[n] = []
         for s in range(5):
-            data = inference.generate_data(f_star, n=n, seed=s + 1000)
+            data = inference.generate_data(f_star, n=n, seed=s + 1000, input_dim=1)
             cfg = inference.PosteriorConfig(iterations=400, pcn_step=0.9,
                                             structure_move_prob=0.2, seed=s)
             trace = inference.run_mcmc(data, spec, cfg)

@@ -168,6 +168,21 @@ class TestExitCodes:
                      id="fit-n-past-intp"),
         pytest.param("diagnose", lambda c: c.update(n_list=[200, 1e20]),
                      "n_list = 100000000000000000000", id="diagnose-n-list-past-intp"),
+        # numpy refuses an array of more bytes than its largest index before it
+        # allocates, so none of these allocates anything
+        pytest.param("fit", lambda c: c.update(n=2**62), "n = 4611686018427387904",
+                     id="fit-n-bytes-past-intp"),
+        pytest.param("fit", lambda c: c.update(n=2**59, space=dict(c["space"], input_dim=2)),
+                     "n = 576460752303423488 points of space.input_dim = 2",
+                     id="fit-design-bytes-past-intp"),
+        pytest.param("diagnose", lambda c: c.update(n_list=[200, 2**62]),
+                     "n_list = 4611686018427387904", id="diagnose-n-list-bytes-past-intp"),
+        pytest.param("fit", lambda c: c["posterior"].update(iterations=1e20),
+                     "posterior.iterations", id="fit-iterations-past-intp"),
+        pytest.param("fit", lambda c: c["posterior"].update(iterations=2**62),
+                     "posterior.iterations", id="fit-iterations-bytes-past-intp"),
+        pytest.param("diagnose", lambda c: c["posterior"].update(iterations=2**62),
+                     "posterior.iterations", id="diagnose-iterations-bytes-past-intp"),
         pytest.param("fit", lambda c: c["posterior"].update(pcn_step="0.5"),
                      "posterior.pcn_step", id="pcn-step-string"),
         pytest.param("fit", lambda c: c["posterior"].update(prior_only=1),
@@ -296,6 +311,23 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o")]) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err == {"error": "resource", "detail": "MemoryError: Unable to allocate 7.28 TiB"}
+
+    def test_corrupted_design_statistics_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a one-layer chain checks its design statistics against compose on the
+        # design, on each structure's first state
+        build = inference.design_statistics
+
+        def corrupted(*args):
+            stats = build(*args)
+            return stats._replace(b=stats.b * (1.0 + 1e-9))
+
+        monkeypatch.setattr(inference, "design_statistics", corrupted)
+        assert cli.main(["fit", "--config", config(tmp_path, "fit"),
+                         "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "numeric"
+        assert re.match(r"structure \d+ \{.*\}: its design statistics give", err["detail"])
+        assert "rounding bound" in err["detail"]
 
     def test_unconditioned_sample_takes_any_beta(self, tmp_path):
         # only the conditioning check needs beta <= 2; its norm column caps beta at 2

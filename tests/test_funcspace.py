@@ -513,6 +513,65 @@ class TestCellCache:
         assert all(i.dtype == np.int32 and y.dtype == np.float64 for i, y in seen.values())
 
 
+# a one-layer f is W v in its path's node values v, so sum(Y f - f^2/2) is
+# design_statistics's quadratic form b.v - v.G v/2, up to rounding
+STATISTICS_CASES = {  # name -> (family, r, active set, design columns)
+    "wavelet-r1": (rates.WAVELET, 1, (1,), 1),
+    "wavelet-r2": (rates.WAVELET, 2, (1, 2), 2),
+    "wavelet-r3": (rates.WAVELET, 3, (2, 3, 1), 3),
+    "stationary-r1": (rates.STATIONARY, 1, (1,), 1),
+    "stationary-r2": (rates.STATIONARY, 2, (2, 1), 2),
+    "fbm-r1": (rates.FBM, 1, (1,), 1),
+    "fbm-r2": (rates.FBM, 2, (1, 2), 2),
+    "column-2-of-2": (rates.STATIONARY, 1, (2,), 2),
+    "padded-slot": (rates.WAVELET, 2, (1,), 1),
+}
+BLOCK = funcspace._BLOCK
+
+
+def _one_layer(case, rng):
+    family, r, s, d = STATISTICS_CASES[case]
+    spec = gp.GpSpec(family=family, beta=0.8 if family == rates.FBM else 1.0, r=r, n=200)
+    z = rng.standard_normal(gp.state_size(spec))
+    sup = float(np.max(np.abs(gp.path_from_state(spec, z).values)))
+    # scaled into the sup ball, where every chain state lies
+    path = gp.path_from_state(spec, z * min(1.0, 0.999 / sup))
+    return funcspace.LayerFunction([(path, s)], d)
+
+
+def _design(layer, n, on_nodes, rng):
+    """n uniform points, a share of whose coordinates are nodes of the path or +-1."""
+    X = rng.uniform(-1.0, 1.0, (n, layer.in_dim))
+    nodes = np.concatenate([np.linspace(-1.0, 1.0, m) for m in
+                            layer.components[0][0].values.shape] + [[-1.0, 1.0]])
+    mask = rng.random(X.shape) < on_nodes
+    X[mask] = rng.choice(nodes, int(mask.sum()))
+    return X
+
+
+@pytest.mark.parametrize("case", STATISTICS_CASES)
+@settings(max_examples=12, deadline=None)
+@given(n=st.sampled_from((1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5)),
+       on_nodes=st.sampled_from((0.0, 0.5, 1.0)), seed=st.integers(0, 2**16))
+def test_design_statistics_give_the_full_evaluation(case, n, on_nodes, seed):
+    rng = np.random.default_rng(seed)
+    layer = _one_layer(case, rng)
+    X = _design(layer, n, on_nodes, rng)
+    cells = {}
+    fv = funcspace.compose([layer], X, cells)
+    Y = fv + rng.standard_normal(n)
+    full = float(np.sum(Y * fv - 0.5 * fv**2))
+    stats = funcspace.design_statistics(layer, X, Y, cells)
+    values = layer.components[0][0].values
+    bound = stats.rounding_bound(values)
+    assert abs(funcspace.quadratic_loglik(stats, values) - full) <= bound
+    # the bound is a rounding bound: far below one point's share of the sum
+    assert bound <= 1e-9 * (np.sum(np.abs(Y)) + n)
+    # the statistics read compose's cells, or find the same ones themselves
+    fresh = funcspace.design_statistics(layer, X, Y, {})
+    assert all(np.array_equal(a, b) for a, b in zip(stats, fresh))
+
+
 class TestCompositionGapBound:
     def test_single_layer_equality(self):
         xs = np.linspace(-1, 1, 201)

@@ -131,7 +131,7 @@ class TestFreshState:
         # fresh state read from the chain's stream and always accepted, so the
         # chain's sups are independent draws of the prior's sup on the same grid
         spec = q0_spec(n=500, profile=rates.RateProfile(family=rates.STATIONARY))
-        data = inference.generate_data(lambda x: np.zeros(len(x)), n=500, seed=0)
+        data = inference.generate_data(lambda x: np.zeros(len(x)), n=500, seed=0, input_dim=1)
         cfg = inference.PosteriorConfig(iterations=1000, structure_move_prob=1.0,
                                         burn_in=0.0, seed=0, prior_only=True)
         trace = inference.run_mcmc(data, spec, cfg)
@@ -171,28 +171,35 @@ class TestMedian:
 
 class TestGenerateData:
     def test_shapes_and_design_range(self):
-        data = inference.generate_data(lambda x: 0.5 * x[:, 0], n=500, seed=0)
+        data = inference.generate_data(lambda x: 0.5 * x[:, 0], n=500, seed=0, input_dim=1)
         assert data.X.shape == (500, 1)
         assert np.max(np.abs(data.X)) <= 1.0
 
     def test_noise_moments(self):
-        data = inference.generate_data(lambda x: 0.0 * x[:, 0], n=20000, seed=1)
+        data = inference.generate_data(lambda x: 0.0 * x[:, 0], n=20000, seed=1, input_dim=1)
         assert abs(data.Y.mean()) < 0.03
         assert abs(data.Y.var() - 1.0) < 0.05
 
     def test_determinism(self):
-        a = inference.generate_data(lambda x: 0.5 * x[:, 0], n=50, seed=3)
-        b = inference.generate_data(lambda x: 0.5 * x[:, 0], n=50, seed=3)
+        a = inference.generate_data(lambda x: 0.5 * x[:, 0], n=50, seed=3, input_dim=1)
+        b = inference.generate_data(lambda x: 0.5 * x[:, 0], n=50, seed=3, input_dim=1)
         np.testing.assert_array_equal(a.Y, b.Y)
 
     def test_out_of_ball_truth_rejected(self):
         with pytest.raises(ValidationError):
-            inference.generate_data(lambda x: 2.0 + 0 * x[:, 0], n=50, seed=0)
+            inference.generate_data(lambda x: 2.0 + 0 * x[:, 0], n=50, seed=0, input_dim=1)
+
+    def test_input_dim_is_required(self):
+        # the design's dimension is the structure's, never guessed from the truth
+        draw = prior.sample_prior(q0_spec(), 1)
+        with pytest.raises(TypeError):
+            inference.generate_data(draw, n=50, seed=0)
+        assert not hasattr(draw, "input_dim")
 
 
 class TestLogLikelihoodRatio:
     def data(self):
-        return inference.generate_data(lambda x: 0.5 * x[:, 0], n=200, seed=5)
+        return inference.generate_data(lambda x: 0.5 * x[:, 0], n=200, seed=5, input_dim=1)
 
     def test_identity_zero(self):
         d = self.data()
@@ -270,7 +277,7 @@ class TestMcmc:
     def test_pcn_near_one_accepts(self):
         # rho -> 1 means near-identical proposals; acceptance should be high
         spec = q0_spec(n=100)
-        data = inference.generate_data(lambda x: 0.0 * x[:, 0], n=100, seed=0)
+        data = inference.generate_data(lambda x: 0.0 * x[:, 0], n=100, seed=0, input_dim=1)
         cfg = inference.PosteriorConfig(iterations=300, pcn_step=0.995,
                                         structure_move_prob=0.0, seed=1)
         trace = inference.run_mcmc(data, spec, cfg)
@@ -280,7 +287,7 @@ class TestMcmc:
         # the posterior given data from f* = 0 concentrates: post-burn-in sup
         # norm is smaller on average than under the prior alone
         spec = q0_spec(n=400)
-        data = inference.generate_data(lambda x: 0.0 * x[:, 0], n=400, seed=2)
+        data = inference.generate_data(lambda x: 0.0 * x[:, 0], n=400, seed=2, input_dim=1)
         cfg = inference.PosteriorConfig(iterations=600, pcn_step=0.7,
                                         structure_move_prob=0.0, seed=3)
         post = inference.run_mcmc(data, spec, cfg)
@@ -293,7 +300,7 @@ class TestMcmc:
 
     def test_determinism(self):
         spec = q0_spec(n=100)
-        data = inference.generate_data(lambda x: 0.0 * x[:, 0], n=100, seed=0)
+        data = inference.generate_data(lambda x: 0.0 * x[:, 0], n=100, seed=0, input_dim=1)
         cfg = inference.PosteriorConfig(iterations=100, pcn_step=0.8, seed=4)
         a = inference.run_mcmc(data, spec, cfg)
         b = inference.run_mcmc(data, spec, cfg)
@@ -302,7 +309,7 @@ class TestMcmc:
 
     def test_trace_lengths_and_burn(self):
         spec = q0_spec(n=100)
-        data = inference.generate_data(lambda x: 0.0 * x[:, 0], n=100, seed=0)
+        data = inference.generate_data(lambda x: 0.0 * x[:, 0], n=100, seed=0, input_dim=1)
         cfg = inference.PosteriorConfig(iterations=80, burn_in=0.25, seed=0)
         trace = inference.run_mcmc(data, spec, cfg)
         assert len(trace.log_lik) == 80
@@ -321,7 +328,7 @@ class TestMcmc:
             return real(spec, K, rng, max_attempts)
 
         monkeypatch.setattr(prior, "sample_conditioned", exhausting)
-        data = inference.generate_data(lambda x: 0.0 * x[:, 0], n=100, seed=0)
+        data = inference.generate_data(lambda x: 0.0 * x[:, 0], n=100, seed=0, input_dim=1)
         cfg = inference.PosteriorConfig(iterations=60, structure_move_prob=0.5, seed=4)
         trace = inference.run_mcmc(data, q0_spec(n=100), cfg)
         assert trace.moves["structure", "exhausted"] == len(calls) - 1 > 10
@@ -333,7 +340,8 @@ class TestMcmc:
         spec = prior.StructurePriorSpec(
             space=structure.StructureSpace(input_dim=1, max_q=1, max_width=2),
             profile=rates.RateProfile(family=rates.STATIONARY), n=200, beta_grid=(1.0,))
-        data = inference.generate_data(prior.sample_prior(spec, 1), n=200, seed=3)
+        data = inference.generate_data(prior.sample_prior(spec, 1), n=200, seed=3,
+                                       input_dim=1)
         check, fresh, compose = (inference.in_conditioning_set, inference._fresh_state,
                                  inference.compose)
         events = []
@@ -353,7 +361,7 @@ class TestMcmc:
 
         def composing(layers, points, cells):
             fv = compose(layers, points, cells)
-            events.append(("design", fv) if points is data.X else ("end", None))
+            events.append(("design", layers) if points is data.X else ("end", None))
             return fv
 
         monkeypatch.setattr(inference, "in_conditioning_set", checking)
@@ -364,9 +372,10 @@ class TestMcmc:
         trace = inference.run_mcmc(data, spec, cfg)
 
         first = next(i for i, (e, _) in enumerate(events) if e == "design")
-        fv = events[first][1]
+        (layer,) = events[first][1]  # a one-layer start: its log-likelihood is the quadratic form
+        design = funcspace.design_statistics(layer, data.X, data.Y, {})
         prev = (trace.structures.index(events[first - 1][1]),
-                float(np.sum(data.Y * fv - 0.5 * fv**2)))
+                funcspace.quadratic_loglik(design, layer.components[0][0].values))
         want = dict.fromkeys(trace.moves, 0)
         iteration = []
         for e, note in events[first + 1:]:
@@ -404,10 +413,61 @@ class TestMcmc:
         assert np.all(np.isfinite(trace.l2_error))
 
 
+class TestLikelihood:
+    # a one-layer chain reads its log-likelihood off design statistics built on
+    # each structure's first state; a deeper chain composes every proposal
+    def record(self, monkeypatch, data):
+        """The structures chain_at builds layers for, and the design composes."""
+        built, design = [], []
+        build, compose = inference.build_layers, inference.compose
+
+        def building(eta, nodes):
+            built.append(eta)
+            return build(eta, nodes)
+
+        def composing(layers, points, cells):
+            if points is data.X:
+                design.append(layers)
+            return compose(layers, points, cells)
+
+        monkeypatch.setattr(inference, "build_layers", building)
+        monkeypatch.setattr(inference, "compose", composing)
+        return built, design
+
+    def test_one_layer_chain_composes_the_design_once_per_structure(self, monkeypatch):
+        # a 2-D q = 0 space: the prior's mass lies on the two one-coordinate structures
+        spec = q0_spec(space=structure.StructureSpace(input_dim=2, max_q=0, max_width=1),
+                       beta_grid=(0.5, 1.0))
+        data = inference.generate_data(lambda x: 0.0 * x[:, 0], n=200, seed=0, input_dim=2)
+        built, design = self.record(monkeypatch, data)
+        cfg = inference.PosteriorConfig(iterations=200, structure_move_prob=0.5, seed=1)
+        trace = inference.run_mcmc(data, spec, cfg)
+        assert len(design) == len(set(built)) == 2
+        assert len(built) > 100
+        assert len(set(trace.structure_idx)) == 2  # the chain moved between the two
+
+    def test_deeper_chain_composes_every_proposal(self, monkeypatch):
+        spec = prior.StructurePriorSpec(
+            space=structure.StructureSpace(input_dim=1, max_q=1, max_width=1),
+            profile=rates.RateProfile(family=rates.WAVELET), n=200, beta_grid=(1.0,))
+        deep = next(eta for eta, _ in prior.structure_prior_weights(spec) if eta.graph.q == 1)
+        monkeypatch.setattr(inference, "structure_prior_weights",
+                            lambda spec: [(deep, rates.LogWeight(0.0))])
+        monkeypatch.setattr(inference, "design_statistics", None)  # not called
+        data = inference.generate_data(lambda x: 0.5 * x[:, 0], n=200, seed=0, input_dim=1)
+        built, design = self.record(monkeypatch, data)
+        cfg = inference.PosteriorConfig(iterations=60, pcn_step=0.99, seed=2)
+        trace = inference.run_mcmc(data, spec, cfg)
+        assert len(design) == len(built) > 1
+        ll = [float(np.sum(data.Y * fv - 0.5 * fv**2))
+              for fv in (funcspace.compose(layers, data.X) for layers in design)]
+        assert set(trace.log_lik) <= set(ll)
+
+
 class TestModelMass:
     def test_single_structure_full_mass(self):
         spec = q0_spec(n=100)
-        data = inference.generate_data(lambda x: 0.0 * x[:, 0], n=100, seed=0)
+        data = inference.generate_data(lambda x: 0.0 * x[:, 0], n=100, seed=0, input_dim=1)
         cfg = inference.PosteriorConfig(iterations=50, seed=0)
         trace = inference.run_mcmc(data, spec, cfg)
         eta = trace.structures[0]
@@ -415,7 +475,7 @@ class TestModelMass:
 
     def test_tight_constant_excludes_slower_structures(self):
         spec = q0_spec(n=100, beta_grid=(0.6, 1.0))
-        data = inference.generate_data(lambda x: 0.0 * x[:, 0], n=100, seed=0)
+        data = inference.generate_data(lambda x: 0.0 * x[:, 0], n=100, seed=0, input_dim=1)
         cfg = inference.PosteriorConfig(iterations=200, seed=0,
                                         structure_move_prob=0.3)
         trace = inference.run_mcmc(data, spec, cfg)
@@ -429,7 +489,7 @@ class TestModelMass:
     def test_cap_enabled_excludes_everything_at_small_n(self):
         # log(2 log 20) ~ 1.79 < 2 nodes, so the cap empties the good set
         spec = q0_spec(n=20)
-        data = inference.generate_data(lambda x: 0.0 * x[:, 0], n=20, seed=0)
+        data = inference.generate_data(lambda x: 0.0 * x[:, 0], n=20, seed=0, input_dim=1)
         cfg = inference.PosteriorConfig(iterations=50, seed=0)
         trace = inference.run_mcmc(data, spec, cfg)
         eta = trace.structures[0]

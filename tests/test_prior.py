@@ -176,7 +176,7 @@ class TestDgpDraw:
                          beta_grid=(1.0,), n=50)
         draw = prior.sample_dgp(fig2_structure(), spec, seed=0)
         assert len(draw.stats) == 4  # 3 + 1 conditioned paths
-        assert draw.input_dim == 5
+        assert draw.layers[0].in_dim == 5
 
     def test_range_contained(self):
         spec = make_spec(space=structure.StructureSpace(input_dim=1, max_q=1,
