@@ -56,20 +56,21 @@ class StructurePriorSpec:
         and every limit K and penalty Psi_n the space computes is finite."""
         if self.n < 3:
             raise ValidationError("n must be >= 3")
+        depth, width = self.space.reach  # no structure past these has prior mass
         widths = {"input_dim": self.space.input_dim}
-        if self.space.max_q > 0:
-            widths["max_width"] = self.space.max_width
-        # K grows as alpha falls; alpha_i is a product of at most max_q factors min(beta, 1)
-        alphas = (1.0, min(min(b, 1.0) for b in self.beta_grid) ** self.space.max_q)
+        if depth > 0:
+            widths["max_width"] = width
+        # K grows as alpha falls; alpha_i is a product of at most q factors min(beta, 1)
+        alphas = (1.0, min(min(b, 1.0) for b in self.beta_grid) ** max(depth, 0))
         for beta in self.beta_grid:
             for name, width in widths.items():
                 try:
                     gp_spec = GpSpec(family=self.profile.family, beta=beta, r=width, n=self.n)
                     check_finite(self.profile, lambda p: max(
                         conditioning_limit(gp_spec, p, a) for a in alphas), "the limit K")
-                except ValidationError as exc:
-                    raise ValidationError(f"beta_grid {list(self.beta_grid)}, "
-                                          f"space.{name} = {width}: {exc}") from exc
+                except ValidationError as exc:  # name the field as the config gives it
+                    raise ValidationError(f"beta_grid {list(self.beta_grid)}, space.{name} = "
+                                          f"{getattr(self.space, name)}: {exc}") from exc
         ts = range(1, max(widths.values()) + 1)
         check_finite(self.profile, lambda p: penalty_bound(p, self.space.beta_bounds, ts, self.n),
                      "the penalty Psi_n")

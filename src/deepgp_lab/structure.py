@@ -10,7 +10,7 @@ beta_i.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import SpaceTooLargeError, ValidationError
 
@@ -19,8 +19,6 @@ __all__ = [
     "CompositionStructure",
     "StructureSpace",
     "PENALTY_HORIZON",
-    "make_graph",
-    "validate_graph",
     "enumerate_structures",
     "reduce_redundant",
     "graph_to_dict",
@@ -35,20 +33,51 @@ ActiveSets = tuple  # per layer: tuple over outputs of sorted 1-based index tupl
 # floor(ln 709); larger structures carry exactly zero prior mass.
 PENALTY_HORIZON = 6
 
+_COUNT_LIMIT = 200_000  # most structures enumerate_structures lists
+
 
 @dataclass(frozen=True)
 class CompositionGraph:
-    """The graph part lambda = (q, d, t, S).
+    """The graph part lambda = (q, d, t, S), stored as d_0 and S.
 
-    dims has length q+2 with dims[-1] == 1; eff_dims mirrors it with a trailing 1.
     active_sets[i][j] is the sorted tuple of 1-based input coordinates read by
-    output j of layer i.
+    output j of layer i.  The rest is derived: q + 1 is the number of layers,
+    dims = (d_0, ..., d_q, 1) with d_{i+1} the number of outputs of layer i, and
+    eff_dims = (t_0, ..., t_q, 1) with t_i = max_j |S_ij|.  Building a graph
+    checks it, raising one ValidationError that lists every violation.
     """
 
-    q: int
-    dims: tuple
-    eff_dims: tuple
+    input_dim: int
     active_sets: ActiveSets
+    q: int = field(init=False, compare=False, repr=False)
+    dims: tuple = field(init=False, compare=False, repr=False)
+    eff_dims: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        sets = tuple(tuple(tuple(s) for s in layer) for layer in self.active_sets)
+        dims = (self.input_dim,) + tuple(len(layer) for layer in sets)
+        v = [f"d_0 = {self.input_dim} < 1"] if self.input_dim < 1 else []
+        if not sets:
+            v.append("no layers")
+        elif dims[-1] != 1:
+            v.append(f"the last layer has {dims[-1]} outputs, not 1")
+        for i, layer in enumerate(sets):
+            if not layer:
+                v.append(f"layer {i} has no outputs")
+            for j, s in enumerate(layer):
+                if not s:
+                    v.append(f"S_{i}{j + 1} is empty")
+                if tuple(sorted(set(s))) != s:
+                    v.append(f"S_{i}{j + 1} not sorted/deduplicated: {s}")
+                if any(not 1 <= e <= dims[i] for e in s):
+                    v.append(f"S_{i}{j + 1} has index outside [1, d_{i}={dims[i]}]: {s}")
+        if v:
+            raise ValidationError("invalid graph: " + "; ".join(v))
+        object.__setattr__(self, "active_sets", sets)
+        object.__setattr__(self, "q", len(sets) - 1)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "eff_dims",
+                           tuple(max(map(len, layer)) for layer in sets) + (1,))
 
     @property
     def num_nodes(self) -> int:
@@ -90,6 +119,17 @@ class StructureSpace:
             raise ValidationError("StructureSpace caps must be positive (max_q >= 0)")
         _check_bounds(self.beta_bounds, "space.beta_bounds")
 
+    @property
+    def reach(self):
+        """(largest q, largest hidden width) of a structure with prior mass.
+
+        Such a structure has |d|_1 = d_0 + d_1 + ... + d_q + 1 at most
+        min(max_nodes, PENALTY_HORIZON) with every d_i >= 1, so q and each hidden
+        d_i are at most that cap - d_0 - 1; both are negative when none has mass.
+        """
+        slack = min(self.max_nodes, PENALTY_HORIZON) - self.input_dim - 1
+        return min(self.max_q, slack), min(self.max_width, slack)
+
 
 def _check_bounds(bounds, name):
     """The beta bounds (low, high), once they are a pair with 0 < low <= high."""
@@ -99,64 +139,19 @@ def _check_bounds(bounds, name):
     return bounds
 
 
-def validate_graph(g: CompositionGraph) -> None:
-    """Check every graph invariant; raise ValidationError listing every violation.
-
-    A layer count that does not match q stops the checks that index by it.
-    """
-    if len(g.dims) != g.q + 2:
-        raise ValidationError(f"invalid graph: dims length {len(g.dims)} != q+2 = {g.q + 2}")
-    v = []
-    if g.dims[-1] != 1:
-        v.append(f"d_(q+1) = {g.dims[-1]} != 1")
-    for i, d in enumerate(g.dims):
-        if d < 1:
-            v.append(f"d_{i} = {d} < 1")
-    if len(g.eff_dims) != g.q + 2:
-        v.append(f"eff_dims length {len(g.eff_dims)} != q+2 = {g.q + 2}")
-    elif g.eff_dims[-1] != 1:
-        v.append(f"t_(q+1) = {g.eff_dims[-1]} != 1")
-    if len(g.active_sets) != g.q + 1:
-        v.append(f"active_sets has {len(g.active_sets)} layers, expected q+1 = {g.q + 1}")
-        raise ValidationError("invalid graph: " + "; ".join(v))
-    for i in range(g.q + 1):
-        sets_i = g.active_sets[i]
-        if len(sets_i) != g.dims[i + 1]:
-            v.append(f"layer {i}: {len(sets_i)} active sets for d_{i + 1} = {g.dims[i + 1]} outputs")
-            continue
-        for j, s in enumerate(sets_i):
-            if len(s) == 0:
-                v.append(f"S_{i}{j + 1} is empty")
-            if tuple(sorted(set(s))) != tuple(s):
-                v.append(f"S_{i}{j + 1} not sorted/deduplicated: {s}")
-            if any(not (1 <= e <= g.dims[i]) for e in s):
-                v.append(f"S_{i}{j + 1} has index outside [1, d_{i}={g.dims[i]}]: {s}")
-        tmax = max(len(s) for s in sets_i) if sets_i else 0
-        if i < len(g.eff_dims) and g.eff_dims[i] != tmax:
-            v.append(f"t_{i} != max_j |S_{i}j| ({g.eff_dims[i]} vs {tmax})")
-    if v:
-        raise ValidationError("invalid graph: " + "; ".join(v))
-
-
-def make_graph(q, dims, active_sets) -> CompositionGraph:
-    """Build a graph, deriving eff_dims from the active sets."""
-    sets = tuple(tuple(tuple(sorted(set(s))) for s in layer) for layer in active_sets)
-    eff = tuple(max(len(s) for s in layer) for layer in sets) + (1,)
-    return CompositionGraph(q=q, dims=tuple(dims), eff_dims=eff, active_sets=sets)
-
-
 def _nonempty_subsets(d):
     idx = range(1, d + 1)
     for size in range(1, d + 1):
         yield from itertools.combinations(idx, size)
 
 
-def enumerate_structures(space: StructureSpace, beta_grid, count_limit: int = 200_000):
+def enumerate_structures(space: StructureSpace, beta_grid):
     """All valid structures within the caps, in lexicographic (q, d, S, beta) order.
 
     beta_grid is the set of admissible smoothness values, applied to every layer
     (cartesian product across layers).  Only structures with positive prior
-    mass are listed: |d|_1 is capped at PENALTY_HORIZON as well as max_nodes.
+    mass are listed: |d|_1 is capped at PENALTY_HORIZON as well as max_nodes,
+    and only the depths and widths within space.reach are walked.
     """
     lo, hi = space.beta_bounds
     grid = tuple(sorted(beta_grid))
@@ -166,10 +161,10 @@ def enumerate_structures(space: StructureSpace, beta_grid, count_limit: int = 20
         if not (lo <= b <= hi):
             raise ValidationError(f"beta_grid value {b} outside bounds {space.beta_bounds}")
 
+    depth, width = space.reach
     out = []
-    for q in range(space.max_q + 1):
-        hidden_widths = itertools.product(range(1, space.max_width + 1), repeat=q)
-        for widths in hidden_widths:
+    for q in range(depth + 1):
+        for widths in itertools.product(range(1, width + 1), repeat=q):
             dims = (space.input_dim,) + widths + (1,)
             if sum(dims) > min(space.max_nodes, PENALTY_HORIZON):
                 continue
@@ -180,14 +175,14 @@ def enumerate_structures(space: StructureSpace, beta_grid, count_limit: int = 20
                     list(itertools.product(subsets, repeat=dims[i + 1]))
                 )
             for sets in itertools.product(*per_layer_choices):
-                graph = make_graph(q, dims, sets)
+                graph = CompositionGraph(space.input_dim, sets)
                 for betas in itertools.product(grid, repeat=q + 1):
                     out.append(
                         CompositionStructure(graph=graph, betas=betas, bounds=space.beta_bounds)
                     )
-                    if len(out) > count_limit:
+                    if len(out) > _COUNT_LIMIT:
                         raise SpaceTooLargeError(
-                            f"structure space exceeds count limit {count_limit}"
+                            f"structure space exceeds count limit {_COUNT_LIMIT}"
                         )
     return out
 
@@ -203,33 +198,26 @@ def reduce_redundant(eta: CompositionStructure) -> CompositionStructure:
         return eta
 
     g, betas = eta.graph, list(eta.betas)
-    dims = list(g.dims)
-    sets = [list(layer) for layer in g.active_sets]
     while True:
-        q = len(betas) - 1
-        j = next(
-            (j for j in range(1, q + 1) if max(len(s) for s in sets[j]) == 1
-             and max(len(s) for s in sets[j - 1]) == 1),
-            None,
-        )
+        j = next((j for j in range(1, g.q + 1) if g.eff_dims[j] == g.eff_dims[j - 1] == 1),
+                 None)
         if j is None:
             break
         # Merge layer j into layer j-1: output k of the merged layer reads what
         # the (single) input of old output k read one layer down.
-        merged = [sets[j - 1][s[0] - 1] for s in sets[j]]
-        sets[j - 1] = merged
+        sets = list(g.active_sets)
+        sets[j - 1] = [sets[j - 1][s[0] - 1] for s in sets[j]]
         del sets[j]
-        del dims[j]
+        g = CompositionGraph(g.input_dim, sets)
         betas[j - 1] = betas[j - 1] * betas[j]
         del betas[j]
 
-    if len(betas) == len(eta.betas):
+    if g is eta.graph:
         return eta
-    graph = make_graph(len(betas) - 1, dims, sets)
     # Multiplying exponents can drop below the original lower bound; widen it
     # so the reduced structure stays admissible.
     bounds = (min(eta.bounds[0], min(betas)), eta.bounds[1])
-    return CompositionStructure(graph=graph, betas=tuple(betas), bounds=bounds)
+    return CompositionStructure(graph=g, betas=tuple(betas), bounds=bounds)
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +233,17 @@ def graph_to_dict(g: CompositionGraph) -> dict:
 
 
 def graph_from_dict(d: dict) -> CompositionGraph:
-    g = CompositionGraph(
-        q=int(d["q"]),
-        dims=tuple(int(x) for x in d["dims"]),
-        eff_dims=tuple(int(x) for x in d["eff_dims"]),
-        active_sets=tuple(
-            tuple(tuple(int(e) for e in s) for s in layer) for layer in d["active_sets"]
-        ),
-    )
-    validate_graph(g)
+    """The graph of dims[0] and active_sets, once q, dims and eff_dims are what
+    those two give."""
+    g = CompositionGraph(int(d["dims"][0]), [[[int(e) for e in s] for s in layer]
+                                              for layer in d["active_sets"]])
+    given = {"q": int(d["q"]), "dims": [int(x) for x in d["dims"]],
+             "eff_dims": [int(x) for x in d["eff_dims"]]}
+    derived = graph_to_dict(g)
+    stale = [f"{k} = {v}, but dims[0] and active_sets give {derived[k]}"
+             for k, v in given.items() if v != derived[k]]
+    if stale:
+        raise ValidationError("invalid graph: " + "; ".join(stale))
     return g
 
 

@@ -20,14 +20,12 @@ __all__ = ["run_suite", "SUITES"]
 def _random_structure(rng, max_q=2, max_width=3, bounds=(0.3, 1.0)):
     q = int(rng.integers(0, max_q + 1))
     dims = [int(rng.integers(1, max_width + 1)) for _ in range(q + 1)] + [1]
-    sets = []
-    for i in range(q + 1):
-        layer = []
-        for _ in range(dims[i + 1]):
-            size = int(rng.integers(1, dims[i] + 1))
-            layer.append(tuple(sorted(rng.choice(dims[i], size=size, replace=False) + 1)))
-        sets.append(tuple(layer))
-    g = structure.make_graph(q, dims, sets)
+
+    def active_set(d):  # a nonempty subset of 1..d, its size drawn first
+        return sorted(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False) + 1)
+
+    g = structure.CompositionGraph(
+        dims[0], [[active_set(dims[i]) for _ in range(dims[i + 1])] for i in range(q + 1)])
     betas = tuple(float(rng.uniform(*bounds)) for _ in range(q + 1))
     return structure.CompositionStructure(graph=g, betas=betas, bounds=bounds)
 

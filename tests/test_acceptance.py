@@ -173,7 +173,7 @@ def test_criterion_08_sampler_null_test():
 def _truth_draw():
     spec = _q0_spec(200)
     eta = structure.CompositionStructure(
-        graph=structure.make_graph(0, (1, 1), [[(1,)]]),
+        graph=structure.CompositionGraph(1, [[(1,)]]),
         betas=(1.0,), bounds=spec.space.beta_bounds)
     return prior.sample_dgp(eta, spec, seed=42), eta, spec
 
@@ -245,7 +245,7 @@ def test_criterion_10_fails_when_the_mass_rises():
 
 def test_criterion_11_cli_determinism(tmp_path):
     t0 = time.perf_counter()
-    g = structure.make_graph(0, (1, 1), [[(1,)]])
+    g = structure.CompositionGraph(1, [[(1,)]])
     eta = structure.CompositionStructure(graph=g, betas=(1.0,), bounds=(0.5, 1.0))
     rates_cfg = tmp_path / "rates.json"
     rates_cfg.write_text(json.dumps({

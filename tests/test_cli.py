@@ -25,7 +25,7 @@ def write_config(tmp_path, name, payload):
 
 def payload(command, **kw):
     """A small valid config for each command; kw overrides top-level fields."""
-    g = structure.make_graph(0, (1, 1), [[(1,)]])
+    g = structure.CompositionGraph(1, [[(1,)]])
     eta = structure.CompositionStructure(graph=g, betas=(1.0,), bounds=(0.5, 1.0))
     space = {"input_dim": 1, "max_q": 1, "max_width": 1, "beta_bounds": [0.5, 1.0]}
     fit = {"space": space, "family": "wavelet", "n": 100, "beta_grid": [1.0],
@@ -112,6 +112,10 @@ class TestExitCodes:
         pytest.param("fit", lambda c: c.update(family="stationary", beta_grid=[0.5],
                                                space=dict(c["space"], max_width=3)),
                      "space.max_width", id="grid-family-width"),
+        pytest.param("prior", lambda c: c.update(family="stationary", beta_grid=[1.0],
+                                                 space=dict(c["space"], max_width=1000)),
+                     "space.max_width = 1000: grid families support r in {1, 2}",
+                     id="grid-family-width-past-the-horizon"),
         pytest.param("sample", lambda c: c.update(family="foo"), "family",
                      id="sample-unknown-family"),
         pytest.param("sample", lambda c: c.update(profile={"holder_radius": 100.0}),
@@ -225,6 +229,11 @@ class TestExitCodes:
                      "structure.beta_bounds", id="structure-beta-bounds-string"),
         pytest.param("rates", lambda c: c["structure"].update(q=0.5),
                      "structure.q must be an integer", id="structure-q-not-integral"),
+        pytest.param("rates", lambda c: c["structure"].update(eff_dims=[2, 1]),
+                     "eff_dims = [2, 1], but dims[0] and active_sets give [1, 1]",
+                     id="structure-eff-dims-not-derived"),
+        pytest.param("rates", lambda c: c["structure"].update(active_sets=[[[2]]]),
+                     "S_01 has index outside [1, d_0=1]", id="structure-set-outside-inputs"),
         pytest.param("prior", lambda c: c.update(
             family="stationary", beta_grid=[2.5],
             space=dict(c["space"], beta_bounds=[0.5, 3.0])), "beta_grid",
@@ -472,6 +481,50 @@ class TestPriorAndFit:
         rows = (tmp_path / "1" / "contraction.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["100", "200"]
         assert rows != (tmp_path / "2" / "contraction.csv").read_text().splitlines()
+
+
+def structures_listed(out):
+    """The structure column of a prior run's weights.csv."""
+    return [line.split(",")[1] for line in (out / "weights.csv").read_text().splitlines()]
+
+
+class TestPenaltyHorizon:
+    """No structure with |d|_1 past the horizon has prior mass, so a space's
+    depth and widths past it list no further structures and are not checked."""
+
+    def test_deep_space_lists_what_depth_four_lists(self, tmp_path):
+        # at d_0 = 1 every structure with mass has q <= 4; walking every width
+        # tuple of depth 14 would take far longer than the timeout
+        listed = []
+        for max_q in (4, 14):
+            space = {"input_dim": 1, "max_q": max_q, "max_width": 4}
+            out = tmp_path / f"q{max_q}"
+            argv = ["prior", "--config", config(tmp_path, "prior", space=space, draws=0),
+                    "--out", str(out)]
+            code = f"import sys; from deepgp_lab import cli; sys.exit(cli.main({argv!r}))"
+            src = pathlib.Path(deepgp_lab.__file__).parent.parent
+            subprocess.run([sys.executable, "-c", code], check=True, timeout=20,
+                           env=dict(os.environ, PYTHONPATH=str(src)))
+            listed.append(structures_listed(out))
+        assert len(listed[0]) > 100
+        assert listed[1] == listed[0]
+
+    @pytest.mark.parametrize("family, beta, space", [
+        # the penalty bound over effective dimensions up to 1000 overflows
+        ("wavelet", 1.0, {"input_dim": 1, "max_q": 2, "max_width": 1000}),
+        # the limit K at alpha = 0.5**10 overflows; no structure with mass is that deep
+        ("stationary", 0.5, {"input_dim": 1, "max_q": 10, "max_width": 1}),
+    ], ids=["wide", "deep"])
+    def test_space_past_the_horizon_runs(self, tmp_path, family, beta, space):
+        reachable = dict(space, max_q=min(space["max_q"], 4),
+                         max_width=min(space["max_width"], 4))
+        listed = []
+        for name, s in (("given", space), ("reachable", reachable)):
+            cfg = config(tmp_path, "prior", family=family, beta_grid=[beta], draws=0,
+                         space=dict(s, beta_bounds=[0.5, 1.0]))
+            assert cli.main(["prior", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            listed.append(structures_listed(tmp_path / name))
+        assert listed[0] == listed[1]
 
 
 class TestVerifyCommand:

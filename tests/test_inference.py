@@ -71,7 +71,7 @@ def fresh_case(family, betas):
     spec = prior.StructurePriorSpec(
         space=structure.StructureSpace(input_dim=1, max_q=1, max_width=2),
         profile=rates.RateProfile(family=family), n=200, beta_grid=tuple(sorted(set(betas))))
-    g = structure.make_graph(1, (1, 2, 1), [[(1,), (1,)], [(1, 2)]])
+    g = structure.CompositionGraph(1, [[(1,), (1,)], [(1, 2)]])
     return structure.CompositionStructure(graph=g, betas=betas, bounds=(0.3, 1.0)), spec
 
 
@@ -500,7 +500,7 @@ class TestContractionCurve:
     def test_rows_and_monotone_rate_columns(self):
         spec = q0_spec(n=100)
         eta = structure.CompositionStructure(
-            graph=structure.make_graph(0, (1, 1), [[(1,)]]),
+            graph=structure.CompositionGraph(1, [[(1,)]]),
             betas=(1.0,), bounds=spec.space.beta_bounds)
         cfg = inference.PosteriorConfig(iterations=120, pcn_step=0.9,
                                         structure_move_prob=0.0, seed=0)
@@ -512,7 +512,7 @@ class TestContractionCurve:
     def test_unsorted_n_rejected(self):
         spec = q0_spec(n=100)
         eta = structure.CompositionStructure(
-            graph=structure.make_graph(0, (1, 1), [[(1,)]]),
+            graph=structure.CompositionGraph(1, [[(1,)]]),
             betas=(1.0,), bounds=spec.space.beta_bounds)
         cfg = inference.PosteriorConfig(iterations=10, seed=0)
         for n_list in ((400, 100), (200, 200)):  # a repeated n reruns one chain

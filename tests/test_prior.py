@@ -20,8 +20,7 @@ def make_spec(**kw):
 
 
 def fig2_structure():
-    g = structure.make_graph(1, (5, 3, 1),
-                             [[(1, 3, 4), (1, 4, 5), (2,)], [(1, 2, 3)]])
+    g = structure.CompositionGraph(5, [[(1, 3, 4), (1, 4, 5), (2,)], [(1, 2, 3)]])
     return structure.CompositionStructure(graph=g, betas=(1.0, 1.0),
                                           bounds=(0.3, 1.0))
 
@@ -63,8 +62,7 @@ class TestStructurePrior:
         sizes = {eta.graph.num_nodes for eta, _ in weighted}
         assert max(sizes) == structure.PENALTY_HORIZON == 6
         # a structure past the horizon, passed directly, still weighs exactly zero
-        g = structure.make_graph(2, (1, 3, 3, 1), [[(1,)] * 3, [(1, 2, 3)] * 3,
-                                                   [(1, 2, 3)]])
+        g = structure.CompositionGraph(1, [[(1,)] * 3, [(1, 2, 3)] * 3, [(1, 2, 3)]])
         eta = structure.CompositionStructure(graph=g, betas=(1.0,) * 3,
                                              bounds=(0.3, 1.0))
         assert g.num_nodes == 8
@@ -206,7 +204,7 @@ class TestDgpDraw:
     def test_node_independence(self):
         # the two paths of a two-layer chain are independent: correlation of
         # their evaluations at a fixed point is ~0 across seeds
-        g = structure.make_graph(1, (1, 1, 1), [[(1,)], [(1,)]])
+        g = structure.CompositionGraph(1, [[(1,)], [(1,)]])
         eta = structure.CompositionStructure(graph=g, betas=(1.0, 1.0),
                                              bounds=(0.3, 1.0))
         spec = make_spec(n=50)
@@ -224,7 +222,7 @@ class TestDgpDraw:
     def test_keyed_draws_do_not_depend_on_the_block_schedule(self, monkeypatch, family,
                                                              betas):
         # each node reads its own keyed stream, so where its blocks end moves no bit
-        g = structure.make_graph(1, (1, 2, 1), [[(1,), (1,)], [(1, 2)]])
+        g = structure.CompositionGraph(1, [[(1,), (1,)], [(1, 2)]])
         eta = structure.CompositionStructure(graph=g, betas=betas, bounds=(0.3, 1.0))
         spec = make_spec(profile=rates.RateProfile(family=family), n=200,
                          space=structure.StructureSpace(input_dim=1, max_q=1, max_width=2),
@@ -254,7 +252,7 @@ class TestConditioningSpecs:
 
     @staticmethod
     def fbm_structure():
-        g = structure.make_graph(1, (2, 2, 1), [[(1, 2), (2,)], [(1, 2)]])
+        g = structure.CompositionGraph(2, [[(1, 2), (2,)], [(1, 2)]])
         return structure.CompositionStructure(graph=g, betas=(0.8, 0.8),
                                               bounds=(0.3, 0.9))
 

@@ -17,7 +17,7 @@ def chain_structure(betas, t=1, bounds=(0.2, 2.0)):
     full = tuple(range(1, t + 1))
     for i in range(q + 1):
         sets.append([full] * dims[i + 1])
-    g = structure.make_graph(q, dims, sets)
+    g = structure.CompositionGraph(t, sets)
     return structure.CompositionStructure(graph=g, betas=tuple(betas), bounds=bounds)
 
 
@@ -199,7 +199,7 @@ class TestPenalty:
     def test_large_structure_zero_weight(self):
         t = 4
         full = tuple(range(1, 5))
-        g = structure.make_graph(1, (4, 4, 1), [[full] * 4, [full]])
+        g = structure.CompositionGraph(4, [[full] * 4, [full]])
         eta = structure.CompositionStructure(graph=g, betas=(0.5, 0.5),
                                              bounds=(0.3, 0.9))
         assert g.num_nodes == 9
