@@ -341,6 +341,15 @@ def _difference(f, dx, axis):
     return out
 
 
+def _check_holder(shape, beta):
+    """Refuse a beta or grid shape the empirical Holder norm does not support."""
+    if beta > HOLDER_MAX_BETA:
+        raise ValidationError("empirical Holder norm supports beta <= 2 only")
+    if min(shape) < 8:
+        raise ValidationError(f"empirical Holder norm needs >= 8 nodes per axis, "
+                              f"got a path of shape {shape}")
+
+
 def holder_norm_empirical(f, beta):
     """Grid surrogate of the weighted Holder-ball norm, on the nodes of the grid path f.
 
@@ -350,11 +359,7 @@ def holder_norm_empirical(f, beta):
     integer beta the quotient is the range max - min of d^a f, the same bits
     as the largest pairwise |difference| because rounding is monotone.
     """
-    if beta > HOLDER_MAX_BETA:
-        raise ValidationError("empirical Holder norm supports beta <= 2 only")
-    if min(f.values.shape) < 8:
-        raise ValidationError(f"empirical Holder norm needs >= 8 nodes per axis, "
-                              f"got a path of shape {f.values.shape}")
+    _check_holder(f.values.shape, beta)
     r = f.r
     floor_b = int(math.floor(beta))
     frac = beta - floor_b
@@ -379,6 +384,37 @@ def holder_norm_empirical(f, beta):
     return 2.0 * r * low + 2.0**frac * top
 
 
+# the largest sum of |coefficients| of _difference's stencils, in units of
+# 1/step: its one-sided edge stencils' 1.5 + 2 + 0.5 (the central one's is 1)
+_EDGE_GAIN = 4.0
+# relative margin over _holder_ceiling for rounding.  holder_norm_empirical
+# rounds at most two differences of three terms, a sum of at most six terms, a
+# power per quotient and the grid steps, each term bounded by its part of the
+# ceiling, so it exceeds the ceiling by at most a few thousand eps, relative
+_CEILING_SLACK = 1e-6
+
+
+@functools.lru_cache(maxsize=64)
+def _holder_ceiling(shape, beta):
+    """The most holder_norm_empirical(f, beta) can be for a path f of this shape
+    with sup |f| <= 1 (exactly, before rounding); refuses what the norm refuses.
+
+    A difference along axis k multiplies the sup by at most D_k = _EDGE_GAIN / h_k,
+    h_k = 2/(m_k - 1), so sup |d^a f| <= prod_{k in a} D_k, a range is at most
+    twice a sup, and distinct nodes lie at least h_min = min h_k apart:
+    2r sum_{|a|<b} prod D_k + 2^frac sum_{|a|=b} 2 prod D_k / h_min^frac.
+    """
+    _check_holder(shape, beta)
+    b = int(math.floor(beta))
+    frac = beta - b
+    gains = [_EDGE_GAIN * (m - 1) / 2.0 for m in shape]
+    low = sum(math.prod(gains[k] for k in a) for order in range(b)
+              for a in _multi_indices(len(shape), order))
+    top = sum(2.0 * math.prod(gains[k] for k in a) for a in _multi_indices(len(shape), b))
+    h_min = 2.0 / (max(shape) - 1)
+    return 2.0 * len(shape) * low + 2.0**frac * top / h_min**frac
+
+
 def besov_norm(path, beta):
     """sup_j 2^{j(beta + r/2)} max_k |lambda_{j,k}| over the stored levels."""
     if not isinstance(path, WaveletPath):
@@ -398,6 +434,10 @@ def in_conditioning_set(path, beta, K):
     coefficient norm for a WaveletPath, the empirical Holder norm of the node
     values for any other GridPath.  A path with sup > 1 (or NaN) is rejected
     before any norm is computed, and its diag holds only "sup" and "sup_margin".
+    A grid path whose K is at least _holder_ceiling (the most its Holder norm
+    can be at sup <= 1) times 1 + _CEILING_SLACK is accepted on its sup alone,
+    its diag too holding only "sup" and "sup_margin": the slack covers the
+    norm's rounding, so the computed norm would accept it too.
     """
     sup = float(np.max(np.abs(path.values)))
     diag = {"sup": sup, "sup_margin": 1.0 - sup}
@@ -405,6 +445,8 @@ def in_conditioning_set(path, beta, K):
         return False, diag
     if isinstance(path, WaveletPath):
         norm, name = besov_norm(path, beta), "besov"
+    elif K >= _holder_ceiling(path.values.shape, beta) * (1.0 + _CEILING_SLACK):
+        return True, diag
     else:
         norm, name = holder_norm_empirical(path, beta), "holder"
     diag[name] = norm

@@ -241,21 +241,11 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
 
 
 def model_mass(trace: PosteriorTrace, spec: StructurePriorSpec, eta_star,
-               C: float, cap_enabled: bool = False) -> float:
-    """Post-burn-in posterior mass on the good-model set.
-
-    Good set: eps_n(eta) <= C eps_n(eta*), intersected (only when cap_enabled)
-    with |d|_1 <= log(2 log n).  The cap is asymptotic and excludes everything
-    at desk scale, hence disabled by default.
-    """
+               C: float) -> float:
+    """Post-burn-in posterior mass on the good-model set, eps_n(eta) <= C eps_n(eta*)."""
     eps_star = eps_structure(eta_star, spec.profile, spec.n)
-    cap = math.log(2.0 * math.log(spec.n))
-    good = []
-    for eta in trace.structures:
-        ok = eps_structure(eta, spec.profile, spec.n) <= C * eps_star * (1 + 1e-12)
-        if cap_enabled:
-            ok = ok and eta.graph.num_nodes <= cap
-        good.append(ok)
+    good = [eps_structure(eta, spec.profile, spec.n) <= C * eps_star * (1 + 1e-12)
+            for eta in trace.structures]
     idx = trace.post_burn(trace.structure_idx)
     return float(np.mean([good[k] for k in idx]))
 

@@ -98,6 +98,62 @@ class TestIntegerHolderQuotient:
                 pairwise_holder_norm(f, beta, m)
 
 
+def adversarial_paths(shape):
+    """The +-1 sawtooth (-1)^(i_1 + ... + i_r), and the edge pattern (-1, 1, -1, ...)
+    along axis 0, on whose first node the one-sided stencil reaches 4/h."""
+    parity = np.indices(shape).sum(axis=0) % 2
+    edge = (np.arange(shape[0]) % 2 * 2.0 - 1.0).reshape((-1,) + (1,) * (len(shape) - 1))
+    return [funcspace.GridPath(1.0 - 2.0 * parity),
+            funcspace.GridPath(np.broadcast_to(edge, shape).copy())]
+
+
+def within_ceiling(path, beta):
+    """Whether the path's Holder norm is within the ceiling that lets
+    in_conditioning_set skip it, slack included."""
+    ceiling = funcspace._holder_ceiling(path.values.shape, beta) * (1.0 + funcspace._CEILING_SLACK)
+    return funcspace.holder_norm_empirical(path, beta) <= ceiling
+
+
+class TestHolderCeiling:
+    @pytest.mark.parametrize("shape, beta, ceiling", [
+        ((33,), 1.0, 130.0), ((33,), 0.5, 8 * math.sqrt(2.0)), ((33, 33), 1.0, 260.0)])
+    def test_closed_form(self, shape, beta, ceiling):
+        np.testing.assert_allclose(funcspace._holder_ceiling(shape, beta), ceiling, rtol=1e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.lists(st.integers(8, 65), min_size=1, max_size=2).map(tuple),
+           beta=st.one_of(st.sampled_from([0.5, 1.0, 2.0]),
+                          st.floats(0.0, 2.0, exclude_min=True)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_dominates_uniform_values(self, shape, beta, seed):
+        values = np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
+        assert within_ceiling(funcspace.GridPath(values), beta)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 0.3, 1.7])
+    @pytest.mark.parametrize("shape", [(8,), (33,), (64,), (9, 17), (33, 33), (65, 8)])
+    def test_dominates_adversarial_paths(self, shape, beta):
+        assert all(within_ceiling(path, beta) for path in adversarial_paths(shape))
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    def test_reached_on_an_odd_axis(self, beta):
+        # both adversarial paths reach the ceiling, so it leaves nothing to spare
+        for path in adversarial_paths((33,)):
+            np.testing.assert_allclose(funcspace.holder_norm_empirical(path, beta),
+                                       funcspace._holder_ceiling((33,), beta), rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(33,), (17, 33)])
+    @pytest.mark.parametrize("beta", [1.0, 2.0])
+    def test_central_stencil_gain_is_no_ceiling(self, monkeypatch, shape, beta):
+        # a mutant ceiling that takes the central stencil's gain 1/h for D_k fails
+        # on the adversarial paths
+        funcspace._holder_ceiling.cache_clear()
+        monkeypatch.setattr(funcspace, "_EDGE_GAIN", 1.0)
+        try:
+            assert not all(within_ceiling(path, beta) for path in adversarial_paths(shape))
+        finally:
+            funcspace._holder_ceiling.cache_clear()
+
+
 class TestBesovNorm:
     def test_zero(self):
         p = funcspace.WaveletPath(r=1, levels=[np.zeros(2), np.zeros(4)])
@@ -364,6 +420,30 @@ class TestConditioningSet:
                      funcspace.WaveletPath(r=1, levels=[np.array([1.5, 0.0])])):
             ok, diag = funcspace.in_conditioning_set(path, 1.0, 2.0)
             assert not ok and set(diag) == {"sup", "sup_margin"}
+
+    def test_limit_above_the_ceiling_skips_the_norm(self, monkeypatch):
+        # K at or above the ceiling (times the slack) decides on the sup alone;
+        # just below it, the norm is computed
+        xs = np.linspace(-1, 1, 33)
+        path = funcspace.GridPath(xs / 2)
+        ceiling = funcspace._holder_ceiling((33,), 1.0) * (1.0 + funcspace._CEILING_SLACK)
+        ok, diag = funcspace.in_conditioning_set(path, 1.0, ceiling * (1 - 1e-15))
+        assert ok and "holder" in diag
+
+        def no_norm(*args):
+            raise AssertionError("norm computed for a limit above the ceiling")
+        monkeypatch.setattr(funcspace, "holder_norm_empirical", no_norm)
+        ok, diag = funcspace.in_conditioning_set(path, 1.0, ceiling)
+        assert ok and set(diag) == {"sup", "sup_margin"}
+
+    @pytest.mark.parametrize("beta, values, match", [
+        (2.5, np.zeros(33), "beta <= 2 only"),
+        (1.0, np.zeros(7), "needs >= 8 nodes per axis"),
+        (0.5, np.zeros((9, 7)), r"\(9, 7\)")])
+    def test_validation_precedes_the_skip(self, beta, values, match):
+        # a limit above any ceiling still refuses what the norm refuses
+        with pytest.raises(ValidationError, match=match):
+            funcspace.in_conditioning_set(funcspace.GridPath(values), beta, 1e300)
 
     def test_grid_path_on_the_test_grid_is_read(self, monkeypatch):
         def no_eval(self, points):

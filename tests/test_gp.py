@@ -188,6 +188,32 @@ class TestConditioned:
             s += 1
         assert stats.ks_2samp(accepted, filtered).pvalue > 0.01
 
+    def test_limit_above_the_ceiling_needs_no_norm(self, monkeypatch):
+        # stationary beta 1 at n 3,200: K 977.7 is above the ceiling 130 of the
+        # 33-node grid, so a draw is decided on its sup alone
+        def no_norm(*args):
+            raise AssertionError("Holder norm computed")
+        monkeypatch.setattr(funcspace, "holder_norm_empirical", no_norm)
+        spec = gp.GpSpec(family=rates.STATIONARY, beta=1.0, r=1, n=3200)
+        K = prior.conditioning_limit(spec, rates.RateProfile(family=rates.STATIONARY))
+        for s in range(5):
+            _, path, _ = gp.sample_conditioned(spec, K, gp.rng_for(s, (1,)))
+            assert np.max(np.abs(path.values)) <= 1.0
+
+    def test_limit_below_the_ceiling_reads_the_norm(self, monkeypatch):
+        # fbm beta 0.8 at n 3,200: K 5.36 is below the ceiling 32, so the norm decides
+        norm, calls = funcspace.holder_norm_empirical, []
+
+        def counting(path, beta):
+            calls.append(norm(path, beta))
+            return calls[-1]
+        monkeypatch.setattr(funcspace, "holder_norm_empirical", counting)
+        spec = gp.GpSpec(family=rates.FBM, beta=0.8, r=1, n=3200)
+        K = prior.conditioning_limit(spec, rates.RateProfile(family=rates.FBM))
+        assert K < funcspace._holder_ceiling((gp.value_grid(spec),), 0.8)
+        _, path, _ = gp.sample_conditioned(spec, K, gp.rng_for(0, (1,)))
+        assert calls and calls[-1] == norm(path, 0.8) <= K
+
     @pytest.mark.parametrize("family, beta", [(rates.STATIONARY, 1.0), (rates.FBM, 0.5)])
     def test_restriction_law_screened(self, family, beta):
         # the same for grid families, whose blocks of attempts are screened on

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -140,6 +141,36 @@ class TestFreshState:
         prior_sup = [float(np.max(np.abs(prior.sample_prior(spec, 50_000 + s, weighted)(pts))))
                      for s in range(1000)]
         assert stats.ks_2samp(trace.sup, prior_sup).pvalue > 0.01
+
+
+class TestHolderCeiling:
+    def test_chain_is_the_same_with_the_norm_forced(self, monkeypatch):
+        # the ceiling only skips norms that cannot reach K, so forcing every
+        # norm (a ceiling of inf) gives the same trace, in every field
+        spec = prior.StructurePriorSpec(
+            space=structure.StructureSpace(input_dim=1, max_q=1, max_width=2),
+            profile=rates.RateProfile(family=rates.STATIONARY), n=200, beta_grid=(1.0,))
+        data = inference.generate_data(prior.sample_prior(spec, 1), n=200, seed=3,
+                                       input_dim=1)
+        cfg = inference.PosteriorConfig(iterations=150, pcn_step=0.9,
+                                        structure_move_prob=0.3, seed=3)
+        norm, calls = funcspace.holder_norm_empirical, []
+
+        def counting(path, beta):
+            calls.append(beta)
+            return norm(path, beta)
+        monkeypatch.setattr(funcspace, "holder_norm_empirical", counting)
+        skipped = inference.run_mcmc(data, spec, cfg)
+        assert not calls
+        monkeypatch.setattr(funcspace, "_holder_ceiling", lambda shape, beta: math.inf)
+        forced = inference.run_mcmc(data, spec, cfg)
+        assert len(calls) > 100
+        for field in dataclasses.fields(inference.PosteriorTrace):
+            a, b = getattr(skipped, field.name), getattr(forced, field.name)
+            if isinstance(a, np.ndarray):
+                np.testing.assert_array_equal(a, b)
+            else:
+                assert a == b
 
 
 class TestMedian:
@@ -485,15 +516,6 @@ class TestModelMass:
         idx = trace.post_burn(trace.structure_idx)
         frac_best = np.mean([trace.structures[k] == best for k in idx])
         np.testing.assert_allclose(mass, frac_best)
-
-    def test_cap_enabled_excludes_everything_at_small_n(self):
-        # log(2 log 20) ~ 1.79 < 2 nodes, so the cap empties the good set
-        spec = q0_spec(n=20)
-        data = inference.generate_data(lambda x: 0.0 * x[:, 0], n=20, seed=0, input_dim=1)
-        cfg = inference.PosteriorConfig(iterations=50, seed=0)
-        trace = inference.run_mcmc(data, spec, cfg)
-        eta = trace.structures[0]
-        assert inference.model_mass(trace, spec, eta, C=10.0, cap_enabled=True) == 0.0
 
 
 class TestContractionCurve:
