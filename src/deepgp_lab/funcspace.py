@@ -5,7 +5,9 @@ Two concrete path representations:
 * GridPath — values on a uniform tensor grid over [-1,1]^r with multilinear
   interpolation in between, gathered from the 2^r corner values around each
   point: each corner is one take from the flat values, at the points' base
-  indices plus the corner's offset.
+  indices plus the corner's offset.  The base indices and corner weights of a
+  point set are its gather plan; compose keeps a fixed set's plans when the set
+  fits in one block.
 * WaveletPath — coefficients on a tensorized hierarchical hat (Faber-Schauder)
   system, levels j = 1..J with 2^{jr} basis functions per level, for any r.
   Exact and nested; not orthonormal, which none of the coefficient-level
@@ -57,6 +59,7 @@ HOLDER_MAX_BETA = 2.0  # the empirical Holder norm takes derivatives up to order
 # freed memory; temporaries for 10^5 points at once land on fresh pages on
 # every call, which makes the gather about twice as slow.
 _BLOCK = 8192
+_EPS = float(np.finfo(float).eps)
 
 
 def _as_points(points, r):
@@ -68,6 +71,12 @@ def _as_points(points, r):
     return pts
 
 
+def _clip(x, lo, hi):
+    """np.clip(x, lo, hi, out=x), the same bits, without np.clip's Python-level layers."""
+    np.maximum(x, lo, out=x)
+    return np.minimum(x, hi, out=x)
+
+
 def _axis_bracket(j, x):
     """The two level-j hats that can be nonzero at each x, as (index, value) pairs.
 
@@ -76,7 +85,7 @@ def _axis_bracket(j, x):
     """
     centers = -1.0 + (2.0 * np.arange(1, 2**j + 1) - 1.0) / 2**j
     width = 2.0 ** (1 - j)
-    left = np.clip((x + 1.0) * 2.0 ** (j - 1) - 0.5, 0, 2**j - 2).astype(np.intp)
+    left = _clip((x + 1.0) * 2.0 ** (j - 1) - 0.5, 0, 2**j - 2).astype(np.intp)
     left -= (x < centers[left]) & (left > 0)  # x + 1 can round up onto a center
     return [(k, np.maximum(0.0, 1.0 - np.abs(x - centers[k]) / width))
             for k in (left, left + 1)]
@@ -136,7 +145,7 @@ def _cells(x, m):
     """
     a = _axis(m)
     last = m - 2
-    i = np.clip(((x + 1.0) * ((m - 1) / 2.0)).astype(np.intp), 0, last)
+    i = _clip(((x + 1.0) * ((m - 1) / 2.0)).astype(np.intp), 0, last)
     i -= x < a[i]
     i += (x >= a[i + 1]) & (i < last)
     return i, (x - a[i]) / (a[i + 1] - a[i])
@@ -144,7 +153,7 @@ def _cells(x, m):
 
 def _corners(shape, cells):
     """The points' base indices in the flat values of a grid of this shape, and its
-    2^r corners as (offset, weights), in the order _gather sums them.
+    2^r corners as (offset, weights), in the order GridPath.__call__ sums them.
 
     A point's base index is sum_k i_k stride_k over its per-axis cells (i, y); a
     corner's offset is the sum of the strides of the axes on which it takes the
@@ -161,21 +170,13 @@ def _corners(shape, cells):
                   for offsets, weights in (zip(*c) for c in itertools.product(*brackets))]
 
 
-def _gather(values, cells):
-    """The multilinear interpolant of the grid values at points given by per-axis cells (i, y).
-
-    Each of the 2^r corners is one take from the flat values, at the points'
-    base indices read from the corner's offset.
-    """
-    flat = values.ravel()
-    base, corners = _corners(values.shape, cells)
-    total = np.zeros(len(base))
-    for offset, weights in corners:
-        term = flat[offset:].take(base)
-        for w in weights:
-            term *= w
-        total += term
-    return total
+def _gather_plan(shape, cells):
+    """The gather plan of the points whose per-axis cells (i, y) are ``cells``, on a
+    grid of this shape: per block of _BLOCK points, (block, base indices, corners)
+    as _corners finds them, built as it is read."""
+    for start in range(0, len(cells[0][0]), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        yield (block, *_corners(shape, [(i[block], y[block]) for i, y in cells]))
 
 
 class GridPath:
@@ -199,20 +200,29 @@ class GridPath:
         """The nodes on each axis, linspace(-1, 1, m_k), shared and read-only."""
         return tuple(_axis(m) for m in self.values.shape)
 
-    def __call__(self, points, cells=None):
-        """Values at the points.
+    def __call__(self, points, plan=None):
+        """Values at the points: the multilinear interpolant of the node values.
 
-        ``cells``, when given, holds each axis's cells of the points as
-        ``_cached_cells`` finds them (``compose`` keeps them for a fixed point
-        set); the points are then not read again, only counted.
+        ``plan``, when given, is the points' gather plan on this path's grid
+        (``_gather_plan``; ``compose`` keeps it for a fixed point set); the
+        points are then not read again, only counted.  Each of the 2^r corners
+        is one take from the flat values, at the points' base indices read from
+        the corner's offset.
         """
-        if cells is None:
+        if plan is None:
             points, local = _as_points(points, self.r), {}
-            cells = [_cached_cells(local, points, k, m) for k, m in enumerate(self.values.shape)]
+            plan = _gather_plan(self.values.shape, [_cached_cells(local, points, k, m)
+                                                    for k, m in enumerate(self.values.shape)])
+        flat = self.values.ravel()
         out = np.empty(len(points))
-        for start in range(0, len(points), _BLOCK):
-            block = slice(start, start + _BLOCK)
-            out[block] = _gather(self.values, [(i[block], y[block]) for i, y in cells])
+        for block, base, corners in plan:
+            total = out[block]
+            total[:] = 0.0  # the sum starts at +0.0: a first term of -0.0 gives 0.0
+            for offset, weights in corners:
+                term = flat[offset:].take(base)
+                for w in weights:
+                    term *= w
+                total += term
         return out
 
 
@@ -255,47 +265,59 @@ class LayerFunction:
             if len(s) > p.r:
                 raise ValidationError(f"active set {s} larger than path dimension {p.r}")
 
-    def __call__(self, points, cells=None):
+    def __call__(self, points, cache=None):
         """The layer's outputs at the points, shape (m, out_dim).
 
-        Each path reads the grid cells of its input columns, and of 0 in its
-        padded slots, from ``cells``: ``compose``'s cache for a fixed point set,
-        or a dict for this call only.
+        Each path reads its gather plan from ``cache``: ``compose``'s cache for
+        a fixed point set, or a dict for this call only.
         """
         pts = _as_points(points, self.in_dim)
-        cells = {} if cells is None else cells
+        cache = {} if cache is None else cache
         out = np.empty((len(pts), self.out_dim))
         for j, (path, _) in enumerate(self.components):
-            out[:, j] = path(pts, self._path_cells(j, pts, cells))
-        return np.clip(out, -1.0, 1.0, out=out)
+            out[:, j] = path(pts, self._path_plan(j, pts, cache))
+        return _clip(out, -1.0, 1.0)
 
-    def _path_cells(self, j, pts, cells):
-        """The cells component j's path reads: its input columns', and 0's in its padded slots."""
+    def _path_plan(self, j, pts, cache):
+        """Component j's gather plan, on the cells of its input columns and of 0 in
+        its padded slots.
+
+        The cells are looked up in ``cache`` by (column, nodes per axis), the plan
+        by the tuple of those keys.  A plan of one block is built once and kept
+        there; a larger one is built block by block on every call, so the cache
+        holds no more than the points' cells.
+        """
         path, s = self.components[j]
         slots = [e - 1 for e in s] + [None] * (path.r - len(s))
-        return [_cached_cells(cells, pts, c, m) for c, m in zip(slots, path.values.shape)]
+        key = tuple(zip(slots, path.values.shape))
+        if key in cache:
+            return cache[key]
+        plan = _gather_plan(path.values.shape, [_cached_cells(cache, pts, c, m) for c, m in key])
+        if len(pts) <= _BLOCK:
+            plan = cache[key] = list(plan)
+        return plan
 
 
-def _cached_cells(cells, pts, col, m):
+def _cached_cells(cache, pts, col, m):
     """The cells of column ``col`` of pts (None: a zero-padded slot) on linspace(-1, 1, m).
 
-    Looked up in ``cells`` by (col, m), or computed once and stored there:
+    Looked up in ``cache`` by (col, m), or computed once and stored there:
     int32 indices and float64 fractions of the clipped points, filled block by
     block.  A padded slot is the one cell of 0, broadcast to every point.
     """
     key = (col, m)
-    if key not in cells:
+    if key not in cache:
         n = len(pts)
         if col is None:
             i, y = _cells(np.zeros(1), m)
-            cells[key] = np.broadcast_to(i.astype(np.int32), n), np.broadcast_to(y, n)
+            cache[key] = np.broadcast_to(i.astype(np.int32), n), np.broadcast_to(y, n)
         else:
             i, y = np.empty(n, dtype=np.int32), np.empty(n)
             for start in range(0, n, _BLOCK):
                 block = slice(start, start + _BLOCK)
-                i[block], y[block] = _cells(np.clip(pts[block, col], -1.0, 1.0), m)
-            cells[key] = i, y
-    return cells[key]
+                i[block], y[block] = _cells(_clip(pts[block, col].copy(), -1.0, 1.0), m)
+            cache[key] = i, y
+    return cache[key]
 
 
 def grid_points(r, m):
@@ -421,7 +443,7 @@ def besov_norm(path, beta):
         raise ValidationError("besov_norm needs a wavelet-backed path")
     best = 0.0
     for j, coeff in enumerate(path.levels, start=1):
-        mx = float(np.max(np.abs(coeff)))
+        mx = float(abs(coeff).max())
         best = max(best, 2.0 ** (j * (beta + path.r / 2.0)) * mx)
     return best
 
@@ -439,7 +461,7 @@ def in_conditioning_set(path, beta, K):
     its diag too holding only "sup" and "sup_margin": the slack covers the
     norm's rounding, so the computed norm would accept it too.
     """
-    sup = float(np.max(np.abs(path.values)))
+    sup = float(abs(path.values).max())
     diag = {"sup": sup, "sup_margin": 1.0 - sup}
     if not sup <= 1.0:
         return False, diag
@@ -454,20 +476,22 @@ def in_conditioning_set(path, beta, K):
     return norm <= K, diag
 
 
-def compose(layers, points, cells=None):
+def compose(layers, points, cache=None):
     """Evaluate h_q o ... o h_0 at the given points; returns a vector.
 
-    ``cells`` is an optional dict that the caller keeps for one fixed point
-    set and passes on every call with those points.  It holds the points'
-    grid cells on each (input column, nodes per axis) pair that layer 0's
-    paths read, filled on first use, so later calls neither recompute nor copy
-    them.  Later layers see new points on every call and are not cached.
+    ``cache`` is an optional dict that the caller keeps for one fixed point
+    set and passes on every call with those points.  It holds what layer 0's
+    paths read of the points, filled on first use, so later calls neither
+    recompute nor copy it: the points' grid cells on each (input column, nodes
+    per axis) pair, and, for a set of at most _BLOCK points, each path shape's
+    gather plan (LayerFunction._path_plan).  Later layers see new points on
+    every call and are not cached.
     """
     pts = _as_points(points, layers[0].in_dim)
     for i, layer in enumerate(layers):
         if pts.shape[1] != layer.in_dim:
             raise ValidationError(f"layer {i} expects {layer.in_dim} inputs, got {pts.shape[1]}")
-        pts = layer(pts, cells if i == 0 else None)
+        pts = layer(pts, cache if i == 0 else None)
     if pts.shape[1] != 1:
         raise ValidationError("final layer must have a single output")
     return pts[:, 0]
@@ -494,12 +518,12 @@ class _DesignStatistics(NamedTuple):
         for u to cover the weights' own rounding, as in gp._grid_factor's bound.
         """
         N = self.n + self.G.size + 4 * len(self.index)
-        eps = N * np.finfo(float).eps
-        s = float(np.max(np.abs(values)))
+        eps = N * _EPS
+        s = float(abs(values).max())
         return 2.0 * eps / (1.0 - eps) * (s * self.abs_y + 0.5 * s * s * self.n)
 
 
-def design_statistics(layer, points, Y, cells):
+def design_statistics(layer, points, Y, cache):
     """The statistics that give sum(Y f - f^2/2) for f = layer(points) in node values.
 
     ``layer`` has one component, whose path reads the points' cells directly, so
@@ -507,21 +531,19 @@ def design_statistics(layer, points, Y, cells):
     b = W^T Y, G = W^T W (the clip to [-1, 1] binds only by rounding when
     sup |v| <= 1).  A point's row of W is its 2^r corner weights at its base
     index plus each corner's offset (_corners), so G is one array over base
-    indices per pair of corners c <= c', not an m^r x m^r matrix.  The cells
-    come from ``cells`` (compose's cache, filled here if empty); the sums run
-    over _BLOCK points at a time, of at least one point.
+    indices per pair of corners c <= c', not an m^r x m^r matrix.  The base
+    indices and weights come from the path's gather plan in ``cache``
+    (compose's cache, filled here if empty), _BLOCK points at a time; the
+    points must be at least one.
     """
     (path, _), = layer.components
     pts = _as_points(points, layer.in_dim)
     Y = np.asarray(Y, dtype=float)
-    axes = layer._path_cells(0, pts, cells)
     size = path.values.size
     corners = 2**path.r
     left, right = np.triu_indices(corners)
     b, G = np.zeros((corners, size)), np.zeros((len(left), size))
-    for start in range(0, len(pts), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        base, weighted = _corners(path.values.shape, [(i[block], y[block]) for i, y in axes])
+    for block, base, weighted in layer._path_plan(0, pts, cache):
         offsets, w = zip(*((o, math.prod(ws)) for o, ws in weighted))
         for c in range(corners):
             b[c] += np.bincount(base, w[c] * Y[block], minlength=size)
@@ -531,7 +553,7 @@ def design_statistics(layer, points, Y, cells):
     G[left < right] *= 2.0
     return _DesignStatistics(np.add.outer(offsets, np.arange(length)), left, right,
                              b[:, :length].copy(), G[:, :length].copy(), len(pts),
-                             float(np.sum(np.abs(Y))))
+                             float(abs(Y).sum()))
 
 
 def quadratic_loglik(stats, values):

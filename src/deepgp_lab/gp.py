@@ -40,6 +40,7 @@ DEFAULT_GRID = 33  # a grid family's nodes per axis, unless a spec says otherwis
 # a shared stream (a chain's) advances by whole blocks: changing the cap changes `fit`
 _BLOCK_CAP = 64  # most attempts sample_conditioned draws and screens at once
 _SLACK_FACTOR = 2.0  # two products' rounding, in _grid_factor's bound
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ def _grid_factor(family, beta, r, m, n=None):
         d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=2)
         L = _chol_with_jitter(np.exp(-(a * a) * d2))
     row_l1 = float(np.max(np.sum(np.abs(L), axis=1)))
-    return L, _SLACK_FACTOR * L.shape[1] * np.finfo(float).eps * row_l1
+    return L, _SLACK_FACTOR * L.shape[1] * _EPS * row_l1
 
 
 def _spec_factor(spec: GpSpec):
@@ -195,7 +196,7 @@ def _screened_rows(spec: GpSpec, states):
         return range(len(states))
     L, bound = _spec_factor(spec)
     sup = abs(states @ L.T).max(axis=1)
-    slack = bound * abs(states).max() + 4 * np.finfo(float).eps
+    slack = bound * abs(states).max() + 4 * _EPS
     return np.flatnonzero(sup <= 1.0 + slack)
 
 

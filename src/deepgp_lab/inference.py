@@ -167,8 +167,9 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
         m for m in range(1, 18) if m**d <= 17**3))
     eval_w = np.full(len(eval_pts), 1.0 / len(eval_pts))
     truth_eval = np.asarray(data.f_star(eval_pts), dtype=float)
-    # the grid cells of the design and of the error grid, found once per chain
-    design_cells, eval_cells = {}, {}
+    # the grid cells and gather plans of the design and of the error grid, found
+    # once per chain (compose's caches)
+    design_cache, eval_cache = {}, {}
     stats = {}  # structure index -> the design statistics of its one layer
 
     def loglik(k, layers):
@@ -180,12 +181,12 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
         """
         if len(layers) == 1 and k in stats:
             return quadratic_loglik(stats[k], layers[0].components[0][0].values)
-        fv = compose(layers, data.X, design_cells)
-        full = float(np.sum(data.Y * fv - 0.5 * fv**2))
+        fv = compose(layers, data.X, design_cache)
+        full = float((data.Y * fv - 0.5 * fv**2).sum())
         if len(layers) > 1:
             return full
         values = layers[0].components[0][0].values
-        stats[k] = design_statistics(layers[0], data.X, data.Y, design_cells)
+        stats[k] = design_statistics(layers[0], data.X, data.Y, design_cache)
         ll, bound = quadratic_loglik(stats[k], values), stats[k].rounding_bound(values)
         if not abs(ll - full) <= bound:
             raise NumericError(
@@ -198,8 +199,9 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
         layers = build_layers(structures[k], nodes)
         return _Chain(k, nodes, layers, 0.0 if config.prior_only else loglik(k, layers))
 
-    # start at the most probable structure whose nodes draw within their budget
-    for k in np.argsort(-probs):
+    # start at the most probable structure whose nodes draw within their budget;
+    # among equal weights, the lowest index first
+    for k in np.argsort(-probs, kind="stable"):
         nodes = _fresh_state(structures[k], spec, rng) if probs[k] > 0 else None
         if nodes is not None:
             break
@@ -227,11 +229,11 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
                 chain, outcome = proposal, "accepted"
         moves[move, outcome] += 1
 
-        fe = compose(chain.layers, eval_pts, eval_cells)
+        fe = compose(chain.layers, eval_pts, eval_cache)
         s_idx[t] = chain.k
         lls[t] = chain.ll
-        errs[t] = math.sqrt(float(np.sum(eval_w * (fe - truth_eval) ** 2)))
-        sups[t] = float(np.max(np.abs(fe)))
+        errs[t] = math.sqrt(float((eval_w * (fe - truth_eval) ** 2).sum()))
+        sups[t] = float(abs(fe).max())
         bes[t] = (max(besov_norm(ns.path, ns.gp_spec.beta) for ns in chain.nodes.values())
                   if spec.profile.family == WAVELET else math.nan)
 

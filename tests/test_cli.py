@@ -8,8 +8,12 @@ import re
 import subprocess
 import sys
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import deepgp_lab
 from deepgp_lab import cli, funcspace, inference, structure, verify
@@ -451,6 +455,58 @@ class TestDeterminism:
             assert cli.main(["verify", "--suite", "all", "--out", str(out)]) == 0
         assert set(os.listdir(a)) == {"verify.csv", "manifest.json"}
         assert (a / "verify.csv").read_bytes() == (b / "verify.csv").read_bytes()
+
+
+def per_field_csv(header, rows):
+    """A CSV file as the CLI wrote it one field at a time: a float with 17
+    significant digits, anything else as str writes it."""
+    def fmt(x):
+        return format(x, ".17g") if isinstance(x, float) else str(x)
+    return "\n".join([",".join(header)] + [",".join(map(fmt, row)) for row in rows]) + "\n"
+
+
+# every kind of field a command writes
+FIELDS = [1.5, 0.1, np.float64(0.1), math.nan, np.float64(math.nan), math.inf, -math.inf,
+          -0.0, np.float64(-0.0), 5e-324, -5e-324, 1e308, 123456789.12345678, 0, 7,
+          -3, 10**17, np.int64(-3), np.int64(2**62), True, False, np.True_, "", "a;b",
+          "structure 0 {}", "%s %d %%"]
+
+
+class TestCsvRows:
+    # each row is written from one %-format template per combination of field
+    # types, with the bytes the per-field format wrote
+    ROWS = {
+        "every-kind": [tuple(FIELDS)],
+        "trace": [(t, int(np.int64(t % 3)), np.float64(-t / 7), np.float64(t * 0.1),
+                   np.float64(math.nan), np.float64(1.0 - 2.0**-52)) for t in range(5)],
+        "rates": [(100, 0.31622776601683794, 0.5, -12.75, "0"),
+                  (10000, 0.031622776601683791, math.inf, -math.inf, "0;1")],
+        "verify": [("rates.alpha", 1, "alpha_0 = 1"), ("gp.acceptance", 0, "3 of 4; below 0.9")],
+        "summary": [(400, 0.0171, math.nan, np.float64(0.25), 0)],
+        # a column whose type changes from row to row
+        "mixed": [(1, 2.0, "x"), (1.0, 2, True), (np.int64(1), np.float64(2.0), 3.5),
+                  (-0.0, False, None)],
+    }
+
+    @pytest.mark.parametrize("name", ROWS)
+    def test_rows_as_written_per_field(self, tmp_path, name):
+        rows = self.ROWS[name]
+        header = tuple(f"c{k}" for k in range(len(rows[0])))
+        cli._write_csv(tmp_path, "t.csv", header, rows)
+        assert (tmp_path / "t.csv").read_text() == per_field_csv(header, rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.lists(st.one_of(
+        st.floats(), st.floats(width=16).map(np.float64), st.integers(), st.booleans(),
+        st.integers(-2**63, 2**63 - 1).map(np.int64),
+        st.text(st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters=","))),
+        min_size=1, max_size=6)
+        .map(tuple), min_size=1, max_size=8))
+    def test_any_rows_as_written_per_field(self, tmp_path_factory, rows):
+        out = tmp_path_factory.mktemp("csv")
+        header = tuple(f"c{k}" for k in range(max(map(len, rows))))
+        cli._write_csv(out, "t.csv", header, rows)
+        assert (out / "t.csv").read_text() == per_field_csv(header, rows)
 
 
 class TestPriorAndFit:

@@ -12,6 +12,8 @@ from deepgp_lab import funcspace, gp, rates
 from deepgp_lab.errors import ValidationError
 from reference import covering_number_oracle, path_from_dict
 
+BLOCK = funcspace._BLOCK  # points per gather pass
+
 
 def grid_fn(fn, m=257):
     xs = np.linspace(-1, 1, m)
@@ -360,7 +362,8 @@ class TestFlatKernels:
         for used in range(1, len(shape) + 1):  # the slots past the used ones are padded
             slots = list(range(used)) + [None] * (len(shape) - used)
             cells = [funcspace._cached_cells({}, pts, c, m) for c, m in zip(slots, shape)]
-            np.testing.assert_array_equal(path(pts, cells), fancy_gather(values, cells))
+            plan = funcspace._gather_plan(shape, cells)
+            np.testing.assert_array_equal(path(pts, plan), fancy_gather(values, cells))
 
     @pytest.mark.parametrize("m", [8, 9, 33, 201])
     @pytest.mark.parametrize("r", [1, 2])
@@ -539,18 +542,22 @@ class TestCompose:
                                       funcspace.compose(layers, pts))
 
 
+def fresh_compose(layers, pts):
+    """The reference for compose's caches: each path gathers from its own points,
+    with cells and a plan found for this call only."""
+    for layer in layers:
+        cols = []
+        for path, s in layer.components:
+            sub = np.zeros((len(pts), path.r))  # slots past the active set stay 0
+            sub[:, :len(s)] = pts[:, [e - 1 for e in s]]
+            cols.append(path(sub))
+        pts = np.clip(np.column_stack(cols), -1.0, 1.0)
+    return pts[:, 0]
+
+
 class TestCellCache:
     # compose keeps the grid cells of one point set in the caller's dict; layer 0
     # must read from it the bits that each path computes from its own points
-    def reference(self, layers, pts):
-        for layer in layers:
-            cols = []
-            for path, s in layer.components:
-                sub = np.zeros((len(pts), path.r))  # slots past the active set stay 0
-                sub[:, :len(s)] = pts[:, [e - 1 for e in s]]
-                cols.append(path(sub))
-            pts = np.clip(np.column_stack(cols), -1.0, 1.0)
-        return pts[:, 0]
 
     def stacks(self, rng):
         def grid(*shape):
@@ -579,7 +586,7 @@ class TestCellCache:
         cells = {}
         for _ in range(2):
             for layers in self.stacks(rng):
-                want = self.reference(layers, pts)
+                want = fresh_compose(layers, pts)
                 np.testing.assert_array_equal(funcspace.compose(layers, pts, cells), want)
                 np.testing.assert_array_equal(funcspace.compose(layers, pts), want)
         # one entry per (input column, nodes per axis), None for a padded slot
@@ -591,6 +598,59 @@ class TestCellCache:
         assert all(cells[key][0] is i and cells[key][1] is y
                    for key, (i, y) in seen.items())
         assert all(i.dtype == np.int32 and y.dtype == np.float64 for i, y in seen.values())
+
+
+class TestGatherPlan:
+    # compose keeps each path shape's gather plan of a point set of one block in
+    # the caller's dict, and builds a larger set's block by block on every call;
+    # either way layer 0 gives the bits of a gather planned afresh per path
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_cached_plan_equals_a_fresh_gather(self, data):
+        r = data.draw(st.integers(1, 3), label="r")
+        n = data.draw(st.sampled_from([1, 40, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]),
+                      label="n")
+        shape = tuple(data.draw(st.sampled_from([2, 5, 17, 33]), label="m") for _ in range(r))
+        used = data.draw(st.integers(1, r), label="used")  # the slots past these are padded
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        d = r + 1
+        # nodes (+-1, the cube's edges, among them), their nextafter neighbours,
+        # points in between, and points outside the cube that are clipped onto it
+        nodes = np.concatenate([np.linspace(-1.0, 1.0, m) for m in shape])
+        pool = np.concatenate([nodes, np.nextafter(nodes, -2.0), np.nextafter(nodes, 2.0),
+                               rng.uniform(-1.0, 1.0, 64), rng.uniform(1.0, 3.0, 8),
+                               rng.uniform(-3.0, -1.0, 8)])
+        pts = rng.choice(pool, (n, d))
+        active = tuple(int(e) + 1 for e in rng.permutation(d)[:used])
+        # layer 0's values reach past [-1, 1], so its clip binds
+        layers = [funcspace.LayerFunction(
+                      [(funcspace.GridPath(rng.uniform(-1.5, 1.5, shape)), active),
+                       (funcspace.GridPath(rng.uniform(-1.0, 1.0, 17)), (d,))], d),
+                  funcspace.LayerFunction(
+                      [(funcspace.GridPath(rng.uniform(-1.0, 1.0, (9, 9))), (2, 1))], 2)]
+        want = fresh_compose(layers, pts)
+        cache = {}
+        for _ in range(2):
+            np.testing.assert_array_equal(funcspace.compose(layers, pts, cache), want)
+        slots = [e - 1 for e in active] + [None] * (r - used)
+        plan_keys = {tuple(zip(slots, shape)), ((d - 1, 17),)}
+        if n <= BLOCK:  # one block: each plan is kept and read again
+            assert plan_keys <= set(cache)
+            plans = {key: cache[key] for key in plan_keys}
+            np.testing.assert_array_equal(funcspace.compose(layers, pts, cache), want)
+            assert all(cache[key] is plan for key, plan in plans.items())
+        else:  # more: the cache holds the points' cells only
+            assert not plan_keys & set(cache)
+
+    def test_path_reads_the_plan_it_is_given(self):
+        # a plan is the points' cells on the path's grid; the points are only counted
+        rng = np.random.default_rng(4)
+        path = funcspace.GridPath(rng.standard_normal((9, 5)))
+        pts = rng.uniform(-1.0, 1.0, (30, 2))
+        plan = list(funcspace._gather_plan(
+            (9, 5), [funcspace._cached_cells({}, pts, c, m) for c, m in ((0, 9), (1, 5))]))
+        np.testing.assert_array_equal(path(np.zeros((30, 2)), plan), path(pts))
 
 
 # a one-layer f is W v in its path's node values v, so sum(Y f - f^2/2) is
@@ -606,7 +666,6 @@ STATISTICS_CASES = {  # name -> (family, r, active set, design columns)
     "column-2-of-2": (rates.STATIONARY, 1, (2,), 2),
     "padded-slot": (rates.WAVELET, 2, (1,), 1),
 }
-BLOCK = funcspace._BLOCK
 
 
 def _one_layer(case, rng):

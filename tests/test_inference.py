@@ -143,6 +143,16 @@ class TestFreshState:
         assert stats.ks_2samp(trace.sup, prior_sup).pvalue > 0.01
 
 
+def assert_same_trace(a, b):
+    """Two PosteriorTraces are equal in every field."""
+    for field in dataclasses.fields(inference.PosteriorTrace):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            np.testing.assert_array_equal(x, y)
+        else:
+            assert x == y
+
+
 class TestHolderCeiling:
     def test_chain_is_the_same_with_the_norm_forced(self, monkeypatch):
         # the ceiling only skips norms that cannot reach K, so forcing every
@@ -165,12 +175,56 @@ class TestHolderCeiling:
         monkeypatch.setattr(funcspace, "_holder_ceiling", lambda shape, beta: math.inf)
         forced = inference.run_mcmc(data, spec, cfg)
         assert len(calls) > 100
-        for field in dataclasses.fields(inference.PosteriorTrace):
-            a, b = getattr(skipped, field.name), getattr(forced, field.name)
-            if isinstance(a, np.ndarray):
-                np.testing.assert_array_equal(a, b)
-            else:
-                assert a == b
+        assert_same_trace(skipped, forced)
+
+
+class TestGatherPlan:
+    @pytest.mark.parametrize("family, d", [
+        (rates.STATIONARY, 1), (rates.WAVELET, 1),
+        # structure moves switch between paths of one shape on input 1 and on input 2
+        (rates.STATIONARY, 2)])
+    def test_chain_is_the_same_with_the_plan_rebuilt(self, monkeypatch, family, d):
+        # the chain keeps the gather plans of its design and error grid (one
+        # block each); planning every call afresh, from cells found afresh,
+        # gives the same trace, in every field
+        spec = prior.StructurePriorSpec(
+            space=structure.StructureSpace(input_dim=d, max_q=1, max_width=2),
+            profile=rates.RateProfile(family=family), n=200, beta_grid=(1.0,))
+        data = inference.generate_data(prior.sample_prior(spec, 1), n=200, seed=3,
+                                       input_dim=d)
+        cfg = inference.PosteriorConfig(iterations=150, pcn_step=0.9,
+                                        structure_move_prob=0.3, seed=3)
+        kept = inference.run_mcmc(data, spec, cfg)
+        plan, planned = funcspace.LayerFunction._path_plan, []
+
+        def rebuilt(self, j, pts, cache):
+            planned.append(len(pts))
+            return plan(self, j, pts, {})
+        monkeypatch.setattr(funcspace.LayerFunction, "_path_plan", rebuilt)
+        fresh = inference.run_mcmc(data, spec, cfg)
+        grid = 101 if d == 1 else 17**d
+        assert planned.count(grid) >= cfg.iterations  # the error grid, once per iteration
+        assert len(set(kept.structure_idx)) > 1
+        assert_same_trace(kept, fresh)
+
+
+class TestStart:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_tied_weights_start_at_the_lowest_index(self, seed):
+        # at d_0 = 2 and q = 0 the structures on input 1 and on input 2 both
+        # weigh 0.5; the chain starts at the lower index and, with no structure
+        # moves, stays there
+        spec = prior.StructurePriorSpec(
+            space=structure.StructureSpace(input_dim=2, max_q=0, max_width=1),
+            profile=rates.RateProfile(family=rates.STATIONARY), n=200, beta_grid=(1.0,))
+        probs = prior._weights_array(prior.structure_prior_weights(spec))
+        tied = np.flatnonzero(probs == probs.max())
+        assert len(tied) == 2
+        data = inference.generate_data(lambda X: np.zeros(len(X)), n=200, seed=seed,
+                                       input_dim=2)
+        cfg = inference.PosteriorConfig(iterations=5, structure_move_prob=0.0, seed=seed)
+        trace = inference.run_mcmc(data, spec, cfg)
+        assert set(trace.structure_idx) == {tied[0]}
 
 
 class TestMedian:
