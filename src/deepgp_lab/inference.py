@@ -5,8 +5,6 @@ nodes (_pcn_state; None when a node leaves its conditioning set, so the chain
 targets the conditioned prior exactly) and a structure move drawn from the prior
 (_fresh_state; None when a node draw runs out).  One Metropolis test on the
 likelihood ratio accepts either; PosteriorTrace.moves tallies the outcomes.
-A one-layer structure's log-likelihood is a quadratic form in its node values,
-from design statistics built once per structure (funcspace.design_statistics).
 """
 
 from __future__ import annotations
@@ -128,8 +126,9 @@ _MOVES = {"pcn": ("accepted", "rejected", "left_set"),
 class _Chain(NamedTuple):
     k: int  # structure index
     nodes: dict
-    layers: list
     ll: float
+    layers: tuple
+    besov: float
 
 
 def _fresh_state(eta, spec, rng):
@@ -156,6 +155,12 @@ def _pcn_state(nodes, rho, rng):
 
 def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
              config: PosteriorConfig) -> PosteriorTrace:
+    """A state is a structure index k and its node states.  The Metropolis test
+    reads a proposal's log-likelihood (loglik) off its node values alone, except
+    on a structure's first proposal and on every proposal of a deeper one, which
+    build layers to compose the design.  A kept state (the start and each accepted
+    move) is a _Chain: its layers and, for wavelet nodes, its Besov norm are built
+    then, once.  Each iteration composes them on the error grid for l2_error and sup."""
     weighted = structure_prior_weights(spec)
     structures = [eta for eta, _ in weighted]
     probs = _weights_array(weighted)
@@ -170,22 +175,22 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
     # the grid cells and gather plans of the design and of the error grid, found
     # once per chain (compose's caches)
     design_cache, eval_cache = {}, {}
-    stats = {}  # structure index -> the design statistics of its one layer
+    stats = {}  # one-layer structure index -> the design statistics of its layer
 
-    def loglik(k, layers):
-        """sum(Y f - f^2/2) of f = compose(layers) on the design.
-
-        A one-layer f is linear in its node values: its log-likelihood is their
-        quadratic form, from statistics built on the structure's first state,
-        whose compose on the design they must match within their rounding bound.
-        """
-        if len(layers) == 1 and k in stats:
-            return quadratic_loglik(stats[k], layers[0].components[0][0].values)
+    def loglik(k, nodes):
+        """sum(Y f - f^2/2) of f = compose(layers) on the design.  A one-layer f is
+        linear in its node values: from the structure's second proposal on, it is
+        their quadratic form, from statistics built and checked on its first."""
+        if config.prior_only:
+            return 0.0
+        values = nodes[0, 0].path.values  # a one-layer structure's one node
+        if k in stats:
+            return quadratic_loglik(stats[k], values)
+        layers = build_layers(structures[k], nodes)
         fv = compose(layers, data.X, design_cache)
         full = float((data.Y * fv - 0.5 * fv**2).sum())
         if len(layers) > 1:
             return full
-        values = layers[0].components[0][0].values
         stats[k] = design_statistics(layers[0], data.X, data.Y, design_cache)
         ll, bound = quadratic_loglik(stats[k], values), stats[k].rounding_bound(values)
         if not abs(ll - full) <= bound:
@@ -195,9 +200,10 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
                 f"by more than the rounding bound {bound:.3g}")
         return ll
 
-    def chain_at(k, nodes):
-        layers = build_layers(structures[k], nodes)
-        return _Chain(k, nodes, layers, 0.0 if config.prior_only else loglik(k, layers))
+    def kept(k, nodes, ll):
+        return _Chain(k, nodes, ll, build_layers(structures[k], nodes),
+                      max(besov_norm(ns.path, ns.gp_spec.beta) for ns in nodes.values())
+                      if spec.profile.family == WAVELET else math.nan)
 
     # start at the most probable structure whose nodes draw within their budget;
     # among equal weights, the lowest index first
@@ -207,7 +213,7 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
             break
     else:
         raise ConditioningError("no structure admits a feasible conditioned draw")
-    chain = chain_at(int(k), nodes)
+    chain = kept(int(k), nodes, loglik(int(k), nodes))
 
     it = config.iterations
     s_idx = np.empty(it, dtype=int)
@@ -224,18 +230,15 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
             nodes = _pcn_state(chain.nodes, config.pcn_step, rng)
         outcome = _MOVES[move][-1]
         if nodes is not None:  # the prior proposes both moves: test the likelihoods
-            proposal, outcome = chain_at(k, nodes), "rejected"
-            if math.log(rng.random() + 1e-300) < proposal.ll - chain.ll:
-                chain, outcome = proposal, "accepted"
+            ll, outcome = loglik(k, nodes), "rejected"
+            if math.log(rng.random() + 1e-300) < ll - chain.ll:
+                chain, outcome = kept(k, nodes, ll), "accepted"
         moves[move, outcome] += 1
 
         fe = compose(chain.layers, eval_pts, eval_cache)
-        s_idx[t] = chain.k
-        lls[t] = chain.ll
+        s_idx[t], lls[t], bes[t] = chain.k, chain.ll, chain.besov
         errs[t] = math.sqrt(float((eval_w * (fe - truth_eval) ** 2).sum()))
         sups[t] = float(abs(fe).max())
-        bes[t] = (max(besov_norm(ns.path, ns.gp_spec.beta) for ns in chain.nodes.values())
-                  if spec.profile.family == WAVELET else math.nan)
 
     return PosteriorTrace(
         structures=structures, structure_idx=s_idx, log_lik=lls, l2_error=errs,
@@ -244,11 +247,11 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
 
 def model_mass(trace: PosteriorTrace, spec: StructurePriorSpec, eta_star,
                C: float) -> float:
-    """Post-burn-in posterior mass on the good-model set, eps_n(eta) <= C eps_n(eta*)."""
+    """Post-burn-in mass on the good models eps_n(eta) <= C eps_n(eta*), tested per visited eta."""
     eps_star = eps_structure(eta_star, spec.profile, spec.n)
-    good = [eps_structure(eta, spec.profile, spec.n) <= C * eps_star * (1 + 1e-12)
-            for eta in trace.structures]
     idx = trace.post_burn(trace.structure_idx)
+    good = {k: eps_structure(trace.structures[k], spec.profile, spec.n)
+            <= C * eps_star * (1 + 1e-12) for k in set(idx)}
     return float(np.mean([good[k] for k in idx]))
 
 

@@ -46,8 +46,6 @@ def check_redundancy_rates(trials=200, seed=7):
 def check_eps_ratio(trials=1000, seed=11, n=10**5):
     rng = np.random.default_rng(seed)
     profile = RateProfile(family=rates.WAVELET)
-    ok = True
-    detail = ""
     delta = 1.0 / math.log(n) ** 2
     for k in range(trials):
         eta_lo = _random_structure(rng, bounds=(0.3, 2.0))
@@ -59,15 +57,12 @@ def check_eps_ratio(trials=1000, seed=11, n=10**5):
         e_lo = rates.eps_structure(eta_lo, profile, n)
         q_bound = math.exp(eta_lo.bounds[1])
         if not (e_hi <= e_lo * (1 + 1e-12) and e_lo <= q_bound * e_hi * (1 + 1e-12)):
-            ok = False
-            detail = f"violated at trial {k}: {e_hi} vs {e_lo}"
-            break
-    return "rate-comparison-sandwich", ok, detail or "all pairs within the e^{beta+} band"
+            return "rate-comparison-sandwich", False, f"violated at trial {k}: {e_hi} vs {e_lo}"
+    return "rate-comparison-sandwich", True, "all pairs within the e^{beta+} band"
 
 
 def check_floor(trials=200, seed=13):
     rng = np.random.default_rng(seed)
-    ok = True
     for fam in (rates.WAVELET, rates.FBM, rates.STATIONARY):
         profile = RateProfile(family=fam)
         for _ in range(trials):
@@ -79,8 +74,10 @@ def check_floor(trials=200, seed=13):
             floor = rates.entropy_constant_Q1(beta, r, profile.holder_radius) ** (
                 beta / (2 * beta + r)) * n ** (-rates.rate_exponent(beta, alpha, r))
             if val < floor * (1 - 1e-12):
-                ok = False
-    return "entropy-floor", ok, "eps_alpha always dominates the entropy floor"
+                return "entropy-floor", False, (
+                    f"{fam} beta={beta!r} alpha={alpha!r} r={r} n={n}: eps_alpha {val!r} "
+                    f"below the floor {floor!r}")
+    return "entropy-floor", True, "eps_alpha always dominates the entropy floor"
 
 
 def check_besov_acceptance(draws=2000, seed=5):
@@ -120,7 +117,6 @@ def check_holder_examples():
 def check_composition_bound(trials=100, seed=17):
     rng = np.random.default_rng(seed)
     K = 1.0
-    ok = True
 
     def rand_layer():
         # wavelet draw rescaled into the radius-K smoothness ball (the bound
@@ -142,10 +138,11 @@ def check_composition_bound(trials=100, seed=17):
                     funcspace.LayerFunction([(h1t, (1,))], 1)]
         bound, gap = funcspace.composition_gap_bound(
             layers, layers_t, betas=(1.0, 1.0), K=K, eta_slacks=(0.0 + 1e-12, 1e-12))
-        pts = np.linspace(-1, 1, 401)[:, None]
-        if bound < gap(pts) * (1 - 1e-9):
-            ok = False
-    return "composition-gap-bound", ok, "bound dominates measured gap on random 2-layer pairs"
+        measured = gap(np.linspace(-1, 1, 401)[:, None])
+        if bound < measured * (1 - 1e-9):
+            return ("composition-gap-bound", False,
+                    f"trial {k}: bound {bound!r} below the measured gap {measured!r}")
+    return "composition-gap-bound", True, "bound dominates measured gap on random 2-layer pairs"
 
 
 SUITES = {

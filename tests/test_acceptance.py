@@ -85,6 +85,18 @@ def test_criterion_05_composition_bound():
             "bound >= measured sup gap on 1000 random 2-layer instances", t0)
 
 
+def test_criterion_05_fails_when_the_bound_is_zero(monkeypatch):
+    # a bound of 0 is below the gap of any two different layer pairs, so the
+    # first trial fails and is named
+    real = funcspace.composition_gap_bound
+    monkeypatch.setattr(funcspace, "composition_gap_bound",
+                        lambda *args, **kw: (0.0, real(*args, **kw)[1]))
+    name, ok, detail = verify.check_composition_bound(trials=5, seed=17)
+    assert not ok
+    assert detail.startswith("trial 0: bound 0.0 below the measured gap ")
+    assert float(detail.rsplit(" ", 1)[1]) > 0
+
+
 def test_criterion_06_information_geometry():
     t0 = time.perf_counter()
     pts = np.linspace(-1, 1, 401)[:, None]

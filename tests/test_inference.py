@@ -498,11 +498,22 @@ class TestMcmc:
         assert np.all(np.isfinite(trace.l2_error))
 
 
+def accepted(trace):
+    return trace.moves["pcn", "accepted"] + trace.moves["structure", "accepted"]
+
+
+def proposed(trace):
+    """The proposals that reached the Metropolis test: neither left_set nor exhausted."""
+    return sum(c for (_, outcome), c in trace.moves.items()
+               if outcome in ("accepted", "rejected"))
+
+
 class TestLikelihood:
     # a one-layer chain reads its log-likelihood off design statistics built on
-    # each structure's first state; a deeper chain composes every proposal
+    # each structure's first proposal; a deeper chain composes every proposal.
+    # Layers are built for those composes and for each kept state.
     def record(self, monkeypatch, data):
-        """The structures chain_at builds layers for, and the design composes."""
+        """The structures build_layers runs for, and the layers the design composes."""
         built, design = [], []
         build, compose = inference.build_layers, inference.compose
 
@@ -528,7 +539,9 @@ class TestLikelihood:
         cfg = inference.PosteriorConfig(iterations=200, structure_move_prob=0.5, seed=1)
         trace = inference.run_mcmc(data, spec, cfg)
         assert len(design) == len(set(built)) == 2
-        assert len(built) > 100
+        # each structure's first proposal, the start and each accepted move
+        assert len(built) == len(design) + 1 + accepted(trace)
+        assert proposed(trace) > 100 > accepted(trace) > 0
         assert len(set(trace.structure_idx)) == 2  # the chain moved between the two
 
     def test_deeper_chain_composes_every_proposal(self, monkeypatch):
@@ -543,7 +556,10 @@ class TestLikelihood:
         built, design = self.record(monkeypatch, data)
         cfg = inference.PosteriorConfig(iterations=60, pcn_step=0.99, seed=2)
         trace = inference.run_mcmc(data, spec, cfg)
-        assert len(design) == len(built) > 1
+        # the start and every proposal compose the design; each kept state builds again
+        assert len(design) == 1 + proposed(trace) > 1
+        assert len(built) == len(design) + 1 + accepted(trace)
+        assert accepted(trace) > 0
         ll = [float(np.sum(data.Y * fv - 0.5 * fv**2))
               for fv in (funcspace.compose(layers, data.X) for layers in design)]
         assert set(trace.log_lik) <= set(ll)
@@ -570,6 +586,35 @@ class TestModelMass:
         idx = trace.post_burn(trace.structure_idx)
         frac_best = np.mean([trace.structures[k] == best for k in idx])
         np.testing.assert_allclose(mass, frac_best)
+
+
+    def test_checks_only_the_visited_structures(self, monkeypatch):
+        # a 2-D q = 0 space enumerates six structures; the chain visits the two
+        # one-coordinate ones at beta 1, and only those (and eta*) are checked
+        spec = q0_spec(n=100, space=structure.StructureSpace(input_dim=2, max_q=0, max_width=1),
+                       beta_grid=(0.6, 1.0))
+        data = inference.generate_data(lambda x: 0.0 * x[:, 0], n=100, seed=0, input_dim=2)
+        cfg = inference.PosteriorConfig(iterations=200, seed=1, structure_move_prob=0.5)
+        trace = inference.run_mcmc(data, spec, cfg)
+        idx = trace.post_burn(trace.structure_idx)
+        visited = {trace.structures[k] for k in idx}
+        eta_star = trace.structures[idx[0]]
+        eps, calls = rates.eps_structure, []
+
+        def counting(eta, profile, n):
+            calls.append(eta)
+            return eps(eta, profile, n)
+
+        monkeypatch.setattr(inference, "eps_structure", counting)
+        mass = inference.model_mass(trace, spec, eta_star, C=1.0)
+        assert calls[0] == eta_star
+        assert len(calls) - 1 == len(set(calls[1:])) == len(visited) == 2
+        assert set(calls[1:]) == visited
+        assert len(trace.structures) == 6
+        # the mass checking every structure gives
+        star = eps(eta_star, spec.profile, spec.n)
+        good = [eps(eta, spec.profile, spec.n) <= star * (1 + 1e-12) for eta in trace.structures]
+        assert mass == float(np.mean([good[k] for k in idx]))
 
 
 class TestContractionCurve:

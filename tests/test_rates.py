@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deepgp_lab import rates, structure
+from deepgp_lab import rates, structure, verify
 from deepgp_lab.errors import ValidationError
 from reference import smallest_solution_m
 
@@ -133,6 +133,36 @@ class TestEpsAlpha:
         floor = rates.entropy_constant_Q1(beta, r, 1.0) ** (beta / (2 * beta + r)) \
             * n ** (-rates.rate_exponent(beta, alpha, r))
         assert rates.eps_alpha(profile, alpha, beta, r, n) >= floor * (1 - 1e-12)
+
+
+class TestFloorCheck:
+    def test_passes(self):
+        assert verify.check_floor() == (
+            "entropy-floor", True, "eps_alpha always dominates the entropy floor")
+
+    def test_eps_alpha_without_its_floor_fails_naming_the_case(self, monkeypatch):
+        calls = []
+
+        def unfloored(profile, alpha, beta, r, n):
+            # eps_alpha's solution for alpha < 1 with the entropy floor taken out
+            # of both places it enters: the lifted constant c1 and the result
+            c1p, c2p = profile.c1_prime(beta, r), profile.c2_prime(beta, r)
+            c1 = c1p if profile.family == rates.FBM else c1p**2 * (2 * beta + 1) ** (2 * c2p)
+            val = (c1 * math.log(n) ** profile.c2(beta, r)
+                   * float(n) ** (-rates.rate_exponent(beta, alpha, r)))
+            calls.append((profile.family, alpha, beta, r, n, val))
+            return val
+
+        monkeypatch.setattr(rates, "eps_alpha", unfloored)
+        name, ok, detail = verify.check_floor()
+        assert not ok
+        # the check stops at its first violation, the last call
+        fam, alpha, beta, r, n, val = calls[-1]
+        floor = rates.entropy_constant_Q1(beta, r, 1.0) ** (beta / (2 * beta + r)) \
+            * n ** (-rates.rate_exponent(beta, alpha, r))
+        assert val < floor
+        assert detail == (f"{fam} beta={beta!r} alpha={alpha!r} r={r} n={n}: "
+                          f"eps_alpha {val!r} below the floor {floor!r}")
 
 
 class TestSmallestSolution:

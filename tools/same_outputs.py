@@ -5,13 +5,13 @@
 BASE_REF is checked out into a temporary git worktree.  The same commands then
 run from it and from this checkout's working tree, each at CLI seeds 5, 7 and
 12004: the two fit workloads and ``prior-space-d2`` of ``perfbench/run.py``,
-one conditioned ``sample``, one ``diagnose``, the README's ``rates`` example
-and ``verify --suite all``.  Every file they write is compared, except
-``manifest.json`` (it holds a timestamp), and so are their exit codes, standard
-output and standard error (``process.txt`` in each run's directory).  Each
-that differs is listed, and so is each run that exits nonzero from this
-checkout.  The exit code is 1 if any output differs,
-2 if BASE_REF cannot be checked out, and 0 otherwise.
+a 2-D ``fit`` whose chain switches structure, one conditioned ``sample``, one
+``diagnose``, the README's ``rates`` example and ``verify --suite all``.  Every
+file they write is compared, except ``manifest.json`` (it holds a timestamp),
+and so are their exit codes, standard output and standard error
+(``process.txt`` in each run's directory).  Each that differs is listed, and
+so is each run that exits nonzero from this checkout.  The exit code is 1 if
+any output differs, 2 if BASE_REF cannot be checked out, and 0 otherwise.
 
 Configs are read from this checkout and given to both trees, which run with
 BLAS and OpenMP pinned to one thread.
@@ -52,6 +52,14 @@ def jobs():
         "sample-fbm-conditioned": ("sample", {
             "schema_version": 1, "family": "fbm", "beta": 0.8, "r": 1, "n": 3200,
             "count": 3, "conditioned": True}),
+        # two one-input structures share the prior's mass; at seeds 5 and 7 the
+        # chain visits both, so it reaches a structure's first proposal and a switch
+        "fit-stationary-d2": ("fit", {
+            "schema_version": 1, "family": "stationary", "n": 400,
+            "space": {"input_dim": 2, "max_q": 0, "max_width": 1, "beta_bounds": [0.5, 1.0]},
+            "beta_grid": [1.0], "truth": {"type": "prior_draw"},
+            "posterior": {"iterations": 300, "pcn_step": 0.98, "structure_move_prob": 0.3,
+                          "burn_in": 0.5}}),
         "diagnose-stationary": ("diagnose", {
             "schema_version": 1, "family": "stationary", "n": 400, "space": space,
             "beta_grid": [1.0], "truth": {"type": "prior_draw"}, "n_list": [200, 400],
