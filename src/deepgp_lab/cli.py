@@ -44,23 +44,15 @@ def _field_names(cls, exclude=()):
     return {f.name for f in dataclasses.fields(cls)} - set(exclude)
 
 
-class _RowTemplates(dict):
-    """A CSV row's %-format template, keyed by the types of the row's fields: a
-    float (numpy's float64 too) is written with 17 significant digits, anything
-    else as str writes it."""
-
-    def __missing__(self, types):
-        template = self[types] = ",".join(
-            "%.17g" if issubclass(t, float) else "%s" for t in types)
-        return template
-
-
 def _atomic_write(out_dir, name, text):
     os.makedirs(out_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes the file 0600
         os.replace(tmp, os.path.join(out_dir, name))
     except BaseException:
         if os.path.exists(tmp):
@@ -69,12 +61,11 @@ def _atomic_write(out_dir, name, text):
 
 
 def _write_csv(out_dir, name, header, rows):
-    templates = _RowTemplates()
-    # each row's key is built as (*map(...),), a tuple of its final size that the
-    # next row reuses; tuple(map(...)) shrinks a larger tuple, and the shrunk keys
-    # pile up on the tuple free list: 0.25 MB more peak RSS on a 2,000-row trace
-    lines = [",".join(header)] + [templates[(*map(type, row),)] % row
-                                  for row in rows]
+    """Each column holds one type, so the first row gives every row's %-format
+    template: a float (numpy's float64 too) is written with 17 significant
+    digits, anything else as str writes it."""
+    template = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0])
+    lines = [",".join(header)] + [template % row for row in rows]
     _atomic_write(out_dir, name, "\n".join(lines) + "\n")
 
 
@@ -149,14 +140,17 @@ def _list(value, name, item):
 
 
 def _load_config(path, command):
-    with open(path) as fh:
+    """The config at path, read as UTF-8 JSON whatever the locale."""
+    with open(path, encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"config {path!r} is not UTF-8: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ValidationError(f"malformed JSON config: {exc}") from exc
     required, optional = _FIELDS[command]
     _fields(cfg, f"{command} config", required | {"schema_version"}, optional)
-    if cfg["schema_version"] != _SCHEMA_VERSION:
+    if _int(cfg["schema_version"], "schema_version") != _SCHEMA_VERSION:
         raise ValidationError(f"schema_version must be {_SCHEMA_VERSION}")
     return cfg
 
@@ -377,6 +371,16 @@ def _cmd_verify(suite, out_dir):
     return all(ok for _, ok, _ in rows)
 
 
+def _check_out(out):
+    """Refuse an --out that cannot be made a directory: its nearest existing
+    path (itself or an ancestor) is not one."""
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ValidationError(f"--out {out!r}: {path!r} exists and is not a directory")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="deepgp-lab")
     parser.add_argument("command",
@@ -390,8 +394,7 @@ def main(argv=None) -> int:
 
     try:
         _seed(args.seed, "--seed")
-        if os.path.exists(args.out) and not os.path.isdir(args.out):
-            raise ValidationError(f"--out {args.out!r} exists and is not a directory")
+        _check_out(args.out)
         if args.command == "verify":
             ok = _cmd_verify(args.suite, args.out)
             _manifest(args.out, args.command, args.config, args.seed)
@@ -404,7 +407,7 @@ def main(argv=None) -> int:
         handler(cfg, args.seed, args.out)
         _manifest(args.out, args.command, args.config, args.seed)
         return 0
-    except (ValidationError, FileNotFoundError) as exc:
+    except (ValidationError, OSError) as exc:  # OSError: a path that cannot be read or written
         code, error, detail = 1, "validation", str(exc)
     except DeepGpError as exc:  # NumericError and its kin
         code, error, detail = 2, "numeric", str(exc)

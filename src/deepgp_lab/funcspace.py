@@ -6,8 +6,8 @@ Two concrete path representations:
   interpolation in between, gathered from the 2^r corner values around each
   point: each corner is one take from the flat values, at the points' base
   indices plus the corner's offset.  The base indices and corner weights of a
-  point set are its gather plan; compose keeps a fixed set's plans when the set
-  fits in one block.
+  point set are its gather plan, found from the points block by block; compose
+  keeps a fixed set's plans in a dict its caller passes.
 * WaveletPath — coefficients on a tensorized hierarchical hat (Faber-Schauder)
   system, levels j = 1..J with 2^{jr} basis functions per level, for any r.
   Exact and nested; not orthonormal, which none of the coefficient-level
@@ -160,7 +160,7 @@ def _corners(shape, cells):
     upper node, and its weights are the per-axis factors y there and 1 - y elsewhere.
     """
     strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
-    base = cells[-1][0].astype(np.intp)  # take would convert int32 indices on every corner
+    base = cells[-1][0]
     for (i, _), stride in zip(cells[:-1], strides):
         base = base + i * stride
     brackets = [((0, 1.0 - y), (stride, y)) for (_, y), stride in zip(cells, strides)]
@@ -170,13 +170,20 @@ def _corners(shape, cells):
                   for offsets, weights in (zip(*c) for c in itertools.product(*brackets))]
 
 
-def _gather_plan(shape, cells):
-    """The gather plan of the points whose per-axis cells (i, y) are ``cells``, on a
-    grid of this shape: per block of _BLOCK points, (block, base indices, corners)
-    as _corners finds them, built as it is read."""
-    for start in range(0, len(cells[0][0]), _BLOCK):
+def _gather_plan(pts, key):
+    """The gather plan of the points pts on a grid path whose slots are ``key``:
+    per slot, (input column, or None for a slot pinned to 0; nodes per axis).
+
+    Per block of _BLOCK points, (block, base indices, corners) as _corners finds
+    them from the block's cells on each axis, built as it is read.
+    """
+    shape = tuple(m for _, m in key)
+    for start in range(0, len(pts), _BLOCK):
         block = slice(start, start + _BLOCK)
-        yield (block, *_corners(shape, [(i[block], y[block]) for i, y in cells]))
+        rows = pts[block]
+        coords = (np.zeros(len(rows)) if col is None else _clip(rows[:, col].copy(), -1.0, 1.0)
+                  for col, _ in key)
+        yield (block, *_corners(shape, [_cells(x, m) for x, (_, m) in zip(coords, key)]))
 
 
 class GridPath:
@@ -210,9 +217,8 @@ class GridPath:
         the corner's offset.
         """
         if plan is None:
-            points, local = _as_points(points, self.r), {}
-            plan = _gather_plan(self.values.shape, [_cached_cells(local, points, k, m)
-                                                    for k, m in enumerate(self.values.shape)])
+            points = _as_points(points, self.r)
+            plan = _gather_plan(points, tuple(enumerate(self.values.shape)))
         flat = self.values.ravel()
         out = np.empty(len(points))
         for block, base, corners in plan:
@@ -268,56 +274,29 @@ class LayerFunction:
     def __call__(self, points, cache=None):
         """The layer's outputs at the points, shape (m, out_dim).
 
-        Each path reads its gather plan from ``cache``: ``compose``'s cache for
-        a fixed point set, or a dict for this call only.
+        ``cache``, when given, is ``compose``'s cache for a fixed point set:
+        each path reads its gather plan from it.
         """
         pts = _as_points(points, self.in_dim)
-        cache = {} if cache is None else cache
         out = np.empty((len(pts), self.out_dim))
         for j, (path, _) in enumerate(self.components):
             out[:, j] = path(pts, self._path_plan(j, pts, cache))
         return _clip(out, -1.0, 1.0)
 
     def _path_plan(self, j, pts, cache):
-        """Component j's gather plan, on the cells of its input columns and of 0 in
-        its padded slots.
+        """Component j's gather plan, on its input columns and on 0 in its padded slots.
 
-        The cells are looked up in ``cache`` by (column, nodes per axis), the plan
-        by the tuple of those keys.  A plan of one block is built once and kept
-        there; a larger one is built block by block on every call, so the cache
-        holds no more than the points' cells.
+        Without a cache it is built block by block as it is read.  In ``cache``
+        it is kept as a list, under its key: the slots' (column, nodes per axis).
         """
         path, s = self.components[j]
         slots = [e - 1 for e in s] + [None] * (path.r - len(s))
         key = tuple(zip(slots, path.values.shape))
-        if key in cache:
-            return cache[key]
-        plan = _gather_plan(path.values.shape, [_cached_cells(cache, pts, c, m) for c, m in key])
-        if len(pts) <= _BLOCK:
-            plan = cache[key] = list(plan)
-        return plan
-
-
-def _cached_cells(cache, pts, col, m):
-    """The cells of column ``col`` of pts (None: a zero-padded slot) on linspace(-1, 1, m).
-
-    Looked up in ``cache`` by (col, m), or computed once and stored there:
-    int32 indices and float64 fractions of the clipped points, filled block by
-    block.  A padded slot is the one cell of 0, broadcast to every point.
-    """
-    key = (col, m)
-    if key not in cache:
-        n = len(pts)
-        if col is None:
-            i, y = _cells(np.zeros(1), m)
-            cache[key] = np.broadcast_to(i.astype(np.int32), n), np.broadcast_to(y, n)
-        else:
-            i, y = np.empty(n, dtype=np.int32), np.empty(n)
-            for start in range(0, n, _BLOCK):
-                block = slice(start, start + _BLOCK)
-                i[block], y[block] = _cells(_clip(pts[block, col].copy(), -1.0, 1.0), m)
-            cache[key] = i, y
-    return cache[key]
+        if cache is None:
+            return _gather_plan(pts, key)
+        if key not in cache:
+            cache[key] = list(_gather_plan(pts, key))
+        return cache[key]
 
 
 def grid_points(r, m):
@@ -480,12 +459,11 @@ def compose(layers, points, cache=None):
     """Evaluate h_q o ... o h_0 at the given points; returns a vector.
 
     ``cache`` is an optional dict that the caller keeps for one fixed point
-    set and passes on every call with those points.  It holds what layer 0's
-    paths read of the points, filled on first use, so later calls neither
-    recompute nor copy it: the points' grid cells on each (input column, nodes
-    per axis) pair, and, for a set of at most _BLOCK points, each path shape's
-    gather plan (LayerFunction._path_plan).  Later layers see new points on
-    every call and are not cached.
+    set and passes on every call with those points.  It holds layer 0's gather
+    plans of the points as lists, one per key of (input column, nodes per axis)
+    slots (LayerFunction._path_plan), filled on first use, so later calls
+    neither recompute nor copy them.  Later layers see new points on every call
+    and are not cached.
     """
     pts = _as_points(points, layers[0].in_dim)
     for i, layer in enumerate(layers):
@@ -523,7 +501,7 @@ class _DesignStatistics(NamedTuple):
         return 2.0 * eps / (1.0 - eps) * (s * self.abs_y + 0.5 * s * s * self.n)
 
 
-def design_statistics(layer, points, Y, cache):
+def design_statistics(layer, points, Y):
     """The statistics that give sum(Y f - f^2/2) for f = layer(points) in node values.
 
     ``layer`` has one component, whose path reads the points' cells directly, so
@@ -532,9 +510,8 @@ def design_statistics(layer, points, Y, cache):
     sup |v| <= 1).  A point's row of W is its 2^r corner weights at its base
     index plus each corner's offset (_corners), so G is one array over base
     indices per pair of corners c <= c', not an m^r x m^r matrix.  The base
-    indices and weights come from the path's gather plan in ``cache``
-    (compose's cache, filled here if empty), _BLOCK points at a time; the
-    points must be at least one.
+    indices and weights come from the path's gather plan, built _BLOCK points at
+    a time; the points must be at least one.
     """
     (path, _), = layer.components
     pts = _as_points(points, layer.in_dim)
@@ -543,7 +520,7 @@ def design_statistics(layer, points, Y, cache):
     corners = 2**path.r
     left, right = np.triu_indices(corners)
     b, G = np.zeros((corners, size)), np.zeros((len(left), size))
-    for block, base, weighted in layer._path_plan(0, pts, cache):
+    for block, base, weighted in layer._path_plan(0, pts, None):
         offsets, w = zip(*((o, math.prod(ws)) for o, ws in weighted))
         for c in range(corners):
             b[c] += np.bincount(base, w[c] * Y[block], minlength=size)

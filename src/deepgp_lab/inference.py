@@ -172,9 +172,9 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
         m for m in range(1, 18) if m**d <= 17**3))
     eval_w = np.full(len(eval_pts), 1.0 / len(eval_pts))
     truth_eval = np.asarray(data.f_star(eval_pts), dtype=float)
-    # the grid cells and gather plans of the design and of the error grid, found
-    # once per chain (compose's caches)
-    design_cache, eval_cache = {}, {}
+    # the error grid's gather plans, found once per chain (compose's cache); the
+    # design is composed once per structure, so its plans are not kept
+    eval_cache = {}
     stats = {}  # one-layer structure index -> the design statistics of its layer
 
     def loglik(k, nodes):
@@ -187,11 +187,11 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
         if k in stats:
             return quadratic_loglik(stats[k], values)
         layers = build_layers(structures[k], nodes)
-        fv = compose(layers, data.X, design_cache)
+        fv = compose(layers, data.X)
         full = float((data.Y * fv - 0.5 * fv**2).sum())
         if len(layers) > 1:
             return full
-        stats[k] = design_statistics(layers[0], data.X, data.Y, design_cache)
+        stats[k] = design_statistics(layers[0], data.X, data.Y)
         ll, bound = quadratic_loglik(stats[k], values), stats[k].rounding_bound(values)
         if not abs(ll - full) <= bound:
             raise NumericError(

@@ -62,12 +62,14 @@ def check_eps_ratio(trials=1000, seed=11, n=10**5):
 
 
 def check_floor(trials=200, seed=13):
+    """eps_alpha against the entropy floor at random (beta, alpha, r, n).  One
+    trial in four takes alpha = 1, where a wavelet rate is its own branch."""
     rng = np.random.default_rng(seed)
     for fam in (rates.WAVELET, rates.FBM, rates.STATIONARY):
         profile = RateProfile(family=fam)
-        for _ in range(trials):
+        for k in range(trials):
             beta = float(rng.uniform(0.3, 0.95 if fam == rates.FBM else 2.0))
-            alpha = float(rng.uniform(0.2, 1.0))
+            alpha = 1.0 if k % 4 == 0 else float(rng.uniform(0.2, 1.0))
             r = int(rng.integers(1, 4))
             n = int(rng.integers(10, 10**6))
             val = rates.eps_alpha(profile, alpha, beta, r, n)

@@ -303,6 +303,72 @@ class TestExitCodes:
         assert err["error"] == "validation"
         assert "--out" in err["detail"]
 
+    def test_config_naming_a_directory_is_a_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["fit", "--config", str(tmp_path), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "validation"
+        assert str(tmp_path) in err["detail"]
+        assert not out.exists()
+
+    def test_config_that_is_not_utf8_is_a_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(json.dumps(payload("fit")).encode()[:-1] + b', "\xe9t\xe9": 1}')
+        out = tmp_path / "o"
+        assert cli.main(["fit", "--config", str(path), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "validation"
+        assert str(path) in err["detail"] and "UTF-8" in err["detail"]
+        assert not out.exists()
+
+    def test_config_is_read_as_utf8_whatever_the_locale(self, tmp_path):
+        # under the C locale, with neither UTF-8 mode nor locale coercion, open()
+        # reads ASCII; the unknown field must still be read and named
+        path = tmp_path / "cfg.json"
+        path.write_bytes(json.dumps(payload("fit", **{"caf\u00e9": 1}),
+                                    ensure_ascii=False).encode("utf-8"))
+        src = pathlib.Path(deepgp_lab.__file__).parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src), LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONCOERCECLOCALE="0")
+        proc = subprocess.run(
+            [sys.executable, "-m", "deepgp_lab.cli", "fit", "--config", str(path),
+             "--out", str(tmp_path / "o")], capture_output=True, timeout=120, env=env)
+        assert proc.returncode == 1
+        err = json.loads(proc.stderr.decode().strip())
+        assert err["error"] == "validation" and "caf\u00e9" in err["detail"]
+
+    def test_out_below_a_file_is_a_validation_error(self, tmp_path, capsys, monkeypatch):
+        # refused before the suite runs
+        monkeypatch.setattr(verify, "run_suite", None)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert cli.main(["verify", "--out", str(taken / "sub")]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "validation"
+        assert str(taken) in err["detail"]
+
+    def test_schema_version_true_is_a_validation_error(self, tmp_path, capsys):
+        # true == 1 in Python; the field is an integer, as 1.0 is
+        cfg = config(tmp_path, "rates", schema_version=True)
+        assert cli.main(["rates", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "validation",
+                       "detail": "schema_version must be an integer, got True"}
+        cfg = config(tmp_path, "rates", schema_version=1.0)
+        assert cli.main(["rates", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_outputs_honour_the_umask(self, tmp_path, umask):
+        cfg, out = config(tmp_path, "fit"), tmp_path / "o"
+        previous = os.umask(umask)
+        try:
+            assert cli.main(["fit", "--config", cfg, "--out", str(out)]) == 0
+        finally:
+            os.umask(previous)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+        assert modes == dict.fromkeys(("trace.csv", "summary.csv", "manifest.json"),
+                                      0o666 & ~umask)
+
     def test_program_bug_exits_3(self, tmp_path, capsys, monkeypatch):
         def broken(cfg, seed, out_dir):
             raise RuntimeError("boom")
@@ -473,8 +539,9 @@ FIELDS = [1.5, 0.1, np.float64(0.1), math.nan, np.float64(math.nan), math.inf, -
 
 
 class TestCsvRows:
-    # each row is written from one %-format template per combination of field
-    # types, with the bytes the per-field format wrote
+    # every column of a file holds one type, so its rows are written from one
+    # %-format template, built from the first row, with the bytes the per-field
+    # format wrote
     ROWS = {
         "every-kind": [tuple(FIELDS)],
         "trace": [(t, int(np.int64(t % 3)), np.float64(-t / 7), np.float64(t * 0.1),
@@ -483,9 +550,6 @@ class TestCsvRows:
                   (10000, 0.031622776601683791, math.inf, -math.inf, "0;1")],
         "verify": [("rates.alpha", 1, "alpha_0 = 1"), ("gp.acceptance", 0, "3 of 4; below 0.9")],
         "summary": [(400, 0.0171, math.nan, np.float64(0.25), 0)],
-        # a column whose type changes from row to row
-        "mixed": [(1, 2.0, "x"), (1.0, 2, True), (np.int64(1), np.float64(2.0), 3.5),
-                  (-0.0, False, None)],
     }
 
     @pytest.mark.parametrize("name", ROWS)
@@ -496,15 +560,15 @@ class TestCsvRows:
         assert (tmp_path / "t.csv").read_text() == per_field_csv(header, rows)
 
     @settings(max_examples=60, deadline=None)
-    @given(rows=st.lists(st.lists(st.one_of(
+    @given(columns=st.lists(st.sampled_from([
         st.floats(), st.floats(width=16).map(np.float64), st.integers(), st.booleans(),
         st.integers(-2**63, 2**63 - 1).map(np.int64),
-        st.text(st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters=","))),
-        min_size=1, max_size=6)
-        .map(tuple), min_size=1, max_size=8))
-    def test_any_rows_as_written_per_field(self, tmp_path_factory, rows):
+        st.text(st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters=","))]),
+        min_size=1, max_size=6), data=st.data())
+    def test_any_rows_as_written_per_field(self, tmp_path_factory, columns, data):
+        rows = data.draw(st.lists(st.tuples(*columns), min_size=1, max_size=8), label="rows")
         out = tmp_path_factory.mktemp("csv")
-        header = tuple(f"c{k}" for k in range(max(map(len, rows))))
+        header = tuple(f"c{k}" for k in range(len(columns)))
         cli._write_csv(out, "t.csv", header, rows)
         assert (out / "t.csv").read_text() == per_field_csv(header, rows)
 

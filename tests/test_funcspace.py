@@ -361,8 +361,10 @@ class TestFlatKernels:
         path = funcspace.GridPath(values)
         for used in range(1, len(shape) + 1):  # the slots past the used ones are padded
             slots = list(range(used)) + [None] * (len(shape) - used)
-            cells = [funcspace._cached_cells({}, pts, c, m) for c, m in zip(slots, shape)]
-            plan = funcspace._gather_plan(shape, cells)
+            cells = [funcspace._cells(np.zeros(len(pts)) if c is None
+                                      else np.clip(pts[:, c], -1.0, 1.0), m)
+                     for c, m in zip(slots, shape)]
+            plan = funcspace._gather_plan(pts, tuple(zip(slots, shape)))
             np.testing.assert_array_equal(path(pts, plan), fancy_gather(values, cells))
 
     @pytest.mark.parametrize("m", [8, 9, 33, 201])
@@ -555,9 +557,11 @@ def fresh_compose(layers, pts):
     return pts[:, 0]
 
 
-class TestCellCache:
-    # compose keeps the grid cells of one point set in the caller's dict; layer 0
-    # must read from it the bits that each path computes from its own points
+class TestGatherPlan:
+    # compose keeps layer 0's gather plans of one point set in the caller's
+    # dict, one list per key of (input column, nodes per axis) slots, whatever
+    # the number of blocks; layer 0 must read from them the bits that each path
+    # computes from its own points
 
     def stacks(self, rng):
         def grid(*shape):
@@ -577,33 +581,30 @@ class TestCellCache:
              layer([(grid(33), (1,))], 1)],
         ]
 
-    def test_cached_cells_give_the_same_bits(self, monkeypatch):
-        monkeypatch.setattr(funcspace, "_BLOCK", 7)  # 7 does not divide 500
+    @pytest.mark.parametrize("block", [7, 467])  # 467 points in 67 blocks, or in one
+    def test_cached_plans_give_the_same_bits(self, monkeypatch, block):
+        monkeypatch.setattr(funcspace, "_BLOCK", block)
         rng = np.random.default_rng(5)
         axis = np.linspace(-1.0, 1.0, 33)
         vals = np.concatenate([axis, np.nextafter(axis, 2.0), rng.uniform(-1.2, 1.2, 401)])
         pts = np.column_stack([rng.permutation(vals)[:500] for _ in range(2)])
-        cells = {}
+        plans = {}
         for _ in range(2):
             for layers in self.stacks(rng):
                 want = fresh_compose(layers, pts)
-                np.testing.assert_array_equal(funcspace.compose(layers, pts, cells), want)
+                np.testing.assert_array_equal(funcspace.compose(layers, pts, plans), want)
                 np.testing.assert_array_equal(funcspace.compose(layers, pts), want)
-        # one entry per (input column, nodes per axis), None for a padded slot
-        assert set(cells) == {(1, 65), (0, 17), (1, 33), (None, 17), (1, 17)}
-        seen = dict(cells)
+        # one list per key of layer 0's (input column, nodes per axis) slots,
+        # None for a padded slot
+        assert set(plans) == {((1, 65),), ((0, 17), (1, 33)), ((1, 33), (None, 17)),
+                              ((0, 17), (None, 17)), ((1, 17),), ((1, 17), (0, 17))}
+        assert all(isinstance(plan, list) and len(plan) == -(-len(pts) // block)
+                   for plan in plans.values())
+        seen = dict(plans)
         for layers in self.stacks(rng):
-            funcspace.compose(layers, pts, cells)
-        assert len(cells) == len(seen)
-        assert all(cells[key][0] is i and cells[key][1] is y
-                   for key, (i, y) in seen.items())
-        assert all(i.dtype == np.int32 and y.dtype == np.float64 for i, y in seen.values())
-
-
-class TestGatherPlan:
-    # compose keeps each path shape's gather plan of a point set of one block in
-    # the caller's dict, and builds a larger set's block by block on every call;
-    # either way layer 0 gives the bits of a gather planned afresh per path
+            funcspace.compose(layers, pts, plans)
+        assert len(plans) == len(seen)
+        assert all(plans[key] is plan for key, plan in seen.items())
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -631,25 +632,23 @@ class TestGatherPlan:
                       [(funcspace.GridPath(rng.uniform(-1.0, 1.0, (9, 9))), (2, 1))], 2)]
         want = fresh_compose(layers, pts)
         cache = {}
-        for _ in range(2):
-            np.testing.assert_array_equal(funcspace.compose(layers, pts, cache), want)
+        np.testing.assert_array_equal(funcspace.compose(layers, pts, cache), want)
         slots = [e - 1 for e in active] + [None] * (r - used)
-        plan_keys = {tuple(zip(slots, shape)), ((d - 1, 17),)}
-        if n <= BLOCK:  # one block: each plan is kept and read again
-            assert plan_keys <= set(cache)
-            plans = {key: cache[key] for key in plan_keys}
-            np.testing.assert_array_equal(funcspace.compose(layers, pts, cache), want)
-            assert all(cache[key] is plan for key, plan in plans.items())
-        else:  # more: the cache holds the points' cells only
-            assert not plan_keys & set(cache)
+        # layer 0's two plans, each kept as a list of its blocks, and read again
+        assert set(cache) == {tuple(zip(slots, shape)), ((d - 1, 17),)}
+        assert all(isinstance(plan, list) and len(plan) == -(-n // BLOCK)
+                   for plan in cache.values())
+        plans = dict(cache)
+        np.testing.assert_array_equal(funcspace.compose(layers, pts, cache), want)
+        assert set(cache) == set(plans)
+        assert all(cache[key] is plan for key, plan in plans.items())
 
     def test_path_reads_the_plan_it_is_given(self):
         # a plan is the points' cells on the path's grid; the points are only counted
         rng = np.random.default_rng(4)
         path = funcspace.GridPath(rng.standard_normal((9, 5)))
         pts = rng.uniform(-1.0, 1.0, (30, 2))
-        plan = list(funcspace._gather_plan(
-            (9, 5), [funcspace._cached_cells({}, pts, c, m) for c, m in ((0, 9), (1, 5))]))
+        plan = list(funcspace._gather_plan(pts, ((0, 9), (1, 5))))
         np.testing.assert_array_equal(path(np.zeros((30, 2)), plan), path(pts))
 
 
@@ -696,19 +695,15 @@ def test_design_statistics_give_the_full_evaluation(case, n, on_nodes, seed):
     rng = np.random.default_rng(seed)
     layer = _one_layer(case, rng)
     X = _design(layer, n, on_nodes, rng)
-    cells = {}
-    fv = funcspace.compose([layer], X, cells)
+    fv = funcspace.compose([layer], X)
     Y = fv + rng.standard_normal(n)
     full = float(np.sum(Y * fv - 0.5 * fv**2))
-    stats = funcspace.design_statistics(layer, X, Y, cells)
+    stats = funcspace.design_statistics(layer, X, Y)
     values = layer.components[0][0].values
     bound = stats.rounding_bound(values)
     assert abs(funcspace.quadratic_loglik(stats, values) - full) <= bound
     # the bound is a rounding bound: far below one point's share of the sum
     assert bound <= 1e-9 * (np.sum(np.abs(Y)) + n)
-    # the statistics read compose's cells, or find the same ones themselves
-    fresh = funcspace.design_statistics(layer, X, Y, {})
-    assert all(np.array_equal(a, b) for a, b in zip(stats, fresh))
 
 
 class TestCompositionGapBound:

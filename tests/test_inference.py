@@ -184,9 +184,8 @@ class TestGatherPlan:
         # structure moves switch between paths of one shape on input 1 and on input 2
         (rates.STATIONARY, 2)])
     def test_chain_is_the_same_with_the_plan_rebuilt(self, monkeypatch, family, d):
-        # the chain keeps the gather plans of its design and error grid (one
-        # block each); planning every call afresh, from cells found afresh,
-        # gives the same trace, in every field
+        # the chain keeps the gather plans of its error grid; planning every
+        # call afresh gives the same trace, in every field
         spec = prior.StructurePriorSpec(
             space=structure.StructureSpace(input_dim=d, max_q=1, max_width=2),
             profile=rates.RateProfile(family=family), n=200, beta_grid=(1.0,))
@@ -444,8 +443,8 @@ class TestMcmc:
             events.append(("start", eta) if starting else ("draw", nodes is None))
             return nodes
 
-        def composing(layers, points, cells):
-            fv = compose(layers, points, cells)
+        def composing(layers, points, cache=None):
+            fv = compose(layers, points, cache)
             events.append(("design", layers) if points is data.X else ("end", None))
             return fv
 
@@ -458,7 +457,7 @@ class TestMcmc:
 
         first = next(i for i, (e, _) in enumerate(events) if e == "design")
         (layer,) = events[first][1]  # a one-layer start: its log-likelihood is the quadratic form
-        design = funcspace.design_statistics(layer, data.X, data.Y, {})
+        design = funcspace.design_statistics(layer, data.X, data.Y)
         prev = (trace.structures.index(events[first - 1][1]),
                 funcspace.quadratic_loglik(design, layer.components[0][0].values))
         want = dict.fromkeys(trace.moves, 0)
@@ -521,10 +520,10 @@ class TestLikelihood:
             built.append(eta)
             return build(eta, nodes)
 
-        def composing(layers, points, cells):
+        def composing(layers, points, cache=None):
             if points is data.X:
                 design.append(layers)
-            return compose(layers, points, cells)
+            return compose(layers, points, cache)
 
         monkeypatch.setattr(inference, "build_layers", building)
         monkeypatch.setattr(inference, "compose", composing)
@@ -563,6 +562,32 @@ class TestLikelihood:
         ll = [float(np.sum(data.Y * fv - 0.5 * fv**2))
               for fv in (funcspace.compose(layers, data.X) for layers in design)]
         assert set(trace.log_lik) <= set(ll)
+
+
+    @pytest.mark.parametrize("deep", [False, True])
+    def test_only_the_error_grid_is_composed_with_a_cache(self, monkeypatch, deep):
+        # the design is composed once per one-layer structure (a deeper one's
+        # every proposal), so its gather plans are not kept; the error grid's
+        # are, in one dict for the whole chain
+        spec = q0_spec(space=structure.StructureSpace(input_dim=2, max_q=int(deep),
+                                                      max_width=1))
+        if deep:
+            eta = next(e for e, _ in prior.structure_prior_weights(spec) if e.graph.q == 1)
+            monkeypatch.setattr(inference, "structure_prior_weights",
+                                lambda spec: [(eta, rates.LogWeight(0.0))])
+        data = inference.generate_data(lambda x: 0.5 * x[:, 0], n=200, seed=0, input_dim=2)
+        compose, design, grid = inference.compose, [], []
+
+        def composing(layers, points, cache=None):
+            (design if points is data.X else grid).append(cache)
+            return compose(layers, points, cache)
+
+        monkeypatch.setattr(inference, "compose", composing)
+        cfg = inference.PosteriorConfig(iterations=100, structure_move_prob=0.3, seed=1)
+        inference.run_mcmc(data, spec, cfg)
+        assert design and all(cache is None for cache in design)
+        assert len(grid) == cfg.iterations and isinstance(grid[0], dict)
+        assert all(cache is grid[0] for cache in grid)
 
 
 class TestModelMass:

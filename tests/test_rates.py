@@ -165,6 +165,22 @@ class TestFloorCheck:
                           f"eps_alpha {val!r} below the floor {floor!r}")
 
 
+    def test_eps_alpha_without_its_final_max_fails(self, monkeypatch):
+        # eps_alpha with only its final max(., floor) dropped: for alpha < 1 the
+        # lifted constant c1 keeps the floor, so only the wavelet alpha = 1
+        # branch, _wavelet_base, can fall below it
+        def unmaxed(profile, alpha, beta, r, n):
+            if profile.family == rates.WAVELET and alpha == 1.0:
+                return rates._wavelet_base(profile, beta, r, n)
+            return (profile.c1(beta, r) * math.log(n) ** profile.c2(beta, r)
+                    * float(n) ** (-rates.rate_exponent(beta, alpha, r)))
+
+        monkeypatch.setattr(rates, "eps_alpha", unmaxed)
+        name, ok, detail = verify.check_floor()
+        assert (name, ok) == ("entropy-floor", False)
+        assert detail.startswith(f"{rates.WAVELET} beta=") and " alpha=1.0 " in detail
+
+
 class TestSmallestSolution:
     def test_minimal_lift_dominated(self):
         # the closed-form alpha-level solution dominates the substitution
