@@ -389,14 +389,17 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=".")
-    parser.add_argument("--suite", default="all")
+    parser.add_argument("--suite", default=None)
     args = parser.parse_args(argv)
 
     try:
         _seed(args.seed, "--seed")
         _check_out(args.out)
+        unused = "config" if args.command == "verify" else "suite"
+        if getattr(args, unused) is not None:
+            raise ValidationError(f"{args.command} takes no --{unused}")
         if args.command == "verify":
-            ok = _cmd_verify(args.suite, args.out)
+            ok = _cmd_verify("all" if args.suite is None else args.suite, args.out)
             _manifest(args.out, args.command, args.config, args.seed)
             return 0 if ok else 2
         if args.config is None:

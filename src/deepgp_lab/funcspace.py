@@ -14,15 +14,15 @@ Two concrete path representations:
   checks need.  Every hat is linear between the level-J dyadic knots, so the
   series is multilinear on the knot grid linspace(-1, 1, 2^{J+1}+1)^r: a
   WaveletPath is the GridPath of its knot values, which it sums once, level by
-  level, when it is built, from hat brackets on the knot axis that are cached
-  per (level, knot count) and shared by every path.
+  level, when it is built, from hat brackets at the integer knot indices that
+  are cached per (level, knot count) and shared by every path.
 
-On top of those: empirical Holder norm (by np.gradient's difference stencil,
-written out with its bits) and conditioning-set membership, both read on a
-path's own nodes, Besov sup-norm of coefficients, layer/composition
-evaluation (a layer writes its outputs into one array and clips it in place),
-the design statistics that make a one-layer Gaussian log-likelihood a quadratic
-form in node values, and the composition gap bound.
+On top of those: empirical Holder norm (with np.gradient's second-order
+differences) and conditioning-set membership, both read on a path's own nodes,
+Besov sup-norm of coefficients, layer/composition evaluation (a layer writes its
+outputs into one array and clips it in place), the design statistics that make
+a one-layer Gaussian log-likelihood a quadratic form in node values, and the
+composition gap bound.
 """
 
 from __future__ import annotations
@@ -77,55 +77,44 @@ def _clip(x, lo, hi):
     return np.minimum(x, hi, out=x)
 
 
-def _axis_bracket(j, x):
-    """The two level-j hats that can be nonzero at each x, as (index, value) pairs.
-
-    Level-j hats have half-width 2^{1-j} and centers 2^{1-j} apart, so only the
-    hats at the centers just left and right of x touch it.
-    """
-    centers = -1.0 + (2.0 * np.arange(1, 2**j + 1) - 1.0) / 2**j
-    width = 2.0 ** (1 - j)
-    left = _clip((x + 1.0) * 2.0 ** (j - 1) - 0.5, 0, 2**j - 2).astype(np.intp)
-    left -= (x < centers[left]) & (left > 0)  # x + 1 can round up onto a center
-    return [(k, np.maximum(0.0, 1.0 - np.abs(x - centers[k]) / width))
-            for k in (left, left + 1)]
-
-
-def _hat_sum(levels, pts):
-    """sum_j sum_k lambda_{j,k} psi_{j,k} at any points, from the 2^r hats touching each one."""
-    return _sum_levels(levels, lambda j: [_axis_bracket(j, x) for x in pts.T], len(pts))
-
-
-def _sum_levels(levels, brackets, n):
-    """The hat sum at n points; brackets(j) holds each axis's two level-j (index, hat) pairs."""
-    total = np.zeros(n)
-    for j, coeff in enumerate(levels, start=1):
-        level = np.zeros(n)
-        # the 2^r corners in lexicographic order: the order a dense sum adds them in
-        for corner in itertools.product(*brackets(j)):
-            idx, hats = zip(*corner)
-            level += math.prod(hats) * coeff[idx]
-        total += level
-    return total
-
-
 @functools.lru_cache(maxsize=64)
 def _knot_bracket(j, m):
-    """_axis_bracket(j, _axis(m)), read-only: shared by every path whose knot axis has m nodes."""
-    pairs = tuple(_axis_bracket(j, _axis(m)))
+    """The two level-j hats that can be nonzero at each node i of the knot axis
+    linspace(-1, 1, m), as (index, value) pairs; read-only, shared by every path
+    whose knot axis has m nodes.
+
+    Hat k peaks at node (2k+1)s and reaches 0 2s nodes away, s = (m-1)/2^{j+1},
+    so only the hats peaking just left and right of node i touch it.  Their
+    values are exact dyadic numbers.
+    """
+    s = (m - 1) // 2 ** (j + 1)
+    i = np.arange(m)
+    left = _clip((i - s) // (2 * s), 0, 2**j - 2)
+    pairs = tuple((k, np.maximum(0.0, 1.0 - np.abs(i - (2 * k + 1) * s) / (2 * s)))
+                  for k in (left, left + 1))
     for a in itertools.chain.from_iterable(pairs):
         a.flags.writeable = False
     return pairs
 
 
 def _knot_sum(levels, r, m):
-    """_hat_sum(levels, grid_points(r, m)) from the per-axis brackets of the knot axis.
+    """sum_j sum_k lambda_{j,k} psi_{j,k} at the nodes of the knot grid, shape (m,)^r.
 
-    A mesh node's bracket on axis k is the axis bracket at its k-th node index.
+    A node's hats on axis k are the knot axis's bracket at its k-th index: axis
+    k's pairs are shaped (m, 1, ..., 1) to broadcast against the axes after it.
     """
-    nodes = np.indices((m,) * r).reshape(r, -1)
-    return _sum_levels(levels, lambda j: [[(k[ix], h[ix]) for k, h in _knot_bracket(j, m)]
-                                          for ix in nodes], m**r)
+    total = np.zeros((m,) * r)
+    shapes = [(m,) + (1,) * (r - 1 - k) for k in range(r)]
+    for j, coeff in enumerate(levels, start=1):
+        level = np.zeros((m,) * r)
+        brackets = [[(i.reshape(shape), h.reshape(shape)) for i, h in _knot_bracket(j, m)]
+                    for shape in shapes]
+        # the 2^r corners in lexicographic order: the order a dense sum adds them in
+        for corner in itertools.product(*brackets):
+            idx, hats = zip(*corner)
+            level += math.prod(hats) * coeff[idx]
+        total += level
+    return total
 
 
 @functools.lru_cache(maxsize=64)
@@ -249,7 +238,7 @@ class WaveletPath(GridPath):
         self.levels = tuple(np.asarray(c, dtype=float).reshape((2**j,) * r)
                             for j, c in enumerate(levels, start=1))
         m = 2 ** (len(self.levels) + 1) + 1
-        super().__init__(_knot_sum(self.levels, r, m).reshape((m,) * r))
+        super().__init__(_knot_sum(self.levels, r, m))
 
 
 class LayerFunction:
@@ -330,18 +319,6 @@ def _sup_quotient(points, values, frac):
     return best
 
 
-def _difference(f, dx, axis):
-    """np.gradient(f, dx, axis=axis, edge_order=2) with its bits: central differences
-    inside, numpy's second-order one-sided stencils on the two edges, each in
-    numpy's order of operations."""
-    out = np.empty_like(f)
-    f, d = f.swapaxes(0, axis), out.swapaxes(0, axis)
-    d[1:-1] = (f[2:] - f[:-2]) / (2.0 * dx)
-    d[0] = -1.5 / dx * f[0] + 2.0 / dx * f[1] + -0.5 / dx * f[2]
-    d[-1] = 0.5 / dx * f[-3] + -2.0 / dx * f[-2] + 1.5 / dx * f[-1]
-    return out
-
-
 def _check_holder(shape, beta):
     """Refuse a beta or grid shape the empirical Holder norm does not support."""
     if beta > HOLDER_MAX_BETA:
@@ -356,7 +333,8 @@ def holder_norm_empirical(f, beta):
 
     2r * sum_{|a| < floor(beta)} sup|d^a f|  +  2^{beta - floor(beta)} *
     sum_{|a| = floor(beta)} Holder-(beta - floor(beta)) quotient of d^a f,
-    with derivatives by central differences and sups over f's nodes.  For
+    with derivatives by np.gradient (central differences inside, second-order
+    one-sided ones on the edges) and sups over f's nodes.  For
     integer beta the quotient is the range max - min of d^a f, the same bits
     as the largest pairwise |difference| because rounding is monotone.
     """
@@ -370,7 +348,7 @@ def holder_norm_empirical(f, beta):
     def deriv(tensor, axes):
         out = tensor
         for a in axes:
-            out = _difference(out, steps[a], a)
+            out = np.gradient(out, steps[a], axis=a, edge_order=2)
         return out
 
     low = 0.0
@@ -385,8 +363,8 @@ def holder_norm_empirical(f, beta):
     return 2.0 * r * low + 2.0**frac * top
 
 
-# the largest sum of |coefficients| of _difference's stencils, in units of
-# 1/step: its one-sided edge stencils' 1.5 + 2 + 0.5 (the central one's is 1)
+# the largest sum of |coefficients| of np.gradient's edge_order=2 stencils, in
+# units of 1/step: its one-sided edge stencils' 1.5 + 2 + 0.5 (the central one's is 1)
 _EDGE_GAIN = 4.0
 # relative margin over _holder_ceiling for rounding.  holder_norm_empirical
 # rounds at most two differences of three terms, a sum of at most six terms, a
@@ -400,9 +378,9 @@ def _holder_ceiling(shape, beta):
     """The most holder_norm_empirical(f, beta) can be for a path f of this shape
     with sup |f| <= 1 (exactly, before rounding); refuses what the norm refuses.
 
-    A difference along axis k multiplies the sup by at most D_k = _EDGE_GAIN / h_k,
-    h_k = 2/(m_k - 1), so sup |d^a f| <= prod_{k in a} D_k, a range is at most
-    twice a sup, and distinct nodes lie at least h_min = min h_k apart:
+    A np.gradient difference along axis k multiplies the sup by at most
+    D_k = _EDGE_GAIN / h_k, h_k = 2/(m_k - 1), so sup |d^a f| <= prod_{k in a} D_k,
+    a range is at most twice a sup, and distinct nodes lie at least h_min = min h_k apart:
     2r sum_{|a|<b} prod D_k + 2^frac sum_{|a|=b} 2 prod D_k / h_min^frac.
     """
     _check_holder(shape, beta)

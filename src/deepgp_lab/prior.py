@@ -52,11 +52,20 @@ class StructurePriorSpec:
     beta_grid: tuple = (1.0,)
 
     def __post_init__(self):
-        """Every node law the space can ask for exists, each beta at each layer width,
+        """Some structure of the space has prior mass, beta_grid repeats no value,
+        every node law the space can ask for exists, each beta at each layer width,
         and every limit K and penalty Psi_n the space computes is finite."""
+        depth, width = self.space.reach  # no structure past these has prior mass
+        if depth < 0:
+            raise ValidationError(
+                f"no admissible structure in the space with |d|_1 <= {PENALTY_HORIZON} "
+                "(larger structures carry no prior mass)")
         if self.n < 3:
             raise ValidationError("n must be >= 3")
-        depth, width = self.space.reach  # no structure past these has prior mass
+        for beta in self.beta_grid:
+            if self.beta_grid.count(beta) > 1:
+                raise ValidationError(f"beta_grid {list(self.beta_grid)} repeats the value "
+                                      f"{beta}")
         widths = {"input_dim": self.space.input_dim}
         if depth > 0:
             widths["max_width"] = width
@@ -131,10 +140,6 @@ def structure_prior_weights(spec: StructurePriorSpec):
     gamma(eta) e^{-Psi_n(eta)}; every enumerated structure has a finite weight.
     """
     structures = enumerate_structures(spec.space, spec.beta_grid)
-    if not structures:
-        raise ValidationError(
-            f"no admissible structure in the space with |d|_1 <= {PENALTY_HORIZON} "
-            "(larger structures carry no prior mass)")
     # psi_n reads only eta's rate signature: its betas, its effective dims
     # t_0..t_q, its beta bounds and |d|_1.  gamma_log reads only (q, d, t).
     # Each is computed once per distinct signature and shared by its structures.

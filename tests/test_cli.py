@@ -271,6 +271,14 @@ class TestExitCodes:
             id="space-too-large"),
         pytest.param("diagnose", lambda c: c.update(n_list=[200, 200]),
                      "n_list must be strictly increasing", id="diagnose-n-list-repeated"),
+        pytest.param("prior", lambda c: c.update(beta_grid=[0.5, 0.5],
+                                                 space=dict(c["space"], max_q=0)),
+                     "beta_grid [0.5, 0.5] repeats the value 0.5", id="beta-grid-repeated"),
+        # no structure with |d|_1 <= 6 has so many inputs; the checks over every
+        # layer width up to input_dim must not run first
+        *(pytest.param("prior", lambda c, d=d: c.update(beta_grid=[1.0], space=dict(
+            c["space"], input_dim=d, max_q=0)), "no admissible structure in the space "
+            "with |d|_1 <= 6", id=f"space-without-prior-mass-{d}") for d in (6, 200)),
     ])
     def test_config_mistake_is_a_validation_error(self, tmp_path, capsys, command,
                                                   edit, named):
@@ -437,6 +445,25 @@ class TestExitCodes:
             verify.run_suite("nope")
         assert cli.main(["verify", "--suite", "nope", "--out", str(tmp_path)]) == 1
         assert "nope" in json.loads(capsys.readouterr().err.strip())["detail"]
+
+    def test_verify_refuses_a_config(self, tmp_path, capsys):
+        # refused before the suite runs
+        out = tmp_path / "o"
+        assert cli.main(["verify", "--suite", "gp", "--config", "/nonexistent",
+                         "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert json.loads(captured.err.strip()) == {
+            "error": "validation", "detail": "verify takes no --config"}
+
+    @pytest.mark.parametrize("command", ["rates", "sample", "prior", "fit", "diagnose"])
+    def test_config_command_refuses_a_suite(self, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        assert cli.main([command, "--config", config(tmp_path, command), "--suite", "gp",
+                         "--out", str(out)]) == 1
+        assert not out.exists()
+        assert json.loads(capsys.readouterr().err.strip()) == {
+            "error": "validation", "detail": f"{command} takes no --suite"}
 
     def test_threads_option_removed(self, capsys):
         with pytest.raises(SystemExit):

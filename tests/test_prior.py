@@ -69,11 +69,10 @@ class TestStructurePrior:
         assert rates.psi_n(eta, spec.profile, spec.n).log_value == -math.inf
 
     def test_all_zero_raises(self):
-        spec = make_spec(space=structure.StructureSpace(input_dim=8, max_q=0,
-                                                        max_width=1),
-                         beta_grid=(1.0,))
-        with pytest.raises(ValidationError):
-            prior.structure_prior_weights(spec)
+        # a space in which no structure has prior mass is refused when the spec is built
+        with pytest.raises(ValidationError, match="no admissible structure"):
+            make_spec(space=structure.StructureSpace(input_dim=8, max_q=0, max_width=1),
+                      beta_grid=(1.0,))
 
     def test_sampling_frequencies(self):
         spec = make_spec()
