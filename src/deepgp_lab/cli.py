@@ -281,8 +281,8 @@ def _cmd_prior(cfg, seed, out_dir):
     if n_draws < 0:
         raise ValidationError(f"draws must be >= 0, got {n_draws}")
     weighted = prior.structure_prior_weights(spec)
-    rows = [(idx, json.dumps(structure.structure_to_dict(eta), sort_keys=True)
-             .replace(",", ";"), lw.log_value, float(np.exp(lw.log_value)))
+    rows = [(idx, structure.structure_to_json(eta).replace(",", ";"), lw.log_value,
+             float(np.exp(lw.log_value)))
             for idx, (eta, lw) in enumerate(weighted)]
     _write_csv(out_dir, "weights.csv", ("index", "structure", "log_weight", "weight"),
                rows)

@@ -52,16 +52,21 @@ class StructurePriorSpec:
     beta_grid: tuple = (1.0,)
 
     def __post_init__(self):
-        """Some structure of the space has prior mass, beta_grid repeats no value,
-        every node law the space can ask for exists, each beta at each layer width,
-        and every limit K and penalty Psi_n the space computes is finite."""
+        """Some structure of the space has prior mass, beta_grid is nonempty and
+        repeats no value, every node law the space can ask for exists, each beta at
+        each layer width, and every limit K and penalty Psi_n the space computes is
+        finite."""
         depth, width = self.space.reach  # no structure past these has prior mass
         if depth < 0:
-            raise ValidationError(
-                f"no admissible structure in the space with |d|_1 <= {PENALTY_HORIZON} "
-                "(larger structures carry no prior mass)")
+            cap = self.space.max_nodes
+            why = (f"space.max_nodes = {cap}" if cap < PENALTY_HORIZON
+                   else "larger structures carry no prior mass")
+            raise ValidationError(f"no admissible structure in the space with |d|_1 <= "
+                                  f"{min(cap, PENALTY_HORIZON)} ({why})")
         if self.n < 3:
             raise ValidationError("n must be >= 3")
+        if not self.beta_grid:
+            raise ValidationError("beta_grid must be nonempty")
         for beta in self.beta_grid:
             if self.beta_grid.count(beta) > 1:
                 raise ValidationError(f"beta_grid {list(self.beta_grid)} repeats the value "
@@ -222,7 +227,7 @@ def _node_laws(eta: CompositionStructure, spec: StructurePriorSpec) -> tuple:
     for i in range(eta.graph.q + 1):
         gp_spec = GpSpec(family=spec.profile.family, beta=float(eta.betas[i]),
                          r=int(eta.graph.eff_dims[i]), n=spec.n)
-        laws.append((gp_spec, conditioning_limit(gp_spec, spec.profile, float(alphas[i]))))
+        laws.append((gp_spec, conditioning_limit(gp_spec, spec.profile, alphas[i])))
     return tuple(laws)
 
 

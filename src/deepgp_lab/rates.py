@@ -139,18 +139,20 @@ def check_beta(family: str, beta: float) -> None:
         raise ValidationError("fBM requires beta in (0, 1)")
 
 
-def alpha_exponents(betas) -> np.ndarray:
-    """alpha_i = prod_{l>i} min(beta_l, 1); alpha_q = 1 (empty product)."""
-    b = np.asarray(betas, dtype=float)
-    if b.size == 0 or np.any(b <= 0):
+def alpha_exponents(betas) -> tuple:
+    """alpha_i = prod_{l>i} min(beta_l, 1); alpha_q = 1 (empty product).
+
+    Returns a tuple of Python floats, one per layer, not a numpy array; each
+    product is taken from the last layer down, in the order of a reverse
+    cumulative product.
+    """
+    capped = [min(float(b), 1.0) for b in betas]
+    if not capped or any(c <= 0 for c in capped):  # NaN passes, as it fails no comparison
         raise ValidationError("betas must be nonempty and positive")
-    capped = np.minimum(b, 1.0)
-    # reverse cumulative product of the *downstream* entries
-    rev = np.cumprod(capped[::-1])[::-1]
-    alphas = np.empty_like(b)
-    alphas[:-1] = rev[1:]
-    alphas[-1] = 1.0
-    return alphas
+    alphas = [1.0]
+    for c in reversed(capped[1:]):
+        alphas.append(alphas[-1] * c)
+    return tuple(reversed(alphas))
 
 
 def rate_exponent(beta: float, alpha: float, t: float) -> float:
@@ -195,6 +197,7 @@ def _wavelet_base(profile: RateProfile, beta: float, r: int, n: int) -> float:
     return profile.besov_radius * geom * math.sqrt(r * 2.0**r) * j**1.5 * 2.0 ** (-j * beta)
 
 
+@functools.lru_cache(maxsize=8192)
 def eps_alpha(profile: RateProfile, alpha: float, beta: float, r: int, n: int) -> float:
     """The family's rate solution eps_n(alpha, beta, r), floored from below.
 
@@ -237,7 +240,7 @@ def eps_structure(eta: CompositionStructure, profile: RateProfile, n: int) -> fl
 
     alphas = alpha_exponents(eta.betas)
     t = eta.graph.eff_dims[: eta.graph.q + 1]
-    lower = max(eps_alpha(profile, float(a), float(b), ti, n)
+    lower = max(eps_alpha(profile, a, float(b), ti, n)
                 for a, b, ti in zip(alphas, eta.betas, t))
     if val < lower * (1 - 1e-9):
         raise ValidationError(

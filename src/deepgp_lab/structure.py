@@ -9,7 +9,9 @@ beta_i.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import json
 from dataclasses import dataclass, field
 
 from .errors import SpaceTooLargeError, ValidationError
@@ -25,6 +27,7 @@ __all__ = [
     "graph_from_dict",
     "structure_to_dict",
     "structure_from_dict",
+    "structure_to_json",
 ]
 
 ActiveSets = tuple  # per layer: tuple over outputs of sorted 1-based index tuples
@@ -83,6 +86,14 @@ class CompositionGraph:
     def num_nodes(self) -> int:
         # |d|_1 = 1 + sum_{i=0}^{q} d_i; the trailing d_{q+1} = 1 supplies the "1 +".
         return int(sum(self.dims))
+
+    @functools.cached_property
+    def _json(self):
+        """json.dumps(graph_to_dict(self), sort_keys=True) cut in two where a
+        structure's "beta_bounds" and "betas" sort in: after "active_sets"."""
+        d = graph_to_dict(self)
+        head = '{"active_sets": ' + json.dumps(d.pop("active_sets")) + ", "
+        return head, json.dumps(d, sort_keys=True)[1:]
 
 
 @dataclass(frozen=True)
@@ -252,6 +263,19 @@ def structure_to_dict(eta: CompositionStructure) -> dict:
     d["betas"] = list(eta.betas)
     d["beta_bounds"] = list(eta.bounds)
     return d
+
+
+@functools.lru_cache(maxsize=1024, typed=True)  # typed: [1] and [1.0] differ in JSON
+def _json_list(*values) -> str:
+    return json.dumps(list(values))
+
+
+def structure_to_json(eta: CompositionStructure) -> str:
+    """json.dumps(structure_to_dict(eta), sort_keys=True), from its graph's JSON,
+    built once per graph, and its betas' and bounds' lists, built once per tuple."""
+    head, tail = eta.graph._json
+    return (f'{head}"beta_bounds": {_json_list(*eta.bounds)}, '
+            f'"betas": {_json_list(*eta.betas)}, {tail}')
 
 
 def structure_from_dict(d: dict) -> CompositionStructure:

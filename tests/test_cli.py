@@ -279,6 +279,10 @@ class TestExitCodes:
         *(pytest.param("prior", lambda c, d=d: c.update(beta_grid=[1.0], space=dict(
             c["space"], input_dim=d, max_q=0)), "no admissible structure in the space "
             "with |d|_1 <= 6", id=f"space-without-prior-mass-{d}") for d in (6, 200)),
+        # three inputs and one output make |d|_1 = 4: past max_nodes, though within 6
+        pytest.param("prior", lambda c: c.update(beta_grid=[1.0], space=dict(
+            c["space"], input_dim=3, max_nodes=3)), "no admissible structure in the space "
+            "with |d|_1 <= 3 (space.max_nodes = 3)", id="space-without-prior-mass-max-nodes"),
     ])
     def test_config_mistake_is_a_validation_error(self, tmp_path, capsys, command,
                                                   edit, named):

@@ -70,9 +70,22 @@ class TestStructurePrior:
 
     def test_all_zero_raises(self):
         # a space in which no structure has prior mass is refused when the spec is built
-        with pytest.raises(ValidationError, match="no admissible structure"):
+        with pytest.raises(ValidationError, match=r"no admissible structure in the space with "
+                           r"\|d\|_1 <= 6 \(larger structures carry no prior mass\)$"):
             make_spec(space=structure.StructureSpace(input_dim=8, max_q=0, max_width=1),
                       beta_grid=(1.0,))
+
+    def test_no_mass_names_max_nodes_when_it_binds(self):
+        # the smallest structure has |d|_1 = input_dim + 1 = 4: past max_nodes, within 6
+        with pytest.raises(ValidationError, match=r"no admissible structure in the space with "
+                           r"\|d\|_1 <= 3 \(space.max_nodes = 3\)$"):
+            make_spec(space=structure.StructureSpace(input_dim=3, max_q=1, max_width=2,
+                                                     max_nodes=3),
+                      beta_grid=(1.0,))
+
+    def test_empty_beta_grid_refused(self):
+        with pytest.raises(ValidationError, match="beta_grid must be nonempty"):
+            make_spec(beta_grid=())
 
     def test_sampling_frequencies(self):
         spec = make_spec()

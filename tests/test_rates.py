@@ -36,6 +36,24 @@ class TestAlphaExponents:
         with pytest.raises(ValidationError):
             rates.alpha_exponents((1.0, 0.0))
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValidationError, match="nonempty"):
+            rates.alpha_exponents(())
+
+    def test_nan_passes(self):
+        a = rates.alpha_exponents((0.5, math.nan, 0.8))
+        assert math.isnan(a[0]) and a[1:] == (0.8, 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 10.0, exclude_min=True), min_size=1, max_size=6))
+    def test_bits_of_the_reverse_cumulative_product(self, betas):
+        # the array form alpha_exponents replaced: a reverse np.cumprod of min(beta, 1)
+        rev = np.cumprod(np.minimum(np.asarray(betas, dtype=float), 1.0)[::-1])[::-1]
+        expected = np.append(rev[1:], 1.0)
+        a = rates.alpha_exponents(betas)
+        assert type(a) is tuple and all(type(x) is float for x in a)
+        assert np.array(a).tobytes() == expected.tobytes()
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(0.1, 3.0), min_size=2, max_size=5))
     def test_recursion(self, betas):

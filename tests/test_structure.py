@@ -214,6 +214,25 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             structure.structure_from_dict(d)
 
+    @pytest.mark.parametrize("space, beta_grid", [
+        (structure.StructureSpace(1, 2, 2, beta_bounds=(0.5, 1.0)), (0.5, 1.0)),
+        # the prior-space-d2 benchmark workload's space
+        (structure.StructureSpace(2, 2, 2, beta_bounds=(0.5, 1.0)), (0.5, 0.75, 1.0)),
+        (structure.StructureSpace(3, 1, 2, beta_bounds=(0.5, 1.0)), (0.6, 0.8, 1.0)),
+    ], ids=["d1", "d2", "d3"])
+    def test_json_is_the_sorted_dump_of_the_dict(self, space, beta_grid):
+        for eta in structure.enumerate_structures(space, beta_grid):
+            assert structure.structure_to_json(eta) == json.dumps(
+                structure.structure_to_dict(eta), sort_keys=True)
+
+    def test_json_keeps_each_numbers_type(self):
+        # 1 and 1.0 are equal, and equal tuples of them share a hash, but not a JSON text
+        g = structure.CompositionGraph(1, [[(1,)]])
+        for betas, bounds in [((1,), (0.5, 1)), ((1.0,), (0.5, 1.0)), ((1,), (0.5, 1))]:
+            eta = structure.CompositionStructure(graph=g, betas=betas, bounds=bounds)
+            assert structure.structure_to_json(eta) == json.dumps(
+                structure.structure_to_dict(eta), sort_keys=True)
+
 
 @settings(max_examples=50, deadline=None)
 @given(q=st.integers(0, 2), widths=st.lists(st.integers(1, 3), min_size=3, max_size=3))

@@ -5,13 +5,15 @@
 BASE_REF is checked out into a temporary git worktree.  The same commands then
 run from it and from this checkout's working tree, each at CLI seeds 5, 7 and
 12004: the two fit workloads and ``prior-space-d2`` of ``perfbench/run.py``,
-a 2-D ``fit`` whose chain switches structure, one conditioned ``sample``, one
-``diagnose``, the README's ``rates`` example and ``verify --suite all``.  Every
-file they write is compared, except ``manifest.json`` (it holds a timestamp),
-and so are their exit codes, standard output and standard error
-(``process.txt`` in each run's directory).  Each that differs is listed, and
-so is each run that exits nonzero from this checkout.  The exit code is 1 if
-any output differs, 2 if BASE_REF cannot be checked out, and 0 otherwise.
+a ``prior`` on three inputs whose weights list depth-1 structures and betas
+with no exact binary form, a 2-D ``fit`` whose chain switches structure, one
+conditioned ``sample``, one ``diagnose``, the README's ``rates`` example and
+``verify --suite all``.  Every file they write is compared, except
+``manifest.json`` (it holds a timestamp), and so are their exit codes,
+standard output and standard error (``process.txt`` in each run's
+directory).  Each that differs is listed, and so is each run that exits
+nonzero from this checkout.  The exit code is 1 if any output differs, 2 if
+BASE_REF cannot be checked out, and 0 otherwise.
 
 Configs are read from this checkout and given to both trees, which run with
 BLAS and OpenMP pinned to one thread.
@@ -52,6 +54,12 @@ def jobs():
         "sample-fbm-conditioned": ("sample", {
             "schema_version": 1, "family": "fbm", "beta": 0.8, "r": 1, "n": 3200,
             "count": 3, "conditioned": True}),
+        # 1,407 structures of depth 0 and 1, with betas 0.6 and 0.8, which have
+        # no exact binary form
+        "prior-d3": ("prior", {
+            "schema_version": 1, "family": "wavelet", "n": 3200,
+            "space": {"input_dim": 3, "max_q": 1, "max_width": 2, "beta_bounds": [0.5, 1.0]},
+            "beta_grid": [0.6, 0.8, 1.0], "draws": 5}),
         # two one-input structures share the prior's mass; at seeds 5 and 7 the
         # chain visits both, so it reaches a structure's first proposal and a switch
         "fit-stationary-d2": ("fit", {
