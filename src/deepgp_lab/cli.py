@@ -19,7 +19,7 @@ import time
 
 import numpy as np
 
-from . import __version__, funcspace, gp, inference, prior, rates, structure, verify
+from . import __version__, funcspace, gp, inference, prior, rates, structure
 from .errors import DeepGpError, ValidationError
 
 _SCHEMA_VERSION = 1
@@ -37,6 +37,14 @@ _FIELDS = {
     "fit": ({"space", "family", "n", "truth"}, {"beta_grid", "posterior", "profile"}),
     "diagnose": ({"space", "family", "n", "truth", "n_list"},
                  {"beta_grid", "posterior", "profile", "C"}),
+}
+
+
+# family -> the profile fields its rates read; any other profile field does nothing
+_PROFILE_FIELDS = {
+    rates.WAVELET: {"holder_radius", "besov_radius"},
+    rates.FBM: {"holder_radius", "fbm_small_ball", "fbm_rkhs"},
+    rates.STATIONARY: {"holder_radius", "spectral_c", "spectral_d"},
 }
 
 
@@ -158,8 +166,14 @@ def _load_config(path, command):
 def _profile(cfg):
     kwargs = _fields(cfg.get("profile", {}), "profile",
                      optional=_field_names(rates.RateProfile, exclude=("family",)))
-    return rates.RateProfile(family=cfg["family"],
-                             **{k: _real(v, f"profile.{k}") for k, v in kwargs.items()})
+    profile = rates.RateProfile(family=cfg["family"],
+                                **{k: _real(v, f"profile.{k}") for k, v in kwargs.items()})
+    unread = sorted(set(kwargs) - _PROFILE_FIELDS[profile.family])
+    if unread:
+        raise ValidationError(
+            f"profile fields {unread} do nothing for the {profile.family} family, which "
+            f"reads {sorted(_PROFILE_FIELDS[profile.family])}")
+    return profile
 
 
 def _space(cfg):
@@ -301,6 +315,8 @@ def _cmd_prior(cfg, seed, out_dir):
 def _truth(cfg, spec, seed):
     t = _fields(cfg["truth"], "truth", ("type",), ("seed",))
     if t["type"] == "zero":
+        if "seed" in t:
+            raise ValidationError('truth.seed does nothing with truth.type "zero"')
         f = lambda X: np.zeros(len(X))
         weighted = prior.structure_prior_weights(spec)
         return f, weighted[0][0]
@@ -363,6 +379,8 @@ def _cmd_diagnose(cfg, seed, out_dir):
 
 
 def _cmd_verify(suite, out_dir):
+    from . import verify  # only this command runs the suites
+
     rows = []
     for name, ok, detail in verify.run_suite(suite):
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")

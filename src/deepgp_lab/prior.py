@@ -18,7 +18,7 @@ from .errors import ConditioningError, ValidationError
 from .funcspace import HOLDER_MAX_BETA, LayerFunction, compose
 from .gp import GpSpec, besov_radius, rng_for, sample_conditioned
 from .rates import (WAVELET, LogWeight, RateProfile, alpha_exponents, check_finite, eps_alpha,
-                    penalty_bound, psi_n)
+                    eps_structure, penalty_bound)
 from .structure import (PENALTY_HORIZON, CompositionStructure, StructureSpace,
                         enumerate_structures)
 
@@ -145,26 +145,32 @@ def structure_prior_weights(spec: StructurePriorSpec):
     gamma(eta) e^{-Psi_n(eta)}; every enumerated structure has a finite weight.
     """
     structures = enumerate_structures(spec.space, spec.beta_grid)
-    # psi_n reads only eta's rate signature: its betas, its effective dims
-    # t_0..t_q, its beta bounds and |d|_1.  gamma_log reads only (q, d, t).
-    # Each is computed once per distinct signature and shared by its structures.
-    psi, gamma, pens, gammas = {}, {}, [], []
+    # Psi_n = n eps_n(eta)^2 + e^{e^{|d|_1}}.  The rate term reads only eta's
+    # betas, effective dims t_0..t_q and beta bounds, gamma_log only
+    # (q, d, t) and the size term only |d|_1: each is computed once per distinct
+    # key.  Every enumerated structure has |d|_1 <= PENALTY_HORIZON, so its
+    # size term is finite.
+    rate, size, gamma = {}, {}, {}
+    rate_terms, size_terms, gammas = [], [], []
     for eta in structures:
         g = eta.graph
-        rate_key = (eta.betas, g.eff_dims[:g.q + 1], eta.bounds, g.num_nodes)
-        if rate_key not in psi:
-            psi[rate_key] = psi_n(eta, spec.profile, spec.n).log_value
+        rate_key = (eta.betas, g.eff_dims[:g.q + 1], eta.bounds)
+        if rate_key not in rate:
+            eps = eps_structure(eta, spec.profile, spec.n)
+            rate[rate_key] = spec.n * eps * eps
+        if g.num_nodes not in size:
+            size[g.num_nodes] = math.exp(math.exp(g.num_nodes))
         gamma_key = (g.q, g.dims, g.eff_dims)
         if gamma_key not in gamma:
             gamma[gamma_key] = gamma_log(eta, spec)
-        pens.append(psi[rate_key])
+        rate_terms.append(rate[rate_key])
+        size_terms.append(size[g.num_nodes])
         gammas.append(gamma[gamma_key])
-    pens = np.array(pens)
-    # Shift the penalties by their maximum before adding gamma: penalties can be
-    # astronomically large, and gamma (order 1) would otherwise be absorbed by
-    # floating-point rounding for near-tied structures.
-    shift = float(np.max(pens))
-    logs = np.array([p - shift + gm for p, gm in zip(pens, gammas)])
+    # Each term is taken relative to its minimum over the space before the two
+    # are added: either can be astronomically larger than the other, and their
+    # sum would absorb the smaller one, and gamma (order 1), in its rounding.
+    rate_terms, size_terms = np.array(rate_terms), np.array(size_terms)
+    logs = -(rate_terms - rate_terms.min()) - (size_terms - size_terms.min()) + gammas
     norm = _logsumexp(logs)
     return [(eta, LogWeight(lw - norm)) for eta, lw in zip(structures, logs)]
 

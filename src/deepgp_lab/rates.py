@@ -91,44 +91,29 @@ class RateProfile:
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
 
-    # -- base (alpha = 1) solution constants: eps_n(1) <= c1' (log n)^{c2'} n^{-b/(2b+r)}
-
-    def c1_prime(self, beta: float, r: int) -> float:
+    def base_constants(self, beta: float, r: int) -> tuple:
+        """(c1', c2') of the base (alpha = 1) solution:
+        eps_n(1) <= c1' (log n)^{c2'} n^{-b/(2b+r)}."""
         if self.family == WAVELET:
             # Bounds the J-based base solution: J <= log2(n)/(2b+r) + 1/2 and
             # 2^{-J b} <= 2^{b/2} n^{-b/(2b+r)}; for n >= 3, 1/2 <= ln(n)/(2 ln 3).
-            geom = (2.0**beta + 1.0) ** 2 / (2.0**beta - 1.0)
             jfac = (1.0 / (math.log(2.0) * (2 * beta + r)) + 1.0 / (2 * math.log(3.0))) ** 1.5
-            val = self.besov_radius * geom * math.sqrt(r * 2.0**r) * 2.0 ** (beta / 2) * jfac
+            c1p, c2p = _wavelet_scale(self, beta, r) * 2.0 ** (beta / 2) * jfac, 1.5
         elif self.family == FBM:
             c = 2.0 / math.sqrt(2.0 * math.pi)
             c_z = beta / (c ** (r / beta) * r) + 0.5
-            val = self.fbm_small_ball + c_z + self.fbm_rkhs
+            c1p, c2p = self.fbm_small_ball + c_z + self.fbm_rkhs, 0.0
         else:
-            val = self.spectral_c + self.spectral_d
-        return max(1.0, val)
+            c1p, c2p = self.spectral_c + self.spectral_d, (1.0 + r) * beta / (2.0 * beta + r)
+        return max(1.0, c1p), c2p
 
-    def c2_prime(self, beta: float, r: int) -> float:
-        if self.family == WAVELET:
-            return 1.5
-        if self.family == FBM:
-            return 0.0
-        return (1.0 + r) * beta / (2.0 * beta + r)
-
-    # -- lifted constants valid for every alpha in (0, 1]
-
-    def c1(self, beta: float, r: int) -> float:
+    def constants(self, beta: float, r: int) -> tuple:
+        """(c1, c2): the base constants lifted to hold for every alpha in (0, 1]."""
         floor_const = entropy_constant_Q1(beta, r, self.holder_radius) ** (beta / (2 * beta + r))
-        if self.family == FBM:
-            # The fBM solution holds for all alpha with the same constant.
-            return max(self.c1_prime(beta, r), floor_const)
-        c1p, c2p = self.c1_prime(beta, r), self.c2_prime(beta, r)
-        return max(c1p**2 * (2 * beta + 1) ** (2 * c2p), floor_const)
-
-    def c2(self, beta: float, r: int) -> float:
-        if self.family == FBM:
-            return 0.0
-        return self.c2_prime(beta, r) * (2 * beta + 2)
+        c1p, c2p = self.base_constants(beta, r)
+        # The fBM solution holds for all alpha with the same constant (and c2' = 0).
+        c1 = c1p if self.family == FBM else c1p**2 * (2 * beta + 1) ** (2 * c2p)
+        return max(c1, floor_const), c2p * (2 * beta + 2)
 
 
 def check_beta(family: str, beta: float) -> None:
@@ -191,10 +176,15 @@ def wavelet_resolution(n: int, beta: float, r: int) -> int:
     return max(1, j)
 
 
+def _wavelet_scale(profile: RateProfile, beta: float, r: int) -> float:
+    """K' (2^b + 1)^2 / (2^b - 1) sqrt(r 2^r): the wavelet rate's factor free of n."""
+    geom = (2.0**beta + 1.0) ** 2 / (2.0**beta - 1.0)
+    return profile.besov_radius * geom * math.sqrt(r * 2.0**r)
+
+
 def _wavelet_base(profile: RateProfile, beta: float, r: int, n: int) -> float:
     j = wavelet_resolution(n, beta, r)
-    geom = (2.0**beta + 1.0) ** 2 / (2.0**beta - 1.0)
-    return profile.besov_radius * geom * math.sqrt(r * 2.0**r) * j**1.5 * 2.0 ** (-j * beta)
+    return _wavelet_scale(profile, beta, r) * j**1.5 * 2.0 ** (-j * beta)
 
 
 @functools.lru_cache(maxsize=8192)
@@ -212,16 +202,20 @@ def eps_alpha(profile: RateProfile, alpha: float, beta: float, r: int, n: int) -
     floor = entropy_constant_Q1(beta, r, profile.holder_radius) ** (beta / (2 * beta + r)) * power
     if profile.family == WAVELET and alpha == 1.0:
         return max(_wavelet_base(profile, beta, r, n), floor)
-    val = profile.c1(beta, r) * math.log(n) ** profile.c2(beta, r) * power
+    c1, c2 = profile.constants(beta, r)
+    val = c1 * math.log(n) ** c2 * power
     return max(val, floor)
 
 
 @functools.lru_cache(maxsize=8192)
 def _ctilde(profile: RateProfile, bounds, ts):
     grid = np.linspace(bounds[0], bounds[1], _CTILDE_GRID)
-    c1_tilde = _CTILDE_SAFETY * max(profile.c1(float(b), t) for t in ts for b in grid)
-    c2_tilde = _CTILDE_SAFETY * max(profile.c2(float(b), t) for t in ts for b in grid)
-    return c1_tilde, c2_tilde
+    c1_max = c2_max = -math.inf
+    for t in ts:
+        for b in grid:
+            c1, c2 = profile.constants(float(b), t)
+            c1_max, c2_max = max(c1_max, c1), max(c2_max, c2)
+    return _CTILDE_SAFETY * c1_max, _CTILDE_SAFETY * c2_max
 
 
 def eps_structure(eta: CompositionStructure, profile: RateProfile, n: int) -> float:

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import deepgp_lab
-from deepgp_lab import cli, funcspace, inference, structure, verify
+from deepgp_lab import cli, funcspace, inference, prior, rates, structure, verify
 from deepgp_lab.errors import ValidationError
 from reference import path_from_dict
 
@@ -283,6 +283,21 @@ class TestExitCodes:
         pytest.param("prior", lambda c: c.update(beta_grid=[1.0], space=dict(
             c["space"], input_dim=3, max_nodes=3)), "no admissible structure in the space "
             "with |d|_1 <= 3 (space.max_nodes = 3)", id="space-without-prior-mass-max-nodes"),
+        # a field that the command reads nowhere is refused, not ignored
+        pytest.param("prior", lambda c: c.update(profile={"spectral_d": 2.0}),
+                     "profile fields ['spectral_d'] do nothing for the wavelet family, "
+                     "which reads ['besov_radius', 'holder_radius']",
+                     id="profile-unread-wavelet"),
+        pytest.param("fit", lambda c: c.update(family="stationary", profile={
+            "holder_radius": 2.0, "besov_radius": 2.0, "fbm_rkhs": 2.0}),
+                     "profile fields ['besov_radius', 'fbm_rkhs'] do nothing for the "
+                     "stationary family", id="profile-unread-stationary"),
+        pytest.param("rates", lambda c: c.update(family="fbm", profile={"spectral_c": 2.0}),
+                     "profile fields ['spectral_c'] do nothing for the fbm family",
+                     id="profile-unread-fbm"),
+        *(pytest.param(command, lambda c: c["truth"].update(seed=3),
+                       'truth.seed does nothing with truth.type "zero"',
+                       id=f"{command}-truth-seed-with-zero") for command in ("fit", "diagnose")),
     ])
     def test_config_mistake_is_a_validation_error(self, tmp_path, capsys, command,
                                                   edit, named):
@@ -436,13 +451,18 @@ class TestExitCodes:
         assert outs[0] == outs[1]
 
     def test_five_dimensional_wavelet_prior(self, tmp_path):
-        # seed 2's draw is the structure with all five inputs active
         space = {"input_dim": 5, "max_q": 0, "max_width": 1, "beta_bounds": [0.5, 1.0]}
         cfg = config(tmp_path, "prior", space=space, beta_grid=[1.0], draws=1)
         out = tmp_path / "out"
         assert cli.main(["prior", "--config", cfg, "--seed", "2", "--out", str(out)]) == 0
-        draws = json.loads((out / "draws.json").read_text())
-        assert [p["r"] for layer in draws[0]["layers"] for p in layer] == [5]
+        # the rate term puts the prior's mass on one input, so the structure with
+        # all five active is drawn from directly: its one node is on five variables
+        spec = cli._prior_spec(payload("prior", space=space, beta_grid=[1.0]))
+        eta = next(eta for eta, _ in prior.structure_prior_weights(spec)
+                   if eta.graph.eff_dims[0] == 5)
+        draw = prior.sample_dgp(eta, spec, seed=2)
+        assert [(type(p), p.r) for layer in draw.layers for p, _ in layer.components] == [
+            (funcspace.WaveletPath, 5)]
 
     def test_unknown_suite(self, tmp_path, capsys):
         with pytest.raises(ValidationError, match="nope"):
@@ -735,6 +755,20 @@ def test_all_names_are_read():
               for name in getattr(importlib.import_module(f"deepgp_lab.{module}"), "__all__", ())
               if name not in read]
     assert unread == []
+
+
+def test_profile_fields_are_each_read_by_some_family():
+    read = set().union(*cli._PROFILE_FIELDS.values())
+    assert sorted(cli._PROFILE_FIELDS) == sorted(rates.FAMILIES)
+    assert read == cli._field_names(rates.RateProfile, exclude=("family",))
+
+
+def test_cli_imports_verify_only_for_verify():
+    # the suites' module is compiled for the verify command alone
+    src = pathlib.Path(deepgp_lab.__file__).parent.parent
+    code = "import deepgp_lab.cli, sys; assert 'deepgp_lab.verify' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env=dict(os.environ, PYTHONPATH=str(src)))
 
 
 def test_cli_does_not_import_scipy_interpolate():

@@ -203,7 +203,8 @@ class TestGatherPlan:
         fresh = inference.run_mcmc(data, spec, cfg)
         grid = 101 if d == 1 else 17**d
         assert planned.count(grid) >= cfg.iterations  # the error grid, once per iteration
-        assert len(set(kept.structure_idx)) > 1
+        if d == 2:  # at d = 1 one structure holds all the prior's mass
+            assert len(set(kept.structure_idx)) > 1
         assert_same_trace(kept, fresh)
 
 

@@ -19,6 +19,13 @@ def make_spec(**kw):
     return prior.StructurePriorSpec(**base)
 
 
+def five_input_spec():
+    """Wavelet at n 3,200 on five inputs with q = 0: every structure has |d|_1 = 6."""
+    return make_spec(space=structure.StructureSpace(input_dim=5, max_q=0, max_width=1,
+                                                    beta_bounds=(0.5, 1.0)),
+                     n=3200, beta_grid=(0.5, 1.0))
+
+
 def fig2_structure():
     g = structure.CompositionGraph(5, [[(1, 3, 4), (1, 4, 5), (2,)], [(1, 2, 3)]])
     return structure.CompositionStructure(graph=g, betas=(1.0, 1.0),
@@ -52,6 +59,45 @@ class TestStructurePrior:
         e2 = rates.eps_structure(weighted[1][0], spec.profile, spec.n)
         diff = weighted[0][1].log_value - weighted[1][1].log_value
         np.testing.assert_allclose(diff, -spec.n * (e1**2 - e2**2), rtol=1e-9)
+
+    def test_rate_term_outweighs_gamma_at_five_inputs(self):
+        # every structure has |d|_1 = 6, so a size term e^{e^6} ~ 1.6e175 that
+        # took the rate term into its rounding would leave gamma to spread the
+        # mass over t = 1..5; the rate puts it all on t = 1
+        weighted = prior.structure_prior_weights(five_input_spec())
+        mass = {}
+        for eta, w in weighted:
+            t = eta.graph.eff_dims[0]
+            mass[t] = mass.get(t, 0.0) + math.exp(w.log_value)
+        assert sorted(mass) == [1, 2, 3, 4, 5]
+        assert mass[1] == pytest.approx(1.0, rel=1e-12)
+        assert all(mass[t] == 0.0 for t in range(2, 6))
+
+    def test_equal_gamma_and_size_differ_by_the_rate_at_five_inputs(self):
+        spec = five_input_spec()
+        weighted = prior.structure_prior_weights(spec)
+        by_beta = {eta.betas[0]: (eta, w.log_value) for eta, w in weighted
+                   if eta.graph.active_sets == (((1,),),)}
+        (e1, w1), (e2, w2) = by_beta[0.5], by_beta[1.0]
+        assert prior.gamma_log(e1, spec) == prior.gamma_log(e2, spec)
+        eps1 = rates.eps_structure(e1, spec.profile, spec.n)
+        eps2 = rates.eps_structure(e2, spec.profile, spec.n)
+        np.testing.assert_allclose(w1 - w2, -spec.n * (eps1**2 - eps2**2), rtol=1e-9)
+
+    @pytest.mark.parametrize("kw", [
+        dict(space=structure.StructureSpace(input_dim=1, max_q=1, max_width=1,
+                                            beta_bounds=(0.5, 2.0)),
+             n=3200, beta_grid=(1.0, 1.5)),
+        {}])  # make_spec's space keeps the library's default bounds (0.1, 10.0)
+    def test_size_term_outweighs_a_large_rate_term(self, kw):
+        # wide beta bounds give n eps^2 ~ 1e27, past which a sum with the size
+        # term would round away the gap e^{e^3} - e^{e^2} ~ 5.3e8 nats between
+        # depth 1 and depth 0
+        spec = make_spec(**kw)
+        weighted = prior.structure_prior_weights(spec)
+        assert spec.n * rates.eps_structure(weighted[0][0], spec.profile, spec.n) ** 2 > 1e20
+        deep = [math.exp(w.log_value) for eta, w in weighted if eta.graph.q >= 1]
+        assert deep and all(p == 0.0 for p in deep)
 
     def test_oversized_structures_carry_zero(self):
         # the space reaches |d|_1 = 8, but only structures with mass are listed
@@ -115,12 +161,14 @@ def test_logsumexp_has_scipys_bits():
 
 
 def per_structure_weights(spec):
-    """The reference for structure_prior_weights: psi_n and gamma_log for each
-    structure, shifted and normalized the same way."""
+    """The reference for structure_prior_weights: Psi_n's two terms and gamma_log
+    for each structure, each term shifted by its minimum, then normalized."""
     structures = structure.enumerate_structures(spec.space, spec.beta_grid)
-    pens = np.array([rates.psi_n(eta, spec.profile, spec.n).log_value for eta in structures])
-    shift = float(np.max(pens))
-    logs = np.array([p - shift + prior.gamma_log(eta, spec) for eta, p in zip(structures, pens)])
+    eps = [rates.eps_structure(eta, spec.profile, spec.n) for eta in structures]
+    rate = [spec.n * e * e for e in eps]
+    size = [math.exp(math.exp(eta.graph.num_nodes)) for eta in structures]
+    logs = np.array([-(r - min(rate)) - (s - min(size)) + prior.gamma_log(eta, spec)
+                     for eta, r, s in zip(structures, rate, size)])
     return structures, logs - prior._logsumexp(logs)
 
 

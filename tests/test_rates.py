@@ -153,6 +153,83 @@ class TestEpsAlpha:
         assert rates.eps_alpha(profile, alpha, beta, r, n) >= floor * (1 - 1e-12)
 
 
+def four_method_constants(profile, beta, r):
+    """((c1', c2'), (c1, c2)) by the four methods RateProfile had before
+    base_constants and constants, as they were written: the reference for
+    their bits."""
+    p = profile
+
+    def c1_prime():
+        if p.family == rates.WAVELET:
+            geom = (2.0**beta + 1.0) ** 2 / (2.0**beta - 1.0)
+            jfac = (1.0 / (math.log(2.0) * (2 * beta + r)) + 1.0 / (2 * math.log(3.0))) ** 1.5
+            val = p.besov_radius * geom * math.sqrt(r * 2.0**r) * 2.0 ** (beta / 2) * jfac
+        elif p.family == rates.FBM:
+            c = 2.0 / math.sqrt(2.0 * math.pi)
+            c_z = beta / (c ** (r / beta) * r) + 0.5
+            val = p.fbm_small_ball + c_z + p.fbm_rkhs
+        else:
+            val = p.spectral_c + p.spectral_d
+        return max(1.0, val)
+
+    def c2_prime():
+        if p.family == rates.WAVELET:
+            return 1.5
+        if p.family == rates.FBM:
+            return 0.0
+        return (1.0 + r) * beta / (2.0 * beta + r)
+
+    def c1():
+        Q1 = rates.entropy_constant_Q1(beta, r, p.holder_radius)
+        floor_const = Q1 ** (beta / (2 * beta + r))
+        if p.family == rates.FBM:
+            return max(c1_prime(), floor_const)
+        c1p, c2p = c1_prime(), c2_prime()
+        return max(c1p**2 * (2 * beta + 1) ** (2 * c2p), floor_const)
+
+    def c2():
+        if p.family == rates.FBM:
+            return 0.0
+        return c2_prime() * (2 * beta + 2)
+
+    return (c1_prime(), c2_prime()), (c1(), c2())
+
+
+@st.composite
+def family_beta(draw):
+    """A family and a beta across its range: (0, 1) for fbm, the default
+    structure bounds (0.1, 10) otherwise."""
+    family = draw(st.sampled_from(rates.FAMILIES))
+    return family, draw(st.floats(0.05, 0.95) if family == rates.FBM else st.floats(0.1, 10.0))
+
+
+class TestConstants:
+    @settings(max_examples=400, deadline=None)
+    @given(family_beta(), st.integers(1, 4),
+           st.tuples(*[st.floats(0.1, 2.0)] * 2, *[st.floats(0.1, 10.0)] * 4))
+    def test_bits_of_the_four_methods(self, fam_beta, r, radii):
+        (family, beta), names = fam_beta, ("holder_radius", "besov_radius", "spectral_c",
+                                           "spectral_d", "fbm_small_ball", "fbm_rkhs")
+        profile = rates.RateProfile(family=family, **dict(zip(names, radii)))
+        def bits(pairs):
+            return [[x.hex() for x in pair] for pair in pairs]
+
+        got = (profile.base_constants(beta, r), profile.constants(beta, r))
+        assert bits(got) == bits(four_method_constants(profile, beta, r))
+
+    def test_ctilde_reads_each_grid_point_once(self, monkeypatch):
+        seen = []
+        constants = rates.RateProfile.constants
+
+        def counted(self, beta, r):
+            seen.append((beta, r))
+            return constants(self, beta, r)
+
+        monkeypatch.setattr(rates.RateProfile, "constants", counted)
+        rates._ctilde.__wrapped__(rates.RateProfile(family=rates.STATIONARY), (0.5, 1.5), (1, 2))
+        assert len(seen) == len(set(seen)) == 2 * rates._CTILDE_GRID
+
+
 class TestFloorCheck:
     def test_passes(self):
         assert verify.check_floor() == (
@@ -164,9 +241,9 @@ class TestFloorCheck:
         def unfloored(profile, alpha, beta, r, n):
             # eps_alpha's solution for alpha < 1 with the entropy floor taken out
             # of both places it enters: the lifted constant c1 and the result
-            c1p, c2p = profile.c1_prime(beta, r), profile.c2_prime(beta, r)
+            c1p, c2p = profile.base_constants(beta, r)
             c1 = c1p if profile.family == rates.FBM else c1p**2 * (2 * beta + 1) ** (2 * c2p)
-            val = (c1 * math.log(n) ** profile.c2(beta, r)
+            val = (c1 * math.log(n) ** profile.constants(beta, r)[1]
                    * float(n) ** (-rates.rate_exponent(beta, alpha, r)))
             calls.append((profile.family, alpha, beta, r, n, val))
             return val
@@ -190,8 +267,8 @@ class TestFloorCheck:
         def unmaxed(profile, alpha, beta, r, n):
             if profile.family == rates.WAVELET and alpha == 1.0:
                 return rates._wavelet_base(profile, beta, r, n)
-            return (profile.c1(beta, r) * math.log(n) ** profile.c2(beta, r)
-                    * float(n) ** (-rates.rate_exponent(beta, alpha, r)))
+            c1, c2 = profile.constants(beta, r)
+            return c1 * math.log(n) ** c2 * float(n) ** (-rates.rate_exponent(beta, alpha, r))
 
         monkeypatch.setattr(rates, "eps_alpha", unmaxed)
         name, ok, detail = verify.check_floor()

@@ -6,9 +6,11 @@ BASE_REF is checked out into a temporary git worktree.  The same commands then
 run from it and from this checkout's working tree, each at CLI seeds 5, 7 and
 12004: the two fit workloads and ``prior-space-d2`` of ``perfbench/run.py``,
 a ``prior`` on three inputs whose weights list depth-1 structures and betas
-with no exact binary form, a 2-D ``fit`` whose chain switches structure, one
-conditioned ``sample``, one ``diagnose``, the README's ``rates`` example and
-``verify --suite all``.  Every file they write is compared, except
+with no exact binary form, a ``prior`` on five inputs whose size term is
+e^{e^6}, a 1-D ``prior`` with wide beta bounds whose rate term is about
+1e27, a 2-D ``fit`` whose chain switches structure, one conditioned
+``sample``, one ``diagnose``, the README's ``rates`` example and ``verify
+--suite all``.  Every file they write is compared, except
 ``manifest.json`` (it holds a timestamp), and so are their exit codes,
 standard output and standard error (``process.txt`` in each run's
 directory).  Each that differs is listed, and so is each run that exits
@@ -60,6 +62,16 @@ def jobs():
             "schema_version": 1, "family": "wavelet", "n": 3200,
             "space": {"input_dim": 3, "max_q": 1, "max_width": 2, "beta_bounds": [0.5, 1.0]},
             "beta_grid": [0.6, 0.8, 1.0], "draws": 5}),
+        # every structure has |d|_1 = 6: the rate term beside a size term of e^{e^6}
+        "prior-d5": ("prior", {
+            "schema_version": 1, "family": "wavelet", "n": 3200,
+            "space": {"input_dim": 5, "max_q": 0, "max_width": 1, "beta_bounds": [0.5, 1.0]},
+            "beta_grid": [0.5, 1.0], "draws": 3}),
+        # a rate term of about 1e27 beside the size gap of about 5.3e8 from depth 0 to 1
+        "prior-wide-bounds": ("prior", {
+            "schema_version": 1, "family": "wavelet", "n": 3200,
+            "space": {"input_dim": 1, "max_q": 1, "max_width": 2, "beta_bounds": [0.5, 2.0]},
+            "beta_grid": [1.0, 1.5], "draws": 5}),
         # two one-input structures share the prior's mass; at seeds 5 and 7 the
         # chain visits both, so it reaches a structure's first proposal and a switch
         "fit-stationary-d2": ("fit", {
