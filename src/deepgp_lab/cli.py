@@ -294,15 +294,14 @@ def _cmd_prior(cfg, seed, out_dir):
     n_draws = _int(cfg.get("draws", 0), "draws")
     if n_draws < 0:
         raise ValidationError(f"draws must be >= 0, got {n_draws}")
-    weighted = prior.structure_prior_weights(spec)
     rows = [(idx, structure.structure_to_json(eta).replace(",", ";"), lw.log_value,
              float(np.exp(lw.log_value)))
-            for idx, (eta, lw) in enumerate(weighted)]
+            for idx, (eta, lw) in enumerate(prior.structure_prior_weights(spec))]
     _write_csv(out_dir, "weights.csv", ("index", "structure", "log_weight", "weight"),
                rows)
     draws = []
     for k in range(n_draws):
-        d = prior.sample_prior(spec, seed + k, weighted=weighted)
+        d = prior.sample_prior(spec, seed + k)
         draws.append({
             "structure": structure.structure_to_dict(d.structure),
             "layers": [[funcspace.path_to_dict(p) for p, _ in layer.components]
@@ -317,9 +316,7 @@ def _truth(cfg, spec, seed):
     if t["type"] == "zero":
         if "seed" in t:
             raise ValidationError('truth.seed does nothing with truth.type "zero"')
-        f = lambda X: np.zeros(len(X))
-        weighted = prior.structure_prior_weights(spec)
-        return f, weighted[0][0]
+        return (lambda X: np.zeros(len(X))), prior.structure_prior_weights(spec)[0][0]
     if t["type"] == "prior_draw":
         d = prior.sample_prior(spec, _seed(t.get("seed", seed + 999), "truth.seed"))
         return d, d.structure

@@ -20,7 +20,7 @@ from .funcspace import (besov_norm, compose, design_statistics, grid_points,
                         in_conditioning_set, quadratic_loglik)
 from .gp import path_from_state, rng_for
 from .prior import (Node, StructurePriorSpec, build_layers, sample_nodes,
-                    structure_prior_weights, _structure_index, _weights_array)
+                    structure_prior_weights, _cumulative, _draw)
 from .rates import WAVELET, eps_structure, minimax_rate
 from .structure import structure_to_dict
 
@@ -163,7 +163,7 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
     then, once.  Each iteration composes them on the error grid for l2_error and sup."""
     weighted = structure_prior_weights(spec)
     structures = [eta for eta, _ in weighted]
-    probs = _weights_array(weighted)
+    cum = _cumulative(weighted)
     rng = rng_for(config.seed, (12,))
 
     d = data.X.shape[1]
@@ -206,9 +206,10 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
                       if spec.profile.family == WAVELET else math.nan)
 
     # start at the most probable structure whose nodes draw within their budget;
-    # among equal weights, the lowest index first
-    for k in np.argsort(-probs, kind="stable"):
-        nodes = _fresh_state(structures[k], spec, rng) if probs[k] > 0 else None
+    # among equal weights, the lowest index first; none that a move cannot draw
+    drawable = np.diff(cum, prepend=0.0) > 0
+    for k in np.argsort([-w.log_value for _, w in weighted], kind="stable"):
+        nodes = _fresh_state(structures[k], spec, rng) if drawable[k] else None
         if nodes is not None:
             break
     else:
@@ -219,11 +220,10 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
     s_idx = np.empty(it, dtype=int)
     lls, errs, bes, sups = (np.empty(it) for _ in range(4))
     moves = {(move, outcome): 0 for move, outcomes in _MOVES.items() for outcome in outcomes}
-    cum = np.cumsum(probs)
 
     for t in range(it):
         if rng.random() < config.structure_move_prob:
-            move, k = "structure", _structure_index(cum, rng.random())
+            move, k = "structure", _draw(cum, rng.random())
             nodes = _fresh_state(structures[k], spec, rng)
         else:
             move, k = "pcn", chain.k

@@ -56,6 +56,8 @@ class StructurePriorSpec:
         repeats no value, every node law the space can ask for exists, each beta at
         each layer width, and every limit K and penalty Psi_n the space computes is
         finite."""
+        # floats: the spec keys the weights' cache, where a grid (1,) equals (1.0,)
+        object.__setattr__(self, "beta_grid", tuple(map(float, self.beta_grid)))
         depth, width = self.space.reach  # no structure past these has prior mass
         if depth < 0:
             cap = self.space.max_nodes
@@ -138,11 +140,12 @@ def gamma_log(eta: CompositionStructure, spec: StructurePriorSpec) -> float:
     return logp
 
 
-def structure_prior_weights(spec: StructurePriorSpec):
-    """Normalized log-weights over the enumerated structure space.
+@functools.lru_cache(maxsize=2)  # 200,000 structures hold about 70 MB
+def structure_prior_weights(spec: StructurePriorSpec) -> tuple:
+    """Normalized log-weights over the enumerated structure space, cached per spec.
 
     Each entry is (structure, LogWeight) with weight proportional to
-    gamma(eta) e^{-Psi_n(eta)}; every enumerated structure has a finite weight.
+    gamma(eta) e^{-Psi_n(eta)}; every enumerated structure has a finite log weight.
     """
     structures = enumerate_structures(spec.space, spec.beta_grid)
     # Psi_n = n eps_n(eta)^2 + e^{e^{|d|_1}}.  The rate term reads only eta's
@@ -172,25 +175,30 @@ def structure_prior_weights(spec: StructurePriorSpec):
     rate_terms, size_terms = np.array(rate_terms), np.array(size_terms)
     logs = -(rate_terms - rate_terms.min()) - (size_terms - size_terms.min()) + gammas
     norm = _logsumexp(logs)
-    return [(eta, LogWeight(lw - norm)) for eta, lw in zip(structures, logs)]
+    return tuple((eta, LogWeight(lw - norm)) for eta, lw in zip(structures, logs))
 
 
-def _weights_array(weighted):
-    p = np.exp([w.log_value for _, w in weighted])
-    p /= p.sum()
-    return p
+def _cumulative(weighted):
+    """The cumulative sums of exp(log weight), the table _draw reads (weights are normalized)."""
+    return np.cumsum(np.exp([w.log_value for _, w in weighted]))
 
 
-def _structure_index(cum, u):
-    """The structure index a uniform u draws from cum = cumsum(p); the last if u >= cum[-1]."""
-    return int(min(np.searchsorted(cum, u, side="right"), len(cum) - 1))
+def _draw(cum, u):
+    """The index u in [0, 1) draws from cum: the first k with u cum[-1] < cum[k].  As
+    u cum[-1] < cum[-1], and cum[k] = cum[k - 1] at weight 0, none of weight 0 is drawn."""
+    return int(np.searchsorted(cum, u * cum[-1], side="right"))
 
 
-def sample_structure(spec: StructurePriorSpec, seed, weighted=None) -> CompositionStructure:
-    if weighted is None:
-        weighted = structure_prior_weights(spec)
-    u = rng_for(seed, (_KEY_STRUCTURE,)).random()
-    return weighted[_structure_index(np.cumsum(_weights_array(weighted)), u)][0]
+@functools.lru_cache(maxsize=2)
+def _structure_table(spec: StructurePriorSpec) -> tuple:
+    """spec's weights and their _cumulative table, built once per spec."""
+    weighted = structure_prior_weights(spec)
+    return weighted, _cumulative(weighted)
+
+
+def sample_structure(spec: StructurePriorSpec, seed) -> CompositionStructure:
+    weighted, cum = _structure_table(spec)
+    return weighted[_draw(cum, rng_for(seed, (_KEY_STRUCTURE,)).random())][0]
 
 
 def conditioning_limit(gp_spec: GpSpec, profile: RateProfile, alpha: float = 1.0) -> float:
@@ -281,7 +289,6 @@ def sample_dgp(eta: CompositionStructure, spec: StructurePriorSpec, seed) -> Dgp
     return DgpDraw(structure=eta, layers=build_layers(eta, nodes), stats=attempts)
 
 
-def sample_prior(spec: StructurePriorSpec, seed, weighted=None) -> DgpDraw:
+def sample_prior(spec: StructurePriorSpec, seed) -> DgpDraw:
     """Draw eta from the structure prior, then the conditioned paths."""
-    eta = sample_structure(spec, seed, weighted=weighted)
-    return sample_dgp(eta, spec, seed)
+    return sample_dgp(sample_structure(spec, seed), spec, seed)

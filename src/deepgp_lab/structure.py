@@ -105,6 +105,8 @@ class CompositionStructure:
     bounds: tuple = (0.1, 10.0)
 
     def __post_init__(self):
+        object.__setattr__(self, "betas", tuple(self.betas))
+        object.__setattr__(self, "bounds", tuple(self.bounds))
         if len(self.betas) != self.graph.q + 1:
             raise ValidationError(
                 f"betas must have length q+1={self.graph.q + 1}, got {len(self.betas)}"
@@ -128,15 +130,16 @@ class StructureSpace:
     def __post_init__(self):
         if self.input_dim < 1 or self.max_q < 0 or self.max_width < 1 or self.max_nodes < 1:
             raise ValidationError("StructureSpace caps must be positive (max_q >= 0)")
+        object.__setattr__(self, "beta_bounds", tuple(map(float, self.beta_bounds)))
         _check_bounds(self.beta_bounds, "space.beta_bounds")
 
     @property
     def reach(self):
-        """(largest q, largest hidden width) of a structure with prior mass.
+        """(largest q, largest hidden width) of a structure with a finite log weight.
 
         Such a structure has |d|_1 = d_0 + d_1 + ... + d_q + 1 at most
         min(max_nodes, PENALTY_HORIZON) with every d_i >= 1, so q and each hidden
-        d_i are at most that cap - d_0 - 1; both are negative when none has mass.
+        d_i are at most that cap - d_0 - 1; both are negative when there is none.
         """
         slack = min(self.max_nodes, PENALTY_HORIZON) - self.input_dim - 1
         return min(self.max_q, slack), min(self.max_width, slack)
@@ -160,9 +163,9 @@ def enumerate_structures(space: StructureSpace, beta_grid):
     """All valid structures within the caps, in lexicographic (q, d, S, beta) order.
 
     beta_grid is the set of admissible smoothness values, applied to every layer
-    (cartesian product across layers).  Only structures with positive prior
-    mass are listed: |d|_1 is capped at PENALTY_HORIZON as well as max_nodes,
-    and only the depths and widths within space.reach are walked.
+    (cartesian product across layers).  Only structures with a finite log weight
+    (though every one of depth >= 1 weighs exactly 0) are listed: |d|_1 is capped
+    at PENALTY_HORIZON as well as max_nodes, and only space.reach is walked.
     """
     lo, hi = space.beta_bounds
     grid = tuple(sorted(beta_grid))

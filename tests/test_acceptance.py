@@ -164,11 +164,10 @@ def test_criterion_08_sampler_null_test():
     mcmc_besov = trace.post_burn(trace.besov)[::10]
     mcmc_sup = trace.post_burn(trace.sup)[::10]
 
-    weighted = prior.structure_prior_weights(spec)
     eval_pts = funcspace.grid_points(1, 101)
     prior_besov, prior_sup = [], []
     for s in range(1000):
-        d = prior.sample_prior(spec, 50_000 + s, weighted=weighted)
+        d = prior.sample_prior(spec, 50_000 + s)
         prior_besov.append(max(
             funcspace.besov_norm(p, d.structure.betas[i])
             for i, layer in enumerate(d.layers) for p, _ in layer.components))

@@ -659,6 +659,29 @@ def structures_listed(out):
     return [line.split(",")[1] for line in (out / "weights.csv").read_text().splitlines()]
 
 
+def test_fit_enumerates_its_space_once(tmp_path, monkeypatch):
+    # the benchmark's fit-stationary-n3200 config: its prior_draw truth and its
+    # chain read one cached table of the structure prior
+    space = {"input_dim": 1, "max_q": 1, "max_width": 2, "max_nodes": 16,
+             "beta_bounds": [0.5, 1.0]}
+    cfg = write_config(tmp_path, "fit.json", {
+        "schema_version": 1, "family": "stationary", "n": 3200, "space": space,
+        "beta_grid": [1.0], "truth": {"type": "prior_draw"},
+        "posterior": {"iterations": 2000, "pcn_step": 0.98, "structure_move_prob": 0.1,
+                      "burn_in": 0.5}})
+    prior.structure_prior_weights.cache_clear()
+    prior._structure_table.cache_clear()
+    calls, enumerate_structures = [], prior.enumerate_structures
+
+    def counting(*args):
+        calls.append(args)
+        return enumerate_structures(*args)
+
+    monkeypatch.setattr(prior, "enumerate_structures", counting)
+    assert cli.main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
 class TestPenaltyHorizon:
     """No structure with |d|_1 past the horizon has prior mass, so a space's
     depth and widths past it list no further structures and are not checked."""

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from deepgp_lab import funcspace, gp, inference, prior, rates, structure
-from deepgp_lab.errors import ValidationError
+from deepgp_lab.errors import ConditioningError, ValidationError
 from reference import kl_v2_hellinger, log_likelihood_ratio
 
 
@@ -137,8 +137,8 @@ class TestFreshState:
                                         burn_in=0.0, seed=0, prior_only=True)
         trace = inference.run_mcmc(data, spec, cfg)
         assert np.all(np.diff(trace.sup) != 0)
-        weighted, pts = prior.structure_prior_weights(spec), funcspace.grid_points(1, 101)
-        prior_sup = [float(np.max(np.abs(prior.sample_prior(spec, 50_000 + s, weighted)(pts))))
+        pts = funcspace.grid_points(1, 101)
+        prior_sup = [float(np.max(np.abs(prior.sample_prior(spec, 50_000 + s)(pts))))
                      for s in range(1000)]
         assert stats.ks_2samp(trace.sup, prior_sup).pvalue > 0.01
 
@@ -217,14 +217,36 @@ class TestStart:
         spec = prior.StructurePriorSpec(
             space=structure.StructureSpace(input_dim=2, max_q=0, max_width=1),
             profile=rates.RateProfile(family=rates.STATIONARY), n=200, beta_grid=(1.0,))
-        probs = prior._weights_array(prior.structure_prior_weights(spec))
-        tied = np.flatnonzero(probs == probs.max())
+        logs = np.array([w.log_value for _, w in prior.structure_prior_weights(spec)])
+        tied = np.flatnonzero(logs == logs.max())
         assert len(tied) == 2
         data = inference.generate_data(lambda X: np.zeros(len(X)), n=200, seed=seed,
                                        input_dim=2)
         cfg = inference.PosteriorConfig(iterations=5, structure_move_prob=0.0, seed=seed)
         trace = inference.run_mcmc(data, spec, cfg)
         assert set(trace.structure_idx) == {tied[0]}
+
+    def test_never_starts_at_a_weight_zero_structure(self, monkeypatch):
+        # the one structure of positive weight cannot be drawn: the chain refuses
+        # to start rather than start where its structure moves never go
+        spec = prior.StructurePriorSpec(
+            space=structure.StructureSpace(input_dim=2, max_q=0, max_width=1),
+            profile=rates.RateProfile(family=rates.STATIONARY), n=200, beta_grid=(1.0,))
+        first, second = (eta for eta, _ in prior.structure_prior_weights(spec)[:2])
+        monkeypatch.setattr(inference, "structure_prior_weights", lambda spec: [
+            (first, rates.LogWeight(0.0)), (second, rates.LogWeight(-800.0))])
+        fresh, tried = inference._fresh_state, []
+
+        def feasible_but_the_first(eta, spec, rng):
+            tried.append(eta)
+            return None if eta == first else fresh(eta, spec, rng)
+
+        monkeypatch.setattr(inference, "_fresh_state", feasible_but_the_first)
+        data = inference.generate_data(lambda X: np.zeros(len(X)), n=200, seed=0,
+                                       input_dim=2)
+        with pytest.raises(ConditioningError, match="no structure admits"):
+            inference.run_mcmc(data, spec, inference.PosteriorConfig(iterations=5))
+        assert tried == [first]
 
 
 class TestMedian:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from deepgp_lab import funcspace, gp, prior, rates, structure
@@ -24,6 +26,41 @@ def five_input_spec():
     return make_spec(space=structure.StructureSpace(input_dim=5, max_q=0, max_width=1,
                                                     beta_bounds=(0.5, 1.0)),
                      n=3200, beta_grid=(0.5, 1.0))
+
+
+@st.composite
+def depth_specs(draw):
+    """A spec of any family whose space reaches depth 1 or 2: d_0 1-3 (at most 2
+    for the grid families), max_q and max_width 1-2, a beta grid of 1-3 values
+    within random bounds, n from 3 to 1e6 and profile constants from 1e-3 to 10."""
+    family = draw(st.sampled_from(rates.FAMILIES))
+    lo, top = (0.2, 0.95) if family == rates.FBM else (0.2, 2.0)
+    lo = draw(st.floats(lo, top))
+    hi = draw(st.floats(lo, top))
+    grid = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=3, unique=True))
+    constants = {name: draw(st.floats(1e-3, 10.0))
+                 for name in sorted(rates.RateProfile.__dataclass_fields__) if name != "family"}
+    space = structure.StructureSpace(
+        input_dim=draw(st.integers(1, 3 if family == rates.WAVELET else 2)),
+        max_q=draw(st.integers(1, 2)), max_width=draw(st.integers(1, 2)),
+        beta_bounds=(lo, hi))
+    try:
+        return make_spec(space=space, profile=rates.RateProfile(family=family, **constants),
+                         n=draw(st.integers(3, 10**6)), beta_grid=tuple(grid))
+    except ValidationError:  # a limit K or penalty past double precision
+        assume(False)
+
+
+def assert_only_depth_zero_has_mass(spec):
+    """Every structure of depth >= 1 weighs exactly 0.0, and some one-layer
+    structure more: the one-layer structure that reads the same t_0 inputs at the
+    same beta_0 has no larger rate term, and a size term smaller by at least
+    e^{e^{d_0 + 2}} - e^{e^{d_0 + 1}} >= 5.3e8 nats."""
+    weights = [(eta.graph.q, math.exp(w.log_value))
+               for eta, w in prior.structure_prior_weights(spec)]
+    assert any(q >= 1 for q, _ in weights)
+    assert all(p == 0.0 for q, p in weights if q >= 1)
+    assert any(p > 0.0 for q, p in weights if q == 0)
 
 
 def fig2_structure():
@@ -96,8 +133,12 @@ class TestStructurePrior:
         spec = make_spec(**kw)
         weighted = prior.structure_prior_weights(spec)
         assert spec.n * rates.eps_structure(weighted[0][0], spec.profile, spec.n) ** 2 > 1e20
-        deep = [math.exp(w.log_value) for eta, w in weighted if eta.graph.q >= 1]
-        assert deep and all(p == 0.0 for p in deep)
+        assert_only_depth_zero_has_mass(spec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(depth_specs())
+    def test_depth_never_carries_mass(self, spec):
+        assert_only_depth_zero_has_mass(spec)
 
     def test_oversized_structures_carry_zero(self):
         # the space reaches |d|_1 = 8, but only structures with mass are listed
@@ -136,15 +177,69 @@ class TestStructurePrior:
     def test_sampling_frequencies(self):
         spec = make_spec()
         weighted = prior.structure_prior_weights(spec)
-        p = prior._weights_array(weighted)
+        p = np.exp([w.log_value for _, w in weighted])
         counts = np.zeros(len(weighted))
         m = 3000
         for s in range(m):
-            eta = prior.sample_structure(spec, s, weighted=weighted)
+            eta = prior.sample_structure(spec, s)
             counts[[w[0] for w in weighted].index(eta)] += 1
         for k in range(len(weighted)):
             se = math.sqrt(max(p[k] * (1 - p[k]) / m, 1e-12))
             assert abs(counts[k] / m - p[k]) <= 4 * se + 1e-9
+
+    def test_a_table_ending_below_one_draws_no_weight_zero_structure(self):
+        # six standard-normal log weights and one of -5e8, normalized: the
+        # table ends at 1 - 2^-53, which the largest u below 1 reaches
+        logs = np.append(np.random.default_rng(0).standard_normal(6), -5e8)
+        weighted = [(k, rates.LogWeight(float(lw)))
+                    for k, lw in enumerate(logs - prior._logsumexp(logs))]
+        cum = prior._cumulative(weighted)
+        u = np.nextafter(1.0, 0.0)
+        assert cum[-1] <= u and math.exp(weighted[-1][1].log_value) == 0.0
+        assert prior._draw(cum, u) == 5
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.just(-math.inf), st.floats(-800.0, 5.0)), min_size=1,
+                    max_size=12).filter(lambda logs: max(logs) > -700.0),
+           st.floats(0.0, 1.0, exclude_max=True))
+    def test_draws_only_structures_of_positive_weight(self, logs, u):
+        cum = prior._cumulative([(k, rates.LogWeight(lw)) for k, lw in enumerate(logs)])
+        top = np.nextafter(1.0, 0.0)
+        for v in (u, 0.0, top, *(min(c / cum[-1], top) for c in cum)):
+            assert math.exp(logs[prior._draw(cum, v)]) > 0.0
+
+    def test_an_integer_grid_lists_what_its_floats_list(self):
+        # equal specs share a cache entry, so whichever is weighed first, both
+        # list the same structures, down to their JSON
+        def listed(seq):
+            prior.structure_prior_weights.cache_clear()
+            space = structure.StructureSpace(input_dim=1, max_q=0, max_width=1,
+                                             beta_bounds=seq((1, 2)))
+            spec = make_spec(space=space, beta_grid=seq((1, 2)))
+            return [structure.structure_to_json(eta)
+                    for eta, _ in prior.structure_prior_weights(spec)]
+
+        assert listed(tuple) == listed(lambda ints: tuple(map(float, ints)))
+
+    def test_draws_of_one_spec_weigh_it_once(self, monkeypatch):
+        spec = make_spec()
+        prior.structure_prior_weights.cache_clear()
+        prior._structure_table.cache_clear()
+        calls = {"enumerate_structures": 0, "_cumulative": 0}
+
+        def counting(name):
+            real = getattr(prior, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(prior, name, counting(name))
+        for s in range(20):
+            prior.sample_prior(spec, s)
+        assert calls == {"enumerate_structures": 1, "_cumulative": 1}
 
 
 def test_logsumexp_has_scipys_bits():
@@ -203,7 +298,9 @@ class TestGroupedWeights:
 
     def test_eps_structure_floor_still_surfaces(self, monkeypatch):
         monkeypatch.setattr(rates, "_CTILDE_SAFETY", 0.5)
+        # the weights read _CTILDE_SAFETY, so a spec weighed before is weighed again
         rates._ctilde.cache_clear()
+        prior.structure_prior_weights.cache_clear()
         try:
             with pytest.raises(ValidationError, match="fell below the per-layer maximum"):
                 prior.structure_prior_weights(d2_spec(rates.WAVELET))
@@ -240,12 +337,29 @@ class TestDgpDraw:
         spec = make_spec(space=structure.StructureSpace(input_dim=1, max_q=1,
                                                         max_width=1),
                          beta_grid=(1.0,), n=200)
-        weighted = prior.structure_prior_weights(spec)
         pts = np.linspace(-1, 1, 101)[:, None]
         for s in range(30):
-            draw = prior.sample_prior(spec, s, weighted=weighted)
+            draw = prior.sample_prior(spec, s)
             vals = draw(pts)
             assert np.all(np.abs(vals) <= 1.0 + 1e-12)
+
+    def test_lists_draw_what_tuples_draw(self):
+        # the fields that key the weights' and node laws' caches are kept as tuples
+        def spec(seq):
+            return make_spec(space=structure.StructureSpace(
+                input_dim=1, max_q=1, max_width=1, beta_bounds=seq((0.5, 1.0))),
+                beta_grid=seq((1.0, 0.6)))
+
+        def eta(seq):
+            return structure.CompositionStructure(graph=structure.CompositionGraph(1, [[(1,)]]),
+                                                  betas=seq((0.6,)), bounds=seq((0.5, 1.0)))
+
+        pts = np.linspace(-1, 1, 33)[:, None]
+        drawn, tupled = prior.sample_prior(spec(list), 3), prior.sample_prior(spec(tuple), 3)
+        assert drawn.structure == tupled.structure
+        np.testing.assert_array_equal(drawn(pts), tupled(pts))
+        np.testing.assert_array_equal(prior.sample_dgp(eta(list), spec(list), 3)(pts),
+                                      prior.sample_dgp(eta(tuple), spec(tuple), 3)(pts))
 
     def test_determinism(self):
         spec = make_spec()

@@ -8,14 +8,15 @@ run from it and from this checkout's working tree, each at CLI seeds 5, 7 and
 a ``prior`` on three inputs whose weights list depth-1 structures and betas
 with no exact binary form, a ``prior`` on five inputs whose size term is
 e^{e^6}, a 1-D ``prior`` with wide beta bounds whose rate term is about
-1e27, a 2-D ``fit`` whose chain switches structure, one conditioned
-``sample``, one ``diagnose``, the README's ``rates`` example and ``verify
---suite all``.  Every file they write is compared, except
-``manifest.json`` (it holds a timestamp), and so are their exit codes,
-standard output and standard error (``process.txt`` in each run's
-directory).  Each that differs is listed, and so is each run that exits
-nonzero from this checkout.  The exit code is 1 if any output differs, 2 if
-BASE_REF cannot be checked out, and 0 otherwise.
+1e27, a 2-D ``fit`` whose chain switches structure, a conditioned ``fbm``
+``sample``, an unconditioned ``stationary`` ``sample`` on two variables, one
+``diagnose``, the README's ``rates``, conditioned wavelet ``sample`` and
+posterior (``fit`` with a zero truth) examples and ``verify --suite all``.
+Every file they write is compared, except ``manifest.json`` (it holds a
+timestamp), and so are their exit codes, standard output and standard error
+(``process.txt`` in each run's directory).  Each that differs is listed, and
+so is each run that exits nonzero from this checkout.  The exit code is 1 if
+any output differs, 2 if BASE_REF cannot be checked out, and 0 otherwise.
 
 Configs are read from this checkout and given to both trees, which run with
 BLAS and OpenMP pinned to one thread.
@@ -38,10 +39,10 @@ ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "
 SKIPPED = {"manifest.json"}
 
 
-def _readme_rates():
-    """The README's first config with a structure and an n_list: its rates example."""
+def _readme_example(*fields):
+    """The README's first config with every one of fields."""
     blocks = re.findall(r"```json\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
-    return next(c for c in map(json.loads, blocks) if {"structure", "n_list"} <= set(c))
+    return next(c for c in map(json.loads, blocks) if set(fields) <= set(c))
 
 
 def jobs():
@@ -56,6 +57,10 @@ def jobs():
         "sample-fbm-conditioned": ("sample", {
             "schema_version": 1, "family": "fbm", "beta": 0.8, "r": 1, "n": 3200,
             "count": 3, "conditioned": True}),
+        # an unconditioned draw, gp.sample_path
+        "sample-stationary-r2": ("sample", {
+            "schema_version": 1, "family": "stationary", "beta": 1.0, "r": 2, "n": 200,
+            "count": 3}),
         # 1,407 structures of depth 0 and 1, with betas 0.6 and 0.8, which have
         # no exact binary form
         "prior-d3": ("prior", {
@@ -85,7 +90,11 @@ def jobs():
             "beta_grid": [1.0], "truth": {"type": "prior_draw"}, "n_list": [200, 400],
             "C": 2.0, "posterior": {"iterations": 300, "pcn_step": 0.9,
                                     "structure_move_prob": 0.1, "burn_in": 0.5}}),
-        "rates-readme": ("rates", _readme_rates()),
+        "rates-readme": ("rates", _readme_example("structure", "n_list")),
+        # wavelet nodes on their knot grids (gp.value_grid)
+        "sample-readme": ("sample", _readme_example("conditioned")),
+        # truth.type "zero"
+        "fit-readme": ("fit", _readme_example("truth")),
         "verify-all": ("verify", None),
     }
 
