@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -21,6 +22,10 @@ import numpy as np
 
 from . import __version__, funcspace, gp, inference, prior, rates, structure
 from .errors import DeepGpError, ValidationError
+
+# a command's process is short-lived and the objects its imports made live until
+# exit, so take them out of every later collection, the one at exit included
+gc.freeze()
 
 _SCHEMA_VERSION = 1
 

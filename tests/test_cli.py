@@ -52,6 +52,13 @@ def config(tmp_path, command, **kw):
     return write_config(tmp_path, f"{command}.json", payload(command, **kw))
 
 
+def run_fresh(code, timeout=120):
+    """Run `code` in a new interpreter that imports the package from this source."""
+    src = pathlib.Path(deepgp_lab.__file__).parent.parent
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=timeout,
+                   env=dict(os.environ, PYTHONPATH=str(src)))
+
+
 class TestExitCodes:
     def test_rates_success(self, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -695,10 +702,8 @@ class TestPenaltyHorizon:
             out = tmp_path / f"q{max_q}"
             argv = ["prior", "--config", config(tmp_path, "prior", space=space, draws=0),
                     "--out", str(out)]
-            code = f"import sys; from deepgp_lab import cli; sys.exit(cli.main({argv!r}))"
-            src = pathlib.Path(deepgp_lab.__file__).parent.parent
-            subprocess.run([sys.executable, "-c", code], check=True, timeout=20,
-                           env=dict(os.environ, PYTHONPATH=str(src)))
+            run_fresh(f"import sys; from deepgp_lab import cli; sys.exit(cli.main({argv!r}))",
+                      timeout=20)
             listed.append(structures_listed(out))
         assert len(listed[0]) > 100
         assert listed[1] == listed[0]
@@ -788,28 +793,31 @@ def test_profile_fields_are_each_read_by_some_family():
 
 def test_cli_imports_verify_only_for_verify():
     # the suites' module is compiled for the verify command alone
-    src = pathlib.Path(deepgp_lab.__file__).parent.parent
-    code = "import deepgp_lab.cli, sys; assert 'deepgp_lab.verify' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
-                   env=dict(os.environ, PYTHONPATH=str(src)))
+    run_fresh("import deepgp_lab.cli, sys; assert 'deepgp_lab.verify' not in sys.modules")
 
 
 def test_cli_does_not_import_scipy_interpolate():
     # scipy.interpolate adds about a quarter second to every CLI launch and
     # scipy.special as much again; the package needs no scipy module at all
-    src = pathlib.Path(deepgp_lab.__file__).parent.parent
-    code = ("import deepgp_lab.cli, sys; "
-            "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
-                   env=dict(os.environ, PYTHONPATH=str(src)))
+    run_fresh("import deepgp_lab.cli, sys; "
+              "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
 
 
 def test_fit_does_not_import_numpy_ma(tmp_path):
     # np.median's first call imports numpy.ma, 11-15 ms of a CLI launch on a
     # 2-vCPU host; fit and diagnose take their medians with inference.median
-    src = pathlib.Path(deepgp_lab.__file__).parent.parent
     argv = ["fit", "--config", config(tmp_path, "fit"), "--out", str(tmp_path / "out")]
-    code = ("import sys; from deepgp_lab import cli; "
-            f"assert cli.main({argv!r}) == 0; assert 'numpy.ma' not in sys.modules")
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
-                   env=dict(os.environ, PYTHONPATH=str(src)))
+    run_fresh("import sys; from deepgp_lab import cli; "
+              f"assert cli.main({argv!r}) == 0; assert 'numpy.ma' not in sys.modules")
+
+
+def test_cli_freezes_its_imports_once(tmp_path):
+    # importing the CLI freezes what its imports made, which lives until exit,
+    # so neither a collection nor the interpreter's exit walks it; a command run
+    # in-process (tests, verify, a library caller) freezes nothing of its own
+    cfg = config(tmp_path, "rates")
+    argvs = [["rates", "--config", cfg, "--out", str(tmp_path / out)] for out in "ab"]
+    run_fresh("import gc; from deepgp_lab import cli; "
+              "assert gc.isenabled(); frozen = gc.get_freeze_count(); assert frozen > 0; "
+              f"assert [cli.main(argv) for argv in {argvs!r}] == [0, 0]; "
+              "assert gc.get_freeze_count() <= frozen, (gc.get_freeze_count(), frozen)")
