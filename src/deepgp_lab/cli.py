@@ -152,6 +152,16 @@ def _list(value, name, item):
     return tuple(item(v, name) for v in value)
 
 
+def _n_list(cfg, item=_int):
+    """cfg's n_list, whose entries pass the check `item` and are >= 3, the least n rates take."""
+    def entry(value, name):
+        n = item(value, name)
+        if n < 3:
+            raise ValidationError(f"{name} entry {n} must be >= 3")
+        return n
+    return _list(cfg["n_list"], "n_list", entry)
+
+
 def _load_config(path, command):
     """The config at path, read as UTF-8 JSON whatever the locale."""
     with open(path, encoding="utf-8") as fh:
@@ -242,7 +252,7 @@ def _cmd_rates(cfg, seed, out_dir):
         except ValidationError as exc:
             raise ValidationError(f"structure.betas {list(eta.betas)}: {exc}") from exc
     rows = []
-    for n in _list(cfg["n_list"], "n_list", _int):
+    for n in _n_list(cfg):
         rates.check_finite(profile, lambda p: n * rates.eps_structure(eta, p, n) ** 2,
                            f"n = {n}: the penalty Psi_n")
         rn = rates.minimax_rate(eta, n)
@@ -364,8 +374,7 @@ def _cmd_fit(cfg, seed, out_dir):
 
 def _cmd_diagnose(cfg, seed, out_dir):
     spec, C = _prior_spec(cfg), _real(cfg.get("C", 2.0), "C")
-    n_list = _list(cfg["n_list"], "n_list",
-                   lambda n, name: _design_size(n, spec.space.input_dim, name))
+    n_list = _n_list(cfg, lambda n, name: _design_size(n, spec.space.input_dim, name))
     if not C > 0:
         raise ValidationError(f"C must be > 0, got {C}")
     config = _posterior_config(cfg, seed)

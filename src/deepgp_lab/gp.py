@@ -57,6 +57,8 @@ class GpSpec:
         check_beta(self.family, self.beta)
         if self.r < 1:
             raise ValidationError("r must be >= 1")
+        if self.n < 2:  # every family's resolution or scale takes log n
+            raise ValidationError(f"n must be >= 2, got {self.n}")
         if self.family in (FBM, STATIONARY):
             if self.r not in (1, 2):
                 raise ValidationError("grid families support r in {1, 2}")

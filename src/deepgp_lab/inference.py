@@ -1,9 +1,11 @@
 """Synthetic regression and posterior MCMC.
 
-The chain's two proposals return node states or None: a joint pCN move on all
-nodes (_pcn_state; None when a node leaves its conditioning set, so the chain
-targets the conditioned prior exactly) and a structure move drawn from the prior
-(_fresh_state; None when a node draw runs out).  One Metropolis test on the
+A chain state is a structure index and one node: Psi_n's size term gives every
+structure of depth >= 1 weight exactly 0.0 (test_depth_never_carries_mass), so
+no draw reaches one.  Its two proposals return a node or None: pCN (_pcn_state;
+None when the node leaves its conditioning set, so the chain targets the
+conditioned prior exactly) and a structure move drawn from the prior
+(_fresh_state; None when the draw runs out).  One Metropolis test on the
 likelihood ratio accepts either; PosteriorTrace.moves tallies the outcomes.
 """
 
@@ -18,9 +20,8 @@ import numpy as np
 from .errors import ConditioningError, NumericError, ValidationError
 from .funcspace import (besov_norm, compose, design_statistics, grid_points,
                         in_conditioning_set, quadratic_loglik)
-from .gp import path_from_state, rng_for
-from .prior import (Node, StructurePriorSpec, build_layers, sample_nodes,
-                    structure_prior_weights, _cumulative, _draw)
+from .gp import path_from_state, rng_for, sample_conditioned
+from .prior import Node, StructurePriorSpec, build_layers, _draw, _node_laws, _structure_table
 from .rates import WAVELET, eps_structure, minimax_rate
 from .structure import structure_to_dict
 
@@ -125,45 +126,44 @@ _MOVES = {"pcn": ("accepted", "rejected", "left_set"),
 
 class _Chain(NamedTuple):
     k: int  # structure index
-    nodes: dict
+    node: Node
     ll: float
     layers: tuple
     besov: float
 
 
 def _fresh_state(eta, spec, rng):
-    """Every node of a structure, each reading its attempts from the chain's
-    stream rng in turn; None if a node's budget runs out."""
+    """The node of a one-layer structure, reading its attempts from the chain's
+    stream rng; None if its budget runs out.  The unpacking of eta's one node
+    law refuses a deeper structure."""
+    (gp_spec, K), = _node_laws(eta, spec)
     try:
-        return sample_nodes(eta, spec, lambda node: rng)[0]
+        z, path, _ = sample_conditioned(gp_spec, K, rng)
     except ConditioningError:
         return None
+    return Node(z, path, gp_spec, K)
 
 
-def _pcn_state(nodes, rho, rng):
-    """One joint pCN proposal, z -> rho z + sqrt(1 - rho^2) xi at every node in
-    turn; None at the first node whose path leaves its conditioning set."""
-    proposal = {}
-    for key, ns in nodes.items():
-        z = rho * ns.z + math.sqrt(1 - rho * rho) * rng.standard_normal(len(ns.z))
-        path = path_from_state(ns.gp_spec, z)
-        if not in_conditioning_set(path, ns.gp_spec.beta, ns.K)[0]:
-            return None
-        proposal[key] = Node(z, path, ns.gp_spec, ns.K)
-    return proposal
+def _pcn_state(node, rho, rng):
+    """One pCN proposal, z -> rho z + sqrt(1 - rho^2) xi; None if its path
+    leaves the node's conditioning set."""
+    z = rho * node.z + math.sqrt(1 - rho * rho) * rng.standard_normal(len(node.z))
+    path = path_from_state(node.gp_spec, z)
+    if not in_conditioning_set(path, node.gp_spec.beta, node.K)[0]:
+        return None
+    return Node(z, path, node.gp_spec, node.K)
 
 
 def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
              config: PosteriorConfig) -> PosteriorTrace:
-    """A state is a structure index k and its node states.  The Metropolis test
-    reads a proposal's log-likelihood (loglik) off its node values alone, except
-    on a structure's first proposal and on every proposal of a deeper one, which
-    build layers to compose the design.  A kept state (the start and each accepted
-    move) is a _Chain: its layers and, for wavelet nodes, its Besov norm are built
-    then, once.  Each iteration composes them on the error grid for l2_error and sup."""
-    weighted = structure_prior_weights(spec)
+    """A state is a structure index k and its one node.  The Metropolis test reads
+    a proposal's log-likelihood (loglik) off the node's values alone, except on a
+    structure's first proposal, which builds its layer to compose the design.  A
+    kept state (the start and each accepted move) is a _Chain: its layer and, for
+    a wavelet node, its Besov norm are built then, once.  Each iteration composes
+    the layer on the error grid for l2_error and sup."""
+    weighted, cum = _structure_table(spec)
     structures = [eta for eta, _ in weighted]
-    cum = _cumulative(weighted)
     rng = rng_for(config.seed, (12,))
 
     d = data.X.shape[1]
@@ -175,23 +175,21 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
     # the error grid's gather plans, found once per chain (compose's cache); the
     # design is composed once per structure, so its plans are not kept
     eval_cache = {}
-    stats = {}  # one-layer structure index -> the design statistics of its layer
+    stats = {}  # structure index -> the design statistics of its layer
 
-    def loglik(k, nodes):
-        """sum(Y f - f^2/2) of f = compose(layers) on the design.  A one-layer f is
-        linear in its node values: from the structure's second proposal on, it is
-        their quadratic form, from statistics built and checked on its first."""
+    def loglik(k, node):
+        """sum(Y f - f^2/2) of f = compose(layers) on the design.  f is linear in the
+        node's values: from the structure's second proposal on, it is their
+        quadratic form, from statistics built and checked on its first."""
         if config.prior_only:
             return 0.0
-        values = nodes[0, 0].path.values  # a one-layer structure's one node
+        values = node.path.values
         if k in stats:
             return quadratic_loglik(stats[k], values)
-        layers = build_layers(structures[k], nodes)
-        fv = compose(layers, data.X)
+        (layer,) = build_layers(structures[k], {(0, 0): node})
+        fv = compose((layer,), data.X)
         full = float((data.Y * fv - 0.5 * fv**2).sum())
-        if len(layers) > 1:
-            return full
-        stats[k] = design_statistics(layers[0], data.X, data.Y)
+        stats[k] = design_statistics(layer, data.X, data.Y)
         ll, bound = quadratic_loglik(stats[k], values), stats[k].rounding_bound(values)
         if not abs(ll - full) <= bound:
             raise NumericError(
@@ -200,21 +198,21 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
                 f"by more than the rounding bound {bound:.3g}")
         return ll
 
-    def kept(k, nodes, ll):
-        return _Chain(k, nodes, ll, build_layers(structures[k], nodes),
-                      max(besov_norm(ns.path, ns.gp_spec.beta) for ns in nodes.values())
+    def kept(k, node, ll):
+        return _Chain(k, node, ll, build_layers(structures[k], {(0, 0): node}),
+                      besov_norm(node.path, node.gp_spec.beta)
                       if spec.profile.family == WAVELET else math.nan)
 
-    # start at the most probable structure whose nodes draw within their budget;
+    # start at the most probable structure whose node draws within its budget;
     # among equal weights, the lowest index first; none that a move cannot draw
     drawable = np.diff(cum, prepend=0.0) > 0
     for k in np.argsort([-w.log_value for _, w in weighted], kind="stable"):
-        nodes = _fresh_state(structures[k], spec, rng) if drawable[k] else None
-        if nodes is not None:
+        node = _fresh_state(structures[k], spec, rng) if drawable[k] else None
+        if node is not None:
             break
     else:
         raise ConditioningError("no structure admits a feasible conditioned draw")
-    chain = kept(int(k), nodes, loglik(int(k), nodes))
+    chain = kept(int(k), node, loglik(int(k), node))
 
     it = config.iterations
     s_idx = np.empty(it, dtype=int)
@@ -224,15 +222,15 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
     for t in range(it):
         if rng.random() < config.structure_move_prob:
             move, k = "structure", _draw(cum, rng.random())
-            nodes = _fresh_state(structures[k], spec, rng)
+            node = _fresh_state(structures[k], spec, rng)
         else:
             move, k = "pcn", chain.k
-            nodes = _pcn_state(chain.nodes, config.pcn_step, rng)
+            node = _pcn_state(chain.node, config.pcn_step, rng)
         outcome = _MOVES[move][-1]
-        if nodes is not None:  # the prior proposes both moves: test the likelihoods
-            ll, outcome = loglik(k, nodes), "rejected"
+        if node is not None:  # the prior proposes both moves: test the likelihoods
+            ll, outcome = loglik(k, node), "rejected"
             if math.log(rng.random() + 1e-300) < ll - chain.ll:
-                chain, outcome = kept(k, nodes, ll), "accepted"
+                chain, outcome = kept(k, node, ll), "accepted"
         moves[move, outcome] += 1
 
         fe = compose(chain.layers, eval_pts, eval_cache)

@@ -28,7 +28,6 @@ __all__ = [
     "Node",
     "structure_prior_weights",
     "sample_structure",
-    "sample_nodes",
     "build_layers",
     "sample_dgp",
     "sample_prior",
@@ -245,25 +244,6 @@ def _node_laws(eta: CompositionStructure, spec: StructurePriorSpec) -> tuple:
     return tuple(laws)
 
 
-def sample_nodes(eta: CompositionStructure, spec: StructurePriorSpec, rng_of):
-    """Rejection-sample every (layer, output) node of eta into its layer's set, in turn.
-
-    Layer i's nodes are paths with smoothness beta_i on t_i variables, conditioned
-    on conditioning_limit(their GpSpec, spec.profile, alpha_i); node (i, j) reads its
-    attempts from the generator rng_of((i, j)).  Returns ({node: Node},
-    {node: attempts}); an exhausted budget raises ConditioningError.
-    """
-    nodes, attempts = {}, {}
-    for i, (gp_spec, K) in enumerate(_node_laws(eta, spec)):
-        for j in range(len(eta.graph.active_sets[i])):
-            try:
-                z, path, attempts[(i, j)] = sample_conditioned(gp_spec, K, rng_of((i, j)))
-            except ConditioningError as exc:
-                raise ConditioningError(f"node (layer {i}, output {j + 1}): {exc}") from exc
-            nodes[(i, j)] = Node(z, path, gp_spec, K)
-    return nodes, attempts
-
-
 def build_layers(eta: CompositionStructure, nodes) -> tuple:
     """Layer i reads the path of node (i, j) on the active set S_ij, for each output j."""
     g = eta.graph
@@ -283,9 +263,17 @@ class DgpDraw:
 
 
 def sample_dgp(eta: CompositionStructure, spec: StructurePriorSpec, seed) -> DgpDraw:
-    """One conditioned path per (layer, output) node, each from its own keyed stream."""
-    nodes, attempts = sample_nodes(
-        eta, spec, lambda node: rng_for(seed, (_KEY_PATHS,) + node + (1,)))
+    """Rejection-sample every (layer, output) node of eta into its law's set, in turn,
+    each from its own keyed stream; an exhausted budget raises ConditioningError."""
+    nodes, attempts = {}, {}
+    for i, (gp_spec, K) in enumerate(_node_laws(eta, spec)):
+        for j in range(len(eta.graph.active_sets[i])):
+            rng = rng_for(seed, (_KEY_PATHS, i, j, 1))
+            try:
+                z, path, attempts[(i, j)] = sample_conditioned(gp_spec, K, rng)
+            except ConditioningError as exc:
+                raise ConditioningError(f"node (layer {i}, output {j + 1}): {exc}") from exc
+            nodes[(i, j)] = Node(z, path, gp_spec, K)
     return DgpDraw(structure=eta, layers=build_layers(eta, nodes), stats=attempts)
 
 

@@ -305,6 +305,17 @@ class TestExitCodes:
         *(pytest.param(command, lambda c: c["truth"].update(seed=3),
                        'truth.seed does nothing with truth.type "zero"',
                        id=f"{command}-truth-seed-with-zero") for command in ("fit", "diagnose")),
+        # a family's resolution or scale takes log n, so n < 2 is refused at the
+        # spec, even by fbm, whose unconditioned law does not read n
+        *(pytest.param("sample", lambda c, n=n: c.update(family="stationary", n=n),
+                       f"n must be >= 2, got {n}", id=f"stationary-n-{n}") for n in (1, 0, -5)),
+        pytest.param("sample", lambda c: c.update(family="fbm", beta=0.5, n=1),
+                     "n must be >= 2, got 1", id="fbm-n-1"),
+        # an n_list entry below the rates' least n is named as one, not as n
+        pytest.param("rates", lambda c: c.update(n_list=[2, 100]),
+                     "n_list entry 2 must be >= 3", id="rates-n-list-entry-below-3"),
+        pytest.param("diagnose", lambda c: c.update(n=200, n_list=[2, 100]),
+                     "n_list entry 2 must be >= 3", id="diagnose-n-list-entry-below-3"),
     ])
     def test_config_mistake_is_a_validation_error(self, tmp_path, capsys, command,
                                                   edit, named):
@@ -687,6 +698,9 @@ def test_fit_enumerates_its_space_once(tmp_path, monkeypatch):
     monkeypatch.setattr(prior, "enumerate_structures", counting)
     assert cli.main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
+    # the chain reads the table the truth's draw built, not the weights again
+    info = prior.structure_prior_weights.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
 
 
 class TestPenaltyHorizon:

@@ -40,45 +40,38 @@ def block_end(attempt):
     return end
 
 
-def per_attempt_nodes(eta, spec, rng, max_attempts=1000):
-    """The reference for _fresh_state: each node in turn draws one state of the
-    shared stream per attempt until its path is in the node's set, and the next
-    node starts at the end of the block that holds the accepted attempt."""
-    alphas, nodes = rates.alpha_exponents(eta.betas), {}
-    for i in range(eta.graph.q + 1):
-        gp_spec = gp.GpSpec(family=spec.profile.family, beta=float(eta.betas[i]),
-                            r=int(eta.graph.eff_dims[i]), n=spec.n)
-        K = prior.conditioning_limit(gp_spec, spec.profile, float(alphas[i]))
-        for j in range(len(eta.graph.active_sets[i])):
-            size = gp.state_size(gp_spec)
-            for attempt in range(1, max_attempts + 1):
-                z = rng.standard_normal(size)
-                path = gp.path_from_state(gp_spec, z)
-                if funcspace.in_conditioning_set(path, gp_spec.beta, K)[0]:
-                    nodes[(i, j)] = z, path
-                    rng.standard_normal((block_end(attempt) - attempt, size))
-                    break
-            else:
-                return None
-    return nodes
+def per_attempt_node(eta, spec, rng, max_attempts=1000):
+    """The reference for _fresh_state: the node draws one state of the shared
+    stream per attempt until its path is in the node's set, and the stream is left
+    at the end of the block that holds the accepted attempt."""
+    (beta,), t = eta.betas, eta.graph.eff_dims[0]
+    gp_spec = gp.GpSpec(family=spec.profile.family, beta=float(beta), r=int(t), n=spec.n)
+    K = prior.conditioning_limit(gp_spec, spec.profile, rates.alpha_exponents(eta.betas)[0])
+    size = gp.state_size(gp_spec)
+    for attempt in range(1, max_attempts + 1):
+        z = rng.standard_normal(size)
+        path = gp.path_from_state(gp_spec, z)
+        if funcspace.in_conditioning_set(path, gp_spec.beta, K)[0]:
+            rng.standard_normal((block_end(attempt) - attempt, size))
+            return z, path
+    return None
 
 
-# one structure per family: two layer-0 nodes on one variable, a last node on two
-FRESH_LAWS = [(rates.STATIONARY, (1.0, 1.0)), (rates.FBM, (0.5, 0.8)),
-              (rates.WAVELET, (1.0, 1.0))]
+# one one-layer structure per family: one node on one variable
+FRESH_LAWS = [(rates.STATIONARY, (1.0,)), (rates.FBM, (0.8,)), (rates.WAVELET, (1.0,))]
 
 
 def fresh_case(family, betas):
     spec = prior.StructurePriorSpec(
-        space=structure.StructureSpace(input_dim=1, max_q=1, max_width=2),
-        profile=rates.RateProfile(family=family), n=200, beta_grid=tuple(sorted(set(betas))))
-    g = structure.CompositionGraph(1, [[(1,), (1,)], [(1, 2)]])
+        space=structure.StructureSpace(input_dim=1, max_q=0, max_width=1),
+        profile=rates.RateProfile(family=family), n=200, beta_grid=betas)
+    g = structure.CompositionGraph(1, [[(1,)]])
     return structure.CompositionStructure(graph=g, betas=betas, bounds=(0.3, 1.0)), spec
 
 
 class TestFreshState:
     """_fresh_state draws blocks of attempts from the chain's one stream, and
-    leaves it at the end of the last node's accepting block."""
+    leaves it at the end of the node's accepting block."""
 
     @pytest.mark.parametrize("family, betas", FRESH_LAWS)
     def test_matches_the_per_attempt_stream(self, family, betas):
@@ -87,29 +80,35 @@ class TestFreshState:
             rng, ref = gp.rng_for(seed, (12,)), gp.rng_for(seed, (12,))
             for _ in range(2):  # consecutive fresh states read on from the same stream
                 got = inference._fresh_state(eta, spec, rng)
-                want = per_attempt_nodes(eta, spec, ref)
-                assert sorted(got) == sorted(want)
-                for key, (z, path) in want.items():
-                    assert got[key].z.tobytes() == z.tobytes()
-                    assert got[key].path.values.tobytes() == path.values.tobytes()
+                z, path = per_attempt_node(eta, spec, ref)
+                assert got.z.tobytes() == z.tobytes()
+                assert got.path.values.tobytes() == path.values.tobytes()
                 assert stream(rng) == stream(ref)
+
+    def test_refuses_a_deeper_structure(self):
+        # no deeper structure has prior mass, so a chain never draws one; if one
+        # ever did, unpacking its two node laws would fail, not draw one node
+        spec = q0_spec(space=structure.StructureSpace(input_dim=1, max_q=1, max_width=1))
+        deep = next(eta for eta, _ in prior.structure_prior_weights(spec) if eta.graph.q == 1)
+        with pytest.raises(ValueError, match="too many values to unpack"):
+            inference._fresh_state(deep, spec, gp.rng_for(0, (12,)))
 
     @pytest.mark.parametrize("max_attempts", [1, 100])
     def test_exhausted_budget_reads_exactly_the_budget(self, monkeypatch, max_attempts):
-        real = prior.sample_conditioned
+        real = inference.sample_conditioned
 
         def exhausting(spec, K, rng, budget=1000):
             return real(spec, -1.0, rng, max_attempts)
 
-        monkeypatch.setattr(prior, "sample_conditioned", exhausting)
-        eta, spec = fresh_case(rates.STATIONARY, (1.0, 1.0))
+        monkeypatch.setattr(inference, "sample_conditioned", exhausting)
+        eta, spec = fresh_case(rates.STATIONARY, (1.0,))
         rng, ref = gp.rng_for(8, (12,)), gp.rng_for(8, (12,))
         assert inference._fresh_state(eta, spec, rng) is None
         ref.standard_normal((max_attempts, 33))
         assert stream(rng) == stream(ref)
 
     def test_node_law_is_solved_once_per_structure(self, monkeypatch):
-        eta, spec = fresh_case(rates.STATIONARY, (1.0, 1.0))
+        eta, spec = fresh_case(rates.STATIONARY, (1.0,))
         calls = []
         real = prior.conditioning_limit
 
@@ -125,7 +124,7 @@ class TestFreshState:
                 assert inference._fresh_state(eta, spec, rng) is not None
         finally:
             prior._node_laws.cache_clear()
-        assert len(calls) == eta.graph.q + 1  # one law per layer, for all three moves
+        assert len(calls) == 1  # the one layer's law, for all three moves
 
     def test_grid_family_chain_draws_the_prior(self):
         # prior_only with a structure move every iteration: each iteration is a
@@ -233,8 +232,9 @@ class TestStart:
             space=structure.StructureSpace(input_dim=2, max_q=0, max_width=1),
             profile=rates.RateProfile(family=rates.STATIONARY), n=200, beta_grid=(1.0,))
         first, second = (eta for eta, _ in prior.structure_prior_weights(spec)[:2])
-        monkeypatch.setattr(inference, "structure_prior_weights", lambda spec: [
-            (first, rates.LogWeight(0.0)), (second, rates.LogWeight(-800.0))])
+        weighted = [(first, rates.LogWeight(0.0)), (second, rates.LogWeight(-800.0))]
+        monkeypatch.setattr(inference, "_structure_table",
+                            lambda spec: (weighted, prior._cumulative(weighted)))
         fresh, tried = inference._fresh_state, []
 
         def feasible_but_the_first(eta, spec, rng):
@@ -426,7 +426,7 @@ class TestMcmc:
     def test_exhausted_structure_moves_are_counted(self, monkeypatch):
         # after the chain's first state every node draw runs out of its budget,
         # so every structure move is rejected, and counted
-        real, calls = prior.sample_conditioned, []
+        real, calls = inference.sample_conditioned, []
 
         def exhausting(spec, K, rng, max_attempts=1000):
             calls.append(K)
@@ -434,7 +434,7 @@ class TestMcmc:
                 K, max_attempts = -1.0, 3
             return real(spec, K, rng, max_attempts)
 
-        monkeypatch.setattr(prior, "sample_conditioned", exhausting)
+        monkeypatch.setattr(inference, "sample_conditioned", exhausting)
         data = inference.generate_data(lambda x: 0.0 * x[:, 0], n=100, seed=0, input_dim=1)
         cfg = inference.PosteriorConfig(iterations=60, structure_move_prob=0.5, seed=4)
         trace = inference.run_mcmc(data, q0_spec(n=100), cfg)
@@ -531,9 +531,9 @@ def proposed(trace):
 
 
 class TestLikelihood:
-    # a one-layer chain reads its log-likelihood off design statistics built on
-    # each structure's first proposal; a deeper chain composes every proposal.
-    # Layers are built for those composes and for each kept state.
+    # a chain reads its log-likelihood off design statistics built on each
+    # structure's first proposal.  Layers are built for those composes and for
+    # each kept state.
     def record(self, monkeypatch, data):
         """The structures build_layers runs for, and the layers the design composes."""
         built, design = [], []
@@ -566,38 +566,10 @@ class TestLikelihood:
         assert proposed(trace) > 100 > accepted(trace) > 0
         assert len(set(trace.structure_idx)) == 2  # the chain moved between the two
 
-    def test_deeper_chain_composes_every_proposal(self, monkeypatch):
-        spec = prior.StructurePriorSpec(
-            space=structure.StructureSpace(input_dim=1, max_q=1, max_width=1),
-            profile=rates.RateProfile(family=rates.WAVELET), n=200, beta_grid=(1.0,))
-        deep = next(eta for eta, _ in prior.structure_prior_weights(spec) if eta.graph.q == 1)
-        monkeypatch.setattr(inference, "structure_prior_weights",
-                            lambda spec: [(deep, rates.LogWeight(0.0))])
-        monkeypatch.setattr(inference, "design_statistics", None)  # not called
-        data = inference.generate_data(lambda x: 0.5 * x[:, 0], n=200, seed=0, input_dim=1)
-        built, design = self.record(monkeypatch, data)
-        cfg = inference.PosteriorConfig(iterations=60, pcn_step=0.99, seed=2)
-        trace = inference.run_mcmc(data, spec, cfg)
-        # the start and every proposal compose the design; each kept state builds again
-        assert len(design) == 1 + proposed(trace) > 1
-        assert len(built) == len(design) + 1 + accepted(trace)
-        assert accepted(trace) > 0
-        ll = [float(np.sum(data.Y * fv - 0.5 * fv**2))
-              for fv in (funcspace.compose(layers, data.X) for layers in design)]
-        assert set(trace.log_lik) <= set(ll)
-
-
-    @pytest.mark.parametrize("deep", [False, True])
-    def test_only_the_error_grid_is_composed_with_a_cache(self, monkeypatch, deep):
-        # the design is composed once per one-layer structure (a deeper one's
-        # every proposal), so its gather plans are not kept; the error grid's
-        # are, in one dict for the whole chain
-        spec = q0_spec(space=structure.StructureSpace(input_dim=2, max_q=int(deep),
-                                                      max_width=1))
-        if deep:
-            eta = next(e for e, _ in prior.structure_prior_weights(spec) if e.graph.q == 1)
-            monkeypatch.setattr(inference, "structure_prior_weights",
-                                lambda spec: [(eta, rates.LogWeight(0.0))])
+    def test_only_the_error_grid_is_composed_with_a_cache(self, monkeypatch):
+        # the design is composed once per structure, so its gather plans are not
+        # kept; the error grid's are, in one dict for the whole chain
+        spec = q0_spec(space=structure.StructureSpace(input_dim=2, max_q=0, max_width=1))
         data = inference.generate_data(lambda x: 0.5 * x[:, 0], n=200, seed=0, input_dim=2)
         compose, design, grid = inference.compose, [], []
 

@@ -473,14 +473,17 @@ class TestConditioningSpecs:
         assert lo > hi > rates.RateProfile(family=rates.FBM).holder_radius
 
     def test_nodes_follow_the_node_law(self):
-        # every node's limit is conditioning_limit of its own law at its layer's alpha;
-        # layer 0 has alpha = min(beta_1, 1) = 0.8, so its slack differs from alpha = 1
+        # layer i's nodes are paths with beta_i on t_i variables, whose limit is
+        # conditioning_limit of that law at the layer's alpha; layer 0 has
+        # alpha = min(beta_1, 1) = 0.8, so its slack differs from alpha = 1
         spec, eta = self.fbm_spec(200), self.fbm_structure()
-        nodes, _ = prior.sample_nodes(eta, spec, lambda node: gp.rng_for(5, node + (1,)))
-        alphas = rates.alpha_exponents(eta.betas)
-        for (i, _), node in nodes.items():
-            assert node.K == prior.conditioning_limit(node.gp_spec, spec.profile, alphas[i])
-        assert nodes[(0, 0)].K != prior.conditioning_limit(nodes[(0, 0)].gp_spec, spec.profile)
+        laws, alphas = prior._node_laws(eta, spec), rates.alpha_exponents(eta.betas)
+        assert len(laws) == eta.graph.q + 1
+        for i, (gp_spec, K) in enumerate(laws):
+            assert (gp_spec.beta, gp_spec.r) == (eta.betas[i], eta.graph.eff_dims[i])
+            assert K == prior.conditioning_limit(gp_spec, spec.profile, alphas[i])
+        (spec0, K0), _ = laws
+        assert K0 != prior.conditioning_limit(spec0, spec.profile)
 
     @pytest.mark.parametrize("grid", [20, 17])
     @pytest.mark.parametrize("r", [1, 2])
