@@ -7,7 +7,7 @@ Two concrete path representations:
   point: each corner is one take from the flat values, at the points' base
   indices plus the corner's offset.  The base indices and corner weights of a
   point set are its gather plan, found from the points block by block; compose
-  keeps a fixed set's plans in a dict its caller passes.
+  keeps a fixed set's plans, and its last result, in a dict its caller passes.
 * WaveletPath — coefficients on a tensorized hierarchical hat (Faber-Schauder)
   system, levels j = 1..J with 2^{jr} basis functions per level, for any r.
   Exact and nested; not orthonormal, which none of the coefficient-level
@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +61,9 @@ HOLDER_MAX_BETA = 2.0  # the empirical Holder norm takes derivatives up to order
 # every call, which makes the gather about twice as slow.
 _BLOCK = 8192
 _EPS = float(np.finfo(float).eps)
+# compose's cache entry for the last layers composed on its points; every
+# other key is a tuple of gather-plan slots
+_MEMO = "memo"
 
 
 def _as_points(points, r):
@@ -441,8 +445,16 @@ def compose(layers, points, cache=None):
     plans of the points as lists, one per key of (input column, nodes per axis)
     slots (LayerFunction._path_plan), filled on first use, so later calls
     neither recompute nor copy them.  Later layers see new points on every call
-    and are not cached.
+    and are not cached.  Under _MEMO it also holds the last layers composed on
+    the points, as a tuple (so no layer's id can be reused), and their result,
+    read-only: a call with the same layer objects, in the same order, returns
+    that array and evaluates nothing.  A chain composes its error grid every
+    iteration but changes its layers only on an accepted move.
     """
+    if cache is not None and _MEMO in cache:
+        last, fv = cache[_MEMO]
+        if len(last) == len(layers) and all(map(operator.is_, last, layers)):
+            return fv
     pts = _as_points(points, layers[0].in_dim)
     for i, layer in enumerate(layers):
         if pts.shape[1] != layer.in_dim:
@@ -450,7 +462,11 @@ def compose(layers, points, cache=None):
         pts = layer(pts, cache if i == 0 else None)
     if pts.shape[1] != 1:
         raise ValidationError("final layer must have a single output")
-    return pts[:, 0]
+    fv = pts[:, 0]
+    if cache is not None:
+        fv.flags.writeable = False
+        cache[_MEMO] = tuple(layers), fv
+    return fv
 
 
 class _DesignStatistics(NamedTuple):

@@ -7,6 +7,11 @@ None when the node leaves its conditioning set, so the chain targets the
 conditioned prior exactly) and a structure move drawn from the prior
 (_fresh_state; None when the draw runs out).  One Metropolis test on the
 likelihood ratio accepts either; PosteriorTrace.moves tallies the outcomes.
+
+Each iteration records the state's error on a fixed grid.  A new state is kept
+only on an accepted move, so compose's cache hands back its last array and the
+record is computed once per kept state; the compose call stays in every
+iteration, since perfbench counts iterations by it.
 """
 
 from __future__ import annotations
@@ -160,8 +165,11 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
     a proposal's log-likelihood (loglik) off the node's values alone, except on a
     structure's first proposal, which builds its layer to compose the design.  A
     kept state (the start and each accepted move) is a _Chain: its layer and, for
-    a wavelet node, its Besov norm are built then, once.  Each iteration composes
-    the layer on the error grid for l2_error and sup."""
+    a wavelet node, its Besov norm are built then, once.  Each iteration ends by
+    composing the layer on the error grid, a direct call that perfbench
+    (layers.py::_iterations) reads as the iteration boundary.  compose's cache
+    returns its last array for the same layers, so l2_error and sup are computed
+    once per kept state: a rejected or left-set move evaluates nothing there."""
     weighted, cum = _structure_table(spec)
     structures = [eta for eta, _ in weighted]
     rng = rng_for(config.seed, (12,))
@@ -218,6 +226,7 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
     s_idx = np.empty(it, dtype=int)
     lls, errs, bes, sups = (np.empty(it) for _ in range(4))
     moves = {(move, outcome): 0 for move, outcomes in _MOVES.items() for outcome in outcomes}
+    fe = None  # the error-grid values of the last iteration
 
     for t in range(it):
         if rng.random() < config.structure_move_prob:
@@ -233,10 +242,12 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
                 chain, outcome = kept(k, node, ll), "accepted"
         moves[move, outcome] += 1
 
-        fe = compose(chain.layers, eval_pts, eval_cache)
-        s_idx[t], lls[t], bes[t] = chain.k, chain.ll, chain.besov
-        errs[t] = math.sqrt(float((eval_w * (fe - truth_eval) ** 2).sum()))
-        sups[t] = float(abs(fe).max())
+        fv = compose(chain.layers, eval_pts, eval_cache)  # the iteration's end
+        if fv is not fe:  # the same array until the chain keeps a new state
+            fe = fv
+            err = math.sqrt(float((eval_w * (fe - truth_eval) ** 2).sum()))
+            sup = float(abs(fe).max())
+        s_idx[t], lls[t], bes[t], errs[t], sups[t] = chain.k, chain.ll, chain.besov, err, sup
 
     return PosteriorTrace(
         structures=structures, structure_idx=s_idx, log_lik=lls, l2_error=errs,

@@ -538,6 +538,11 @@ def fresh_compose(layers, pts):
     return pts[:, 0]
 
 
+def gather_plans(cache):
+    """compose's cache without its memo of the last result: the gather plans alone."""
+    return {key: plan for key, plan in cache.items() if key != funcspace._MEMO}
+
+
 class TestGatherPlan:
     # compose keeps layer 0's gather plans of one point set in the caller's
     # dict, one list per key of (input column, nodes per axis) slots, whatever
@@ -577,14 +582,15 @@ class TestGatherPlan:
                 np.testing.assert_array_equal(funcspace.compose(layers, pts), want)
         # one list per key of layer 0's (input column, nodes per axis) slots,
         # None for a padded slot
-        assert set(plans) == {((1, 65),), ((0, 17), (1, 33)), ((1, 33), (None, 17)),
-                              ((0, 17), (None, 17)), ((1, 17),), ((1, 17), (0, 17))}
+        assert set(gather_plans(plans)) == {
+            ((1, 65),), ((0, 17), (1, 33)), ((1, 33), (None, 17)),
+            ((0, 17), (None, 17)), ((1, 17),), ((1, 17), (0, 17))}
         assert all(isinstance(plan, list) and len(plan) == -(-len(pts) // block)
-                   for plan in plans.values())
-        seen = dict(plans)
+                   for plan in gather_plans(plans).values())
+        seen = gather_plans(plans)
         for layers in self.stacks(rng):
             funcspace.compose(layers, pts, plans)
-        assert len(plans) == len(seen)
+        assert len(gather_plans(plans)) == len(seen)
         assert all(plans[key] is plan for key, plan in seen.items())
 
     @settings(max_examples=40, deadline=None)
@@ -616,13 +622,70 @@ class TestGatherPlan:
         np.testing.assert_array_equal(funcspace.compose(layers, pts, cache), want)
         slots = [e - 1 for e in active] + [None] * (r - used)
         # layer 0's two plans, each kept as a list of its blocks, and read again
-        assert set(cache) == {tuple(zip(slots, shape)), ((d - 1, 17),)}
+        # by new layer objects (the same ones would get compose's last result)
+        assert set(gather_plans(cache)) == {tuple(zip(slots, shape)), ((d - 1, 17),)}
         assert all(isinstance(plan, list) and len(plan) == -(-n // BLOCK)
-                   for plan in cache.values())
-        plans = dict(cache)
-        np.testing.assert_array_equal(funcspace.compose(layers, pts, cache), want)
-        assert set(cache) == set(plans)
+                   for plan in gather_plans(cache).values())
+        plans = gather_plans(cache)
+        again = [funcspace.LayerFunction(layer.components, layer.in_dim) for layer in layers]
+        np.testing.assert_array_equal(funcspace.compose(again, pts, cache), want)
+        assert set(gather_plans(cache)) == set(plans)
         assert all(cache[key] is plan for key, plan in plans.items())
+
+    def test_same_layers_get_the_last_result(self, monkeypatch):
+        # a cache hit evaluates nothing and hands back the stored array, read-only
+        rng = np.random.default_rng(8)
+        layers = self.stacks(rng)[1]
+        pts = rng.uniform(-1.0, 1.0, (300, 2))
+        cache, calls = {}, []
+        call = funcspace.LayerFunction.__call__
+
+        def counting(self, points, cache=None):
+            calls.append(self)
+            return call(self, points, cache)
+        monkeypatch.setattr(funcspace.LayerFunction, "__call__", counting)
+        first = funcspace.compose(tuple(layers), pts, cache)
+        assert len(calls) == len(layers)
+        for same in (tuple(layers), layers):  # the same layer objects, in a new sequence
+            assert funcspace.compose(same, pts, cache) is first
+        assert len(calls) == len(layers)
+        assert not first.flags.writeable
+        np.testing.assert_array_equal(first, fresh_compose(layers, pts))
+        # without a cache nothing is kept: a new, writeable array every call
+        bare = funcspace.compose(layers, pts)
+        assert bare is not funcspace.compose(layers, pts) and bare.flags.writeable
+
+    def test_other_layers_are_composed_again(self, monkeypatch):
+        # one cache, one point set: every other sequence of layers is evaluated,
+        # and reads the plan the cache already holds
+        rng = np.random.default_rng(9)
+        pts = rng.uniform(-1.0, 1.0, (300, 1))
+        a, b = (funcspace.LayerFunction([(funcspace.GridPath(rng.uniform(-1.0, 1.0, 33)),
+                                          (1,))], 1) for _ in range(2))
+        sequences = [(a,), (b,), (a,), (a, b), (b, a)]
+        wants = [fresh_compose(layers, pts) for layers in sequences]
+        built, plan = [], funcspace._gather_plan
+
+        def planning(pts, key):
+            built.append(key)
+            return plan(pts, key)
+        monkeypatch.setattr(funcspace, "_gather_plan", planning)
+        cache = {}
+        funcspace.compose(sequences[0], pts, cache)
+        plans = gather_plans(cache)
+        for layers, want in zip(sequences[1:], wants[1:]):
+            got = funcspace.compose(layers, pts, cache)
+            np.testing.assert_array_equal(got, want)
+            assert not got.flags.writeable
+        grown = [a]
+        funcspace.compose(grown, pts, cache)
+        grown.append(b)  # the same list, changed in place, is composed again
+        np.testing.assert_array_equal(funcspace.compose(grown, pts, cache), wants[3])
+        # layer 0's plan is found once; layer 1 plans its new points in each of
+        # the three two-layer composes
+        assert built == [((0, 33),)] * 4
+        assert gather_plans(cache) == plans
+        assert all(cache[key] is p for key, p in plans.items())
 
     def test_path_reads_the_plan_it_is_given(self):
         # a plan is the points' cells on the path's grid; the points are only counted

@@ -177,33 +177,62 @@ class TestHolderCeiling:
         assert_same_trace(skipped, forced)
 
 
+# a chain whose error grid is reused: structure moves at d = 2 switch between
+# paths of one shape on input 1 and on input 2
+CHAIN_CASES = [(rates.STATIONARY, 1), (rates.WAVELET, 1), (rates.STATIONARY, 2)]
+
+
+def chain_case(family, d):
+    """data, spec and config of a 150-iteration chain in a depth <= 1 space."""
+    spec = prior.StructurePriorSpec(
+        space=structure.StructureSpace(input_dim=d, max_q=1, max_width=2),
+        profile=rates.RateProfile(family=family), n=200, beta_grid=(1.0,))
+    data = inference.generate_data(prior.sample_prior(spec, 1), n=200, seed=3, input_dim=d)
+    cfg = inference.PosteriorConfig(iterations=150, pcn_step=0.9,
+                                    structure_move_prob=0.3, seed=3)
+    return data, spec, cfg
+
+
 class TestGatherPlan:
-    @pytest.mark.parametrize("family, d", [
-        (rates.STATIONARY, 1), (rates.WAVELET, 1),
-        # structure moves switch between paths of one shape on input 1 and on input 2
-        (rates.STATIONARY, 2)])
+    @pytest.mark.parametrize("family, d", CHAIN_CASES)
     def test_chain_is_the_same_with_the_plan_rebuilt(self, monkeypatch, family, d):
         # the chain keeps the gather plans of its error grid; planning every
         # call afresh gives the same trace, in every field
-        spec = prior.StructurePriorSpec(
-            space=structure.StructureSpace(input_dim=d, max_q=1, max_width=2),
-            profile=rates.RateProfile(family=family), n=200, beta_grid=(1.0,))
-        data = inference.generate_data(prior.sample_prior(spec, 1), n=200, seed=3,
-                                       input_dim=d)
-        cfg = inference.PosteriorConfig(iterations=150, pcn_step=0.9,
-                                        structure_move_prob=0.3, seed=3)
+        data, spec, cfg = chain_case(family, d)
         kept = inference.run_mcmc(data, spec, cfg)
         plan, planned = funcspace.LayerFunction._path_plan, []
 
         def rebuilt(self, j, pts, cache):
-            planned.append(len(pts))
+            if cache is not None:  # compose's cache: only the error grid has one
+                planned.append(len(pts))
             return plan(self, j, pts, {})
         monkeypatch.setattr(funcspace.LayerFunction, "_path_plan", rebuilt)
         fresh = inference.run_mcmc(data, spec, cfg)
-        grid = 101 if d == 1 else 17**d
-        assert planned.count(grid) >= cfg.iterations  # the error grid, once per iteration
+        # the error grid is evaluated once per kept state that ends an iteration:
+        # each accepted move, and the start unless iteration 0 accepts one
+        ends = 1 + int(np.count_nonzero(np.diff(fresh.log_lik)))
+        assert accepted(fresh) <= ends <= 1 + accepted(fresh)
+        assert planned == [101 if d == 1 else 17**d] * ends
         if d == 2:  # at d = 1 one structure holds all the prior's mass
             assert len(set(kept.structure_idx)) > 1
+        assert_same_trace(kept, fresh)
+
+    @pytest.mark.parametrize("family, d", CHAIN_CASES)
+    def test_chain_is_the_same_without_a_cache(self, monkeypatch, family, d):
+        # the chain records l2_error and sup once per kept state, from compose's
+        # last result; composing the error grid afresh every iteration gives the
+        # same trace, in every field
+        data, spec, cfg = chain_case(family, d)
+        kept = inference.run_mcmc(data, spec, cfg)
+        compose, cached = inference.compose, []
+
+        def uncached(layers, points, cache=None):
+            cached.append(cache is not None)
+            return compose(layers, points)
+        monkeypatch.setattr(inference, "compose", uncached)
+        fresh = inference.run_mcmc(data, spec, cfg)
+        assert cached.count(True) == cfg.iterations  # the error grid, every iteration
+        assert 0 < accepted(fresh) < cfg.iterations  # so some iterations keep a state
         assert_same_trace(kept, fresh)
 
 
