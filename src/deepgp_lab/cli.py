@@ -45,14 +45,6 @@ _FIELDS = {
 }
 
 
-# family -> the profile fields its rates read; any other profile field does nothing
-_PROFILE_FIELDS = {
-    rates.WAVELET: {"holder_radius", "besov_radius"},
-    rates.FBM: {"holder_radius", "fbm_small_ball", "fbm_rkhs"},
-    rates.STATIONARY: {"holder_radius", "spectral_c", "spectral_d"},
-}
-
-
 def _field_names(cls, exclude=()):
     return {f.name for f in dataclasses.fields(cls)} - set(exclude)
 
@@ -183,11 +175,12 @@ def _profile(cfg):
                      optional=_field_names(rates.RateProfile, exclude=("family",)))
     profile = rates.RateProfile(family=cfg["family"],
                                 **{k: _real(v, f"profile.{k}") for k, v in kwargs.items()})
-    unread = sorted(set(kwargs) - _PROFILE_FIELDS[profile.family])
+    read = rates.PROFILE_FIELDS[profile.family]
+    unread = sorted(set(kwargs) - read)
     if unread:
         raise ValidationError(
             f"profile fields {unread} do nothing for the {profile.family} family, which "
-            f"reads {sorted(_PROFILE_FIELDS[profile.family])}")
+            f"reads {sorted(read)}")
     return profile
 
 

@@ -6,8 +6,8 @@ Two concrete path representations:
   interpolation in between, gathered from the 2^r corner values around each
   point: each corner is one take from the flat values, at the points' base
   indices plus the corner's offset.  The base indices and corner weights of a
-  point set are its gather plan, found from the points block by block; compose
-  keeps a fixed set's plans, and its last result, in a dict its caller passes.
+  point set are its gather plan, found from the points block by block as it is
+  read; compose keeps only its last result, in a dict its caller passes.
 * WaveletPath — coefficients on a tensorized hierarchical hat (Faber-Schauder)
   system, levels j = 1..J with 2^{jr} basis functions per level, for any r.
   Exact and nested; not orthonormal, which none of the coefficient-level
@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from typing import NamedTuple
 
 import numpy as np
@@ -61,9 +60,6 @@ HOLDER_MAX_BETA = 2.0  # the empirical Holder norm takes derivatives up to order
 # every call, which makes the gather about twice as slow.
 _BLOCK = 8192
 _EPS = float(np.finfo(float).eps)
-# compose's cache entry for the last layers composed on its points; every
-# other key is a tuple of gather-plan slots
-_MEMO = "memo"
 
 
 def _as_points(points, r):
@@ -204,7 +200,7 @@ class GridPath:
         """Values at the points: the multilinear interpolant of the node values.
 
         ``plan``, when given, is the points' gather plan on this path's grid
-        (``_gather_plan``; ``compose`` keeps it for a fixed point set); the
+        (``_gather_plan``, as a layer forms it for its input columns); the
         points are then not read again, only counted.  Each of the 2^r corners
         is one take from the flat values, at the points' base indices read from
         the corner's offset.
@@ -264,32 +260,21 @@ class LayerFunction:
             if len(s) > p.r:
                 raise ValidationError(f"active set {s} larger than path dimension {p.r}")
 
-    def __call__(self, points, cache=None):
-        """The layer's outputs at the points, shape (m, out_dim).
-
-        ``cache``, when given, is ``compose``'s cache for a fixed point set:
-        each path reads its gather plan from it.
-        """
+    def __call__(self, points):
+        """The layer's outputs at the points, shape (m, out_dim)."""
         pts = _as_points(points, self.in_dim)
         out = np.empty((len(pts), self.out_dim))
         for j, (path, _) in enumerate(self.components):
-            out[:, j] = path(pts, self._path_plan(j, pts, cache))
+            out[:, j] = path(pts, self._path_plan(j, pts))
         return _clip(out, -1.0, 1.0)
 
-    def _path_plan(self, j, pts, cache):
-        """Component j's gather plan, on its input columns and on 0 in its padded slots.
-
-        Without a cache it is built block by block as it is read.  In ``cache``
-        it is kept as a list, under its key: the slots' (column, nodes per axis).
-        """
+    def _path_plan(self, j, pts):
+        """Component j's gather plan, on its input columns and on 0 in its padded
+        slots, built block by block as it is read; its key is the slots' (column,
+        nodes per axis)."""
         path, s = self.components[j]
         slots = [e - 1 for e in s] + [None] * (path.r - len(s))
-        key = tuple(zip(slots, path.values.shape))
-        if cache is None:
-            return _gather_plan(pts, key)
-        if key not in cache:
-            cache[key] = list(_gather_plan(pts, key))
-        return cache[key]
+        return _gather_plan(pts, tuple(zip(slots, path.values.shape)))
 
 
 def grid_points(r, m):
@@ -441,31 +426,29 @@ def compose(layers, points, cache=None):
     """Evaluate h_q o ... o h_0 at the given points; returns a vector.
 
     ``cache`` is an optional dict that the caller keeps for one fixed point
-    set and passes on every call with those points.  It holds layer 0's gather
-    plans of the points as lists, one per key of (input column, nodes per axis)
-    slots (LayerFunction._path_plan), filled on first use, so later calls
-    neither recompute nor copy them.  Later layers see new points on every call
-    and are not cached.  Under _MEMO it also holds the last layers composed on
-    the points, as a tuple (so no layer's id can be reused), and their result,
-    read-only: a call with the same layer objects, in the same order, returns
+    set and passes on every call with those points.  It keeps only the last
+    result: one entry, keyed by the last layers composed on the points as a
+    tuple (a layer compares and hashes by identity, and the stored tuple keeps
+    each one alive, so no id can be reused), whose value is their result,
+    read-only.  A call with the same layer objects, in the same order, returns
     that array and evaluates nothing.  A chain composes its error grid every
     iteration but changes its layers only on an accepted move.
     """
-    if cache is not None and _MEMO in cache:
-        last, fv = cache[_MEMO]
-        if len(last) == len(layers) and all(map(operator.is_, last, layers)):
-            return fv
+    key = tuple(layers)
+    if cache is not None and key in cache:
+        return cache[key]
     pts = _as_points(points, layers[0].in_dim)
     for i, layer in enumerate(layers):
         if pts.shape[1] != layer.in_dim:
             raise ValidationError(f"layer {i} expects {layer.in_dim} inputs, got {pts.shape[1]}")
-        pts = layer(pts, cache if i == 0 else None)
+        pts = layer(pts)
     if pts.shape[1] != 1:
         raise ValidationError("final layer must have a single output")
     fv = pts[:, 0]
     if cache is not None:
         fv.flags.writeable = False
-        cache[_MEMO] = tuple(layers), fv
+        cache.clear()
+        cache[key] = fv
     return fv
 
 
@@ -514,7 +497,7 @@ def design_statistics(layer, points, Y):
     corners = 2**path.r
     left, right = np.triu_indices(corners)
     b, G = np.zeros((corners, size)), np.zeros((len(left), size))
-    for block, base, weighted in layer._path_plan(0, pts, None):
+    for block, base, weighted in layer._path_plan(0, pts):
         offsets, w = zip(*((o, math.prod(ws)) for o, ws in weighted))
         for c in range(corners):
             b[c] += np.bincount(base, w[c] * Y[block], minlength=size)

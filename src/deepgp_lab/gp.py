@@ -31,6 +31,7 @@ __all__ = [
     "sample_conditioned",
     "acceptance_lower_bound",
     "besov_radius",
+    "K_PRIME",
     "fbm_covariance",
     "scaling_a",
 ]
@@ -236,6 +237,9 @@ def sample_conditioned(spec: GpSpec, K: float, rng, max_attempts: int = 1000):
         f"conditioning too tight: no acceptance in {max_attempts} attempts into sup <= 1 "
         f"and {norm} norm <= K = {K:.4g} on the {value_grid(spec)}^{spec.r} grid "
         "its values live on")
+
+
+K_PRIME = 2.0  # K' of the wavelet family's Besov conditioning radius
 
 
 def besov_radius(k_prime: float) -> float:

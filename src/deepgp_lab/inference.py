@@ -9,9 +9,9 @@ conditioned prior exactly) and a structure move drawn from the prior
 likelihood ratio accepts either; PosteriorTrace.moves tallies the outcomes.
 
 Each iteration records the state's error on a fixed grid.  A new state is kept
-only on an accepted move, so compose's cache hands back its last array and the
-record is computed once per kept state; the compose call stays in every
-iteration, since perfbench counts iterations by it.
+only on an accepted move, and compose keeps only its last result, so it hands
+back that array and the record is computed once per kept state; the compose
+call stays in every iteration, since perfbench counts iterations by it.
 """
 
 from __future__ import annotations
@@ -167,9 +167,10 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
     kept state (the start and each accepted move) is a _Chain: its layer and, for
     a wavelet node, its Besov norm are built then, once.  Each iteration ends by
     composing the layer on the error grid, a direct call that perfbench
-    (layers.py::_iterations) reads as the iteration boundary.  compose's cache
-    returns its last array for the same layers, so l2_error and sup are computed
-    once per kept state: a rejected or left-set move evaluates nothing there."""
+    (layers.py::_iterations) reads as the iteration boundary.  compose keeps only
+    its last result and returns it for the same layers, so l2_error and sup are
+    computed once per kept state: a rejected or left-set move evaluates nothing
+    there."""
     weighted, cum = _structure_table(spec)
     structures = [eta for eta, _ in weighted]
     rng = rng_for(config.seed, (12,))
@@ -180,8 +181,8 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
         m for m in range(1, 18) if m**d <= 17**3))
     eval_w = np.full(len(eval_pts), 1.0 / len(eval_pts))
     truth_eval = np.asarray(data.f_star(eval_pts), dtype=float)
-    # the error grid's gather plans, found once per chain (compose's cache); the
-    # design is composed once per structure, so its plans are not kept
+    # compose's last result on the error grid, which it returns until the chain
+    # keeps a new state; the design is composed once per structure, with no dict
     eval_cache = {}
     stats = {}  # structure index -> the design statistics of its layer
 

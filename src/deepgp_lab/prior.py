@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConditioningError, ValidationError
 from .funcspace import HOLDER_MAX_BETA, LayerFunction, compose
-from .gp import GpSpec, besov_radius, rng_for, sample_conditioned
+from .gp import K_PRIME, GpSpec, besov_radius, rng_for, sample_conditioned
 from .rates import (WAVELET, LogWeight, RateProfile, alpha_exponents, check_finite, eps_alpha,
                     eps_structure, penalty_bound)
 from .structure import (PENALTY_HORIZON, CompositionStructure, StructureSpace,
@@ -40,7 +40,6 @@ _KEY_PATHS = 1
 
 _DEPTH_DECAY = 0.5  # gamma(q): geometric on 0..max_q
 _WIDTH_DECAY = 0.5  # gamma(d_i | q): geometric on 1..max_width
-_K_PRIME = 2.0  # K' of the wavelet family's Besov conditioning radius
 
 
 @dataclass(frozen=True)
@@ -210,7 +209,7 @@ def conditioning_limit(gp_spec: GpSpec, profile: RateProfile, alpha: float = 1.0
     """
     beta = gp_spec.beta
     if gp_spec.family == WAVELET:
-        return besov_radius(_K_PRIME)
+        return besov_radius(K_PRIME)
     if beta > HOLDER_MAX_BETA:
         raise ValidationError(
             f"beta = {beta}: a conditioned {gp_spec.family} path needs beta <= "

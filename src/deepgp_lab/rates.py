@@ -39,6 +39,7 @@ __all__ = [
     "FBM",
     "STATIONARY",
     "FAMILIES",
+    "PROFILE_FIELDS",
 ]
 
 WAVELET = "wavelet"
@@ -114,6 +115,15 @@ class RateProfile:
         # The fBM solution holds for all alpha with the same constant (and c2' = 0).
         c1 = c1p if self.family == FBM else c1p**2 * (2 * beta + 1) ** (2 * c2p)
         return max(c1, floor_const), c2p * (2 * beta + 2)
+
+
+# family -> the RateProfile fields its constants read (base_constants, _wavelet_scale,
+# and entropy_constant_Q1's K); any other profile field does nothing for the family
+PROFILE_FIELDS = {
+    WAVELET: {"holder_radius", "besov_radius"},
+    FBM: {"holder_radius", "fbm_small_ball", "fbm_rkhs"},
+    STATIONARY: {"holder_radius", "spectral_c", "spectral_d"},
+}
 
 
 def check_beta(family: str, beta: float) -> None:

@@ -85,7 +85,7 @@ def check_floor(trials=200, seed=13):
 def check_besov_acceptance(draws=2000, seed=5):
     spec = gp.GpSpec(family=rates.WAVELET, beta=1.0, r=1, n=10**4)
     thr = prior.conditioning_limit(spec, RateProfile(family=rates.WAVELET))
-    bound = gp.acceptance_lower_bound(prior._K_PRIME, spec.r)
+    bound = gp.acceptance_lower_bound(gp.K_PRIME, spec.r)
     hits = 0
     for k in range(draws):
         p = gp.sample_path(spec, gp.rng_for(seed, (k,)))

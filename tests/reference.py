@@ -4,14 +4,17 @@ pytest does not collect this module (its name does not start with ``test_``);
 test modules import it by name.  It holds the brute-force covering-number
 oracle behind acceptance criterion 4, the likelihood-ratio and KL / V2 /
 Hellinger quadrature behind criterion 6, the sample-size substitution that the
-alpha-level rate solutions are tested against, and the reader of a serialized
-path.
+alpha-level rate solutions are tested against, the reader of a serialized
+path, and the readers of a generator's stream and of sample_conditioned's
+attempt blocks.
 """
 
+import json
 import math
 
 import numpy as np
 
+from deepgp_lab import gp
 from deepgp_lab.errors import NumericError, ValidationError
 from deepgp_lab.funcspace import GridPath, WaveletPath
 from deepgp_lab.rates import RateProfile, eps_alpha
@@ -169,3 +172,20 @@ def path_from_dict(d: dict):
             raise ValidationError("values shape does not match axes")
         return GridPath(values)
     raise ValidationError(f"unknown path type {d['type']!r}")
+
+
+# ---------------------------------------------------------------------------
+# Generator streams
+
+
+def stream(rng):
+    """A generator's bit_generator.state, in a form == compares."""
+    return json.dumps(rng.bit_generator.state, default=lambda a: a.tolist(), sort_keys=True)
+
+
+def block_end(attempt):
+    """The last attempt of the block of sample_conditioned's that holds attempt."""
+    end, block = 0, 1
+    while end < attempt:
+        end, block = end + block, min(2 * block, gp._BLOCK_CAP)
+    return end

@@ -800,8 +800,8 @@ def test_all_names_are_read():
 
 
 def test_profile_fields_are_each_read_by_some_family():
-    read = set().union(*cli._PROFILE_FIELDS.values())
-    assert sorted(cli._PROFILE_FIELDS) == sorted(rates.FAMILIES)
+    read = set().union(*rates.PROFILE_FIELDS.values())
+    assert sorted(rates.PROFILE_FIELDS) == sorted(rates.FAMILIES)
     assert read == cli._field_names(rates.RateProfile, exclude=("family",))
 
 

@@ -526,8 +526,8 @@ class TestCompose:
 
 
 def fresh_compose(layers, pts):
-    """The reference for compose's caches: each path gathers from its own points,
-    with cells and a plan found for this call only."""
+    """The reference for compose: each path gathers from its own points, with
+    cells and a plan found for this call only."""
     for layer in layers:
         cols = []
         for path, s in layer.components:
@@ -538,16 +538,11 @@ def fresh_compose(layers, pts):
     return pts[:, 0]
 
 
-def gather_plans(cache):
-    """compose's cache without its memo of the last result: the gather plans alone."""
-    return {key: plan for key, plan in cache.items() if key != funcspace._MEMO}
-
-
 class TestGatherPlan:
-    # compose keeps layer 0's gather plans of one point set in the caller's
-    # dict, one list per key of (input column, nodes per axis) slots, whatever
-    # the number of blocks; layer 0 must read from them the bits that each path
-    # computes from its own points
+    # each path of a layer gathers through a plan of its (input column, nodes
+    # per axis) slots, whatever the number of blocks; it must read from it the
+    # bits that the path computes from its own points.  compose keeps only its
+    # last result in the caller's dict
 
     def stacks(self, rng):
         def grid(*shape):
@@ -567,35 +562,21 @@ class TestGatherPlan:
              layer([(grid(33), (1,))], 1)],
         ]
 
-    @pytest.mark.parametrize("block", [7, 467])  # 467 points in 67 blocks, or in one
-    def test_cached_plans_give_the_same_bits(self, monkeypatch, block):
+    @pytest.mark.parametrize("block", [7, 467])  # 500 points in 72 blocks, or in 2
+    def test_layer_plans_give_the_same_bits(self, monkeypatch, block):
         monkeypatch.setattr(funcspace, "_BLOCK", block)
         rng = np.random.default_rng(5)
         axis = np.linspace(-1.0, 1.0, 33)
         vals = np.concatenate([axis, np.nextafter(axis, 2.0), rng.uniform(-1.2, 1.2, 401)])
         pts = np.column_stack([rng.permutation(vals)[:500] for _ in range(2)])
-        plans = {}
-        for _ in range(2):
-            for layers in self.stacks(rng):
-                want = fresh_compose(layers, pts)
-                np.testing.assert_array_equal(funcspace.compose(layers, pts, plans), want)
-                np.testing.assert_array_equal(funcspace.compose(layers, pts), want)
-        # one list per key of layer 0's (input column, nodes per axis) slots,
-        # None for a padded slot
-        assert set(gather_plans(plans)) == {
-            ((1, 65),), ((0, 17), (1, 33)), ((1, 33), (None, 17)),
-            ((0, 17), (None, 17)), ((1, 17),), ((1, 17), (0, 17))}
-        assert all(isinstance(plan, list) and len(plan) == -(-len(pts) // block)
-                   for plan in gather_plans(plans).values())
-        seen = gather_plans(plans)
         for layers in self.stacks(rng):
-            funcspace.compose(layers, pts, plans)
-        assert len(gather_plans(plans)) == len(seen)
-        assert all(plans[key] is plan for key, plan in seen.items())
+            want = fresh_compose(layers, pts)
+            np.testing.assert_array_equal(funcspace.compose(layers, pts, {}), want)
+            np.testing.assert_array_equal(funcspace.compose(layers, pts), want)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_cached_plan_equals_a_fresh_gather(self, data):
+    def test_layer_plan_equals_a_fresh_gather(self, data):
         r = data.draw(st.integers(1, 3), label="r")
         n = data.draw(st.sampled_from([1, 40, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]),
                       label="n")
@@ -617,32 +598,20 @@ class TestGatherPlan:
                        (funcspace.GridPath(rng.uniform(-1.0, 1.0, 17)), (d,))], d),
                   funcspace.LayerFunction(
                       [(funcspace.GridPath(rng.uniform(-1.0, 1.0, (9, 9))), (2, 1))], 2)]
-        want = fresh_compose(layers, pts)
-        cache = {}
-        np.testing.assert_array_equal(funcspace.compose(layers, pts, cache), want)
-        slots = [e - 1 for e in active] + [None] * (r - used)
-        # layer 0's two plans, each kept as a list of its blocks, and read again
-        # by new layer objects (the same ones would get compose's last result)
-        assert set(gather_plans(cache)) == {tuple(zip(slots, shape)), ((d - 1, 17),)}
-        assert all(isinstance(plan, list) and len(plan) == -(-n // BLOCK)
-                   for plan in gather_plans(cache).values())
-        plans = gather_plans(cache)
-        again = [funcspace.LayerFunction(layer.components, layer.in_dim) for layer in layers]
-        np.testing.assert_array_equal(funcspace.compose(again, pts, cache), want)
-        assert set(gather_plans(cache)) == set(plans)
-        assert all(cache[key] is plan for key, plan in plans.items())
+        np.testing.assert_array_equal(funcspace.compose(layers, pts), fresh_compose(layers, pts))
 
     def test_same_layers_get_the_last_result(self, monkeypatch):
-        # a cache hit evaluates nothing and hands back the stored array, read-only
+        # a call with the same layers evaluates nothing and hands back the
+        # stored array, read-only: the dict's one entry
         rng = np.random.default_rng(8)
         layers = self.stacks(rng)[1]
         pts = rng.uniform(-1.0, 1.0, (300, 2))
         cache, calls = {}, []
         call = funcspace.LayerFunction.__call__
 
-        def counting(self, points, cache=None):
+        def counting(self, points):
             calls.append(self)
-            return call(self, points, cache)
+            return call(self, points)
         monkeypatch.setattr(funcspace.LayerFunction, "__call__", counting)
         first = funcspace.compose(tuple(layers), pts, cache)
         assert len(calls) == len(layers)
@@ -650,14 +619,15 @@ class TestGatherPlan:
             assert funcspace.compose(same, pts, cache) is first
         assert len(calls) == len(layers)
         assert not first.flags.writeable
+        assert list(cache.values()) == [first]
         np.testing.assert_array_equal(first, fresh_compose(layers, pts))
         # without a cache nothing is kept: a new, writeable array every call
         bare = funcspace.compose(layers, pts)
         assert bare is not funcspace.compose(layers, pts) and bare.flags.writeable
 
     def test_other_layers_are_composed_again(self, monkeypatch):
-        # one cache, one point set: every other sequence of layers is evaluated,
-        # and reads the plan the cache already holds
+        # one dict, one point set: every other sequence of layers is evaluated,
+        # planning its gathers afresh, and its result replaces the dict's entry
         rng = np.random.default_rng(9)
         pts = rng.uniform(-1.0, 1.0, (300, 1))
         a, b = (funcspace.LayerFunction([(funcspace.GridPath(rng.uniform(-1.0, 1.0, 33)),
@@ -671,21 +641,18 @@ class TestGatherPlan:
             return plan(pts, key)
         monkeypatch.setattr(funcspace, "_gather_plan", planning)
         cache = {}
-        funcspace.compose(sequences[0], pts, cache)
-        plans = gather_plans(cache)
-        for layers, want in zip(sequences[1:], wants[1:]):
+        for layers, want in zip(sequences, wants):
             got = funcspace.compose(layers, pts, cache)
             np.testing.assert_array_equal(got, want)
             assert not got.flags.writeable
+            assert list(cache.items()) == [(layers, got)]
         grown = [a]
         funcspace.compose(grown, pts, cache)
         grown.append(b)  # the same list, changed in place, is composed again
         np.testing.assert_array_equal(funcspace.compose(grown, pts, cache), wants[3])
-        # layer 0's plan is found once; layer 1 plans its new points in each of
-        # the three two-layer composes
-        assert built == [((0, 33),)] * 4
-        assert gather_plans(cache) == plans
-        assert all(cache[key] is p for key, p in plans.items())
+        assert len(cache) == 1
+        # one plan per layer of each of the seven composes: 4 one-layer, 3 two-layer
+        assert built == [((0, 33),)] * 10
 
     def test_path_reads_the_plan_it_is_given(self):
         # a plan is the points' cells on the path's grid; the points are only counted

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -7,6 +6,7 @@ from scipy import stats
 
 from deepgp_lab import funcspace, gp, prior, rates
 from deepgp_lab.errors import ConditioningError, ValidationError
+from reference import block_end, stream
 
 
 def wspec(**kw):
@@ -265,19 +265,6 @@ class Rows:
         count = shape[0]
         self.read += count
         return self.rows[self.read - count:self.read]
-
-
-def stream(rng):
-    """A generator's bit_generator.state, in a form == compares."""
-    return json.dumps(rng.bit_generator.state, default=lambda a: a.tolist(), sort_keys=True)
-
-
-def block_end(attempt):
-    """The last attempt of the block of sample_conditioned's that holds attempt."""
-    end, block = 0, 1
-    while end < attempt:
-        end, block = end + block, min(2 * block, gp._BLOCK_CAP)
-    return end
 
 
 NODE_LAWS = [(rates.STATIONARY, 1.0, 1, 500), (rates.STATIONARY, 1.0, 2, 200),

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -8,7 +7,7 @@ from scipy import stats
 
 from deepgp_lab import funcspace, gp, inference, prior, rates, structure
 from deepgp_lab.errors import ConditioningError, ValidationError
-from reference import kl_v2_hellinger, log_likelihood_ratio
+from reference import block_end, kl_v2_hellinger, log_likelihood_ratio, stream
 
 
 def q0_spec(n=200, **kw):
@@ -25,19 +24,6 @@ def q0_spec(n=200, **kw):
 def uniform_quad(m=401):
     pts = np.linspace(-1, 1, m)[:, None]
     return pts, np.full(m, 1.0 / m)
-
-
-def stream(rng):
-    """A generator's bit_generator.state, in a form == compares."""
-    return json.dumps(rng.bit_generator.state, default=lambda a: a.tolist(), sort_keys=True)
-
-
-def block_end(attempt):
-    """The last attempt of the block of sample_conditioned's that holds attempt."""
-    end, block = 0, 1
-    while end < attempt:
-        end, block = end + block, min(2 * block, gp._BLOCK_CAP)
-    return end
 
 
 def per_attempt_node(eta, spec, rng, max_attempts=1000):
@@ -195,35 +181,26 @@ def chain_case(family, d):
 
 class TestGatherPlan:
     @pytest.mark.parametrize("family, d", CHAIN_CASES)
-    def test_chain_is_the_same_with_the_plan_rebuilt(self, monkeypatch, family, d):
-        # the chain keeps the gather plans of its error grid; planning every
-        # call afresh gives the same trace, in every field
-        data, spec, cfg = chain_case(family, d)
-        kept = inference.run_mcmc(data, spec, cfg)
-        plan, planned = funcspace.LayerFunction._path_plan, []
-
-        def rebuilt(self, j, pts, cache):
-            if cache is not None:  # compose's cache: only the error grid has one
-                planned.append(len(pts))
-            return plan(self, j, pts, {})
-        monkeypatch.setattr(funcspace.LayerFunction, "_path_plan", rebuilt)
-        fresh = inference.run_mcmc(data, spec, cfg)
-        # the error grid is evaluated once per kept state that ends an iteration:
-        # each accepted move, and the start unless iteration 0 accepts one
-        ends = 1 + int(np.count_nonzero(np.diff(fresh.log_lik)))
-        assert accepted(fresh) <= ends <= 1 + accepted(fresh)
-        assert planned == [101 if d == 1 else 17**d] * ends
-        if d == 2:  # at d = 1 one structure holds all the prior's mass
-            assert len(set(kept.structure_idx)) > 1
-        assert_same_trace(kept, fresh)
-
-    @pytest.mark.parametrize("family, d", CHAIN_CASES)
     def test_chain_is_the_same_without_a_cache(self, monkeypatch, family, d):
         # the chain records l2_error and sup once per kept state, from compose's
         # last result; composing the error grid afresh every iteration gives the
         # same trace, in every field
         data, spec, cfg = chain_case(family, d)
+        call, evaluated = funcspace.LayerFunction.__call__, []
+
+        def counting(self, points):
+            evaluated.append(len(points))
+            return call(self, points)
+        monkeypatch.setattr(funcspace.LayerFunction, "__call__", counting)
         kept = inference.run_mcmc(data, spec, cfg)
+        # the error grid is evaluated once per kept state that ends an iteration:
+        # each accepted move, and the start unless iteration 0 accepts one; the
+        # one-layer truth is evaluated on it once more
+        ends = 1 + int(np.count_nonzero(np.diff(kept.log_lik)))
+        assert accepted(kept) <= ends <= 1 + accepted(kept)
+        assert evaluated.count(101 if d == 1 else 17**d) == 1 + ends
+        if d == 2:  # at d = 1 one structure holds all the prior's mass
+            assert len(set(kept.structure_idx)) > 1
         compose, cached = inference.compose, []
 
         def uncached(layers, points, cache=None):
@@ -596,8 +573,8 @@ class TestLikelihood:
         assert len(set(trace.structure_idx)) == 2  # the chain moved between the two
 
     def test_only_the_error_grid_is_composed_with_a_cache(self, monkeypatch):
-        # the design is composed once per structure, so its gather plans are not
-        # kept; the error grid's are, in one dict for the whole chain
+        # the design is composed once per structure, with no dict; the error
+        # grid in one dict for the whole chain, which holds its last result alone
         spec = q0_spec(space=structure.StructureSpace(input_dim=2, max_q=0, max_width=1))
         data = inference.generate_data(lambda x: 0.5 * x[:, 0], n=200, seed=0, input_dim=2)
         compose, design, grid = inference.compose, [], []
@@ -612,6 +589,7 @@ class TestLikelihood:
         assert design and all(cache is None for cache in design)
         assert len(grid) == cfg.iterations and isinstance(grid[0], dict)
         assert all(cache is grid[0] for cache in grid)
+        assert len(grid[0]) == 1
 
 
 class TestModelMass:

@@ -8,7 +8,8 @@ run from it and from this checkout's working tree, each at CLI seeds 5, 7 and
 a ``prior`` on three inputs whose weights list depth-1 structures and betas
 with no exact binary form, a ``prior`` on five inputs whose size term is
 e^{e^6}, a 1-D ``prior`` with wide beta bounds whose rate term is about
-1e27, a 2-D ``fit`` whose chain switches structure, a conditioned ``fbm``
+1e27, a 2-D ``fit`` whose chain switches structure, a 3-D wavelet ``fit``
+whose error grid has 17^3 points, a conditioned ``fbm``
 ``sample``, an unconditioned ``stationary`` ``sample`` on two variables, one
 ``diagnose``, the README's ``rates``, conditioned wavelet ``sample`` and
 posterior (``fit`` with a zero truth) examples and ``verify --suite all``.
@@ -84,6 +85,14 @@ def jobs():
             "space": {"input_dim": 2, "max_q": 0, "max_width": 1, "beta_bounds": [0.5, 1.0]},
             "beta_grid": [1.0], "truth": {"type": "prior_draw"},
             "posterior": {"iterations": 300, "pcn_step": 0.98, "structure_move_prob": 0.3,
+                          "burn_in": 0.5}}),
+        # a 17^3 error grid; the three one-input structures share the prior's
+        # mass, and at seeds 5, 7 and 12004 the chain visits 2 or 3 of them
+        "fit-wavelet-d3": ("fit", {
+            "schema_version": 1, "family": "wavelet", "n": 400,
+            "space": {"input_dim": 3, "max_q": 0, "max_width": 1, "beta_bounds": [0.5, 1.0]},
+            "beta_grid": [1.0], "truth": {"type": "prior_draw"},
+            "posterior": {"iterations": 100, "pcn_step": 0.98, "structure_move_prob": 0.3,
                           "burn_in": 0.5}}),
         "diagnose-stationary": ("diagnose", {
             "schema_version": 1, "family": "stationary", "n": 400, "space": space,
