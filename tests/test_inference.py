@@ -181,26 +181,48 @@ def chain_case(family, d):
 
 class TestGatherPlan:
     @pytest.mark.parametrize("family, d", CHAIN_CASES)
+    def test_chain_is_the_same_with_the_plan_rebuilt(self, monkeypatch, family, d):
+        # a layer plans its gathers afresh on every call, and the chain reads the
+        # error grid from compose's last result, so the grid is planned once per
+        # kept state; dropping that result before every call, so that the grid is
+        # planned and composed again every iteration, gives the same trace
+        data, spec, cfg = chain_case(family, d)
+        grid = 101 if d == 1 else 17**d
+        plan, planned = funcspace.LayerFunction._path_plan, []
+
+        def counting(self, j, pts):
+            planned.append(len(pts))
+            return plan(self, j, pts)
+        monkeypatch.setattr(funcspace.LayerFunction, "_path_plan", counting)
+        kept = inference.run_mcmc(data, spec, cfg)
+        # the error grid is planned once per kept state that ends an iteration:
+        # each accepted move, and the start unless iteration 0 accepts one; the
+        # one-layer truth is planned on it once more
+        ends = 1 + int(np.count_nonzero(np.diff(kept.log_lik)))
+        assert accepted(kept) <= ends <= 1 + accepted(kept)
+        assert planned.count(grid) == 1 + ends
+        if d == 2:  # at d = 1 one structure holds all the prior's mass
+            assert len(set(kept.structure_idx)) > 1
+        compose = inference.compose
+
+        def rebuilt(layers, points, cache=None):
+            if cache is not None:
+                cache.clear()
+            return compose(layers, points, cache)
+        monkeypatch.setattr(inference, "compose", rebuilt)
+        planned.clear()
+        fresh = inference.run_mcmc(data, spec, cfg)
+        assert planned.count(grid) == 1 + cfg.iterations
+        assert ends < cfg.iterations  # so some iterations keep a state
+        assert_same_trace(kept, fresh)
+
+    @pytest.mark.parametrize("family, d", CHAIN_CASES)
     def test_chain_is_the_same_without_a_cache(self, monkeypatch, family, d):
         # the chain records l2_error and sup once per kept state, from compose's
         # last result; composing the error grid afresh every iteration gives the
         # same trace, in every field
         data, spec, cfg = chain_case(family, d)
-        call, evaluated = funcspace.LayerFunction.__call__, []
-
-        def counting(self, points):
-            evaluated.append(len(points))
-            return call(self, points)
-        monkeypatch.setattr(funcspace.LayerFunction, "__call__", counting)
         kept = inference.run_mcmc(data, spec, cfg)
-        # the error grid is evaluated once per kept state that ends an iteration:
-        # each accepted move, and the start unless iteration 0 accepts one; the
-        # one-layer truth is evaluated on it once more
-        ends = 1 + int(np.count_nonzero(np.diff(kept.log_lik)))
-        assert accepted(kept) <= ends <= 1 + accepted(kept)
-        assert evaluated.count(101 if d == 1 else 17**d) == 1 + ends
-        if d == 2:  # at d = 1 one structure holds all the prior's mass
-            assert len(set(kept.structure_idx)) > 1
         compose, cached = inference.compose, []
 
         def uncached(layers, points, cache=None):
