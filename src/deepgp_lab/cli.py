@@ -20,6 +20,7 @@ import time
 
 import numpy as np
 
+# eager: perfbench/tracer.py rebinds names only in modules that importing cli loads
 from . import __version__, funcspace, gp, inference, prior, rates, structure
 from .errors import DeepGpError, ValidationError
 
@@ -403,8 +404,14 @@ def _check_out(out):
         raise ValidationError(f"--out {out!r}: {path!r} exists and is not a directory")
 
 
+def _usage_error(message):
+    """argparse's error hook: a usage error is a validation error (exit 1, one JSON line)."""
+    raise ValidationError(message)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="deepgp-lab")
+    parser.error = _usage_error
     parser.add_argument("command",
                         choices=["rates", "sample", "prior", "fit", "diagnose",
                                  "verify"])
@@ -412,9 +419,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=".")
     parser.add_argument("--suite", default=None)
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         _seed(args.seed, "--seed")
         _check_out(args.out)
         unused = "config" if args.command == "verify" else "suite"

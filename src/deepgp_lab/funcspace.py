@@ -71,12 +71,6 @@ def _as_points(points, r):
     return pts
 
 
-def _clip(x, lo, hi):
-    """np.clip(x, lo, hi, out=x), the same bits, without np.clip's Python-level layers."""
-    np.maximum(x, lo, out=x)
-    return np.minimum(x, hi, out=x)
-
-
 @functools.lru_cache(maxsize=64)
 def _knot_bracket(j, m):
     """The two level-j hats that can be nonzero at each node i of the knot axis
@@ -89,7 +83,7 @@ def _knot_bracket(j, m):
     """
     s = (m - 1) // 2 ** (j + 1)
     i = np.arange(m)
-    left = _clip((i - s) // (2 * s), 0, 2**j - 2)
+    left = np.clip((i - s) // (2 * s), 0, 2**j - 2)
     pairs = tuple((k, np.maximum(0.0, 1.0 - np.abs(i - (2 * k + 1) * s) / (2 * s)))
                   for k in (left, left + 1))
     for a in itertools.chain.from_iterable(pairs):
@@ -134,7 +128,7 @@ def _cells(x, m):
     """
     a = _axis(m)
     last = m - 2
-    i = _clip(((x + 1.0) * ((m - 1) / 2.0)).astype(np.intp), 0, last)
+    i = np.clip(((x + 1.0) * ((m - 1) / 2.0)).astype(np.intp), 0, last)
     i -= x < a[i]
     i += (x >= a[i + 1]) & (i < last)
     return i, (x - a[i]) / (a[i + 1] - a[i])
@@ -159,20 +153,16 @@ def _corners(shape, cells):
                   for offsets, weights in (zip(*c) for c in itertools.product(*brackets))]
 
 
-def _gather_plan(pts, key):
-    """The gather plan of the points pts on a grid path whose slots are ``key``:
-    per slot, (input column, or None for a slot pinned to 0; nodes per axis).
-
-    Per block of _BLOCK points, (block, base indices, corners) as _corners finds
-    them from the block's cells on each axis, built as it is read.
-    """
-    shape = tuple(m for _, m in key)
+def _gather_plan(pts, shape):
+    """The gather plan of the points pts on a grid of this shape, column k on axis k:
+    per block of _BLOCK points, (block, base indices, corners) as _corners finds
+    them from the block's cells, built as it is read.  Each column is clipped onto
+    [-1, 1] into a new array, never in place: pts can be the caller's design."""
     for start in range(0, len(pts), _BLOCK):
         block = slice(start, start + _BLOCK)
         rows = pts[block]
-        coords = (np.zeros(len(rows)) if col is None else _clip(rows[:, col].copy(), -1.0, 1.0)
-                  for col, _ in key)
-        yield (block, *_corners(shape, [_cells(x, m) for x, (_, m) in zip(coords, key)]))
+        yield (block, *_corners(shape, [_cells(np.clip(rows[:, k], -1.0, 1.0), m)
+                                         for k, m in enumerate(shape)]))
 
 
 class GridPath:
@@ -196,21 +186,16 @@ class GridPath:
         """The nodes on each axis, linspace(-1, 1, m_k), shared and read-only."""
         return tuple(_axis(m) for m in self.values.shape)
 
-    def __call__(self, points, plan=None):
+    def __call__(self, points):
         """Values at the points: the multilinear interpolant of the node values.
 
-        ``plan``, when given, is the points' gather plan on this path's grid
-        (``_gather_plan``, as a layer forms it for its input columns); the
-        points are then not read again, only counted.  Each of the 2^r corners
-        is one take from the flat values, at the points' base indices read from
-        the corner's offset.
+        Each of the 2^r corners is one take from the flat values, at the points'
+        base indices read from the corner's offset.
         """
-        if plan is None:
-            points = _as_points(points, self.r)
-            plan = _gather_plan(points, tuple(enumerate(self.values.shape)))
+        points = _as_points(points, self.r)
         flat = self.values.ravel()
         out = np.empty(len(points))
-        for block, base, corners in plan:
+        for block, base, corners in _gather_plan(points, self.values.shape):
             total = out[block]
             total[:] = 0.0  # the sum starts at +0.0: a first term of -0.0 gives 0.0
             for offset, weights in corners:
@@ -265,16 +250,19 @@ class LayerFunction:
         pts = _as_points(points, self.in_dim)
         out = np.empty((len(pts), self.out_dim))
         for j, (path, _) in enumerate(self.components):
-            out[:, j] = path(pts, self._path_plan(j, pts))
-        return _clip(out, -1.0, 1.0)
+            out[:, j] = path(self._inputs(j, pts))
+        return np.clip(out, -1.0, 1.0, out=out)
 
-    def _path_plan(self, j, pts):
-        """Component j's gather plan, on its input columns and on 0 in its padded
-        slots, built block by block as it is read; its key is the slots' (column,
-        nodes per axis)."""
+    def _inputs(self, j, pts):
+        """Component j's points: its active columns of pts in the order it lists
+        them, then 0 in each padded slot; when that is every column in order, pts
+        itself, since a copy of a fit's design would add to its peak memory."""
         path, s = self.components[j]
-        slots = [e - 1 for e in s] + [None] * (path.r - len(s))
-        return _gather_plan(pts, tuple(zip(slots, path.values.shape)))
+        if path.r == self.in_dim and s == tuple(range(1, path.r + 1)):
+            return pts
+        cols = np.zeros((len(pts), path.r))
+        cols[:, :len(s)] = pts[:, [e - 1 for e in s]]
+        return cols
 
 
 def grid_points(r, m):
@@ -497,7 +485,7 @@ def design_statistics(layer, points, Y):
     corners = 2**path.r
     left, right = np.triu_indices(corners)
     b, G = np.zeros((corners, size)), np.zeros((len(left), size))
-    for block, base, weighted in layer._path_plan(0, pts):
+    for block, base, weighted in _gather_plan(layer._inputs(0, pts), path.values.shape):
         offsets, w = zip(*((o, math.prod(ws)) for o, ws in weighted))
         for c in range(corners):
             b[c] += np.bincount(base, w[c] * Y[block], minlength=size)

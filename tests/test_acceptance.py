@@ -32,6 +32,16 @@ def test_criterion_01_besov_acceptance_bound():
     _report(1, "besov acceptance bound", ok, detail, t0)
 
 
+def test_criterion_01_fails_when_the_radius_shrinks(monkeypatch):
+    # a Besov ball of 0.3 times the prior's radius holds far fewer draws than
+    # the acceptance bound promises for the full one
+    real = prior.conditioning_limit
+    monkeypatch.setattr(prior, "conditioning_limit", lambda *args: 0.3 * real(*args))
+    name, ok, detail = verify.check_besov_acceptance(draws=2000, seed=5)
+    assert not ok
+    assert detail == "empirical 0.0865 vs bound 0.6667"
+
+
 def test_criterion_02_redundancy_rate_equality():
     t0 = time.perf_counter()
     name, ok, detail = verify.check_redundancy_rates(trials=200, seed=7)
@@ -39,11 +49,40 @@ def test_criterion_02_redundancy_rate_equality():
     _report(2, "redundancy rate equality", ok, detail, t0)
 
 
+def test_criterion_02_fails_when_merged_exponents_are_not_multiplied(monkeypatch):
+    # merging layer j into layer j-1 but keeping beta_{j-1}, not beta_{j-1} beta_j,
+    # changes the minimax rate of the structures it merges
+    def unmultiplied(eta):
+        if max(eta.betas) > 1.0:
+            return eta
+        g, betas = eta.graph, list(eta.betas)
+        for j in range(g.q, 0, -1):
+            if g.eff_dims[j] == g.eff_dims[j - 1] == 1:
+                sets = list(g.active_sets)
+                sets[j - 1] = [sets[j - 1][s[0] - 1] for s in sets[j]]
+                del sets[j], betas[j]
+                g = structure.CompositionGraph(g.input_dim, sets)
+        return structure.CompositionStructure(graph=g, betas=tuple(betas), bounds=eta.bounds)
+    monkeypatch.setattr(structure, "reduce_redundant", unmultiplied)
+    name, ok, detail = verify.check_redundancy_rates(trials=200, seed=7)
+    assert not ok
+    assert detail == "worst relative error 9.067e-01"
+
+
 def test_criterion_03_rate_comparison_sandwich():
     t0 = time.perf_counter()
     name, ok, detail = verify.check_eps_ratio(trials=1000, seed=11, n=10**5)
     ok = ok and (time.perf_counter() - t0) < 1.0
     _report(3, "rate comparison sandwich", ok, detail, t0)
+
+
+def test_criterion_03_fails_when_the_rate_is_inverted(monkeypatch):
+    # 1/eps orders every pair the wrong way round, so the first trial fails
+    real = rates.eps_structure
+    monkeypatch.setattr(rates, "eps_structure", lambda *args: 1.0 / real(*args))
+    name, ok, detail = verify.check_eps_ratio(trials=1000, seed=11, n=10**5)
+    assert not ok
+    assert detail.startswith("violated at trial 0: ")
 
 
 def _entropy_sandwich(covering_number):

@@ -508,8 +508,23 @@ class TestExitCodes:
             "error": "validation", "detail": f"{command} takes no --suite"}
 
     def test_threads_option_removed(self, capsys):
-        with pytest.raises(SystemExit):
-            cli.main(["rates", "--threads", "2"])
+        assert cli.main(["rates", "--threads", "2"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "validation" and "--threads" in err["detail"]
+
+    @pytest.mark.parametrize("argv", [["fit", "--seed", "abc"], ["fit", "--seed", "1.5"],
+                                      ["frobnicate"], [], ["fit", "--bogus", "1"]])
+    def test_usage_error_is_a_validation_error(self, capsys, argv):
+        # argparse's own errors exit 1 with the one JSON line, not 2 with usage text
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err.strip())["error"] == "validation"
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0 and "usage: deepgp-lab" in capsys.readouterr().out
 
 
 class TestSampleCommand:

@@ -355,8 +355,10 @@ class TestFlatKernels:
             cells = [funcspace._cells(np.zeros(len(pts)) if c is None
                                       else np.clip(pts[:, c], -1.0, 1.0), m)
                      for c, m in zip(slots, shape)]
-            plan = funcspace._gather_plan(pts, tuple(zip(slots, shape)))
-            np.testing.assert_array_equal(path(pts, plan), fancy_gather(values, cells))
+            layer = funcspace.LayerFunction([(path, range(1, used + 1))], len(shape))
+            want = fancy_gather(values, cells)
+            np.testing.assert_array_equal(path(layer._inputs(0, pts)), want)
+            np.testing.assert_array_equal(layer(pts)[:, 0], np.clip(want, -1.0, 1.0))
 
     @pytest.mark.parametrize("r, J", [(1, 1), (1, 7), (2, 1), (2, 4), (3, 1), (3, 3)])
     def test_knot_brackets_equal_hat_sum(self, r, J):
@@ -636,9 +638,9 @@ class TestGatherPlan:
         wants = [fresh_compose(layers, pts) for layers in sequences]
         built, plan = [], funcspace._gather_plan
 
-        def planning(pts, key):
-            built.append(key)
-            return plan(pts, key)
+        def planning(pts, shape):
+            built.append(shape)
+            return plan(pts, shape)
         monkeypatch.setattr(funcspace, "_gather_plan", planning)
         cache = {}
         for layers, want in zip(sequences, wants):
@@ -652,15 +654,25 @@ class TestGatherPlan:
         np.testing.assert_array_equal(funcspace.compose(grown, pts, cache), wants[3])
         assert len(cache) == 1
         # one plan per layer of each of the seven composes: 4 one-layer, 3 two-layer
-        assert built == [((0, 33),)] * 10
+        assert built == [(33,)] * 10
 
-    def test_path_reads_the_plan_it_is_given(self):
-        # a plan is the points' cells on the path's grid; the points are only counted
+    def test_component_inputs(self):
+        # a component reads its active columns in the order it lists them, then 0
+        # in each padded slot, from a new array; one that reads every column of
+        # the layer in order and pads none gets the layer's own array
         rng = np.random.default_rng(4)
-        path = funcspace.GridPath(rng.standard_normal((9, 5)))
-        pts = rng.uniform(-1.0, 1.0, (30, 2))
-        plan = list(funcspace._gather_plan(pts, ((0, 9), (1, 5))))
-        np.testing.assert_array_equal(path(np.zeros((30, 2)), plan), path(pts))
+        pts = rng.uniform(-1.0, 1.0, (30, 3))
+        zero = np.zeros((30, 1))
+        cases = [((1, 2, 3), 3, pts), ((2, 1), 2, pts[:, [1, 0]]),
+                 ((3,), 3, np.hstack([pts[:, 2:], zero, zero])),
+                 ((1, 2), 2, pts[:, :2]), ((1, 2, 3), 4, np.hstack([pts, zero]))]
+        layer = funcspace.LayerFunction([(funcspace.GridPath(np.zeros((5,) * r)), s)
+                                         for s, r, _ in cases], 3)
+        assert layer._inputs(0, pts) is pts
+        for j, (_, r, want) in enumerate(cases[1:], start=1):
+            got = layer._inputs(j, pts)
+            assert got.shape == (30, r) and not np.shares_memory(got, pts)
+            np.testing.assert_array_equal(got, want)
 
 
 # a one-layer f is W v in its path's node values v, so sum(Y f - f^2/2) is

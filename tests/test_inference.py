@@ -188,12 +188,12 @@ class TestGatherPlan:
         # planned and composed again every iteration, gives the same trace
         data, spec, cfg = chain_case(family, d)
         grid = 101 if d == 1 else 17**d
-        plan, planned = funcspace.LayerFunction._path_plan, []
+        plan, planned = funcspace._gather_plan, []
 
-        def counting(self, j, pts):
+        def counting(pts, shape):
             planned.append(len(pts))
-            return plan(self, j, pts)
-        monkeypatch.setattr(funcspace.LayerFunction, "_path_plan", counting)
+            return plan(pts, shape)
+        monkeypatch.setattr(funcspace, "_gather_plan", counting)
         kept = inference.run_mcmc(data, spec, cfg)
         # the error grid is planned once per kept state that ends an iteration:
         # each accepted move, and the start unless iteration 0 accepts one; the

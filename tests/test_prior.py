@@ -492,7 +492,7 @@ class TestConditioningSpecs:
     def test_no_check_interpolates(self, monkeypatch, family, beta, r, grid):
         # a check reads the values on the grid they live on.  The budget is raised:
         # stationary r = 2 accepts about 0.3 % of attempts here, so 1,000 can run out
-        def interpolate(path, points, plan=None):
+        def interpolate(path, points):
             raise AssertionError("a conditioning check interpolated a path")
 
         spec = gp.GpSpec(family=family, beta=beta, r=r, n=500, grid=grid)
