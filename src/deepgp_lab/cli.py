@@ -2,7 +2,9 @@
 
 All outputs are written atomically (temp file + rename) into the --out
 directory; a manifest.json records the config hash, seed, and version.
-Reals are printed with 17 significant digits so reruns are byte-identical.
+A CSV's rows are streamed into its temp file as they are formatted, so no
+file is built as one string first.  Reals are printed with 17 significant
+digits so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import dataclasses
 import gc
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -50,12 +53,15 @@ def _field_names(cls, exclude=()):
     return {f.name for f in dataclasses.fields(cls)} - set(exclude)
 
 
-def _atomic_write(out_dir, name, text):
+def _atomic_write(out_dir, name, chunks):
+    """Write the strings of the iterable chunks, in turn, to out_dir/name: into a
+    temp file that replaces the target only once every chunk is written.  If a
+    chunk fails, the target is left as it was and the temp file is removed."""
     os.makedirs(out_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)  # mkstemp makes the file 0600
@@ -69,10 +75,13 @@ def _atomic_write(out_dir, name, text):
 def _write_csv(out_dir, name, header, rows):
     """Each column holds one type, so the first row gives every row's %-format
     template: a float (numpy's float64 too) is written with 17 significant
-    digits, anything else as str writes it."""
-    template = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0])
-    lines = [",".join(header)] + [template % row for row in rows]
-    _atomic_write(out_dir, name, "\n".join(lines) + "\n")
+    digits, anything else as str writes it.  rows is any iterable of tuples,
+    read once, each row formatted as it is written."""
+    rows = iter(rows)
+    first = next(rows)
+    template = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
+    lines = (template % row for row in itertools.chain([first], rows))
+    _atomic_write(out_dir, name, itertools.chain([",".join(header) + "\n"], lines))
 
 
 def _fields(d, where, required=(), optional=()):
@@ -207,13 +216,13 @@ def _manifest(out_dir, command, config_path, seed):
     if config_path:
         with open(config_path, "rb") as fh:
             digest = hashlib.sha256(fh.read()).hexdigest()
-    _atomic_write(out_dir, "manifest.json", json.dumps({
+    _atomic_write(out_dir, "manifest.json", [json.dumps({
         "command": command,
         "config_sha256": digest,
         "seed": seed,
         "version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }, indent=2, sort_keys=True) + "\n")
+    }, indent=2, sort_keys=True), "\n"])
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +301,7 @@ def _cmd_sample(cfg, seed, out_dir):
                 path, min(spec.beta, funcspace.HOLDER_MAX_BETA))
         paths.append(funcspace.path_to_dict(path))
         rows.append((k, attempts, 1.0 / attempts, bnorm, hnorm, sup))
-    _atomic_write(out_dir, "paths.json", json.dumps(paths, sort_keys=True) + "\n")
+    _atomic_write(out_dir, "paths.json", [json.dumps(paths, sort_keys=True), "\n"])
     _write_csv(out_dir, "stats.csv",
                ("index", "attempts", "acceptance_rate", "besov_norm",
                 "holder_norm", "sup_norm"), rows)
@@ -317,7 +326,7 @@ def _cmd_prior(cfg, seed, out_dir):
                        for layer in d.layers],
         })
     if draws:
-        _atomic_write(out_dir, "draws.json", json.dumps(draws, sort_keys=True) + "\n")
+        _atomic_write(out_dir, "draws.json", [json.dumps(draws, sort_keys=True), "\n"])
 
 
 def _truth(cfg, spec, seed):
@@ -353,11 +362,11 @@ def _cmd_fit(cfg, seed, out_dir):
     data = inference.generate_data(f_star, n=spec.n, seed=seed,
                                    input_dim=eta_star.graph.dims[0])
     trace = inference.run_mcmc(data, spec, config)
-    rows = [(t, int(trace.structure_idx[t]), trace.log_lik[t], trace.l2_error[t],
-             trace.besov[t], trace.sup[t]) for t in range(len(trace.log_lik))]
+    columns = (trace.structure_idx, trace.log_lik, trace.l2_error, trace.besov, trace.sup)
     _write_csv(out_dir, "trace.csv",
                ("iteration", "structure_index", "log_lik", "l2_error", "besov_norm",
-                "sup_norm"), rows)
+                "sup_norm"),
+               zip(itertools.count(), *(c.tolist() for c in columns)))
     _write_csv(out_dir, "summary.csv",
                ("n", "pcn_acceptance", "structure_acceptance", "median_l2_error",
                 "structure_exhausted"),

@@ -153,13 +153,17 @@ def _corners(shape, cells):
                   for offsets, weights in (zip(*c) for c in itertools.product(*brackets))]
 
 
+def _blocks(n):
+    """Slices of _BLOCK consecutive indices that cover range(n), in order."""
+    return (slice(start, start + _BLOCK) for start in range(0, n, _BLOCK))
+
+
 def _gather_plan(pts, shape):
     """The gather plan of the points pts on a grid of this shape, column k on axis k:
     per block of _BLOCK points, (block, base indices, corners) as _corners finds
     them from the block's cells, built as it is read.  Each column is clipped onto
     [-1, 1] into a new array, never in place: pts can be the caller's design."""
-    for start in range(0, len(pts), _BLOCK):
-        block = slice(start, start + _BLOCK)
+    for block in _blocks(len(pts)):
         rows = pts[block]
         yield (block, *_corners(shape, [_cells(np.clip(rows[:, k], -1.0, 1.0), m)
                                          for k, m in enumerate(shape)]))
@@ -186,15 +190,17 @@ class GridPath:
         """The nodes on each axis, linspace(-1, 1, m_k), shared and read-only."""
         return tuple(_axis(m) for m in self.values.shape)
 
-    def __call__(self, points):
-        """Values at the points: the multilinear interpolant of the node values.
+    def __call__(self, points, out=None):
+        """Values at the points: the multilinear interpolant of the node values,
+        written into ``out`` (one float per point, any stride) when it is given.
 
         Each of the 2^r corners is one take from the flat values, at the points'
         base indices read from the corner's offset.
         """
         points = _as_points(points, self.r)
         flat = self.values.ravel()
-        out = np.empty(len(points))
+        if out is None:
+            out = np.empty(len(points))
         for block, base, corners in _gather_plan(points, self.values.shape):
             total = out[block]
             total[:] = 0.0  # the sum starts at +0.0: a first term of -0.0 gives 0.0
@@ -246,11 +252,12 @@ class LayerFunction:
                 raise ValidationError(f"active set {s} larger than path dimension {p.r}")
 
     def __call__(self, points):
-        """The layer's outputs at the points, shape (m, out_dim)."""
+        """The layer's outputs at the points, shape (m, out_dim): component j
+        writes its column directly."""
         pts = _as_points(points, self.in_dim)
         out = np.empty((len(pts), self.out_dim))
         for j, (path, _) in enumerate(self.components):
-            out[:, j] = path(self._inputs(j, pts))
+            path(self._inputs(j, pts), out=out[:, j])
         return np.clip(out, -1.0, 1.0, out=out)
 
     def _inputs(self, j, pts):
@@ -476,7 +483,8 @@ def design_statistics(layer, points, Y):
     index plus each corner's offset (_corners), so G is one array over base
     indices per pair of corners c <= c', not an m^r x m^r matrix.  The base
     indices and weights come from the path's gather plan, built _BLOCK points at
-    a time; the points must be at least one.
+    a time, and sum |Y| is added up over the same blocks: the statistics hold no
+    array the size of Y.  The points must be at least one.
     """
     (path, _), = layer.components
     pts = _as_points(points, layer.in_dim)
@@ -485,17 +493,19 @@ def design_statistics(layer, points, Y):
     corners = 2**path.r
     left, right = np.triu_indices(corners)
     b, G = np.zeros((corners, size)), np.zeros((len(left), size))
+    abs_y = 0.0
     for block, base, weighted in _gather_plan(layer._inputs(0, pts), path.values.shape):
         offsets, w = zip(*((o, math.prod(ws)) for o, ws in weighted))
+        y = Y[block]
+        abs_y += float(abs(y).sum())
         for c in range(corners):
-            b[c] += np.bincount(base, w[c] * Y[block], minlength=size)
+            b[c] += np.bincount(base, w[c] * y, minlength=size)
         for p, (c, d) in enumerate(zip(left, right)):
             G[p] += np.bincount(base, w[c] * w[d], minlength=size)
     length = size - offsets[-1]
     G[left < right] *= 2.0
     return _DesignStatistics(np.add.outer(offsets, np.arange(length)), left, right,
-                             b[:, :length].copy(), G[:, :length].copy(), len(pts),
-                             float(abs(Y).sum()))
+                             b[:, :length].copy(), G[:, :length].copy(), len(pts), abs_y)
 
 
 def quadratic_loglik(stats, values):

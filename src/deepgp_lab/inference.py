@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConditioningError, NumericError, ValidationError
 from .funcspace import (besov_norm, compose, design_statistics, grid_points,
-                        in_conditioning_set, quadratic_loglik)
+                        in_conditioning_set, quadratic_loglik, _blocks)
 from .gp import path_from_state, rng_for, sample_conditioned
 from .prior import Node, StructurePriorSpec, build_layers, _draw, _node_laws, _structure_table
 from .rates import WAVELET, eps_structure, minimax_rate
@@ -42,6 +42,15 @@ __all__ = [
 ]
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
+
+
+def _in_ball(a, bound):
+    """Whether every entry of a lies in [-bound, bound], False if one is NaN.  It
+    reads a's min and max, so it makes no |a| the size of a."""
+    return bool(-bound <= np.min(a) and np.max(a) <= bound)
+
+
 @dataclass(frozen=True)
 class RegressionSample:
     X: np.ndarray
@@ -51,8 +60,10 @@ class RegressionSample:
     def __post_init__(self):
         if len(self.X) != len(self.Y):
             raise ValidationError("X and Y lengths differ")
-        if np.max(np.abs(self.X)) > 1 + 1e-12:
+        if not _in_ball(self.X, 1 + 1e-12):
             raise ValidationError("design points must lie in [-1,1]^d")
+        if not _in_ball(self.Y, _FLOAT_MAX):
+            raise ValidationError("responses must be finite")
 
     @property
     def n(self):
@@ -60,13 +71,21 @@ class RegressionSample:
 
 
 def generate_data(f_star, n, seed, input_dim) -> RegressionSample:
-    """Uniform design on [-1,1]^d, d = input_dim, plus standard normal noise."""
+    """Uniform design on [-1,1]^d, d = input_dim, plus standard normal noise.
+
+    The truth's values are added into the noise array: addition commutes, so Y
+    has the bits of f(X) + noise, and no array is made for the sum.
+    """
     rng = rng_for(seed, (11,))
     X = rng.uniform(-1.0, 1.0, size=(n, input_dim))
     fv = np.asarray(f_star(X), dtype=float)
-    if np.max(np.abs(fv)) > 1 + 1e-9:
+    if fv.shape != (n,):
+        raise ValidationError(f"truth must give one value per design point, shape ({n},); "
+                              f"got shape {fv.shape}")
+    if not _in_ball(fv, 1 + 1e-9):
         raise ValidationError("truth exceeds the unit sup-norm ball at a design point")
-    Y = fv + rng.standard_normal(n)
+    Y = rng.standard_normal(n)
+    Y += fv
     return RegressionSample(X=X, Y=Y, f_star=f_star)
 
 
@@ -196,9 +215,12 @@ def run_mcmc(data: RegressionSample, spec: StructurePriorSpec,
         if k in stats:
             return quadratic_loglik(stats[k], values)
         (layer,) = build_layers(structures[k], {(0, 0): node})
-        fv = compose((layer,), data.X)
-        full = float((data.Y * fv - 0.5 * fv**2).sum())
-        stats[k] = design_statistics(layer, data.X, data.Y)
+        fv, Y = compose((layer,), data.X), data.Y
+        # summed block by block, and f dropped before the statistics are built:
+        # the check holds no n-sized array beside X, Y and f
+        full = sum(float((Y[b] * fv[b] - 0.5 * fv[b] ** 2).sum()) for b in _blocks(len(fv)))
+        del fv
+        stats[k] = design_statistics(layer, data.X, Y)
         ll, bound = quadratic_loglik(stats[k], values), stats[k].rounding_bound(values)
         if not abs(ll - full) <= bound:
             raise NumericError(

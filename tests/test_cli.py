@@ -656,6 +656,24 @@ class TestCsvRows:
         cli._write_csv(out, "t.csv", header, rows)
         assert (out / "t.csv").read_text() == per_field_csv(header, rows)
 
+    @pytest.mark.parametrize("name", ROWS)
+    def test_rows_streamed_from_a_generator(self, tmp_path, name):
+        rows = self.ROWS[name]
+        header = tuple(f"c{k}" for k in range(len(rows[0])))
+        cli._write_csv(tmp_path, "list.csv", header, rows)
+        cli._write_csv(tmp_path, "stream.csv", header, (row for row in rows))
+        assert (tmp_path / "stream.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+
+    def test_failed_row_leaves_the_target(self, tmp_path):
+        # the bad row comes after more than a write buffer of good ones, so part of
+        # the file has reached the temp file when it fails
+        (tmp_path / "t.csv").write_text("old\n")
+        rows = [(0.1 * t, t) for t in range(5000)] + [("not a float", 0)]
+        with pytest.raises(TypeError):
+            cli._write_csv(tmp_path, "t.csv", ("a", "b"), iter(rows))
+        assert (tmp_path / "t.csv").read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["t.csv"]
+
 
 class TestPriorAndFit:
     def test_prior_command(self, tmp_path):

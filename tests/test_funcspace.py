@@ -349,7 +349,7 @@ class TestFlatKernels:
         values = rng.standard_normal(shape)
         pts = rng.uniform(-1.2, 1.2, (300, len(shape)))
         pts[:40] = np.nextafter(np.linspace(-1.0, 1.0, 40), 2.0)[:, None]
-        path = funcspace.GridPath(values)
+        path, other = funcspace.GridPath(values), funcspace.GridPath(rng.standard_normal(shape))
         for used in range(1, len(shape) + 1):  # the slots past the used ones are padded
             slots = list(range(used)) + [None] * (len(shape) - used)
             cells = [funcspace._cells(np.zeros(len(pts)) if c is None
@@ -359,6 +359,14 @@ class TestFlatKernels:
             want = fancy_gather(values, cells)
             np.testing.assert_array_equal(path(layer._inputs(0, pts)), want)
             np.testing.assert_array_equal(layer(pts)[:, 0], np.clip(want, -1.0, 1.0))
+            # two components: each writes its own column of the layer's output, a
+            # strided view, with the bits of its path's own output
+            pair = funcspace.LayerFunction([(path, range(1, used + 1)),
+                                            (other, range(used, 0, -1))], len(shape))
+            got = pair(pts)
+            for j, (p, _) in enumerate(pair.components):
+                want = np.clip(p(pair._inputs(j, pts)), -1.0, 1.0)
+                np.testing.assert_array_equal(got[:, j], want)
 
     @pytest.mark.parametrize("r, J", [(1, 1), (1, 7), (2, 1), (2, 4), (3, 1), (3, 3)])
     def test_knot_brackets_equal_hat_sum(self, r, J):

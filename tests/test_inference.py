@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -324,12 +325,81 @@ class TestGenerateData:
         with pytest.raises(ValidationError):
             inference.generate_data(lambda x: 2.0 + 0 * x[:, 0], n=50, seed=0, input_dim=1)
 
+    def test_nan_truth_rejected(self):
+        def truth(x):
+            f = 0.5 * x[:, 0]
+            f[17] = math.nan
+            return f
+
+        with pytest.raises(ValidationError, match="truth exceeds"):
+            inference.generate_data(truth, n=50, seed=0, input_dim=1)
+
+    def test_truth_of_another_shape_rejected(self):
+        # a column of values would broadcast against the noise into an n x n Y
+        with pytest.raises(ValidationError, match=r"shape \(50,\); got shape \(50, 1\)"):
+            inference.generate_data(lambda x: 0.5 * x, n=50, seed=0, input_dim=1)
+
+    def test_nan_design_rejected(self):
+        X = np.linspace(-1, 1, 20)[:, None]
+        X[3, 0] = math.nan
+        with pytest.raises(ValidationError, match="design points"):
+            inference.RegressionSample(X=X, Y=np.zeros(20), f_star=None)
+
+    def test_infinite_response_rejected(self):
+        Y = np.zeros(20)
+        Y[-1] = math.inf
+        with pytest.raises(ValidationError, match="responses must be finite"):
+            inference.RegressionSample(X=np.linspace(-1, 1, 20)[:, None], Y=Y, f_star=None)
+
     def test_input_dim_is_required(self):
         # the design's dimension is the structure's, never guessed from the truth
         draw = prior.sample_prior(q0_spec(), 1)
         with pytest.raises(TypeError):
             inference.generate_data(draw, n=50, seed=0)
         assert not hasattr(draw, "input_dim")
+
+
+class TestMemory:
+    """A fit holds its design X, its responses Y and one other n-vector.  Peaks
+    traced by tracemalloc on a wavelet spec at n = 2e5, where an n-vector of
+    float64 is 1.6 MB; the 1 MB slack covers what does not grow with n (the
+    gather's _BLOCK-point temporaries, the chain's trace and error grid)."""
+
+    N = 200_000
+    SLACK = 2**20
+
+    def setup_method(self):
+        self.spec = prior.StructurePriorSpec(
+            space=structure.StructureSpace(input_dim=1, max_q=1, max_width=2),
+            profile=rates.RateProfile(family=rates.WAVELET), n=self.N, beta_grid=(1.0,))
+        self.truth = prior.sample_prior(self.spec, 999)
+
+    def peak(self, call):
+        """The traced peak of call() above the memory held when it starts, in bytes,
+        and its result."""
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = call()
+            return tracemalloc.get_traced_memory()[1] - start, result
+        finally:
+            tracemalloc.stop()
+
+    def data(self):
+        return inference.generate_data(self.truth, n=self.N, seed=0, input_dim=1)
+
+    def test_generate_data_holds_three_vectors(self):
+        # X, the truth's values and Y; the noise is drawn into Y
+        peak, _ = self.peak(self.data)
+        assert peak <= 3 * 8 * self.N + self.SLACK, f"{peak / (8 * self.N):.3f} n-vectors"
+
+    def test_run_mcmc_holds_one_vector_beside_the_data(self):
+        # the design's composed values on a structure's first proposal
+        data = self.data()
+        config = inference.PosteriorConfig(iterations=5, pcn_step=0.98, seed=0)
+        peak, trace = self.peak(lambda: inference.run_mcmc(data, self.spec, config))
+        assert peak <= 8 * self.N + self.SLACK, f"{peak / (8 * self.N):.3f} n-vectors"
+        assert np.isfinite(trace.log_lik).all()
 
 
 class TestLogLikelihoodRatio:
