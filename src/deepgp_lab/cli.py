@@ -10,7 +10,6 @@ digits so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import hashlib
 import itertools
@@ -50,7 +49,7 @@ _FIELDS = {
 
 
 def _field_names(cls, exclude=()):
-    return {f.name for f in dataclasses.fields(cls)} - set(exclude)
+    return set(cls._fields) - set(exclude)
 
 
 def _atomic_write(out_dir, name, chunks):

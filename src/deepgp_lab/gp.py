@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
-from .errors import ConditioningError, NumericError, ValidationError
+from .errors import ConditioningError, NumericError, ValidationError, check_int
 from .funcspace import GridPath, WaveletPath, grid_points, in_conditioning_set
 from .rates import FAMILIES, FBM, STATIONARY, WAVELET, check_beta, wavelet_resolution
 
@@ -44,29 +44,26 @@ _SLACK_FACTOR = 2.0  # two products' rounding, in _grid_factor's bound
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class GpSpec:
-    family: str
-    beta: float
-    r: int
-    n: int
-    grid: int = DEFAULT_GRID
+class GpSpec(namedtuple("GpSpec", "family beta r n grid")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValidationError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        check_beta(self.family, self.beta)
-        if self.r < 1:
+    def __new__(cls, family, beta, r, n, grid=DEFAULT_GRID):
+        if family not in FAMILIES:
+            raise ValidationError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        check_beta(family, beta)
+        r, n, grid = check_int(r, "r"), check_int(n, "n"), check_int(grid, "grid")
+        if r < 1:
             raise ValidationError("r must be >= 1")
-        if self.n < 2:  # every family's resolution or scale takes log n
-            raise ValidationError(f"n must be >= 2, got {self.n}")
-        if self.family in (FBM, STATIONARY):
-            if self.r not in (1, 2):
+        if n < 2:  # every family's resolution or scale takes log n
+            raise ValidationError(f"n must be >= 2, got {n}")
+        if family in (FBM, STATIONARY):
+            if r not in (1, 2):
                 raise ValidationError("grid families support r in {1, 2}")
-            if self.grid < 16:
+            if grid < 16:
                 raise ValidationError("grid families need grid >= 16")
-            if self.grid > _GRID_CAP[self.r]:
-                raise ValidationError(f"grid capped at {_GRID_CAP[self.r]} for r={self.r}")
+            if grid > _GRID_CAP[r]:
+                raise ValidationError(f"grid capped at {_GRID_CAP[r]} for r={r}")
+        return super().__new__(cls, family, beta, r, n, grid)
 
 
 def rng_for(seed, key=()):

@@ -17,12 +17,12 @@ call stays in every iteration, since perfbench counts iterations by it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConditioningError, NumericError, ValidationError
+from .errors import ConditioningError, NumericError, ValidationError, check_int
 from .funcspace import (besov_norm, compose, design_statistics, grid_points,
                         in_conditioning_set, quadratic_loglik, _blocks)
 from .gp import path_from_state, rng_for, sample_conditioned
@@ -51,19 +51,17 @@ def _in_ball(a, bound):
     return bool(-bound <= np.min(a) and np.max(a) <= bound)
 
 
-@dataclass(frozen=True)
-class RegressionSample:
-    X: np.ndarray
-    Y: np.ndarray
-    f_star: object  # the callable truth
+class RegressionSample(namedtuple("RegressionSample", "X Y f_star")):  # f_star: callable truth
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.X) != len(self.Y):
+    def __new__(cls, X, Y, f_star):
+        if len(X) != len(Y):
             raise ValidationError("X and Y lengths differ")
-        if not _in_ball(self.X, 1 + 1e-12):
+        if not _in_ball(X, 1 + 1e-12):
             raise ValidationError("design points must lie in [-1,1]^d")
-        if not _in_ball(self.Y, _FLOAT_MAX):
+        if not _in_ball(Y, _FLOAT_MAX):
             raise ValidationError("responses must be finite")
+        return super().__new__(cls, X, Y, f_star)
 
     @property
     def n(self):
@@ -103,28 +101,28 @@ def median(values) -> float:
     return float(np.mean(part[half - 1 + odd:half + 1]))
 
 
-@dataclass(frozen=True)
-class PosteriorConfig:
-    iterations: int = 500
-    pcn_step: float = 0.8  # rho: proposal = rho*z + sqrt(1-rho^2)*xi
-    structure_move_prob: float = 0.1
-    burn_in: float = 0.5
-    seed: int = 0
-    prior_only: bool = False
+class PosteriorConfig(namedtuple("PosteriorConfig", "iterations pcn_step structure_move_prob "
+                                                    "burn_in seed prior_only")):
+    """pcn_step is rho: a pCN proposal is rho*z + sqrt(1-rho^2)*xi."""
 
-    def __post_init__(self):
-        if not (0 < self.pcn_step < 1):
+    __slots__ = ()
+
+    def __new__(cls, iterations=500, pcn_step=0.8, structure_move_prob=0.1, burn_in=0.5,
+                seed=0, prior_only=False):
+        if not (0 < pcn_step < 1):
             raise ValidationError("pcn_step must be in (0,1)")
-        if not (0 <= self.structure_move_prob <= 1):
+        if not (0 <= structure_move_prob <= 1):
             raise ValidationError("structure_move_prob must be in [0,1]")
-        if not (0 <= self.burn_in < 1):
+        if not (0 <= burn_in < 1):
             raise ValidationError("burn_in must be in [0,1)")
-        if self.iterations < 1:
+        iterations = check_int(iterations, "iterations")
+        if iterations < 1:
             raise ValidationError("iterations must be >= 1")
+        return super().__new__(cls, iterations, pcn_step, structure_move_prob, burn_in, seed,
+                               prior_only)
 
 
-@dataclass
-class PosteriorTrace:
+class PosteriorTrace(NamedTuple):
     structures: list  # distinct structures referenced by index
     structure_idx: np.ndarray
     log_lik: np.ndarray
@@ -298,13 +296,15 @@ def contraction_runs(f_star, eta_star, spec: StructurePriorSpec,
     if any(a >= b for a, b in zip(n_list, n_list[1:])):
         raise ValidationError(f"n_list must be strictly increasing, got {list(n_list)}")
     for n in map(int, n_list):
-        spec_n = replace(spec, n=n)
+        # the constructors, not _replace, so that each rebuilt record is checked again
+        spec_n = StructurePriorSpec(spec.space, spec.profile, n, spec.beta_grid)
         traces = []
         for s in seeds:
             seed = config.seed + int(s)
             data = generate_data(f_star, n=n, seed=seed + 1000 * n,
                                  input_dim=eta_star.graph.dims[0])
-            traces.append(run_mcmc(data, spec_n, replace(config, seed=seed)))
+            traces.append(run_mcmc(data, spec_n,
+                                   PosteriorConfig(**dict(config._asdict(), seed=seed))))
         err = median([median(t.post_burn(t.l2_error)) for t in traces])
         row = (n, err, eps_structure(eta_star, spec.profile, n),
                minimax_rate(eta_star, n).value)

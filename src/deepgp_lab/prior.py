@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConditioningError, ValidationError
+from .errors import ConditioningError, ValidationError, check_int
 from .funcspace import HOLDER_MAX_BETA, LayerFunction, compose
 from .gp import K_PRIME, GpSpec, besov_radius, rng_for, sample_conditioned
 from .rates import (WAVELET, LogWeight, RateProfile, alpha_exponents, check_finite, eps_alpha,
@@ -42,52 +42,49 @@ _DEPTH_DECAY = 0.5  # gamma(q): geometric on 0..max_q
 _WIDTH_DECAY = 0.5  # gamma(d_i | q): geometric on 1..max_width
 
 
-@dataclass(frozen=True)
-class StructurePriorSpec:
-    space: StructureSpace
-    profile: RateProfile
-    n: int
-    beta_grid: tuple = (1.0,)
+class StructurePriorSpec(namedtuple("StructurePriorSpec", "space profile n beta_grid")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, space, profile, n, beta_grid=(1.0,)):
         """Some structure of the space has prior mass, beta_grid is nonempty and
         repeats no value, every node law the space can ask for exists, each beta at
         each layer width, and every limit K and penalty Psi_n the space computes is
         finite."""
         # floats: the spec keys the weights' cache, where a grid (1,) equals (1.0,)
-        object.__setattr__(self, "beta_grid", tuple(map(float, self.beta_grid)))
-        depth, width = self.space.reach  # no structure past these has prior mass
+        beta_grid = tuple(map(float, beta_grid))
+        depth, width = space.reach  # no structure past these has prior mass
         if depth < 0:
-            cap = self.space.max_nodes
+            cap = space.max_nodes
             why = (f"space.max_nodes = {cap}" if cap < PENALTY_HORIZON
                    else "larger structures carry no prior mass")
             raise ValidationError(f"no admissible structure in the space with |d|_1 <= "
                                   f"{min(cap, PENALTY_HORIZON)} ({why})")
-        if self.n < 3:
+        n = check_int(n, "n")
+        if n < 3:
             raise ValidationError("n must be >= 3")
-        if not self.beta_grid:
+        if not beta_grid:
             raise ValidationError("beta_grid must be nonempty")
-        for beta in self.beta_grid:
-            if self.beta_grid.count(beta) > 1:
-                raise ValidationError(f"beta_grid {list(self.beta_grid)} repeats the value "
-                                      f"{beta}")
-        widths = {"input_dim": self.space.input_dim}
+        for beta in beta_grid:
+            if beta_grid.count(beta) > 1:
+                raise ValidationError(f"beta_grid {list(beta_grid)} repeats the value {beta}")
+        widths = {"input_dim": space.input_dim}
         if depth > 0:
             widths["max_width"] = width
         # K grows as alpha falls; alpha_i is a product of at most q factors min(beta, 1)
-        alphas = (1.0, min(min(b, 1.0) for b in self.beta_grid) ** max(depth, 0))
-        for beta in self.beta_grid:
+        alphas = (1.0, min(min(b, 1.0) for b in beta_grid) ** max(depth, 0))
+        for beta in beta_grid:
             for name, width in widths.items():
                 try:
-                    gp_spec = GpSpec(family=self.profile.family, beta=beta, r=width, n=self.n)
-                    check_finite(self.profile, lambda p: max(
+                    gp_spec = GpSpec(family=profile.family, beta=beta, r=width, n=n)
+                    check_finite(profile, lambda p: max(
                         conditioning_limit(gp_spec, p, a) for a in alphas), "the limit K")
                 except ValidationError as exc:  # name the field as the config gives it
-                    raise ValidationError(f"beta_grid {list(self.beta_grid)}, space.{name} = "
-                                          f"{getattr(self.space, name)}: {exc}") from exc
+                    raise ValidationError(f"beta_grid {list(beta_grid)}, space.{name} = "
+                                          f"{getattr(space, name)}: {exc}") from exc
         ts = range(1, max(widths.values()) + 1)
-        check_finite(self.profile, lambda p: penalty_bound(p, self.space.beta_bounds, ts, self.n),
+        check_finite(profile, lambda p: penalty_bound(p, space.beta_bounds, ts, n),
                      "the penalty Psi_n")
+        return super().__new__(cls, space, profile, n, beta_grid)
 
 
 def _logsumexp(a):
@@ -231,7 +228,7 @@ class Node(NamedTuple):
 def _node_laws(eta: CompositionStructure, spec: StructurePriorSpec) -> tuple:
     """Per layer i, the law of its nodes: (GpSpec, limit K).
 
-    A pure function of the frozen eta and spec, cached so that a chain's
+    A pure function of the immutable eta and spec, cached so that a chain's
     structure moves solve eps_alpha once per structure, not once per move.
     """
     alphas = alpha_exponents(eta.betas)
@@ -251,8 +248,7 @@ def build_layers(eta: CompositionStructure, nodes) -> tuple:
                  for i in range(g.q + 1))
 
 
-@dataclass(frozen=True)
-class DgpDraw:
+class DgpDraw(NamedTuple):
     structure: CompositionStructure
     layers: tuple  # LayerFunction per layer
     stats: dict  # (layer, output) -> rejection attempts of the accepted draw

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields, replace
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,21 +53,19 @@ _CTILDE_GRID = 256  # points of the beta grid behind eps_structure's constants
 _CTILDE_SAFETY = 1.05  # factor inflating those suprema
 
 
-@dataclass(frozen=True)
-class LogWeight:
+class LogWeight(NamedTuple):
     """Log of a nonnegative weight; -inf encodes exact zero."""
 
     log_value: float
 
 
-@dataclass(frozen=True)
-class RateResult:
+class RateResult(NamedTuple):
     value: float
     argmax_layers: tuple
 
 
-@dataclass(frozen=True)
-class RateProfile:
+class RateProfile(namedtuple("RateProfile", "family holder_radius besov_radius spectral_c "
+                                            "spectral_d fbm_small_ball fbm_rkhs")):
     """Per-family constants behind the rate solutions.
 
     holder_radius is the smoothness-ball radius K.  besov_radius is the
@@ -76,21 +75,17 @@ class RateProfile:
     the user-set RKHS product K^2 L^2.
     """
 
-    family: str = WAVELET
-    holder_radius: float = 1.0
-    besov_radius: float = 1.0
-    spectral_c: float = 1.0
-    spectral_d: float = 1.0
-    fbm_small_ball: float = 8.0
-    fbm_rkhs: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValidationError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        for name in ("holder_radius", "besov_radius", "spectral_c", "spectral_d",
-                     "fbm_small_ball", "fbm_rkhs"):
-            if getattr(self, name) <= 0:
+    def __new__(cls, family=WAVELET, holder_radius=1.0, besov_radius=1.0, spectral_c=1.0,
+                spectral_d=1.0, fbm_small_ball=8.0, fbm_rkhs=1.0):
+        if family not in FAMILIES:
+            raise ValidationError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        constants = holder_radius, besov_radius, spectral_c, spectral_d, fbm_small_ball, fbm_rkhs
+        for name, value in zip(cls._fields[1:], constants):
+            if value <= 0:
                 raise ValidationError(f"{name} must be positive")
+        return super().__new__(cls, family, *constants)
 
     def base_constants(self, beta: float, r: int) -> tuple:
         """(c1', c2') of the base (alpha = 1) solution:
@@ -289,9 +284,11 @@ def check_finite(profile: RateProfile, value_of, what: str) -> None:
     if finite(profile):
         return
     default = RateProfile(family=profile.family)
-    moved = [f.name for f in fields(RateProfile)
-             if getattr(profile, f.name) != getattr(default, f.name)]
-    blamed = [k for k in moved if finite(replace(profile, **{k: getattr(default, k)}))] or moved
+    fields = profile._asdict()
+    moved = [k for k, v in fields.items() if v != getattr(default, k)]
+    # each reset is built by the constructor, which checks the fields again
+    blamed = [k for k in moved
+              if finite(RateProfile(**{**fields, k: getattr(default, k)}))] or moved
     named = ", ".join(f"profile.{k} = {getattr(profile, k)!r}" for k in blamed)
     raise ValidationError(f"{what} overflows double precision with "
                           f"{named or 'the default profile'}")

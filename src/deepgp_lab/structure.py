@@ -12,9 +12,9 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 
-from .errors import SpaceTooLargeError, ValidationError
+from .errors import SpaceTooLargeError, ValidationError, check_int
 
 __all__ = [
     "CompositionGraph",
@@ -30,8 +30,6 @@ __all__ = [
     "structure_to_json",
 ]
 
-ActiveSets = tuple  # per layer: tuple over outputs of sorted 1-based index tuples
-
 # Largest |d|_1 whose size penalty e^{e^{|d|_1}} is finite in double precision,
 # floor(ln 709); larger structures carry exactly zero prior mass.
 PENALTY_HORIZON = 6
@@ -39,27 +37,21 @@ PENALTY_HORIZON = 6
 _COUNT_LIMIT = 200_000  # most structures enumerate_structures lists
 
 
-@dataclass(frozen=True)
-class CompositionGraph:
+class CompositionGraph(namedtuple("CompositionGraph", "input_dim active_sets")):
     """The graph part lambda = (q, d, t, S), stored as d_0 and S.
 
     active_sets[i][j] is the sorted tuple of 1-based input coordinates read by
-    output j of layer i.  The rest is derived: q + 1 is the number of layers,
+    output j of layer i.  The rest is derived, and kept as attributes outside the
+    fields, so equality, hashing and repr ignore it: q + 1 is the number of layers,
     dims = (d_0, ..., d_q, 1) with d_{i+1} the number of outputs of layer i, and
     eff_dims = (t_0, ..., t_q, 1) with t_i = max_j |S_ij|.  Building a graph
     checks it, raising one ValidationError that lists every violation.
     """
 
-    input_dim: int
-    active_sets: ActiveSets
-    q: int = field(init=False, compare=False, repr=False)
-    dims: tuple = field(init=False, compare=False, repr=False)
-    eff_dims: tuple = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        sets = tuple(tuple(tuple(s) for s in layer) for layer in self.active_sets)
-        dims = (self.input_dim,) + tuple(len(layer) for layer in sets)
-        v = [f"d_0 = {self.input_dim} < 1"] if self.input_dim < 1 else []
+    def __new__(cls, input_dim, active_sets):
+        sets = tuple(tuple(tuple(s) for s in layer) for layer in active_sets)
+        dims = (input_dim,) + tuple(len(layer) for layer in sets)
+        v = [f"d_0 = {input_dim} < 1"] if input_dim < 1 else []
         if not sets:
             v.append("no layers")
         elif dims[-1] != 1:
@@ -76,11 +68,11 @@ class CompositionGraph:
                     v.append(f"S_{i}{j + 1} has index outside [1, d_{i}={dims[i]}]: {s}")
         if v:
             raise ValidationError("invalid graph: " + "; ".join(v))
-        object.__setattr__(self, "active_sets", sets)
-        object.__setattr__(self, "q", len(sets) - 1)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "eff_dims",
-                           tuple(max(map(len, layer)) for layer in sets) + (1,))
+        self = super().__new__(cls, input_dim, sets)
+        self.q = len(sets) - 1
+        self.dims = dims
+        self.eff_dims = tuple(max(map(len, layer)) for layer in sets) + (1,)
+        return self
 
     @property
     def num_nodes(self) -> int:
@@ -96,42 +88,38 @@ class CompositionGraph:
         return head, json.dumps(d, sort_keys=True)[1:]
 
 
-@dataclass(frozen=True)
-class CompositionStructure:
+class CompositionStructure(namedtuple("CompositionStructure", "graph betas bounds")):
     """eta = (lambda, beta): a graph plus one smoothness exponent per layer."""
 
-    graph: CompositionGraph
-    betas: tuple
-    bounds: tuple = (0.1, 10.0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "betas", tuple(self.betas))
-        object.__setattr__(self, "bounds", tuple(self.bounds))
-        if len(self.betas) != self.graph.q + 1:
+    def __new__(cls, graph, betas, bounds=(0.1, 10.0)):
+        betas, bounds = tuple(betas), tuple(bounds)
+        if len(betas) != graph.q + 1:
             raise ValidationError(
-                f"betas must have length q+1={self.graph.q + 1}, got {len(self.betas)}"
+                f"betas must have length q+1={graph.q + 1}, got {len(betas)}"
             )
-        lo, hi = _check_bounds(self.bounds, "structure.beta_bounds")
-        for b in self.betas:
+        lo, hi = _check_bounds(bounds, "structure.beta_bounds")
+        for b in betas:
             if not (lo <= b <= hi):
-                raise ValidationError(f"beta {b} outside bounds {self.bounds}")
+                raise ValidationError(f"beta {b} outside bounds {bounds}")
+        return super().__new__(cls, graph, betas, bounds)
 
 
-@dataclass(frozen=True)
-class StructureSpace:
+class StructureSpace(namedtuple("StructureSpace",
+                                "input_dim max_q max_width max_nodes beta_bounds")):
     """Finite truncation of the (countably infinite) set of structures."""
 
-    input_dim: int
-    max_q: int
-    max_width: int
-    max_nodes: int = 16
-    beta_bounds: tuple = (0.1, 10.0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.input_dim < 1 or self.max_q < 0 or self.max_width < 1 or self.max_nodes < 1:
+    def __new__(cls, input_dim, max_q, max_width, max_nodes=16, beta_bounds=(0.1, 10.0)):
+        input_dim, max_q = check_int(input_dim, "input_dim"), check_int(max_q, "max_q")
+        max_width, max_nodes = check_int(max_width, "max_width"), check_int(max_nodes, "max_nodes")
+        if input_dim < 1 or max_q < 0 or max_width < 1 or max_nodes < 1:
             raise ValidationError("StructureSpace caps must be positive (max_q >= 0)")
-        object.__setattr__(self, "beta_bounds", tuple(map(float, self.beta_bounds)))
-        _check_bounds(self.beta_bounds, "space.beta_bounds")
+        beta_bounds = tuple(map(float, beta_bounds))
+        _check_bounds(beta_bounds, "space.beta_bounds")
+        return super().__new__(cls, input_dim, max_q, max_width, max_nodes, beta_bounds)
 
     @property
     def reach(self):

@@ -850,6 +850,12 @@ def test_cli_does_not_import_scipy_interpolate():
               "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']")
 
 
+def test_cli_does_not_import_dataclasses():
+    # the package's records are tuples: building 12 dataclasses took about 7 ms
+    # of every CLI launch on a 2-vCPU host
+    run_fresh("import deepgp_lab.cli, sys; assert 'dataclasses' not in sys.modules")
+
+
 def test_fit_does_not_import_numpy_ma(tmp_path):
     # np.median's first call imports numpy.ma, 11-15 ms of a CLI launch on a
     # 2-vCPU host; fit and diagnose take their medians with inference.median

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -131,8 +130,8 @@ class TestFreshState:
 
 def assert_same_trace(a, b):
     """Two PosteriorTraces are equal in every field."""
-    for field in dataclasses.fields(inference.PosteriorTrace):
-        x, y = getattr(a, field.name), getattr(b, field.name)
+    for field in inference.PosteriorTrace._fields:
+        x, y = getattr(a, field), getattr(b, field)
         if isinstance(x, np.ndarray):
             np.testing.assert_array_equal(x, y)
         else:
@@ -748,6 +747,24 @@ class TestContractionCurve:
             lambda x: 0.0 * x[:, 0], eta, spec, cfg, n_list=(100, 400))]
         assert [r[0] for r in rows] == [100, 400]
         assert rows[1][3] < rows[0][3]  # minimax rate decreases in n
+
+    def test_each_n_is_checked_by_the_spec(self):
+        # each n's spec is rebuilt by its constructor, which checks it again, so
+        # n = 2 is refused before its data are drawn (the rates refuse it later)
+        spec = q0_spec(n=100)
+        eta = structure.CompositionStructure(
+            graph=structure.CompositionGraph(1, [[(1,)]]),
+            betas=(1.0,), bounds=spec.space.beta_bounds)
+        cfg = inference.PosteriorConfig(iterations=10, seed=0)
+        evaluated = []
+
+        def truth(x):
+            evaluated.append(len(x))
+            return 0.0 * x[:, 0]
+
+        with pytest.raises(ValidationError, match="^n must be >= 3$"):
+            next(inference.contraction_runs(truth, eta, spec, cfg, n_list=[2, 100]))
+        assert evaluated == []
 
     def test_unsorted_n_rejected(self):
         spec = q0_spec(n=100)

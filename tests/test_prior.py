@@ -39,7 +39,7 @@ def depth_specs(draw):
     hi = draw(st.floats(lo, top))
     grid = draw(st.lists(st.floats(lo, hi), min_size=1, max_size=3, unique=True))
     constants = {name: draw(st.floats(1e-3, 10.0))
-                 for name in sorted(rates.RateProfile.__dataclass_fields__) if name != "family"}
+                 for name in sorted(rates.RateProfile._fields) if name != "family"}
     space = structure.StructureSpace(
         input_dim=draw(st.integers(1, 3 if family == rates.WAVELET else 2)),
         max_q=draw(st.integers(1, 2)), max_width=draw(st.integers(1, 2)),

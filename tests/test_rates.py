@@ -362,3 +362,23 @@ class TestLogWeight:
     def test_absorbing_minus_inf(self):
         assert math.exp(rates.LogWeight(-math.inf).log_value) == 0.0
         assert math.exp(rates.LogWeight(-1.0).log_value) > 0.0
+
+
+class TestCheckFinite:
+    @pytest.mark.parametrize("fields, named", [
+        # no field alone makes it finite: every field off its default is named
+        (dict(family=rates.STATIONARY, spectral_c=1e300, spectral_d=1e300, holder_radius=2.0),
+         "profile.holder_radius = 2.0, profile.spectral_c = 1e+300, "
+         "profile.spectral_d = 1e+300"),
+        (dict(family=rates.WAVELET, holder_radius=1e300, besov_radius=3.0, spectral_d=2.0),
+         "profile.holder_radius = 1e+300"),
+        (dict(family=rates.FBM, fbm_small_ball=1e200, fbm_rkhs=2.0, spectral_c=5.0),
+         "profile.fbm_small_ball = 1e+200"),
+    ], ids=["together", "wavelet", "fbm"])
+    def test_blame_names_the_fields(self, fields, named):
+        # each field is reset to its default in a profile the constructor rebuilds
+        profile = rates.RateProfile(**fields)
+        with pytest.raises(ValidationError) as info:
+            rates.check_finite(profile, lambda p: rates.penalty_bound(p, (0.5, 1.0), (1, 2), 100),
+                               "the penalty")
+        assert str(info.value) == f"the penalty overflows double precision with {named}"

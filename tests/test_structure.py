@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import json
 import re
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deepgp_lab import rates, structure
+from deepgp_lab import gp, inference, prior, rates, structure
 from deepgp_lab.errors import SpaceTooLargeError, ValidationError
 
 
@@ -64,7 +64,68 @@ class TestValidation:
         b = structure.CompositionGraph(2, (((1, 2),), ((1,),)))
         assert a == b and hash(a) == hash(b)
         assert a != structure.CompositionGraph(3, [[(1, 2)], [(1,)]])
-        assert [f.name for f in dataclasses.fields(a) if f.init] == ["input_dim", "active_sets"]
+        assert list(a._fields) == ["input_dim", "active_sets"]
+
+    # each builds its record anew, from lists where a field is coerced to a tuple
+    RECORDS = {
+        "GpSpec": lambda: gp.GpSpec(rates.STATIONARY, 1.0, 2, 100, grid=17),
+        "RateProfile": lambda: rates.RateProfile(family=rates.FBM, fbm_rkhs=2.0),
+        "CompositionGraph": lambda: structure.CompositionGraph(2, [[(1, 2)], [(1,)]]),
+        "CompositionStructure": lambda: structure.CompositionStructure(
+            structure.CompositionGraph(2, [[[1, 2]], [[1]]]), [1.0, 0.5], [0.5, 1.0]),
+        "StructureSpace": lambda: structure.StructureSpace(2, 1, 2, beta_bounds=[0.5, 1]),
+        "StructurePriorSpec": lambda: prior.StructurePriorSpec(
+            structure.StructureSpace(1, 0, 1), rates.RateProfile(), 100, [1, 0.5]),
+    }
+
+    @pytest.mark.parametrize("build", RECORDS.values(), ids=RECORDS)
+    def test_records_with_equal_fields_are_equal(self, build):
+        # the caches key on these records: equal fields, equal records and hashes
+        a, b = build(), build()
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        for name in a._fields:
+            with pytest.raises(AttributeError):
+                setattr(a, name, getattr(b, name))
+        assert list(a._fields) == list(inspect.signature(type(a)).parameters)
+
+    @pytest.mark.parametrize("record, kwargs, message", [
+        (gp.GpSpec, dict(family=rates.WAVELET, beta=1.0, r=1.5, n=100),
+         "r must be an integer, got 1.5"),
+        (gp.GpSpec, dict(family=rates.WAVELET, beta=1.0, r=True, n=100),
+         "r must be an integer, got True"),
+        (gp.GpSpec, dict(family=rates.WAVELET, beta=1.0, r=1, n=100.5),
+         "n must be an integer, got 100.5"),
+        (gp.GpSpec, dict(family=rates.STATIONARY, beta=1.0, r=1, n=100, grid=33.5),
+         "grid must be an integer, got 33.5"),
+        (inference.PosteriorConfig, dict(iterations=2.5),
+         "iterations must be an integer, got 2.5"),
+        (inference.PosteriorConfig, dict(iterations=True),
+         "iterations must be an integer, got True"),
+        (prior.StructurePriorSpec, dict(space=structure.StructureSpace(1, 0, 1),
+                                        profile=rates.RateProfile(), n=100.0),
+         "n must be an integer, got 100.0"),
+        (structure.StructureSpace, dict(input_dim=1.5, max_q=0, max_width=1),
+         "input_dim must be an integer, got 1.5"),
+        (structure.StructureSpace, dict(input_dim=1, max_q=0.5, max_width=1),
+         "max_q must be an integer, got 0.5"),
+        (structure.StructureSpace, dict(input_dim=1, max_q=0, max_width=1.5),
+         "max_width must be an integer, got 1.5"),
+        (structure.StructureSpace, dict(input_dim=1, max_q=0, max_width=1, max_nodes=16.5),
+         "max_nodes must be an integer, got 16.5"),
+    ], ids=["r", "r-bool", "n", "grid", "iterations", "iterations-bool", "prior-n", "input_dim",
+            "max_q", "max_width", "max_nodes"])
+    def test_integer_fields_are_checked_as_integers(self, record, kwargs, message):
+        with pytest.raises(ValidationError) as info:
+            record(**kwargs)
+        assert str(info.value) == message
+
+    def test_numpy_integers_are_integers(self):
+        spec = gp.GpSpec(rates.WAVELET, 1.0, np.int64(1), np.int32(100), grid=np.uint8(33))
+        assert spec == gp.GpSpec(rates.WAVELET, 1.0, 1, 100)
+        assert [type(v) for v in spec[2:]] == [int, int, int]
+        assert inference.PosteriorConfig(iterations=np.int64(5)).iterations == 5
+        assert structure.StructureSpace(*np.ones(4, dtype=np.int16)) == (1, 1, 1, 1, (0.1, 10.0))
 
     @pytest.mark.parametrize("field, value, derived", [
         ("q", 0, "1"), ("dims", [5, 2, 1], "[5, 3, 1]"),
